@@ -57,7 +57,7 @@ from .oracle import (
     enumerate_opt,
     verify_ratio,
 )
-from .twovalued import ReducedInstance, SolveResult, build_reduced, lift, solve_two_valued
+from .twovalued import ReducedInstance, SolveResult, build_reduced, solve_two_valued
 from .unitk import UnitKSolution, match_big_jobs, solve_unit_k
 
 __version__ = "0.1.0"
@@ -99,7 +99,6 @@ __all__ = [
     "guarantee_report",
     "is_graph_balancing",
     "lenstra_solve",
-    "lift",
     "lift_factors",
     "machine_loads",
     "makespan",

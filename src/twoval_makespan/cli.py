@@ -36,7 +36,7 @@ from .model import (
     scale_to_integer,
     validate,
 )
-from .oracle import DEFAULT_NODE_BUDGET, BudgetExceeded, brute_force_opt
+from .oracle import DEFAULT_NODE_BUDGET, BudgetExceeded, brute_force_opt, ratio_verdict
 from .twovalued import ADDITIVE, solve_two_valued
 from .unitk import solve_unit_k
 
@@ -55,8 +55,6 @@ class RunReport:
     chosen: str
     guarantee: GuaranteeReport | None
     wall_time: float = 0.0
-    opt: Fraction | None = None
-    ratio: Fraction | None = None
 
 
 def _value(label: str, value: Fraction) -> str:
@@ -66,25 +64,19 @@ def _value(label: str, value: Fraction) -> str:
 REGIME_NOTE = "3/2 once the optimum reaches twice the big size"
 
 
+def _resolve_mode(instance: Instance, mode: str) -> str:
+    if mode == "auto":
+        return "gb" if is_graph_balancing(instance) else "two-valued"
+    return mode
+
+
 def _solve_report(instance: Instance, mode: str) -> RunReport:
     started = time.perf_counter()
-    if mode == "auto":
-        mode = "gb" if is_graph_balancing(instance) else "two-valued"
-    if mode == "gb":
-        if not is_graph_balancing(instance):
+    if mode in ("gb", "two-valued"):
+        if mode == "gb" and not is_graph_balancing(instance):
             raise ValueError("gb mode requires every job to allow at most 2 machines")
-        result = gb_solve_two_valued(instance)
-        report = RunReport(
-            schedule=result.schedule,
-            makespan=result.makespan,
-            bound=result.report.constructive_bound,
-            bound_note=REGIME_NOTE,
-            branch_makespans=result.branch_makespans,
-            chosen=result.chosen,
-            guarantee=result.report,
-        )
-    elif mode == "two-valued":
-        result = solve_two_valued(instance)
+        solver = gb_solve_two_valued if mode == "gb" else solve_two_valued
+        result = solver(instance)
         report = RunReport(
             schedule=result.schedule,
             makespan=result.makespan,
@@ -169,7 +161,7 @@ def _load_instance(path: str) -> Instance:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.path)
-    report = _solve_report(instance, args.mode)
+    report = _solve_report(instance, _resolve_mode(instance, args.mode))
     _print_solve(report)
     return 0
 
@@ -219,30 +211,16 @@ def _applicable_bound(instance: Instance, report: RunReport, opt: Fraction, mode
 
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance(args.path)
-    report = _solve_report(instance, args.mode)
-    budget = _oracle_budget(args)
-    try:
-        oracle = brute_force_opt(instance, budget)
-    except BudgetExceeded:
-        print("verdict budget-exceeded")
-        return 3
-    opt = oracle.opt_makespan
+    mode = _resolve_mode(instance, args.mode)
+    report = _solve_report(instance, mode)
+    opt = brute_force_opt(instance, _oracle_budget(args)).opt_makespan  # main reports BudgetExceeded
     if args.bound is not None:
         bound = parse_fraction(args.bound)
     else:
-        mode = args.mode
-        if mode == "auto":
-            mode = "gb" if is_graph_balancing(instance) else "two-valued"
         bound = _applicable_bound(instance, report, opt, mode)
-    value = report.makespan
-    if opt == 0:
-        ratio = Fraction(1)
-        passed = value == 0
-    else:
-        ratio = value / opt
-        passed = value <= bound * opt
+    ratio, passed = ratio_verdict(report.makespan, opt, bound)
     print(_value("opt", opt))
-    print(_value("makespan", value))
+    print(_value("makespan", report.makespan))
     print(_value("ratio", ratio))
     print(_value("bound", bound))
     print(f"verdict {'pass' if passed else 'fail'}")

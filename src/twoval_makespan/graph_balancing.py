@@ -21,15 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import guarantee_report
-from .flow import (
-    FractionalAssignment,
-    build_network,
-    extract_assignment,
-    max_flow_integral,
-    min_feasible_T,
-)
-from .lenstra import cancel_cycles, lenstra_solve, min_feasible_fractional, round_forest
+from .flow import FractionalAssignment
+from .lenstra import cancel_cycles, min_feasible_fractional, round_forest
 from .matching import maximum_bipartite_matching
 from .model import (
     Instance,
@@ -38,19 +31,9 @@ from .model import (
     is_graph_balancing,
     normalize,
     require_valid,
-    scale_to_integer,
 )
-from .twovalued import (
-    ADDITIVE,
-    SMALL_DOWN,
-    SMALL_UP,
-    UNIFORM,
-    SolveResult,
-    build_reduced,
-    lift,
-    pick_best,
-)
-from .unitk import UnitKSolution
+from .twovalued import SMALL_DOWN, SolveResult, race, reduction_branches
+from .unitk import UnitKSolution, round_flow
 
 MATCHING = "matching"
 FOREST = "forest"
@@ -128,17 +111,12 @@ def _check_orientation(graph: HalfEdgeGraph, heads: dict[int, int]) -> None:
 def gb_solve_unit_k(scaled: ScaledInstance) -> UnitKSolution | None:
     """{1, k} rounding specialized to 2-machine eligibility; None means fall back."""
     _require_gb(scaled.base)
-    estimate = min_feasible_T(scaled)
-    if estimate is None:
-        return None
-    network = build_network(scaled, estimate)
-    solution = max_flow_integral(network)
-    assignment = extract_assignment(network, solution, scaled)
+    return round_flow(scaled, _majority_and_orient, scaled.k)
 
-    placed: list[int | None] = [None] * scaled.base.job_count
-    for j in scaled.small_jobs():
-        placed[j] = assignment.support(j)[0]
 
+def _majority_and_orient(assignment: FractionalAssignment, scaled: ScaledInstance) -> dict[int, int]:
+    """Big jobs go to their majority machine; half/half jobs are oriented."""
+    placed: dict[int, int] = {}
     half = Fraction(1, 2)
     half_edges: list[tuple[int, int, int]] = []
     for j in scaled.big_jobs():
@@ -156,36 +134,8 @@ def gb_solve_unit_k(scaled: ScaledInstance) -> UnitKSolution | None:
             placed[j] = v
         else:
             half_edges.append((j, u, v))
-
-    for job, head in orient_components(HalfEdgeGraph(tuple(half_edges))).items():
-        placed[job] = head
-
-    schedule = Schedule(tuple(placed))  # type: ignore[arg-type]
-    _check_gb_rounding(scaled, assignment, schedule, estimate)
-    return UnitKSolution(schedule=schedule, estimate=estimate, assignment=assignment)
-
-
-def _check_gb_rounding(
-    scaled: ScaledInstance,
-    assignment: FractionalAssignment,
-    schedule: Schedule,
-    estimate: int,
-) -> None:
-    loads = [0] * scaled.base.machine_count
-    big_count = [0] * scaled.base.machine_count
-    for j, machine in enumerate(schedule.assignment):
-        loads[machine] += scaled.size_int(j)
-        if scaled.is_big(j):
-            big_count[machine] += 1
-        elif assignment.support(j) != (machine,):
-            raise RuntimeError(f"small job {j} moved away from its flow assignment")
-    for machine in range(scaled.base.machine_count):
-        if big_count[machine] > 1:
-            raise RuntimeError(f"machine {machine} received {big_count[machine]} big jobs")
-        if 2 * loads[machine] > 2 * estimate + scaled.k:
-            raise RuntimeError(
-                f"machine {machine} load {loads[machine]} exceeds estimate {estimate} + k/2"
-            )
+    placed.update(orient_components(HalfEdgeGraph(tuple(half_edges))))
+    return placed
 
 
 def gb_perfect_matching_opt1(instance: Instance) -> Schedule | None:
@@ -218,42 +168,15 @@ def gb_solve_two_valued(instance: Instance) -> SolveResult:
     require_valid(instance)
     _require_gb(instance)
     norm, alpha = normalize(instance)
+    if not 1 < alpha < 2:
+        branches = reduction_branches(norm, alpha, None, gb_solve_unit_k)
+        return race(instance, alpha, branches, graph_balancing=True)
+
     branches: dict[str, Schedule] = {}
-
-    if alpha == 1:
-        result = gb_solve_unit_k(scale_to_integer(norm))
-        if result is None:
-            raise RuntimeError("uniform-size flow unexpectedly infeasible")
-        branches[UNIFORM] = result.schedule
-        branches[ADDITIVE] = lenstra_solve(instance).schedule
-    elif alpha >= 2:
-        reductions = [SMALL_UP] if alpha.denominator == 1 else [SMALL_DOWN, SMALL_UP]
-        for which in reductions:
-            reduced = build_reduced(norm, alpha, which)
-            result = gb_solve_unit_k(scale_to_integer(reduced.instance))
-            if result is None:
-                continue
-            schedule, _ = lift(result.schedule, reduced, instance)
-            branches[which] = schedule
-        branches[ADDITIVE] = lenstra_solve(instance).schedule
-    else:  # 1 < alpha < 2
-        matched = gb_perfect_matching_opt1(norm)
-        if matched is not None:
-            branches[MATCHING] = matched
-        reduced = build_reduced(norm, alpha, SMALL_DOWN)  # k = 2
-        result = gb_solve_unit_k(scale_to_integer(reduced.instance))
-        if result is not None:
-            schedule, _ = lift(result.schedule, reduced, instance)
-            branches[SMALL_DOWN] = schedule
-        _, fractional = min_feasible_fractional(instance)
-        branches[FOREST] = gb_forest_round(instance, cancel_cycles(fractional, instance))
-        branches[ADDITIVE] = lenstra_solve(instance).schedule
-
-    chosen, best, branch_makespans = pick_best(instance, branches)
-    return SolveResult(
-        schedule=branches[chosen],
-        makespan=best,
-        report=guarantee_report(alpha, graph_balancing=True),
-        branch_makespans=branch_makespans,
-        chosen=chosen,
-    )
+    matched = gb_perfect_matching_opt1(norm)
+    if matched is not None:
+        branches[MATCHING] = matched
+    branches.update(reduction_branches(norm, alpha, [SMALL_DOWN], gb_solve_unit_k))  # k = 2
+    _, fractional = min_feasible_fractional(instance)
+    branches[FOREST] = gb_forest_round(instance, cancel_cycles(fractional, instance))
+    return race(instance, alpha, branches, graph_balancing=True)

@@ -45,7 +45,13 @@ def _integer_sizes(instance: Instance) -> tuple[list[int], int]:
 
 
 def brute_force_opt(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
-    """Exact optimum by pruned depth-first search, deterministic in input order."""
+    """Exact optimum by pruned depth-first search, deterministic in input order.
+
+    Job idx tries its allowed machines in index order, each try counting one
+    node; a try whose makespan so far reaches the incumbent is pruned. The
+    search keeps one cursor per job instead of recursing, so the job count is
+    not limited by the recursion limit.
+    """
     require_valid(instance)
     n = instance.job_count
     if n == 0:
@@ -54,31 +60,43 @@ def brute_force_opt(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) 
     allowed = [sorted(job.allowed) for job in instance.jobs]
     loads = [0] * instance.machine_count
     current = [0] * n
+    cursor = [0] * n  # cursor[idx]: next position in allowed[idx] to try
+    maxes = [0] * n   # maxes[idx]: makespan of jobs 0..idx-1 as placed
     best_value: int | None = None
     best_assign: tuple[int, ...] | None = None
     nodes = 0
-
-    def search(idx: int, current_max: int) -> None:
-        nonlocal best_value, best_assign, nodes
-        if idx == n:
-            if best_value is None or current_max < best_value:
-                best_value = current_max
-                best_assign = tuple(current)
-            return
-        for machine in allowed[idx]:
+    last = n - 1
+    idx = 0
+    while idx >= 0:
+        choices = allowed[idx]
+        size = sizes[idx]
+        current_max = maxes[idx]
+        position = cursor[idx]
+        while position < len(choices):
+            machine = choices[position]
+            position += 1
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceeded(node_budget)
-            new_load = loads[machine] + sizes[idx]
-            new_max = max(current_max, new_load)
+            new_load = loads[machine] + size
+            new_max = new_load if new_load > current_max else current_max
             if best_value is not None and new_max >= best_value:
                 continue
-            loads[machine] = new_load
             current[idx] = machine
-            search(idx + 1, new_max)
-            loads[machine] -= sizes[idx]
-
-    search(0, 0)
+            if idx == last:  # a complete schedule below the incumbent
+                best_value = new_max
+                best_assign = tuple(current)
+                continue
+            loads[machine] = new_load
+            cursor[idx] = position
+            idx += 1
+            cursor[idx] = 0
+            maxes[idx] = new_max
+            break
+        else:  # job idx is exhausted: take back job idx-1 and try its next machine
+            idx -= 1
+            if idx >= 0:
+                loads[current[idx]] -= sizes[idx]
     assert best_value is not None and best_assign is not None
     return OracleResult(Fraction(best_value, denom), Schedule(best_assign))
 
@@ -105,6 +123,16 @@ def enumerate_opt(instance: Instance) -> OracleResult:
     return OracleResult(Fraction(best_value, denom), Schedule(best_assign))
 
 
+def ratio_verdict(value: Fraction, opt: Fraction, bound: Fraction) -> tuple[Fraction, bool]:
+    """Ratio of a makespan to the optimum, and whether it is within `bound` of it.
+
+    An optimum of 0 (no jobs) gives ratio 1, and only a makespan of 0 passes.
+    """
+    if opt == 0:
+        return Fraction(1), value == 0
+    return value / opt, value <= bound * opt
+
+
 def verify_ratio(
     instance: Instance,
     schedule: Schedule,
@@ -114,10 +142,5 @@ def verify_ratio(
     """Exact-rational check that a schedule is within `bound` times the optimum."""
     value = makespan(instance, schedule)
     result = brute_force_opt(instance, node_budget)
-    if result.opt_makespan == 0:
-        ratio = Fraction(1)
-        passed = value == 0
-    else:
-        ratio = value / result.opt_makespan
-        passed = value <= bound * result.opt_makespan
+    ratio, passed = ratio_verdict(value, result.opt_makespan, bound)
     return RatioCheck(passed=passed, ratio=ratio, opt_makespan=result.opt_makespan, witness=result.witness)

@@ -12,7 +12,8 @@ smallest makespan in original units:
 The reductions carry the bound min(1 + f1 - 1/alpha, 1/f2 + 1 - 1/floor(alpha))
 whenever the optimum is below twice the big size; outside that regime the
 additive branch is a 3/2 approximation. The branches share nothing mutable
-and may run concurrently; the merge is a pure argmin.
+and may run concurrently; the merge is a pure argmin. Graph balancing races
+its own branches through the same `reduction_branches` and `race`.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Sequence
 
 from .bounds import GuaranteeReport, guarantee_report
 from .lenstra import lenstra_solve
 from .model import (
     Instance,
     Job,
+    ScaledInstance,
     Schedule,
     machine_loads,
     makespan,
@@ -76,16 +79,6 @@ def build_reduced(normalized: Instance, alpha: Fraction, which: str) -> ReducedI
     )
 
 
-def lift(schedule: Schedule, reduced: ReducedInstance, original: Instance) -> tuple[Schedule, Fraction]:
-    """Evaluate a reduced-instance schedule under the original sizes.
-
-    Allowed sets are shared across the reduction, so the assignment carries
-    over unchanged; only the makespan needs recomputing.
-    """
-    machine_loads(reduced.instance, schedule)  # validates the schedule
-    return schedule, makespan(original, schedule)
-
-
 def pick_best(
     instance: Instance, branches: dict[str, Schedule]
 ) -> tuple[str, Fraction, dict[str, Fraction]]:
@@ -99,31 +92,58 @@ def solve_two_valued(instance: Instance) -> SolveResult:
     """Race the reductions and the additive rounding; certify the branch bound."""
     require_valid(instance)
     norm, alpha = normalize(instance)
-    branches: dict[str, Schedule] = {}
+    return race(instance, alpha, reduction_branches(norm, alpha, None, solve_unit_k))
 
+
+def reduction_branches(
+    norm: Instance,
+    alpha: Fraction,
+    which_list: Sequence[str] | None,
+    solve: Callable[[ScaledInstance], UnitKSolution | None],
+) -> dict[str, Schedule]:
+    """Schedules of the {1, k} solver `solve` on each reduction in which_list.
+
+    None picks the reductions that apply at alpha: small-up alone when alpha
+    is an integer, else small-down then small-up. A reduction whose flow is
+    infeasible is left out. At alpha == 1 the normalized instance is solved
+    as it stands and its schedule is the uniform branch.
+    """
     if alpha == 1:
-        result = solve_unit_k(scale_to_integer(norm))
+        result = solve(scale_to_integer(norm))
         if result is None:  # single-size flow always meets demand at the top estimate
             raise RuntimeError("uniform-size flow unexpectedly infeasible")
-        branches[UNIFORM] = result.schedule
-    else:
-        reductions = [SMALL_UP] if alpha.denominator == 1 else [SMALL_DOWN, SMALL_UP]
-        for which in reductions:
-            reduced = build_reduced(norm, alpha, which)
-            result = solve_unit_k(scale_to_integer(reduced.instance))
-            if result is None:
-                continue
-            schedule, _ = lift(result.schedule, reduced, instance)
-            if which == SMALL_DOWN:
-                _check_lifted_loads(norm, alpha, reduced, result)
-            branches[which] = schedule
-    branches[ADDITIVE] = lenstra_solve(instance).schedule
+        return {UNIFORM: result.schedule}
+    if which_list is None:
+        which_list = [SMALL_UP] if alpha.denominator == 1 else [SMALL_DOWN, SMALL_UP]
+    branches: dict[str, Schedule] = {}
+    for which in which_list:
+        reduced = build_reduced(norm, alpha, which)
+        result = solve(scale_to_integer(reduced.instance))
+        if result is None:
+            continue
+        if which == SMALL_DOWN:
+            _check_lifted_loads(norm, alpha, reduced, result)
+        branches[which] = result.schedule
+    return branches
 
+
+def race(
+    instance: Instance,
+    alpha: Fraction,
+    branches: dict[str, Schedule],
+    graph_balancing: bool = False,
+) -> SolveResult:
+    """Add the additive branch and keep the schedule with the smallest makespan.
+
+    Reductions share the allowed sets of the original, so every branch
+    schedule is valid for it and `pick_best` measures it in original units.
+    """
+    branches = {**branches, ADDITIVE: lenstra_solve(instance).schedule}
     chosen, best, branch_makespans = pick_best(instance, branches)
     return SolveResult(
         schedule=branches[chosen],
         makespan=best,
-        report=guarantee_report(alpha),
+        report=guarantee_report(alpha, graph_balancing=graph_balancing),
         branch_makespans=branch_makespans,
         chosen=chosen,
     )
@@ -132,7 +152,11 @@ def solve_two_valued(instance: Instance) -> SolveResult:
 def _check_lifted_loads(
     norm: Instance, alpha: Fraction, reduced: ReducedInstance, result: UnitKSolution
 ) -> None:
-    """Big-job machines obey load <= 1 + (T1 - 1/ceil(alpha)) * f1 in normalized units."""
+    """Big-job machines obey load <= 1 + (T1 - 1/ceil(alpha)) * f1 in normalized units.
+
+    Holds for either {1, k} rounding: its slack, k - 1 or k/2, is at most
+    k - 1 for k >= 2.
+    """
     ceil_a = math.ceil(alpha)
     t_norm = Fraction(result.estimate, ceil_a)
     cap = 1 + (t_norm - Fraction(1, ceil_a)) * reduced.factor

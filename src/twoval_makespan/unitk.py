@@ -6,11 +6,16 @@ nonzero fraction of it. Because each job's fractions sum to 1 while each
 machine's big fractions sum to at most 1, Hall's condition guarantees a
 matching that gives every machine at most one big job; rounding then raises
 any machine load by at most k - 1.
+
+`round_flow` is the flow-and-check core; graph balancing reuses it with its
+own big-job placement and a k/2 slack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
 
 from .flow import (
     FractionalAssignment,
@@ -55,6 +60,21 @@ def solve_unit_k(scaled: ScaledInstance) -> UnitKSolution | None:
     Returns None when no estimate admits a demand-meeting flow; the caller
     must then fall back to the additive rounding.
     """
+    return round_flow(scaled, match_big_jobs, 2 * (scaled.k - 1))
+
+
+def round_flow(
+    scaled: ScaledInstance,
+    place_big: Callable[[FractionalAssignment, ScaledInstance], dict[int, int]],
+    slack2: int,
+) -> UnitKSolution | None:
+    """Flow at the minimum feasible estimate, then round it.
+
+    Small jobs keep their integral flow machine and `place_big` maps every big
+    job to a machine. The result is checked to give each machine at most one
+    big job and a load of at most the estimate plus slack2 / 2. None means no
+    estimate admits a demand-meeting flow.
+    """
     estimate = min_feasible_T(scaled)
     if estimate is None:
         return None
@@ -65,11 +85,11 @@ def solve_unit_k(scaled: ScaledInstance) -> UnitKSolution | None:
     placed: list[int | None] = [None] * scaled.base.job_count
     for j in scaled.small_jobs():
         placed[j] = assignment.support(j)[0]
-    for job, machine in match_big_jobs(assignment, scaled).items():
+    for job, machine in place_big(assignment, scaled).items():
         placed[job] = machine
     schedule = Schedule(tuple(placed))  # type: ignore[arg-type]
 
-    _check_rounding(scaled, assignment, schedule, estimate)
+    _check_rounding(scaled, assignment, schedule, estimate, slack2)
     return UnitKSolution(schedule=schedule, estimate=estimate, assignment=assignment)
 
 
@@ -78,6 +98,7 @@ def _check_rounding(
     assignment: FractionalAssignment,
     schedule: Schedule,
     estimate: int,
+    slack2: int,
 ) -> None:
     loads = [0] * scaled.base.machine_count
     big_count = [0] * scaled.base.machine_count
@@ -90,7 +111,8 @@ def _check_rounding(
     for machine in range(scaled.base.machine_count):
         if big_count[machine] > 1:
             raise RuntimeError(f"machine {machine} received {big_count[machine]} big jobs")
-        if loads[machine] > estimate + scaled.k - 1:
+        if 2 * loads[machine] > 2 * estimate + slack2:
             raise RuntimeError(
-                f"machine {machine} load {loads[machine]} exceeds estimate {estimate} + k - 1"
+                f"machine {machine} load {loads[machine]} exceeds estimate {estimate}"
+                f" + {Fraction(slack2, 2)}"
             )

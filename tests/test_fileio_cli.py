@@ -1,10 +1,13 @@
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import twoval_makespan
 from twoval_makespan.cli import main
 from twoval_makespan.fileio import (
     FileFormatError,
@@ -166,6 +169,14 @@ def test_verify_budget_exceeded(tmp_path, capsys):
     assert "budget-exceeded" in capsys.readouterr().out
 
 
+def test_verify_budget_exceeded_on_1500_jobs(tmp_path, capsys):
+    # the oracle's first descent is 1500 jobs deep, past the recursion limit
+    assert main(["gen", "--seed", "1", "--jobs", "1500", "--machines", "3", "--alpha", "1"]) == 0
+    path = _write(tmp_path, "deep.txt", capsys.readouterr().out)
+    assert main(["verify", path, "--budget", "5000"]) == 3
+    assert capsys.readouterr().out == "verdict budget-exceeded\n"
+
+
 def test_oracle_budget_env_var(tmp_path, capsys, monkeypatch):
     path = _write(
         tmp_path,
@@ -222,10 +233,14 @@ def test_bound_nonconstructive_note(capsys):
 
 
 def test_module_entry_point_runs():
+    # the child imports the package from wherever this test imported it
+    src = str(Path(twoval_makespan.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "twoval_makespan", "bound", "--alpha", "5/2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "min 7/4 1.7500" in proc.stdout

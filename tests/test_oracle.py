@@ -50,6 +50,13 @@ def test_budget_exceeded():
         brute_force_opt(inst, node_budget=5)
 
 
+def test_search_deeper_than_the_recursion_limit():
+    inst = Instance.build(2, [(1, [j % 2]) for j in range(3000)])
+    result = brute_force_opt(inst)
+    assert result.opt_makespan == 1500
+    assert result.witness == Schedule.of(j % 2 for j in range(3000))
+
+
 def test_verify_ratio_optimal_schedule():
     inst = Instance.build(2, [(1, [0]), (1, [1])])
     check = verify_ratio(inst, Schedule.of([0, 1]), Fraction(1))

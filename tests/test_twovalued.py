@@ -2,14 +2,13 @@ import random
 from fractions import Fraction
 
 from twoval_makespan.generator import random_instance
-from twoval_makespan.model import Instance, Schedule, machine_loads, makespan, normalize
+from twoval_makespan.model import Instance, normalize
 from twoval_makespan.oracle import enumerate_opt
 from twoval_makespan.twovalued import (
     ADDITIVE,
     SMALL_DOWN,
     SMALL_UP,
     build_reduced,
-    lift,
     solve_two_valued,
 )
 
@@ -38,38 +37,6 @@ def test_build_reduced_eight_fifths():
     up = build_reduced(norm, alpha, SMALL_UP)
     assert down.instance.jobs[0].size == Fraction(1, 2) and down.factor == Fraction(5, 4)
     assert up.instance.jobs[0].size == Fraction(1) and up.factor == Fraction(5, 8)
-
-
-def test_lift_all_big_schedule_unchanged():
-    inst = Instance.build(2, [(1, [0]), (1, [1])])
-    norm, alpha = normalize(inst)
-    reduced = build_reduced(norm, Fraction(5, 2), SMALL_DOWN)
-    schedule = Schedule.of([0, 1])
-    _, value = lift(schedule, reduced, inst)
-    assert value == makespan(inst, schedule) == 1
-
-
-def test_lift_two_small_jobs():
-    # two small jobs of reduced size 1/3 on one machine lift back to 2 * (2/5)
-    inst = Instance.build(2, [(Fraction(2, 5), [0]), (Fraction(2, 5), [0]), (1, [1])])
-    norm, alpha = normalize(inst)
-    reduced = build_reduced(norm, alpha, SMALL_DOWN)
-    schedule = Schedule.of([0, 0, 1])
-    assert machine_loads(reduced.instance, schedule)[0] == Fraction(2, 3)
-    _, value = lift(schedule, reduced, inst)
-    assert machine_loads(inst, schedule)[0] == Fraction(4, 5)
-    assert value == 1  # the big machine dominates
-
-
-def test_lift_is_recomputation_identity():
-    rng = random.Random("twoval-lift")
-    for _ in range(30):
-        inst = random_instance(rng, rng.randint(1, 7), rng.randint(1, 3), Fraction(7, 3))
-        norm, alpha = normalize(inst)
-        reduced = build_reduced(norm, alpha, SMALL_DOWN)
-        schedule = Schedule.of(rng.choice(sorted(job.allowed)) for job in inst.jobs)
-        _, value = lift(schedule, reduced, inst)
-        assert value == makespan(inst, schedule)
 
 
 def test_solve_alpha_two_within_three_halves():
