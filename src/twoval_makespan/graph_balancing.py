@@ -11,9 +11,10 @@ a 3/2 approximation for {1, k} sizes.
 
 For arbitrary two-size weights, alpha >= 2 races the two reductions against
 the additive rounding; alpha in (1, 2) races a one-job-per-machine matching,
-the additive rounding, a forest rounding of the plain fractional solution,
-and the small-down reduction. Either way the best branch is within 1.652 of
-the optimum.
+the small-down reduction, a forest rounding and the additive rounding, where
+the forest branch rounds the additive branch's cycle-free fractional solution
+rather than searching for its own. Either way the best branch is within
+1.652 of the optimum.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flow import FractionalAssignment
-from .lenstra import cancel_cycles, min_feasible_fractional, round_forest
+from .lenstra import lenstra_solve, round_forest
 from .matching import maximum_bipartite_matching
 from .model import (
     Instance,
@@ -170,13 +171,16 @@ def gb_solve_two_valued(instance: Instance) -> SolveResult:
     norm, alpha = normalize(instance)
     if not 1 < alpha < 2:
         branches = reduction_branches(norm, alpha, None, gb_solve_unit_k)
-        return race(instance, alpha, branches, graph_balancing=True)
+        return race(
+            instance, alpha, branches, lenstra_solve(instance).schedule, graph_balancing=True
+        )
 
     branches: dict[str, Schedule] = {}
     matched = gb_perfect_matching_opt1(norm)
     if matched is not None:
         branches[MATCHING] = matched
     branches.update(reduction_branches(norm, alpha, [SMALL_DOWN], gb_solve_unit_k))  # k = 2
-    _, fractional = min_feasible_fractional(instance)
-    branches[FOREST] = gb_forest_round(instance, cancel_cycles(fractional, instance))
-    return race(instance, alpha, branches, graph_balancing=True)
+    # the forest branch rounds the additive branch's own cycle-free assignment
+    additive = lenstra_solve(instance)
+    branches[FOREST] = gb_forest_round(instance, additive.forest)
+    return race(instance, alpha, branches, additive.schedule, graph_balancing=True)

@@ -2,18 +2,26 @@
 
 The fractional relaxation for a load bound T is a transportation problem:
 each job supplies its size to its allowed machines and each machine absorbs
-at most T. Feasibility is monotone in T and the optimal schedule's makespan
-always lies on the finite grid {a*b + c*s : 0 <= a, c <= n} of possible
-machine loads, so searching that grid finds a fractional bound no larger
-than the integral optimum. Canceling support cycles and rounding the
-remaining forest then lands every job integrally while raising each machine
-load by at most one job size, i.e. at most b. When the optimum is at least
-2b this is a 3/2 approximation.
+at most T. Feasibility is monotone in T. Scaling the sizes b and s to
+integers by the lcm D of their denominators, every machine load any schedule
+can produce is a multiple of g/D with g = gcd(D*b, D*s), so the search
+binary-searches those multiples up to the total size for the smallest
+feasible one, T_g, without building any list of candidates. The optimum is
+such a multiple, so T_g is no larger than the integral optimum. T_g is then
+snapped up to the smallest true load a*b + c*s >= T_g with 0 <= a, c <= n,
+which is the smallest feasible point of that (n+1)^2 grid, and re-solved
+there when the snap moved it. That takes at most
+ceil(log2(total/g + 1)) + 2 flow solves and O(n) extra integer work.
+Canceling support cycles and rounding the remaining forest then lands every
+job integrally while raising each machine load by at most one job size,
+i.e. at most b. When the optimum is at least 2b this is a 3/2 approximation.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,18 +34,61 @@ from .model import Instance, Schedule, machine_loads, makespan, require_valid
 class LenstraSolution:
     schedule: Schedule
     capacity: Fraction  # minimum feasible fractional load bound that got rounded
+    forest: FractionalAssignment  # the cycle-free assignment at capacity that got rounded
 
 
-def load_grid(instance: Instance) -> list[Fraction]:
-    """All candidate machine loads a schedule could produce, sorted ascending."""
+class LoadMultiples(Sequence):
+    """The multiples k*step for k in range(count), ascending, computed on access."""
+
+    def __init__(self, step: Fraction, count: int) -> None:
+        self.step = step
+        self._ks = range(count)
+
+    def __len__(self) -> int:
+        return len(self._ks)
+
+    def __getitem__(self, index: int) -> Fraction:
+        return self.step * self._ks[index]
+
+    def __contains__(self, value: object) -> bool:
+        k, rest = divmod(value, self.step)
+        return rest == 0 and k in self._ks
+
+
+def _size_units(instance: Instance) -> tuple[int, tuple[int, ...]]:
+    """The lcm D of the size denominators and the distinct sizes times D, ascending."""
     sizes = instance.distinct_sizes()
+    denom = math.lcm(*(size.denominator for size in sizes))
+    return denom, tuple(int(size * denom) for size in sizes)
+
+
+def load_grid(instance: Instance) -> LoadMultiples:
+    """Every multiple of g/D from 0 to the total size, ascending, in O(1) memory.
+
+    D clears the size denominators and g = gcd of the scaled sizes, so every
+    machine load any schedule can produce is in the sequence.
+    """
+    denom, units = _size_units(instance)
+    step = math.gcd(*units) or 1  # an empty instance has the single load 0
+    total = int(sum(job.size for job in instance.jobs) * denom)
+    return LoadMultiples(Fraction(step, denom), total // step + 1)
+
+
+def _snap_to_grid(instance: Instance, bound: Fraction) -> Fraction:
+    """Smallest a*b + c*s >= bound with 0 <= a, c <= n, for 0 <= bound <= total size."""
+    denom, units = _size_units(instance)
+    if len(units) < 2:
+        return bound  # multiples of the one size up to the total are c*s with c <= n
+    small, big = units
     n = instance.job_count
-    if not sizes:
-        return [Fraction(0)]
-    if len(sizes) == 1:
-        return [sizes[0] * c for c in range(n + 1)]
-    small, big = sizes
-    return sorted({big * a + small * c for a in range(n + 1) for c in range(n + 1)})
+    target = int(bound * denom)
+    # a big jobs need c = max(0, ceil((target - a*big) / small)) small ones
+    first = max(0, -((n * small - target) // big))  # fewest big jobs leaving c <= n
+    last = min(n, -(-target // big))  # from here on c = 0 and more big jobs only add load
+    return Fraction(
+        min(a * big + max(0, -((a * big - target) // small)) * small for a in range(first, last + 1)),
+        denom,
+    )
 
 
 def fractional_assign_plain(instance: Instance, capacity: Fraction) -> FractionalAssignment | None:
@@ -224,9 +275,9 @@ def round_forest(assignment: FractionalAssignment, instance: Instance) -> Schedu
         if root in seen_machines:
             continue
         seen_machines.add(root)
-        queue = [root]
+        queue = deque([root])
         while queue:
-            machine = queue.pop(0)
+            machine = queue.popleft()
             for j in machine_adj[machine]:
                 if j in seen_jobs:
                     continue  # the job this machine was discovered through
@@ -269,7 +320,16 @@ def _check_forest_rounding(
 
 
 def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAssignment]:
-    """Smallest grid load bound with a feasible fractional assignment, plus one."""
+    """Smallest feasible load a*b + c*s (0 <= a, c <= n), plus the flow there.
+
+    Binary-searches `load_grid` for the smallest feasible multiple T_g of
+    g/D, snaps it up to the smallest a*b + c*s >= T_g and, when that moved
+    it, solves once more at the snapped bound. Every such load is a multiple
+    of g/D and feasibility is monotone, so the snapped bound is the smallest
+    feasible point of the full (n+1)^2 grid and the returned assignment is
+    the flow at that capacity. At most ceil(log2(total/g + 1)) + 2 flow
+    solves.
+    """
     grid = load_grid(instance)
     lo, hi = 0, len(grid) - 1
     best = fractional_assign_plain(instance, grid[hi])
@@ -283,7 +343,12 @@ def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAss
             hi = mid
         else:
             lo = mid + 1
-    return grid[lo], best
+    bound = _snap_to_grid(instance, grid[lo])
+    if bound != grid[lo]:
+        best = fractional_assign_plain(instance, bound)
+        if best is None:
+            raise RuntimeError("transportation problem infeasible above a feasible bound")
+    return bound, best
 
 
 def lenstra_solve(instance: Instance) -> LenstraSolution:
@@ -300,4 +365,4 @@ def lenstra_solve(instance: Instance) -> LenstraSolution:
     big = sizes[-1] if sizes else Fraction(0)
     if makespan(instance, schedule) > capacity + big:
         raise RuntimeError("forest rounding exceeded the additive bound")
-    return LenstraSolution(schedule=schedule, capacity=capacity)
+    return LenstraSolution(schedule=schedule, capacity=capacity, forest=canceled)

@@ -92,7 +92,8 @@ def solve_two_valued(instance: Instance) -> SolveResult:
     """Race the reductions and the additive rounding; certify the branch bound."""
     require_valid(instance)
     norm, alpha = normalize(instance)
-    return race(instance, alpha, reduction_branches(norm, alpha, None, solve_unit_k))
+    branches = reduction_branches(norm, alpha, None, solve_unit_k)
+    return race(instance, alpha, branches, lenstra_solve(instance).schedule)
 
 
 def reduction_branches(
@@ -131,14 +132,15 @@ def race(
     instance: Instance,
     alpha: Fraction,
     branches: dict[str, Schedule],
+    additive: Schedule,
     graph_balancing: bool = False,
 ) -> SolveResult:
-    """Add the additive branch and keep the schedule with the smallest makespan.
+    """Append the additive branch's schedule and keep the smallest makespan.
 
     Reductions share the allowed sets of the original, so every branch
     schedule is valid for it and `pick_best` measures it in original units.
     """
-    branches = {**branches, ADDITIVE: lenstra_solve(instance).schedule}
+    branches = {**branches, ADDITIVE: additive}
     chosen, best, branch_makespans = pick_best(instance, branches)
     return SolveResult(
         schedule=branches[chosen],

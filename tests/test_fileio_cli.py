@@ -177,6 +177,14 @@ def test_verify_budget_exceeded_on_1500_jobs(tmp_path, capsys):
     assert capsys.readouterr().out == "verdict budget-exceeded\n"
 
 
+def test_verify_budget_exceeded_on_1500_jobs_at_alpha_5_2(tmp_path, capsys):
+    # two sizes: the additive branch's load search runs over 1500 jobs first
+    assert main(["gen", "--seed", "1", "--jobs", "1500", "--machines", "3", "--alpha", "5/2"]) == 0
+    path = _write(tmp_path, "deep.txt", capsys.readouterr().out)
+    assert main(["verify", path, "--budget", "5000"]) == 3
+    assert capsys.readouterr().out == "verdict budget-exceeded\n"
+
+
 def test_oracle_budget_env_var(tmp_path, capsys, monkeypatch):
     path = _write(
         tmp_path,

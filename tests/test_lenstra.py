@@ -56,6 +56,58 @@ def test_load_grid_covers_all_schedule_loads():
             assert loads[0] in grid and loads[1] in grid
 
 
+def _reference_grid(instance):
+    """The full (n+1)^2 grid of loads a*b + c*s that load_grid no longer builds."""
+    sizes = instance.distinct_sizes()
+    n = instance.job_count
+    if not sizes:
+        return [Fraction(0)]
+    if len(sizes) == 1:
+        return [sizes[0] * c for c in range(n + 1)]
+    s, b = sizes
+    return sorted({b * a + s * c for a in range(n + 1) for c in range(n + 1)})
+
+
+def _smallest_feasible(instance, points):
+    lo, hi = 0, len(points) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fractional_assign_plain(instance, points[mid]) is not None:
+            hi = mid
+        else:
+            lo = mid + 1
+    return points[lo]
+
+
+def test_snapped_search_matches_the_full_grid():
+    rng = random.Random("lenstra-snap")
+    cases = [Instance.build(3, [])]
+    for sizes in [(Fraction(7, 3), Fraction(1, 2)), (7, 5), (Fraction(5, 2), 1), (4, 6)]:
+        for _ in range(70):
+            m = rng.randint(1, 4)
+            cases.append(Instance.build(m, [
+                (rng.choice(sizes), rng.sample(range(m), rng.randint(1, m)))
+                for _ in range(rng.randint(1, 10))
+            ]))
+    for _ in range(30):
+        m = rng.randint(1, 4)
+        size = rng.choice([Fraction(2, 3), 5])
+        cases.append(Instance.build(m, [
+            (size, rng.sample(range(m), rng.randint(1, m))) for _ in range(rng.randint(1, 10))
+        ]))
+    snapped = 0
+    for inst in cases:
+        capacity, assignment = min_feasible_fractional(inst)
+        assert capacity == _smallest_feasible(inst, _reference_grid(inst))
+        assert assignment == fractional_assign_plain(inst, capacity)
+        grid = load_grid(inst)
+        assert capacity in grid
+        if capacity > 0 and fractional_assign_plain(inst, capacity - grid.step) is not None:
+            snapped += 1  # a smaller multiple of g/D was feasible but is no load
+    assert len(cases) >= 300
+    assert snapped > 0
+
+
 def test_cancel_cycles_keeps_integral_assignment():
     inst = Instance.build(2, [(1, [0]), (1, [1])])
     assignment = FractionalAssignment(({0: Fraction(1)}, {1: Fraction(1)}))
