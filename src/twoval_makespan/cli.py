@@ -186,14 +186,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _oracle_budget(args: argparse.Namespace) -> int:
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get(ORACLE_BUDGET_ENV)
-    if env is not None:
+        budget, source = args.budget, "--budget"
+    else:
+        env = os.environ.get(ORACLE_BUDGET_ENV)
+        if env is None:
+            return DEFAULT_NODE_BUDGET
         try:
-            return int(env)
+            budget, source = int(env), ORACLE_BUDGET_ENV
         except ValueError:
             raise ValueError(f"{ORACLE_BUDGET_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_NODE_BUDGET
+    if budget < 1:
+        raise ValueError(f"{source} must be at least 1, got {budget}")
+    return budget
 
 
 def _applicable_bound(instance: Instance, report: RunReport, opt: Fraction, mode: str) -> Fraction:
@@ -211,9 +215,10 @@ def _applicable_bound(instance: Instance, report: RunReport, opt: Fraction, mode
 
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance(args.path)
+    budget = _oracle_budget(args)
     mode = _resolve_mode(instance, args.mode)
     report = _solve_report(instance, mode)
-    opt = brute_force_opt(instance, _oracle_budget(args)).opt_makespan  # main reports BudgetExceeded
+    opt = brute_force_opt(instance, budget).opt_makespan  # main reports BudgetExceeded
     if args.bound is not None:
         bound = parse_fraction(args.bound)
     else:
@@ -244,7 +249,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     print(_value("expr1", expr1))
     print(_value("expr2", expr2))
     print(_value("min", min(expr1, expr2)))
-    interval = int(alpha) if alpha.denominator == 1 else math.floor(alpha)
+    interval = math.floor(alpha)
     if args.gb:
         root = gb_worst_case_alpha(max(interval, 2))
         root_value = min(gb_ratio_expressions(root))

@@ -1,31 +1,31 @@
-"""Layered flow network for {1, k} instances and fractional-assignment extraction.
+"""The package's one flow kernel: integral max-flow, fraction reading, search.
 
-Layout: source -> one node per job -> per-machine throttle nodes (big jobs
-only) -> machine nodes -> sink. Small jobs connect straight to their machine
-nodes with unit arcs; big jobs route through the throttle node v_{i,b} whose
-outgoing capacity k caps the total big-job flow entering machine i. A flow
-meeting the full demand (the sum of all sizes) therefore yields a fractional
-assignment in which small jobs are integral, big fractions are multiples of
-1/k, and each machine carries at most one big job's worth of big fractions.
+Both rounding families need the smallest load bound at which an integral
+max-flow meets the demand (the total job size in flow units). A `FlowNetwork`
+is a tuple of (tail, head, capacity) arcs, the first n of them source -> job j
+with the job's size; `max_flow_integral` solves it, `job_fractions` reads the
+job fractions off the flow and `smallest_feasible` bisects a monotone probe,
+keeping the winning probe's flow. `lenstra` builds its transportation
+networks on this kernel.
 
-The sink-side capacity is the makespan estimate; feasibility is monotone in
-it, so the smallest feasible estimate is found by binary search.
+The {1, k} network: source -> job -> per-machine throttle node (big jobs only)
+-> machine -> sink. Small jobs have unit arcs straight to machine nodes; the
+throttle v_{i,b} caps the big-job flow entering machine i at k. A flow meeting
+the demand thus leaves small jobs integral, big fractions multiples of 1/k and
+at most one big job's worth of big fractions per machine. The sink arcs carry
+the makespan estimate, in which feasibility is monotone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, TypeVar
 
 from .maxflow import Dinic
 from .model import ScaledInstance
 
-
-@dataclass(frozen=True)
-class Arc:
-    tail: int
-    head: int
-    capacity: int
+W = TypeVar("W")
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,10 @@ class FlowNetwork:
     node_count: int
     source: int
     sink: int
-    arcs: tuple[Arc, ...]
+    arcs: tuple[tuple[int, int, int], ...]  # (tail, head, capacity); arc j is source -> job j
     demand: int
-    # per job: ((machine, arc index), ...) for the job's outgoing arcs,
-    # pointing at the throttle layer for big jobs and at machine nodes for small ones
+    # per job: ((machine, arc index), ...) for the job's outgoing arcs, pointing
+    # at the throttle layer for {1, k} big jobs and at machine nodes otherwise
     job_arcs: tuple[tuple[tuple[int, int], ...], ...]
 
 
@@ -79,24 +79,20 @@ def build_network(scaled: ScaledInstance, estimate: int) -> FlowNetwork:
     machine0 = 1 + n + m
     sink = 1 + n + 2 * m
 
-    arcs: list[Arc] = []
-    for j in range(n):
-        arcs.append(Arc(source, job0 + j, scaled.size_int(j)))
+    arcs = [(source, job0 + j, scaled.size_int(j)) for j in range(n)]
     job_arcs: list[tuple[tuple[int, int], ...]] = []
     for j in range(n):
         entries = []
         big = scaled.is_big(j)
         for i in sorted(base.jobs[j].allowed):
             if big:
-                arcs.append(Arc(job0 + j, throttle0 + i, scaled.k))
+                arcs.append((job0 + j, throttle0 + i, scaled.k))
             else:
-                arcs.append(Arc(job0 + j, machine0 + i, 1))
+                arcs.append((job0 + j, machine0 + i, 1))
             entries.append((i, len(arcs) - 1))
         job_arcs.append(tuple(entries))
-    for i in range(m):
-        arcs.append(Arc(throttle0 + i, machine0 + i, scaled.k))
-    for i in range(m):
-        arcs.append(Arc(machine0 + i, sink, estimate))
+    arcs.extend((throttle0 + i, machine0 + i, scaled.k) for i in range(m))
+    arcs.extend((machine0 + i, sink, estimate) for i in range(m))
 
     return FlowNetwork(
         node_count=sink + 1,
@@ -111,38 +107,62 @@ def build_network(scaled: ScaledInstance, estimate: int) -> FlowNetwork:
 def max_flow_integral(network: FlowNetwork) -> FlowSolution:
     """Integral maximum flow over the network's arcs, deterministic per input."""
     solver = Dinic(network.node_count)
-    edge_ids = [solver.add_edge(a.tail, a.head, a.capacity) for a in network.arcs]
+    edge_ids = [solver.add_edge(tail, head, capacity) for tail, head, capacity in network.arcs]
     value = solver.max_flow(network.source, network.sink)
     flows = tuple(solver.flow_on(eid) for eid in edge_ids)
     return FlowSolution(flows=flows, value=value)
 
 
-def _feasible(scaled: ScaledInstance, estimate: int) -> bool:
-    network = build_network(scaled, estimate)
-    return max_flow_integral(network).value == network.demand
+def job_fractions(network: FlowNetwork, flow: FlowSolution) -> FractionalAssignment:
+    """Each job's machine fractions: units on its outgoing arcs over its size."""
+    per_job = []
+    for j, entries in enumerate(network.job_arcs):
+        size = network.arcs[j][2]  # the source -> job arc carries the job's size
+        per_job.append(
+            {machine: Fraction(flow.flows[arc], size) for machine, arc in entries if flow.flows[arc]}
+        )
+    return FractionalAssignment(tuple(per_job))
 
 
-def min_feasible_T(scaled: ScaledInstance) -> int | None:
+def smallest_feasible(lo: int, hi: int, probe: Callable[[int], W | None]) -> tuple[int, W] | None:
+    """Smallest point in [lo, hi] whose probe returns a witness, and that witness.
+
+    Feasibility must be monotone. The probe runs at hi first, then on the
+    bisection midpoints; None means hi itself is infeasible.
+    """
+    witness = probe(hi)
+    if witness is None:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        found = probe(mid)
+        if found is None:
+            lo = mid + 1
+        else:
+            hi, witness = mid, found
+    return hi, witness
+
+
+def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] | None:
     """Smallest integer estimate in [max size, total size] meeting the demand.
 
-    Returns None when no estimate works, i.e. the big jobs cannot be spread
+    Returns it with the assignment extracted from the winning probe's flow,
+    so the estimate is never solved twice. Returns None when no estimate works, i.e. the big jobs cannot be spread
     with at most one big job's worth per machine; every schedule of such an
     instance stacks two big jobs somewhere and the caller must fall back to
     the additive rounding.
     """
-    if scaled.base.job_count == 0:
-        return 0
-    lo = scaled.max_size()
-    hi = scaled.total_size()
-    if not _feasible(scaled, hi):
+
+    def probe(estimate: int) -> tuple[FlowNetwork, FlowSolution] | None:
+        network = build_network(scaled, estimate)
+        flow = max_flow_integral(network)
+        return (network, flow) if flow.value == network.demand else None
+
+    found = smallest_feasible(scaled.max_size(), scaled.total_size(), probe)
+    if found is None:
         return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _feasible(scaled, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    estimate, (network, flow) = found
+    return estimate, extract_assignment(network, flow, scaled)
 
 
 def extract_assignment(
@@ -156,16 +176,7 @@ def extract_assignment(
     """
     if flow.value != network.demand:
         raise ValueError(f"flow value {flow.value} does not meet demand {network.demand}")
-    per_job: list[dict[int, Fraction]] = []
-    for j in range(scaled.base.job_count):
-        size = scaled.size_int(j)
-        fractions: dict[int, Fraction] = {}
-        for machine, arc_idx in network.job_arcs[j]:
-            units = flow.flows[arc_idx]
-            if units:
-                fractions[machine] = Fraction(units, size)
-        per_job.append(fractions)
-    assignment = FractionalAssignment(tuple(per_job))
+    assignment = job_fractions(network, flow)
     check_extraction_invariants(assignment, scaled)
     return assignment
 

@@ -46,10 +46,6 @@ class HalfEdgeGraph:
 
     edges: tuple[tuple[int, int, int], ...]  # (job, machine u, machine v)
 
-    def vertices(self) -> tuple[int, ...]:
-        seen = {v for _, u, w in self.edges for v in (u, w)}
-        return tuple(sorted(seen))
-
 
 def _require_gb(instance: Instance) -> None:
     if not is_graph_balancing(instance):

@@ -2,31 +2,37 @@
 
 The fractional relaxation for a load bound T is a transportation problem:
 each job supplies its size to its allowed machines and each machine absorbs
-at most T. Feasibility is monotone in T. Scaling the sizes b and s to
-integers by the lcm D of their denominators, every machine load any schedule
-can produce is a multiple of g/D with g = gcd(D*b, D*s), so the search
-binary-searches those multiples up to the total size for the smallest
-feasible one, T_g, without building any list of candidates. The optimum is
-such a multiple, so T_g is no larger than the integral optimum. T_g is then
-snapped up to the smallest true load a*b + c*s >= T_g with 0 <= a, c <= n,
-which is the smallest feasible point of that (n+1)^2 grid, and re-solved
-there when the snap moved it. That takes at most
-ceil(log2(total/g + 1)) + 2 flow solves and O(n) extra integer work.
-Canceling support cycles and rounding the remaining forest then lands every
-job integrally while raising each machine load by at most one job size,
-i.e. at most b. When the optimum is at least 2b this is a 3/2 approximation.
+at most T. It is solved on the package's one flow kernel (`flow`) as an
+integral max-flow after clearing denominators. Feasibility is monotone in T.
+Scaling the sizes b and s to integers by the lcm D of their denominators,
+every machine load any schedule can produce is a multiple of g/D with
+g = gcd(D*b, D*s), so `flow.smallest_feasible` binary-searches those
+multiples up to the total size for the smallest feasible one, T_g, without
+building any list of candidates. The optimum is such a multiple, so T_g is
+no larger than the integral optimum. T_g is then snapped up to the smallest
+true load a*b + c*s >= T_g with 0 <= a, c <= n, which is the smallest
+feasible point of that (n+1)^2 grid, and re-solved there when the snap moved
+it. That takes at most ceil(log2(total/g + 1)) + 2 flow solves and O(n)
+extra integer work. Canceling support cycles and rounding the remaining
+forest then lands every job integrally while raising each machine load by at
+most one job size, i.e. at most b. When the optimum is at least 2b this is a
+3/2 approximation.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flow import FractionalAssignment
-from .maxflow import Dinic
+from .flow import (
+    FlowNetwork,
+    FractionalAssignment,
+    job_fractions,
+    max_flow_integral,
+    smallest_feasible,
+)
 from .model import Instance, Schedule, machine_loads, makespan, require_valid
 
 
@@ -37,24 +43,6 @@ class LenstraSolution:
     forest: FractionalAssignment  # the cycle-free assignment at capacity that got rounded
 
 
-class LoadMultiples(Sequence):
-    """The multiples k*step for k in range(count), ascending, computed on access."""
-
-    def __init__(self, step: Fraction, count: int) -> None:
-        self.step = step
-        self._ks = range(count)
-
-    def __len__(self) -> int:
-        return len(self._ks)
-
-    def __getitem__(self, index: int) -> Fraction:
-        return self.step * self._ks[index]
-
-    def __contains__(self, value: object) -> bool:
-        k, rest = divmod(value, self.step)
-        return rest == 0 and k in self._ks
-
-
 def _size_units(instance: Instance) -> tuple[int, tuple[int, ...]]:
     """The lcm D of the size denominators and the distinct sizes times D, ascending."""
     sizes = instance.distinct_sizes()
@@ -62,78 +50,72 @@ def _size_units(instance: Instance) -> tuple[int, tuple[int, ...]]:
     return denom, tuple(int(size * denom) for size in sizes)
 
 
-def load_grid(instance: Instance) -> LoadMultiples:
-    """Every multiple of g/D from 0 to the total size, ascending, in O(1) memory.
+def load_grid(instance: Instance) -> range:
+    """Every multiple of g/D from 0 to the total size, as numerators over D.
 
     D clears the size denominators and g = gcd of the scaled sizes, so every
-    machine load any schedule can produce is in the sequence.
+    machine load any schedule can produce, times D, is in the range.
     """
     denom, units = _size_units(instance)
-    step = math.gcd(*units) or 1  # an empty instance has the single load 0
     total = int(sum(job.size for job in instance.jobs) * denom)
-    return LoadMultiples(Fraction(step, denom), total // step + 1)
+    return range(0, total + 1, math.gcd(*units) or 1)  # an empty instance has the single load 0
 
 
-def _snap_to_grid(instance: Instance, bound: Fraction) -> Fraction:
-    """Smallest a*b + c*s >= bound with 0 <= a, c <= n, for 0 <= bound <= total size."""
-    denom, units = _size_units(instance)
+def _snap_to_grid(instance: Instance, target: int) -> int:
+    """Smallest a*b + c*s >= target / D with 0 <= a, c <= n, times D.
+
+    The target is a numerator over D between 0 and the total size.
+    """
+    _, units = _size_units(instance)
     if len(units) < 2:
-        return bound  # multiples of the one size up to the total are c*s with c <= n
+        return target  # multiples of the one size up to the total are c*s with c <= n
     small, big = units
     n = instance.job_count
-    target = int(bound * denom)
     # a big jobs need c = max(0, ceil((target - a*big) / small)) small ones
     first = max(0, -((n * small - target) // big))  # fewest big jobs leaving c <= n
     last = min(n, -(-target // big))  # from here on c = 0 and more big jobs only add load
-    return Fraction(
-        min(a * big + max(0, -((a * big - target) // small)) * small for a in range(first, last + 1)),
-        denom,
+    return min(
+        a * big + max(0, -((a * big - target) // small)) * small for a in range(first, last + 1)
     )
+
+
+def transportation_network(instance: Instance, capacity: Fraction) -> FlowNetwork:
+    """Source -> job (its size) -> allowed machines (its size) -> sink (capacity).
+
+    All capacities are in units of 1/D for the lcm D of the capacity's and the
+    sizes' denominators; no big-job throttling, machines may hold any mix.
+    """
+    n = instance.job_count
+    m = instance.machine_count
+    denom = math.lcm(capacity.denominator, *(job.size.denominator for job in instance.jobs))
+    supplies = [int(job.size * denom) for job in instance.jobs]
+    cap_units = int(capacity * denom)
+
+    source, job0, machine0, sink = 0, 1, 1 + n, 1 + n + m
+    arcs = [(source, job0 + j, supplies[j]) for j in range(n)]
+    job_arcs = []
+    for j in range(n):
+        entries = []
+        for i in sorted(instance.jobs[j].allowed):
+            entries.append((i, len(arcs)))
+            arcs.append((job0 + j, machine0 + i, supplies[j]))
+        job_arcs.append(tuple(entries))
+    arcs.extend((machine0 + i, sink, cap_units) for i in range(m))
+    return FlowNetwork(sink + 1, source, sink, tuple(arcs), sum(supplies), tuple(job_arcs))
 
 
 def fractional_assign_plain(instance: Instance, capacity: Fraction) -> FractionalAssignment | None:
     """Fractional assignment with every machine load <= capacity, or None.
 
-    Solved as an exact integral flow after clearing denominators; no big-job
-    throttling here, machines may hold any mix of fractions.
+    Solved as an exact integral flow on the transportation network.
     """
     if capacity < 0:
         return None
-    n = instance.job_count
-    m = instance.machine_count
-    denom = math.lcm(
-        capacity.denominator, *(job.size.denominator for job in instance.jobs)
-    ) if instance.jobs else capacity.denominator
-    supplies = [int(job.size * denom) for job in instance.jobs]
-    cap_units = int(capacity * denom)
-
-    source = 0
-    job0 = 1
-    machine0 = 1 + n
-    sink = 1 + n + m
-    solver = Dinic(sink + 1)
-    job_edges: list[list[tuple[int, int]]] = []
-    for j in range(n):
-        solver.add_edge(source, job0 + j, supplies[j])
-    for j in range(n):
-        edges = []
-        for i in sorted(instance.jobs[j].allowed):
-            edges.append((i, solver.add_edge(job0 + j, machine0 + i, supplies[j])))
-        job_edges.append(edges)
-    for i in range(m):
-        solver.add_edge(machine0 + i, sink, cap_units)
-
-    if solver.max_flow(source, sink) != sum(supplies):
+    network = transportation_network(instance, capacity)
+    flow = max_flow_integral(network)
+    if flow.value != network.demand:
         return None
-    per_job = []
-    for j in range(n):
-        fractions = {}
-        for machine, edge_id in job_edges[j]:
-            units = solver.flow_on(edge_id)
-            if units:
-                fractions[machine] = Fraction(units, supplies[j])
-        per_job.append(fractions)
-    return FractionalAssignment(tuple(per_job))
+    return job_fractions(network, flow)
 
 
 def _weight_maps(assignment: FractionalAssignment, instance: Instance) -> list[dict[int, Fraction]]:
@@ -322,33 +304,28 @@ def _check_forest_rounding(
 def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAssignment]:
     """Smallest feasible load a*b + c*s (0 <= a, c <= n), plus the flow there.
 
-    Binary-searches `load_grid` for the smallest feasible multiple T_g of
-    g/D, snaps it up to the smallest a*b + c*s >= T_g and, when that moved
-    it, solves once more at the snapped bound. Every such load is a multiple
-    of g/D and feasibility is monotone, so the snapped bound is the smallest
-    feasible point of the full (n+1)^2 grid and the returned assignment is
-    the flow at that capacity. At most ceil(log2(total/g + 1)) + 2 flow
-    solves.
+    `smallest_feasible` searches `load_grid` for the smallest feasible
+    multiple T_g of g/D and keeps the assignment found there; T_g is snapped
+    up to the smallest a*b + c*s >= T_g and, when that moved it, solved once
+    more at the snapped bound. Every such load is a multiple of g/D and
+    feasibility is monotone, so the snapped bound is the smallest feasible
+    point of the full (n+1)^2 grid and the returned assignment is the flow at
+    that capacity. At most ceil(log2(total/g + 1)) + 2 flow solves.
     """
+    denom, _ = _size_units(instance)
     grid = load_grid(instance)
-    lo, hi = 0, len(grid) - 1
-    best = fractional_assign_plain(instance, grid[hi])
-    if best is None:
+    found = smallest_feasible(
+        0, len(grid) - 1, lambda k: fractional_assign_plain(instance, Fraction(grid[k], denom))
+    )
+    if found is None:
         raise RuntimeError("transportation problem infeasible at the full-load bound")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        candidate = fractional_assign_plain(instance, grid[mid])
-        if candidate is not None:
-            best = candidate
-            hi = mid
-        else:
-            lo = mid + 1
-    bound = _snap_to_grid(instance, grid[lo])
-    if bound != grid[lo]:
-        best = fractional_assign_plain(instance, bound)
-        if best is None:
+    index, assignment = found
+    bound = _snap_to_grid(instance, grid[index])
+    if bound != grid[index]:
+        assignment = fractional_assign_plain(instance, Fraction(bound, denom))
+        if assignment is None:
             raise RuntimeError("transportation problem infeasible above a feasible bound")
-    return bound, best
+    return Fraction(bound, denom), assignment
 
 
 def lenstra_solve(instance: Instance) -> LenstraSolution:

@@ -1,7 +1,9 @@
 """Deterministic Dinic max-flow for small integer-capacity networks.
 
 Edges are explored in insertion order, so identical inputs always produce
-identical flows; all flows are integral on integer capacities.
+identical flows; all flows are integral on integer capacities. Paths are
+walked with an explicit stack, not recursion, so any level-graph depth works.
+`flow.max_flow_integral` is the package's only caller.
 """
 
 from __future__ import annotations
@@ -33,14 +35,13 @@ class Dinic:
 
     def max_flow(self, source: int, sink: int) -> int:
         total = 0
-        limit = sum(self._cap) + 1
         while True:
             level = self._bfs(source, sink)
             if level is None:
                 return total
             iters = [0] * self.node_count
             while True:
-                pushed = self._dfs(source, sink, limit, level, iters)
+                pushed = self._augment(source, sink, level, iters)
                 if pushed == 0:
                     break
                 total += pushed
@@ -60,18 +61,32 @@ class Dinic:
                     queue.append(other)
         return level if level[sink] >= 0 else None
 
-    def _dfs(self, node: int, sink: int, limit: int, level: list[int], iters: list[int]) -> int:
-        if node == sink:
-            return limit
-        adj = self._adj[node]
-        while iters[node] < len(adj):
-            edge_id = adj[iters[node]]
-            other = self._to[edge_id]
-            if self._cap[edge_id] > 0 and level[other] == level[node] + 1:
-                pushed = self._dfs(other, sink, min(limit, self._cap[edge_id]), level, iters)
-                if pushed > 0:
-                    self._cap[edge_id] -= pushed
-                    self._cap[edge_id ^ 1] += pushed
-                    return pushed
-            iters[node] += 1
-        return 0
+    def _augment(self, source: int, sink: int, level: list[int], iters: list[int]) -> int:
+        """Push one level-graph path found depth-first; 0 when none is left.
+
+        A node's edge pointer moves past an edge only once it is saturated,
+        off-level or leads to a dead end.
+        """
+        to, cap, adj = self._to, self._cap, self._adj
+        path: list[int] = []  # edge ids from the source to `node`
+        node = source
+        while node != sink:
+            edges = adj[node]
+            while iters[node] < len(edges):
+                edge_id = edges[iters[node]]
+                if cap[edge_id] > 0 and level[to[edge_id]] == level[node] + 1:
+                    break
+                iters[node] += 1
+            else:
+                if not path:
+                    return 0
+                node = to[path.pop() ^ 1]  # back to the tail, past the dead end
+                iters[node] += 1
+                continue
+            path.append(edge_id)
+            node = to[edge_id]
+        pushed = min(cap[edge_id] for edge_id in path)
+        for edge_id in path:
+            cap[edge_id] -= pushed
+            cap[edge_id ^ 1] += pushed
+        return pushed

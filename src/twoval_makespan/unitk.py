@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .flow import (
-    FractionalAssignment,
-    build_network,
-    extract_assignment,
-    max_flow_integral,
-    min_feasible_T,
-)
+from .flow import FractionalAssignment, min_feasible_T
 from .matching import maximum_bipartite_matching
 from .model import ScaledInstance, Schedule
 
@@ -68,19 +62,17 @@ def round_flow(
     place_big: Callable[[FractionalAssignment, ScaledInstance], dict[int, int]],
     slack2: int,
 ) -> UnitKSolution | None:
-    """Flow at the minimum feasible estimate, then round it.
+    """Round the flow the search found at the minimum feasible estimate.
 
     Small jobs keep their integral flow machine and `place_big` maps every big
     job to a machine. The result is checked to give each machine at most one
     big job and a load of at most the estimate plus slack2 / 2. None means no
     estimate admits a demand-meeting flow.
     """
-    estimate = min_feasible_T(scaled)
-    if estimate is None:
+    found = min_feasible_T(scaled)
+    if found is None:
         return None
-    network = build_network(scaled, estimate)
-    solution = max_flow_integral(network)
-    assignment = extract_assignment(network, solution, scaled)
+    estimate, assignment = found
 
     placed: list[int | None] = [None] * scaled.base.job_count
     for j in scaled.small_jobs():

@@ -195,6 +195,24 @@ def test_oracle_budget_env_var(tmp_path, capsys, monkeypatch):
     assert main(["verify", path]) == 3
 
 
+@pytest.mark.parametrize("budget", ["-1", "0"])
+def test_verify_rejects_nonpositive_budget(tmp_path, capsys, budget):
+    path = _write(tmp_path, "nb.txt", "machines 2\njobs 2\njob 0 1 0 1\njob 1 1 0 1\n")
+    assert main(["verify", path, "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --budget must be at least 1, got {budget}\n"
+
+
+def test_oracle_budget_env_var_rejects_nonpositive(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "nbe.txt", "machines 2\njobs 2\njob 0 1 0 1\njob 1 1 0 1\n")
+    monkeypatch.setenv("TWOVAL_ORACLE_BUDGET", "-3")
+    assert main(["verify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: TWOVAL_ORACLE_BUDGET must be at least 1, got -3\n"
+
+
 def test_solve_output_schedule_is_valid(tmp_path, capsys):
     from twoval_makespan.model import Schedule, machine_loads, validate
 

@@ -11,6 +11,7 @@ from twoval_makespan.flow import (
     min_feasible_T,
 )
 from twoval_makespan.generator import random_instance
+from twoval_makespan.lenstra import transportation_network
 from twoval_makespan.model import Instance, ScaledInstance, normalize, scale_to_integer
 from twoval_makespan.oracle import enumerate_opt
 
@@ -40,9 +41,9 @@ def test_smallest_network_is_a_unit_path():
     scaled = _scaled(1, [(1, [0])])
     network = build_network(scaled, 1)
     # source->job, job->machine (small, direct), throttle->machine, machine->sink
-    caps = [(a.tail, a.head, a.capacity) for a in network.arcs]
+    caps = list(network.arcs)
     assert (0, 1, 1) in caps  # source -> job
-    assert all(a.capacity == 1 for a in network.arcs)
+    assert all(capacity == 1 for _, _, capacity in network.arcs)
     assert max_flow_integral(network).value == 1 == network.demand
 
 
@@ -52,7 +53,7 @@ def test_big_job_routes_through_throttles():
     job_node = 1
     throttle0, throttle1 = 2, 3
     machine0, machine1 = 4, 5
-    caps = {(a.tail, a.head): a.capacity for a in network.arcs}
+    caps = {(tail, head): capacity for tail, head, capacity in network.arcs}
     assert caps[(job_node, throttle0)] == 2
     assert caps[(job_node, throttle1)] == 2
     assert caps[(throttle0, machine0)] == 2
@@ -73,7 +74,8 @@ def test_throttle_caps_big_inflow():
 
 def test_min_feasible_single_job():
     scaled = _scaled_direct(1, [(3, [0])], k=3)
-    assert min_feasible_T(scaled) == 3
+    estimate, _ = min_feasible_T(scaled)
+    assert estimate == 3
 
 
 def test_min_feasible_matches_brute_force():
@@ -82,7 +84,8 @@ def test_min_feasible_matches_brute_force():
     scaled = scale_to_integer(normalize(inst)[0])
     opt = enumerate_opt(scaled.base).opt_makespan
     assert opt == 2
-    assert min_feasible_T(scaled) == 2
+    estimate, _ = min_feasible_T(scaled)
+    assert estimate == 2
 
 
 def test_feasibility_monotone_in_estimate():
@@ -100,7 +103,7 @@ def test_feasibility_monotone_in_estimate():
 
 def test_extract_small_job_integral():
     scaled = _scaled(2, [(1, [0, 1])])
-    estimate = min_feasible_T(scaled)
+    estimate, _ = min_feasible_T(scaled)
     network = build_network(scaled, estimate)
     assignment = extract_assignment(network, max_flow_integral(network), scaled)
     assert assignment.is_integral(0)
@@ -113,7 +116,7 @@ def test_extract_half_split_big_job():
     network = build_network(scaled, 1)
     flows = [0] * len(network.arcs)
     flows[0] = 2  # source -> job
-    arcs = {(a.tail, a.head): idx for idx, a in enumerate(network.arcs)}
+    arcs = {(tail, head): idx for idx, (tail, head, _) in enumerate(network.arcs)}
     flows[arcs[(1, 2)]] = 1  # job -> throttle 0
     flows[arcs[(1, 3)]] = 1  # job -> throttle 1
     flows[arcs[(2, 4)]] = 1
@@ -128,7 +131,7 @@ def test_extract_two_thirds_split():
     # big job k=3 sending 2 units to throttle 0 and 1 to throttle 1
     scaled = _scaled_direct(2, [(3, [0, 1])], k=3)
     network = build_network(scaled, 2)
-    arcs = {(a.tail, a.head): idx for idx, a in enumerate(network.arcs)}
+    arcs = {(tail, head): idx for idx, (tail, head, _) in enumerate(network.arcs)}
     flows = [0] * len(network.arcs)
     flows[arcs[(0, 1)]] = 3
     flows[arcs[(1, 2)]] = 2
@@ -153,19 +156,22 @@ def test_extraction_invariants_on_random_instances():
     for _ in range(40):
         inst = random_instance(rng, rng.randint(1, 9), rng.randint(1, 4), rng.randint(2, 5))
         scaled = scale_to_integer(normalize(inst)[0])
-        estimate = min_feasible_T(scaled)
-        if estimate is None:
+        found = min_feasible_T(scaled)
+        if found is None:
             continue
+        estimate, searched = found
         network = build_network(scaled, estimate)
         # extract_assignment checks the invariants internally and raises on breach
         assignment = extract_assignment(network, max_flow_integral(network), scaled)
         for j in range(scaled.base.job_count):
             assert sum(assignment.per_job[j].values()) == 1
+        # the search keeps the winning probe's flow instead of solving again
+        assert searched == assignment
 
 
 def test_flow_deterministic():
     scaled = _scaled(3, [(2, [0, 1]), (1, [1, 2]), (2, [0, 2]), (1, [0])])
-    estimate = min_feasible_T(scaled)
+    estimate, _ = min_feasible_T(scaled)
     network = build_network(scaled, estimate)
     first = max_flow_integral(network)
     second = max_flow_integral(build_network(scaled, estimate))
@@ -174,4 +180,45 @@ def test_flow_deterministic():
 
 def test_empty_instance_estimate_zero():
     scaled = scale_to_integer(Instance.build(2, []))
-    assert min_feasible_T(scaled) == 0
+    estimate, assignment = min_feasible_T(scaled)
+    assert estimate == 0
+    assert assignment.job_count == 0
+
+
+def _networkx_value(nx, network):
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(network.node_count))
+    for tail, head, capacity in network.arcs:
+        assert not graph.has_edge(tail, head)  # DiGraph would merge parallel arcs
+        graph.add_edge(tail, head, capacity=capacity)
+    return nx.maximum_flow_value(graph, network.source, network.sink)
+
+
+def _check_flow(network, solution):
+    excess = [0] * network.node_count
+    for (tail, head, capacity), units in zip(network.arcs, solution.flows):
+        assert 0 <= units <= capacity
+        excess[tail] -= units
+        excess[head] += units
+    assert excess[network.sink] == solution.value == -excess[network.source]
+    inner = set(range(network.node_count)) - {network.source, network.sink}
+    assert not any(excess[v] for v in inner)
+
+
+def test_max_flow_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random("flow-networkx")
+    networks = []
+    for _ in range(40):
+        inst = random_instance(rng, rng.randint(0, 12), rng.randint(1, 5), rng.randint(1, 5))
+        scaled = scale_to_integer(normalize(inst)[0])
+        networks.append(build_network(scaled, rng.randint(0, scaled.total_size())))
+    for _ in range(40):
+        alpha = Fraction(rng.randint(2, 9), rng.randint(1, 4))
+        inst = random_instance(rng, rng.randint(0, 12), rng.randint(1, 5), max(alpha, 1))
+        total = sum(job.size for job in inst.jobs)
+        networks.append(transportation_network(inst, total * Fraction(rng.randint(0, 8), 8)))
+    for network in networks:
+        solution = max_flow_integral(network)
+        assert solution.value == _networkx_value(nx, network)
+        _check_flow(network, solution)

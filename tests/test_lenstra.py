@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from twoval_makespan.lenstra import (
     support_is_forest,
 )
 from twoval_makespan.model import Instance, machine_loads, makespan
+from twoval_makespan.twovalued import solve_two_valued
 from twoval_makespan.oracle import enumerate_opt
 
 
@@ -45,7 +47,7 @@ def test_fractional_split_respects_capacity():
 
 def test_load_grid_covers_all_schedule_loads():
     inst = Instance.build(2, [(2, [0, 1]), (Fraction(1, 2), [0, 1]), (2, [0])])
-    grid = set(load_grid(inst))
+    grid = {Fraction(k, _denom(inst)) for k in load_grid(inst)}
     # loads of every machine under every schedule must appear in the grid
     for a in (0, 1):
         for b in (0, 1):
@@ -54,6 +56,11 @@ def test_load_grid_covers_all_schedule_loads():
             loads[b] += Fraction(1, 2)
             loads[0] += 2
             assert loads[0] in grid and loads[1] in grid
+
+
+def _denom(instance):
+    """The lcm D of the size denominators; load_grid counts in units of 1/D."""
+    return math.lcm(*(size.denominator for size in instance.distinct_sizes()))
 
 
 def _reference_grid(instance):
@@ -101,8 +108,9 @@ def test_snapped_search_matches_the_full_grid():
         assert capacity == _smallest_feasible(inst, _reference_grid(inst))
         assert assignment == fractional_assign_plain(inst, capacity)
         grid = load_grid(inst)
-        assert capacity in grid
-        if capacity > 0 and fractional_assign_plain(inst, capacity - grid.step) is not None:
+        assert capacity * _denom(inst) in grid
+        step = Fraction(grid.step, _denom(inst))
+        if capacity > 0 and fractional_assign_plain(inst, capacity - step) is not None:
             snapped += 1  # a smaller multiple of g/D was feasible but is no load
     assert len(cases) >= 300
     assert snapped > 0
@@ -205,3 +213,13 @@ def test_lenstra_empty_instance():
     solution = lenstra_solve(inst)
     assert solution.schedule.assignment == ()
     assert solution.capacity == 0
+
+
+def test_flow_deeper_than_the_recursion_limit():
+    # a 1501-machine chain: the flow's augmenting paths walk the whole chain
+    jobs = [(1, [j, j + 1]) for j in range(1500)] + [(1, [0])]
+    inst = Instance.build(1501, jobs)
+    solution = lenstra_solve(inst)
+    assert solution.capacity == 1
+    assert makespan(inst, solution.schedule) == 1
+    assert solve_two_valued(inst).makespan == 1

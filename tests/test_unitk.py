@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from twoval_makespan.flow import FractionalAssignment, build_network, extract_assignment, max_flow_integral, min_feasible_T
+from twoval_makespan.flow import FractionalAssignment, min_feasible_T
 from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import lenstra_solve
 from twoval_makespan.model import Instance, ScaledInstance, machine_loads, makespan, normalize, scale_to_integer
@@ -39,11 +39,10 @@ def test_match_always_succeeds_on_extractions():
     for _ in range(60):
         inst = random_instance(rng, rng.randint(1, 10), rng.randint(1, 4), rng.randint(2, 6))
         scaled = scale_to_integer(normalize(inst)[0])
-        estimate = min_feasible_T(scaled)
-        if estimate is None:
+        found = min_feasible_T(scaled)
+        if found is None:
             continue
-        network = build_network(scaled, estimate)
-        assignment = extract_assignment(network, max_flow_integral(network), scaled)
+        _, assignment = found
         matched = match_big_jobs(assignment, scaled)  # raises if Hall fails
         assert sorted(matched) == list(scaled.big_jobs())
         assert len(set(matched.values())) == len(matched)
