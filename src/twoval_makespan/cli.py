@@ -12,49 +12,21 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import (
-    GuaranteeReport,
-    gb_worst_case_alpha,
-    guarantee_report,
-    gb_ratio_expressions,
-    ratio_expressions,
-    worst_case_alpha,
-)
+from .bounds import gb_worst_case_alpha, guarantee_report, worst_case_alpha
 from .fileio import FileFormatError, format_fraction, format_instance, parse_fraction, parse_instance
 from .generator import generate_instance
 from .graph_balancing import gb_solve_two_valued
 from .lenstra import lenstra_solve
-from .model import (
-    Instance,
-    Schedule,
-    is_graph_balancing,
-    makespan,
-    normalize,
-    scale_to_integer,
-    validate,
-)
+from .model import Instance, is_graph_balancing, makespan, normalize, scale_to_integer, validate
 from .oracle import DEFAULT_NODE_BUDGET, BudgetExceeded, brute_force_opt, ratio_verdict
-from .twovalued import ADDITIVE, solve_two_valued
+from .twovalued import ADDITIVE, SolveResult, solve_two_valued
 from .unitk import solve_unit_k
 
 ORACLE_BUDGET_ENV = "TWOVAL_ORACLE_BUDGET"
 
 MODES = ("auto", "unitk", "lenstra", "gb", "two-valued")
-
-
-@dataclass
-class RunReport:
-    schedule: Schedule
-    makespan: Fraction
-    bound: Fraction
-    bound_note: str | None
-    branch_makespans: dict[str, Fraction]
-    chosen: str
-    guarantee: GuaranteeReport | None
-    wall_time: float = 0.0
 
 
 def _value(label: str, value: Fraction) -> str:
@@ -70,70 +42,40 @@ def _resolve_mode(instance: Instance, mode: str) -> str:
     return mode
 
 
-def _solve_report(instance: Instance, mode: str) -> RunReport:
-    started = time.perf_counter()
+def _solve(instance: Instance, mode: str) -> SolveResult:
+    """The library result for gb and two-valued; a one-branch result otherwise."""
     if mode in ("gb", "two-valued"):
         if mode == "gb" and not is_graph_balancing(instance):
             raise ValueError("gb mode requires every job to allow at most 2 machines")
         solver = gb_solve_two_valued if mode == "gb" else solve_two_valued
-        result = solver(instance)
-        report = RunReport(
-            schedule=result.schedule,
-            makespan=result.makespan,
-            bound=result.report.constructive_bound,
-            bound_note=REGIME_NOTE,
-            branch_makespans=result.branch_makespans,
-            chosen=result.chosen,
-            guarantee=result.report,
-        )
-    elif mode == "lenstra":
-        solution = lenstra_solve(instance)
-        value = makespan(instance, solution.schedule)
-        report = RunReport(
-            schedule=solution.schedule,
-            makespan=value,
-            bound=Fraction(2),
-            bound_note=REGIME_NOTE,
-            branch_makespans={ADDITIVE: value},
-            chosen=ADDITIVE,
-            guarantee=None,
-        )
+        return solver(instance)
+    norm, alpha = normalize(instance)
+    if mode == "lenstra":
+        schedule, chosen = lenstra_solve(instance).schedule, ADDITIVE
     elif mode == "unitk":
-        norm, alpha = normalize(instance)
-        scaled = scale_to_integer(norm)  # raises on non-integer size ratio
-        solution = solve_unit_k(scaled)
+        # raises on a non-integer size ratio; at alpha = k the report's bound is 2 - 1/k
+        solution = solve_unit_k(scale_to_integer(norm))
         if solution is not None:
-            schedule = solution.schedule
-            chosen = "flow"
+            schedule, chosen = solution.schedule, "flow"
         else:
-            schedule = lenstra_solve(instance).schedule
-            chosen = ADDITIVE
-        value = makespan(instance, schedule)
-        report = RunReport(
-            schedule=schedule,
-            makespan=value,
-            bound=2 - Fraction(1, scaled.k),
-            bound_note=None,
-            branch_makespans={chosen: value},
-            chosen=chosen,
-            guarantee=guarantee_report(alpha),
-        )
+            schedule, chosen = lenstra_solve(instance).schedule, ADDITIVE
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    report.wall_time = time.perf_counter() - started
-    return report
+    value = makespan(instance, schedule)
+    return SolveResult(schedule, value, guarantee_report(alpha), {chosen: value}, chosen)
 
 
-def _print_solve(report: RunReport) -> None:
-    for job, machine in enumerate(report.schedule.assignment):
+def _print_solve(result: SolveResult, mode: str, wall_time: float) -> None:
+    for job, machine in enumerate(result.schedule.assignment):
         print(f"assign {job} {machine}")
-    print(_value("makespan", report.makespan))
-    print(_value("bound", report.bound))
-    for name in report.branch_makespans:
-        print("# " + _value(f"branch {name} makespan", report.branch_makespans[name]))
-    print(f"# chosen {report.chosen}")
-    if report.guarantee is not None:
-        g = report.guarantee
+    print(_value("makespan", result.makespan))
+    # the additive rounding alone certifies 2
+    print(_value("bound", Fraction(2) if mode == "lenstra" else result.report.constructive_bound))
+    for name, value in result.branch_makespans.items():
+        print("# " + _value(f"branch {name} makespan", value))
+    print(f"# chosen {result.chosen}")
+    if mode != "lenstra":
+        g = result.report
         print(
             f"# alpha {format_fraction(g.alpha)}"
             f" f1 {format_fraction(g.f1)} f2 {format_fraction(g.f2)}"
@@ -141,9 +83,9 @@ def _print_solve(report: RunReport) -> None:
         )
         if g.nonconstructive_note is not None:
             print("# " + _value("nonconstructive", g.nonconstructive_note))
-    if report.bound_note:
-        print(f"# bound-note {report.bound_note}")
-    print(f"# wall-time {report.wall_time:.4f}s")
+    if mode != "unitk":
+        print(f"# bound-note {REGIME_NOTE}")
+    print(f"# wall-time {wall_time:.4f}s")
 
 
 def _load_instance(path: str) -> Instance:
@@ -161,8 +103,10 @@ def _load_instance(path: str) -> Instance:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.path)
-    report = _solve_report(instance, _resolve_mode(instance, args.mode))
-    _print_solve(report)
+    mode = _resolve_mode(instance, args.mode)
+    started = time.perf_counter()
+    result = _solve(instance, mode)
+    _print_solve(result, mode, time.perf_counter() - started)
     return 0
 
 
@@ -200,32 +144,40 @@ def _oracle_budget(args: argparse.Namespace) -> int:
     return budget
 
 
-def _applicable_bound(instance: Instance, report: RunReport, opt: Fraction, mode: str) -> Fraction:
+def _explicit_bound(args: argparse.Namespace) -> Fraction | None:
+    if args.bound is None:
+        return None
+    bound = parse_fraction(args.bound)
+    if bound <= 0:
+        raise ValueError(f"--bound must be positive, got {args.bound}")
+    return bound
+
+
+def _applicable_bound(instance: Instance, result: SolveResult, opt: Fraction, mode: str) -> Fraction:
     """Default verification bound: the certified bound for the regime opt lies in."""
     sizes = instance.distinct_sizes()
     big = sizes[-1] if sizes else Fraction(0)
     if mode == "unitk":
-        return report.bound
+        return result.report.constructive_bound
     if mode == "lenstra":
         return Fraction(3, 2) if opt >= 2 * big else Fraction(2)
     if big > 0 and opt >= 2 * big:
         return Fraction(3, 2)
-    return report.bound
+    return result.report.constructive_bound
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance(args.path)
     budget = _oracle_budget(args)
+    bound = _explicit_bound(args)
     mode = _resolve_mode(instance, args.mode)
-    report = _solve_report(instance, mode)
+    result = _solve(instance, mode)
     opt = brute_force_opt(instance, budget).opt_makespan  # main reports BudgetExceeded
-    if args.bound is not None:
-        bound = parse_fraction(args.bound)
-    else:
-        bound = _applicable_bound(instance, report, opt, mode)
-    ratio, passed = ratio_verdict(report.makespan, opt, bound)
+    if bound is None:
+        bound = _applicable_bound(instance, result, opt, mode)
+    ratio, passed = ratio_verdict(result.makespan, opt, bound)
     print(_value("opt", opt))
-    print(_value("makespan", report.makespan))
+    print(_value("makespan", result.makespan))
     print(_value("ratio", ratio))
     print(_value("bound", bound))
     print(f"verdict {'pass' if passed else 'fail'}")
@@ -234,30 +186,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     alpha = parse_fraction(args.alpha)
-    if args.gb:
-        if alpha < 2:
-            raise ValueError("gb bound table requires alpha >= 2")
-        expr1, expr2 = gb_ratio_expressions(alpha)
-    else:
-        if alpha <= 1:
-            raise ValueError("bound table requires alpha > 1")
-        expr1, expr2 = ratio_expressions(alpha)
+    if args.gb and alpha < 2:
+        raise ValueError("gb bound table requires alpha >= 2")
+    if not args.gb and alpha <= 1:
+        raise ValueError("bound table requires alpha > 1")
     report = guarantee_report(alpha, graph_balancing=args.gb)
     print(_value("alpha", alpha))
     print(_value("f1", report.f1))
     print(_value("f2", report.f2))
-    print(_value("expr1", expr1))
-    print(_value("expr2", expr2))
-    print(_value("min", min(expr1, expr2)))
+    print(_value("expr1", report.expr1))
+    print(_value("expr2", report.expr2))
+    print(_value("min", min(report.expr1, report.expr2)))
     interval = math.floor(alpha)
     if args.gb:
         root = gb_worst_case_alpha(max(interval, 2))
-        root_value = min(gb_ratio_expressions(root))
     else:
         root = worst_case_alpha(max(interval, 1))
-        root_value = min(ratio_expressions(root))
+    at_root = guarantee_report(root, graph_balancing=args.gb)
     print(_value("worst-alpha", root))
-    print(_value("worst-value", root_value))
+    print(_value("worst-value", min(at_root.expr1, at_root.expr2)))
     if report.nonconstructive_note is not None:
         print(_value("nonconstructive", report.nonconstructive_note))
     return 0

@@ -19,8 +19,8 @@ rather than searching for its own. Either way the best branch is within
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .flow import FractionalAssignment
 from .lenstra import lenstra_solve, round_forest
@@ -40,28 +40,23 @@ MATCHING = "matching"
 FOREST = "forest"
 
 
-@dataclass(frozen=True)
-class HalfEdgeGraph:
-    """Big jobs split exactly half/half, as edges between their two machines."""
-
-    edges: tuple[tuple[int, int, int], ...]  # (job, machine u, machine v)
-
-
 def _require_gb(instance: Instance) -> None:
     if not is_graph_balancing(instance):
         raise ValueError("not a graph-balancing instance: some job allows more than 2 machines")
 
 
-def orient_components(graph: HalfEdgeGraph) -> dict[int, int]:
+def orient_components(edges: Sequence[tuple[int, int, int]]) -> dict[int, int]:
     """Choose a head machine per edge so every machine heads at most one edge.
 
+    Each edge (job, machine u, machine v) is a big job split exactly half/half
+    between its two machines; the result maps each job to its head machine.
     Components must be paths or cycles (max degree 2). Paths are directed away
     from their lowest-index endpoint; cycles are walked from their lowest
     vertex starting with the lowest edge id, giving a bijection of edges onto
     vertices. Deterministic for identical inputs.
     """
     adjacency: dict[int, list[tuple[int, int]]] = {}
-    for edge_id, (_, u, v) in enumerate(graph.edges):
+    for edge_id, (_, u, v) in enumerate(edges):
         adjacency.setdefault(u, []).append((edge_id, v))
         adjacency.setdefault(v, []).append((edge_id, u))
     for vertex, incident in adjacency.items():
@@ -91,12 +86,12 @@ def orient_components(graph: HalfEdgeGraph) -> dict[int, int]:
         if any(e not in used_edges for e, _ in adjacency[vertex]):
             walk(vertex)
 
-    _check_orientation(graph, heads)
-    return {graph.edges[edge_id][0]: head for edge_id, head in heads.items()}
+    _check_orientation(edges, heads)
+    return {edges[edge_id][0]: head for edge_id, head in heads.items()}
 
 
-def _check_orientation(graph: HalfEdgeGraph, heads: dict[int, int]) -> None:
-    if len(heads) != len(graph.edges):
+def _check_orientation(edges: Sequence[tuple[int, int, int]], heads: dict[int, int]) -> None:
+    if len(heads) != len(edges):
         raise RuntimeError("orientation left an edge without a head")
     seen: set[int] = set()
     for head in heads.values():
@@ -131,7 +126,7 @@ def _majority_and_orient(assignment: FractionalAssignment, scaled: ScaledInstanc
             placed[j] = v
         else:
             half_edges.append((j, u, v))
-    placed.update(orient_components(HalfEdgeGraph(tuple(half_edges))))
+    placed.update(orient_components(half_edges))
     return placed
 
 

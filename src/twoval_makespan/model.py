@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-Rational = Fraction
-
 
 def as_rational(value: object) -> Fraction:
     """Coerce an int, a Fraction, or a string like '3/4' to an exact rational."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .bounds import GuaranteeReport, guarantee_report
+from .bounds import GuaranteeReport, guarantee_report, lift_factors
 from .lenstra import lenstra_solve
 from .model import (
     Instance,
@@ -45,13 +45,6 @@ UNIFORM = "uniform"        # single-size instances, solved exactly by the flow
 
 
 @dataclass(frozen=True)
-class ReducedInstance:
-    which: str
-    instance: Instance  # normalized sizes with the small size replaced
-    factor: Fraction    # original small size / reduced small size
-
-
-@dataclass(frozen=True)
 class SolveResult:
     schedule: Schedule
     makespan: Fraction
@@ -60,8 +53,12 @@ class SolveResult:
     chosen: str
 
 
-def build_reduced(normalized: Instance, alpha: Fraction, which: str) -> ReducedInstance:
-    """Replace small sizes by the nearest unit fraction, up or down in size."""
+def build_reduced(normalized: Instance, alpha: Fraction, which: str) -> Instance:
+    """Replace small sizes by the nearest unit fraction, up or down in size.
+
+    The original small size is the reduced one times f1 (small-down) or f2
+    (small-up), the lift factors of `bounds.lift_factors(alpha)`.
+    """
     if which == SMALL_DOWN:
         denom = math.ceil(alpha)
     elif which == SMALL_UP:
@@ -72,11 +69,7 @@ def build_reduced(normalized: Instance, alpha: Fraction, which: str) -> ReducedI
     jobs = tuple(
         job if job.size == 1 else Job(new_small, job.allowed) for job in normalized.jobs
     )
-    return ReducedInstance(
-        which=which,
-        instance=Instance(normalized.machine_count, jobs),
-        factor=Fraction(denom) / alpha,
-    )
+    return Instance(normalized.machine_count, jobs)
 
 
 def pick_best(
@@ -118,12 +111,11 @@ def reduction_branches(
         which_list = [SMALL_UP] if alpha.denominator == 1 else [SMALL_DOWN, SMALL_UP]
     branches: dict[str, Schedule] = {}
     for which in which_list:
-        reduced = build_reduced(norm, alpha, which)
-        result = solve(scale_to_integer(reduced.instance))
+        result = solve(scale_to_integer(build_reduced(norm, alpha, which)))
         if result is None:
             continue
         if which == SMALL_DOWN:
-            _check_lifted_loads(norm, alpha, reduced, result)
+            _check_lifted_loads(norm, alpha, result)
         branches[which] = result.schedule
     return branches
 
@@ -151,9 +143,7 @@ def race(
     )
 
 
-def _check_lifted_loads(
-    norm: Instance, alpha: Fraction, reduced: ReducedInstance, result: UnitKSolution
-) -> None:
+def _check_lifted_loads(norm: Instance, alpha: Fraction, result: UnitKSolution) -> None:
     """Big-job machines obey load <= 1 + (T1 - 1/ceil(alpha)) * f1 in normalized units.
 
     Holds for either {1, k} rounding: its slack, k - 1 or k/2, is at most
@@ -161,7 +151,7 @@ def _check_lifted_loads(
     """
     ceil_a = math.ceil(alpha)
     t_norm = Fraction(result.estimate, ceil_a)
-    cap = 1 + (t_norm - Fraction(1, ceil_a)) * reduced.factor
+    cap = 1 + (t_norm - Fraction(1, ceil_a)) * lift_factors(alpha)[0]
     loads = machine_loads(norm, result.schedule)
     for j, machine in enumerate(result.schedule.assignment):
         if norm.jobs[j].size == 1 and loads[machine] > cap:

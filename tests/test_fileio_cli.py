@@ -17,6 +17,7 @@ from twoval_makespan.fileio import (
     parse_instance,
 )
 from twoval_makespan.generator import random_instance
+from twoval_makespan.model import validate
 
 
 def test_fraction_round_trip():
@@ -58,11 +59,30 @@ def test_parse_accepts_comments_and_blank_lines():
         "machines 2\njobs 1\njob 0 1.5 0\n",  # decimal size
         "machines 2\njobs 1\njob 0 1 x\n",  # bad machine token
         "machines 2\njobs 2\njob 0 1 0\n",  # count mismatch
+        "machines 1_0\njobs 1\njob 0 1 0\n",  # digit separator in a count
+        "machines 2\njobs 0_1\njob 0 1 0\n",
+        "machines 2\njobs 1\njob 0_0 1 0\n",  # digit separator in a job id
+        "machines 2\njobs 1\njob 0 1_0 0\n",  # digit separator in a size
+        "machines 2\njobs 1\njob 0 1/1_0 0\n",
+        "machines 2\njobs 1\njob 0 1 0_1\n",  # digit separator in a machine index
+        "machines \u0662\njobs 1\njob 0 1 0\n",  # Arabic-Indic digits
+        "machines 2\njobs 1\njob \u0660 1 0\n",
+        "machines 2\njobs 1\njob 0 \u0661/2 0\n",
+        "machines 2\njobs 1\njob 0 1 \u0661\n",
+        "machines 2\njobs 1\njob 0 1 \uff11\n",  # fullwidth digit
+        "machines 2\njobs 1\njob 0 1/ 0\n",  # empty denominator
+        "machines 2\njobs 1\njob 0 +-1 0\n",  # two signs
     ],
 )
 def test_parse_errors(text):
     with pytest.raises(FileFormatError):
         parse_instance(text)
+
+
+def test_parse_keeps_signs_for_validate():
+    inst = parse_instance("machines 2\njobs 2\njob 0 -1 0\njob 1 +1/2 1\n")
+    assert [job.size for job in inst.jobs] == [-1, Fraction(1, 2)]
+    assert validate(inst) == "job 0: nonpositive size"
 
 
 def _write(tmp_path, name, content):
@@ -202,6 +222,28 @@ def test_verify_rejects_nonpositive_budget(tmp_path, capsys, budget):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --budget must be at least 1, got {budget}\n"
+
+
+@pytest.mark.parametrize("bound", ["0", "-1/2", "0/7"])
+def test_verify_rejects_nonpositive_bound(tmp_path, capsys, bound):
+    path = _write(tmp_path, "nbd.txt", "machines 2\njobs 2\njob 0 1 0 1\njob 1 1 0 1\n")
+    assert main(["verify", path, f"--bound={bound}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --bound must be positive, got {bound}\n"
+
+
+def test_verify_parses_the_bound_before_the_oracle(tmp_path, capsys):
+    # the oracle would exceed its budget here; a bad bound must be reported first
+    path = _write(
+        tmp_path,
+        "bb.txt",
+        "machines 4\njobs 6\n" + "".join(f"job {j} 1 0 1 2 3\n" for j in range(6)),
+    )
+    assert main(["verify", path, "--budget", "3", "--bound", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad rational 'abc'")
 
 
 def test_oracle_budget_env_var_rejects_nonpositive(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 from twoval_makespan.generator import random_instance
 from twoval_makespan.graph_balancing import (
     FOREST,
-    HalfEdgeGraph,
     gb_forest_round,
     gb_perfect_matching_opt1,
     gb_solve_two_valued,
@@ -35,18 +34,18 @@ def _scaled_direct(machines, jobs, k):
 
 
 def test_orient_single_edge():
-    heads = orient_components(HalfEdgeGraph(((7, 2, 5),)))
+    heads = orient_components(((7, 2, 5),))
     assert heads == {7: 5}  # tail is the lower endpoint
 
 
 def test_orient_cycle_is_bijection():
-    graph = HalfEdgeGraph(((0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0)))
+    graph = ((0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0))
     heads = orient_components(graph)
     assert sorted(heads.values()) == [0, 1, 2, 3]
 
 
 def test_orient_two_disjoint_paths():
-    graph = HalfEdgeGraph(((0, 0, 1), (1, 1, 2), (2, 5, 6)))
+    graph = ((0, 0, 1), (1, 1, 2), (2, 5, 6))
     heads = orient_components(graph)
     assert heads[0] == 1 and heads[1] == 2  # directed away from machine 0
     assert heads[2] == 6
@@ -54,13 +53,13 @@ def test_orient_two_disjoint_paths():
 
 
 def test_orient_parallel_edges_form_two_cycle():
-    graph = HalfEdgeGraph(((0, 3, 4), (1, 3, 4)))
+    graph = ((0, 3, 4), (1, 3, 4))
     heads = orient_components(graph)
     assert sorted(heads.values()) == [3, 4]
 
 
 def test_orient_rejects_degree_three():
-    graph = HalfEdgeGraph(((0, 0, 1), (1, 0, 2), (2, 0, 3)))
+    graph = ((0, 0, 1), (1, 0, 2), (2, 0, 3))
     with pytest.raises(ValueError, match="degree|half-assigned"):
         orient_components(graph)
 

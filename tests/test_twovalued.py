@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from twoval_makespan.bounds import lift_factors
 from twoval_makespan.generator import random_instance
 from twoval_makespan.model import Instance, normalize
 from twoval_makespan.oracle import enumerate_opt
@@ -18,15 +19,16 @@ def test_build_reduced_five_halves():
     norm, alpha = normalize(inst)
     down = build_reduced(norm, alpha, SMALL_DOWN)
     up = build_reduced(norm, alpha, SMALL_UP)
-    assert down.instance.jobs[0].size == Fraction(1, 3) and down.factor == Fraction(6, 5)
-    assert up.instance.jobs[0].size == Fraction(1, 2) and up.factor == Fraction(4, 5)
+    f1, f2 = lift_factors(alpha)
+    assert down.jobs[0].size == Fraction(1, 3) and f1 == Fraction(6, 5)
+    assert up.jobs[0].size == Fraction(1, 2) and f2 == Fraction(4, 5)
 
 
 def test_build_reduced_integer_alpha_is_identity():
     inst = Instance.build(2, [(Fraction(1, 3), [0]), (1, [1])])
     norm, alpha = normalize(inst)
     up = build_reduced(norm, alpha, SMALL_UP)
-    assert up.instance == norm and up.factor == 1
+    assert up == norm and lift_factors(alpha)[1] == 1
 
 
 def test_build_reduced_eight_fifths():
@@ -35,8 +37,9 @@ def test_build_reduced_eight_fifths():
     assert alpha == Fraction(8, 5)
     down = build_reduced(norm, alpha, SMALL_DOWN)
     up = build_reduced(norm, alpha, SMALL_UP)
-    assert down.instance.jobs[0].size == Fraction(1, 2) and down.factor == Fraction(5, 4)
-    assert up.instance.jobs[0].size == Fraction(1) and up.factor == Fraction(5, 8)
+    f1, f2 = lift_factors(alpha)
+    assert down.jobs[0].size == Fraction(1, 2) and f1 == Fraction(5, 4)
+    assert up.jobs[0].size == Fraction(1) and f2 == Fraction(5, 8)
 
 
 def test_solve_alpha_two_within_three_halves():
