@@ -1,8 +1,10 @@
 """Command-line interface: solve, gen, verify, bound.
 
 Exit codes: 0 success or verified pass, 1 verification fail, 2 input error,
-3 oracle budget exceeded. The oracle node budget defaults to 10**7 and can be
-overridden with the TWOVAL_ORACLE_BUDGET environment variable or --budget.
+3 oracle budget exceeded, 141 stdout closed early (as in `solve big.txt | head`).
+The oracle node budget defaults to 10**7 and can be overridden with the
+TWOVAL_ORACLE_BUDGET environment variable or --budget. Integer options and that
+variable take ASCII digits with an optional sign, like instance files.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import time
 from fractions import Fraction
 
 from .bounds import gb_worst_case_alpha, guarantee_report, worst_case_alpha
-from .fileio import FileFormatError, format_fraction, format_instance, parse_fraction, parse_instance
+from .fileio import (
+    FileFormatError, format_fraction, format_instance, parse_fraction, parse_instance, parse_int,
+)
 from .generator import generate_instance
 from .graph_balancing import gb_solve_two_valued
 from .lenstra import lenstra_solve
@@ -136,7 +140,7 @@ def _oracle_budget(args: argparse.Namespace) -> int:
         if env is None:
             return DEFAULT_NODE_BUDGET
         try:
-            budget, source = int(env), ORACLE_BUDGET_ENV
+            budget, source = parse_int(env), ORACLE_BUDGET_ENV
         except ValueError:
             raise ValueError(f"{ORACLE_BUDGET_ENV} must be an integer, got {env!r}") from None
     if budget < 1:
@@ -210,6 +214,13 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twoval-makespan",
@@ -224,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_gen = sub.add_parser("gen", help="emit a deterministic random instance file")
-    p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--jobs", type=int, required=True)
-    p_gen.add_argument("--machines", type=int, required=True)
+    p_gen.add_argument("--seed", type=_integer, required=True)
+    p_gen.add_argument("--jobs", type=_integer, required=True)
+    p_gen.add_argument("--machines", type=_integer, required=True)
     p_gen.add_argument("--alpha", default="2", help="size ratio big/small as num/den")
     p_gen.add_argument("--gb", action="store_true", help="allowed sets of size at most 2")
     p_gen.add_argument(
@@ -238,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("path")
     p_verify.add_argument("--mode", choices=MODES, default="auto")
     p_verify.add_argument("--bound", help="explicit ratio bound num/den (default: certified bound)")
-    p_verify.add_argument("--budget", type=int, help="oracle node budget")
+    p_verify.add_argument("--budget", type=_integer, help="oracle node budget")
     p_verify.set_defaults(func=cmd_verify)
 
     p_bound = sub.add_parser("bound", help="print the ratio expressions for an alpha")
@@ -255,6 +266,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader left early; what is still buffered goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         return args.func(args)
     except BudgetExceeded:

@@ -24,7 +24,7 @@ class FileFormatError(ValueError):
     pass
 
 
-def _parse_int(token: str) -> int:
+def parse_int(token: str) -> int:
     """ASCII digits with an optional sign (int() alone also takes '1_0' and non-ASCII digits)."""
     if _INTEGER.fullmatch(token) is None:
         raise ValueError(f"not an integer: {token!r}")
@@ -36,9 +36,9 @@ def parse_fraction(text: str) -> Fraction:
     parts = text.split("/")
     try:
         if len(parts) == 1:
-            return Fraction(_parse_int(parts[0]))
+            return Fraction(parse_int(parts[0]))
         if len(parts) == 2:
-            return Fraction(_parse_int(parts[0]), _parse_int(parts[1]))
+            return Fraction(parse_int(parts[0]), parse_int(parts[1]))
     except (ValueError, ZeroDivisionError) as exc:
         raise FileFormatError(f"bad rational {text!r}: {exc}") from None
     raise FileFormatError(f"bad rational {text!r}")
@@ -64,7 +64,7 @@ def parse_instance(text: str) -> Instance:
         if len(parts) != 2 or parts[0] != keyword:
             raise FileFormatError(f"expected '{keyword} <count>', got {line!r}")
         try:
-            return _parse_int(parts[1])
+            return parse_int(parts[1])
         except ValueError:
             raise FileFormatError(f"bad count in {line!r}") from None
 
@@ -80,14 +80,14 @@ def parse_instance(text: str) -> Instance:
         if len(parts) < 4 or parts[0] != "job":
             raise FileFormatError(f"expected 'job <id> <size> <machines...>', got {line!r}")
         try:
-            job_id = _parse_int(parts[1])
+            job_id = parse_int(parts[1])
         except ValueError:
             raise FileFormatError(f"bad job id in {line!r}") from None
         if job_id != position:
             raise FileFormatError(f"job ids must be 0..n-1 in order; got {job_id} at line {position}")
         size = parse_fraction(parts[2])
         try:
-            machines = [_parse_int(token) for token in parts[3:]]
+            machines = [parse_int(token) for token in parts[3:]]
         except ValueError:
             raise FileFormatError(f"bad machine index in {line!r}") from None
         jobs.append((size, machines))

@@ -5,18 +5,18 @@ each job supplies its size to its allowed machines and each machine absorbs
 at most T. It is solved on the package's one flow kernel (`flow`) as an
 integral max-flow after clearing denominators. Feasibility is monotone in T.
 Scaling the sizes b and s to integers by the lcm D of their denominators,
-every machine load any schedule can produce is a multiple of g/D with
-g = gcd(D*b, D*s), so `flow.smallest_feasible` binary-searches those
-multiples up to the total size for the smallest feasible one, T_g, without
-building any list of candidates. The optimum is such a multiple, so T_g is
-no larger than the integral optimum. T_g is then snapped up to the smallest
-true load a*b + c*s >= T_g with 0 <= a, c <= n, which is the smallest
-feasible point of that (n+1)^2 grid, and re-solved there when the snap moved
-it. That takes at most ceil(log2(total/g + 1)) + 2 flow solves and O(n)
-extra integer work. Canceling support cycles and rounding the remaining
-forest then lands every job integrally while raising each machine load by at
-most one job size, i.e. at most b. When the optimum is at least 2b this is a
-3/2 approximation.
+every load any schedule can produce is a multiple of g/D with
+g = gcd(D*b, D*s), so `flow.smallest_feasible` binary-searches them up to the
+total size for the smallest feasible one, T_g <= the integral optimum, and
+snaps it up to the smallest load a*b + c*s >= T_g (0 <= a, c <= n),
+re-solving there when it moved: at most ceil(log2(total/g + 1)) + 2 flow
+solves and O(n) integer work.
+
+Canceling support cycles and rounding the remaining forest then places every
+job while raising each machine load by at most one job size, at most b: a 3/2
+approximation once the optimum is at least 2b. Both walk the support graph of
+the fractional jobs (on two or more machines), node j for job j and n + i for
+machine i, through one machine -> fractional-jobs index, `_jobs_by_machine`.
 """
 
 from __future__ import annotations
@@ -25,13 +25,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Collection, Sequence
 
 from .flow import (
-    FlowNetwork,
-    FractionalAssignment,
-    job_fractions,
-    max_flow_integral,
-    smallest_feasible,
+    FlowNetwork, FractionalAssignment, job_fractions, max_flow_integral, smallest_feasible,
 )
 from .model import Instance, Schedule, machine_loads, makespan, require_valid
 
@@ -118,79 +115,58 @@ def fractional_assign_plain(instance: Instance, capacity: Fraction) -> Fractiona
     return job_fractions(network, flow)
 
 
-def _weight_maps(assignment: FractionalAssignment, instance: Instance) -> list[dict[int, Fraction]]:
-    return [
-        {machine: frac * instance.jobs[j].size for machine, frac in assignment.per_job[j].items()}
-        for j in range(instance.job_count)
-    ]
+def _jobs_by_machine(supports: Sequence[Collection[int]]) -> dict[int, list[int]]:
+    """Machine -> the fractional jobs on it, in job order; supports[j] is job j's machines."""
+    index: dict[int, list[int]] = {}
+    for j, support in enumerate(supports):
+        if len(support) >= 2:
+            for i in support:
+                index.setdefault(i, []).append(j)
+    return index
 
 
-def _find_support_cycle(weights: list[dict[int, Fraction]]) -> list[tuple[int, int]] | None:
-    """A cycle in the bipartite support graph of fractional jobs, as (job, machine) edges."""
-    fractional = [j for j, w in enumerate(weights) if len(w) >= 2]
-    machine_adj: dict[int, list[int]] = {}
-    for j in fractional:
-        for i in weights[j]:
-            machine_adj.setdefault(i, []).append(j)
+def _cycle_edges(a: int, b: int, parent: dict[int, int | None], n: int) -> list[tuple[int, int]]:
+    """The (job, machine) edges of the cycle from a up to the common tree ancestor, down to b."""
+    above_b = [b]
+    while parent[above_b[-1]] is not None:
+        above_b.append(parent[above_b[-1]])
+    depth = {node: k for k, node in enumerate(above_b)}
+    nodes = [a]
+    while nodes[-1] not in depth:
+        nodes.append(parent[nodes[-1]])
+    nodes.extend(reversed(above_b[: depth[nodes[-1]]]))
+    return [(min(x, y), max(x, y) - n) for x, y in zip(nodes, nodes[1:] + nodes[:1])]
 
-    visited: set[tuple[str, int]] = set()
-    for start_job in fractional:
-        start = ("j", start_job)
-        if start in visited:
+
+def _find_support_cycle(supports: Sequence[Collection[int]]) -> list[tuple[int, int]] | None:
+    """A cycle in the bipartite support graph of fractional jobs, as (job, machine) edges.
+
+    Depth-first from each unvisited fractional job, lowest first; a job expands
+    to its sorted machines, a machine to its jobs in index order. Earlier
+    components are fully explored, so one parent map is the visited set too.
+    """
+    n = len(supports)
+    jobs_by_machine = _jobs_by_machine(supports)
+    parent: dict[int, int | None] = {}
+    for start in range(n):
+        if len(supports[start]) < 2 or start in parent:
             continue
-        parent: dict[tuple[str, int], tuple[str, int] | None] = {start: None}
+        parent[start] = None
         stack = [start]
-        visited.add(start)
         while stack:
             node = stack.pop()
-            kind, idx = node
-            neighbors = (
-                [("m", i) for i in sorted(weights[idx])]
-                if kind == "j"
-                else [("j", j) for j in machine_adj.get(idx, ())]
-            )
+            if node < n:
+                neighbors = [n + i for i in sorted(supports[node])]
+            else:
+                neighbors = jobs_by_machine[node - n]
             for other in neighbors:
                 if other == parent[node]:
                     continue
-                if other in visited:
-                    # trace both nodes up to their common ancestor
-                    path_a = _path_to_root(node, parent)
-                    path_b = _path_to_root(other, parent)
-                    common = None
-                    in_b = set(path_b)
-                    for candidate in path_a:
-                        if candidate in in_b:
-                            common = candidate
-                            break
-                    assert common is not None
-                    cycle_nodes = (
-                        path_a[: path_a.index(common) + 1]
-                        + list(reversed(path_b[: path_b.index(common)]))
-                    )
-                    return _nodes_to_edges(cycle_nodes)
-                visited.add(other)
+                if other in parent:
+                    return _cycle_edges(node, other, parent, n)
                 parent[other] = node
                 stack.append(other)
     return None
-
-
-def _path_to_root(node, parent):
-    path = [node]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return path
-
-
-def _nodes_to_edges(cycle_nodes: list[tuple[str, int]]) -> list[tuple[int, int]]:
-    edges = []
-    count = len(cycle_nodes)
-    for t in range(count):
-        a = cycle_nodes[t]
-        b = cycle_nodes[(t + 1) % count]
-        job = a[1] if a[0] == "j" else b[1]
-        machine = a[1] if a[0] == "m" else b[1]
-        edges.append((job, machine))
-    return edges
 
 
 def cancel_cycles(assignment: FractionalAssignment, instance: Instance) -> FractionalAssignment:
@@ -201,30 +177,26 @@ def cancel_cycles(assignment: FractionalAssignment, instance: Instance) -> Fract
     preserved exactly; each round zeroes at least one support edge, leaving
     the fractional support acyclic.
     """
-    weights = _weight_maps(assignment, instance)
-    while True:
-        cycle = _find_support_cycle(weights)
-        if cycle is None:
-            break
-        delta = min(weights[j][i] for t, (j, i) in enumerate(cycle) if t % 2 == 1)
+    weights = [
+        {machine: frac * job.size for machine, frac in fractions.items()}
+        for fractions, job in zip(assignment.per_job, instance.jobs)
+    ]
+    while (cycle := _find_support_cycle(weights)) is not None:
+        delta = min(weights[j][i] for j, i in cycle[1::2])
         for t, (j, i) in enumerate(cycle):
-            if t % 2 == 0:
-                weights[j][i] += delta
-            else:
-                weights[j][i] -= delta
-                if weights[j][i] == 0:
-                    del weights[j][i]
+            weights[j][i] += delta if t % 2 == 0 else -delta
+            if weights[j][i] == 0:
+                del weights[j][i]
     per_job = tuple(
-        {machine: weight / instance.jobs[j].size for machine, weight in weights[j].items()}
-        for j in range(instance.job_count)
+        {machine: weight / job.size for machine, weight in job_weights.items()}
+        for job_weights, job in zip(weights, instance.jobs)
     )
     return FractionalAssignment(per_job)
 
 
 def support_is_forest(assignment: FractionalAssignment) -> bool:
     """True when the bipartite support graph of fractional jobs is acyclic."""
-    weights = [dict(pj) for pj in assignment.per_job]
-    return _find_support_cycle(weights) is None
+    return _find_support_cycle(assignment.per_job) is None
 
 
 def round_forest(assignment: FractionalAssignment, instance: Instance) -> Schedule:
@@ -235,45 +207,32 @@ def round_forest(assignment: FractionalAssignment, instance: Instance) -> Schedu
     directly above it. Jobs with a single support machine go there directly.
     """
     n = instance.job_count
-    placed: list[int | None] = [None] * n
-    fractional = []
-    for j in range(n):
-        support = assignment.support(j)
-        if not support:
-            raise ValueError(f"job {j} has empty support")
-        if len(support) == 1:
-            placed[j] = support[0]
-        else:
-            fractional.append(j)
-
-    machine_adj: dict[int, list[int]] = {}
-    for j in fractional:
-        for i in assignment.support(j):
-            machine_adj.setdefault(i, []).append(j)
-
-    seen_jobs: set[int] = set()
-    seen_machines: set[int] = set()
-    for root in sorted(machine_adj):
-        if root in seen_machines:
+    supports = [assignment.support(j) for j in range(n)]
+    if () in supports:
+        raise ValueError(f"job {supports.index(())} has empty support")
+    placed = [support[0] if len(support) == 1 else None for support in supports]
+    jobs_by_machine = _jobs_by_machine(supports)
+    seen: set[int] = set()  # support-graph node ids: j for job j, n + i for machine i
+    for root in sorted(jobs_by_machine):
+        if n + root in seen:
             continue
-        seen_machines.add(root)
+        seen.add(n + root)
         queue = deque([root])
         while queue:
             machine = queue.popleft()
-            for j in machine_adj[machine]:
-                if j in seen_jobs:
+            for j in jobs_by_machine[machine]:
+                if j in seen:
                     continue  # the job this machine was discovered through
-                seen_jobs.add(j)
-                children = [i for i in assignment.support(j) if i != machine]
-                placed[j] = min(children)
+                seen.add(j)
+                children = [i for i in supports[j] if i != machine]
+                placed[j] = children[0]  # supports are sorted
                 for child in children:
                     # a cycle must close through an already-visited machine
-                    if child in seen_machines:
+                    if n + child in seen:
                         raise RuntimeError("support graph is not a forest")
-                    seen_machines.add(child)
+                    seen.add(n + child)
                     queue.append(child)
-
-    if any(p is None for p in placed):
+    if None in placed:
         raise RuntimeError("forest rounding left a job unplaced")
     schedule = Schedule(tuple(placed))  # type: ignore[arg-type]
     _check_forest_rounding(assignment, instance, schedule)
@@ -304,13 +263,9 @@ def _check_forest_rounding(
 def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAssignment]:
     """Smallest feasible load a*b + c*s (0 <= a, c <= n), plus the flow there.
 
-    `smallest_feasible` searches `load_grid` for the smallest feasible
-    multiple T_g of g/D and keeps the assignment found there; T_g is snapped
-    up to the smallest a*b + c*s >= T_g and, when that moved it, solved once
-    more at the snapped bound. Every such load is a multiple of g/D and
-    feasibility is monotone, so the snapped bound is the smallest feasible
-    point of the full (n+1)^2 grid and the returned assignment is the flow at
-    that capacity. At most ceil(log2(total/g + 1)) + 2 flow solves.
+    Every such load is a multiple of g/D and feasibility is monotone, so the
+    smallest feasible point of `load_grid`, snapped up to the next a*b + c*s,
+    is the smallest feasible point of the full (n+1)^2 grid.
     """
     denom, _ = _size_units(instance)
     grid = load_grid(instance)

@@ -246,6 +246,49 @@ def test_verify_parses_the_bound_before_the_oracle(tmp_path, capsys):
     assert captured.err.startswith("error: bad rational 'abc'")
 
 
+# budget 3 is exceeded on this instance, so an option read as 3 (or 10) exits 3
+WIDE_SIX = "machines 4\njobs 6\n" + "".join(f"job {j} 1 0 1 2 3\n" for j in range(6))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{path}", "--budget", "\uff13"],  # fullwidth 3
+        ["verify", "{path}", "--budget", "1_0"],
+        ["verify", "{path}", "--budget", " 3"],
+        ["gen", "--seed", "1", "--jobs", "3", "--machines", "1_0"],
+        ["gen", "--seed", "\u0661", "--jobs", "3", "--machines", "2"],  # Arabic-Indic 1
+        ["gen", "--seed", "1", "--jobs", "3 ", "--machines", "2"],
+    ],
+    ids=["budget-fullwidth", "budget-underscore", "budget-space", "machines-underscore",
+         "seed-arabic-indic", "jobs-space"],
+)
+def test_integer_options_take_only_ascii_digits(tmp_path, capsys, argv):
+    path = _write(tmp_path, "wide.txt", WIDE_SIX)
+    assert main([arg.format(path=path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not an integer" in captured.err
+
+
+def test_integer_options_keep_signs(capsys):
+    assert main(["gen", "--seed", "+7", "--jobs", "+4", "--machines", "3"]) == 0
+    signed = capsys.readouterr().out
+    assert main(["gen", "--seed", "7", "--jobs", "4", "--machines", "3"]) == 0
+    assert capsys.readouterr().out == signed
+    assert main(["gen", "--seed", "-7", "--jobs", "4", "--machines", "3"]) == 0
+
+
+@pytest.mark.parametrize("env", ["0_3", " 4 ", "\uff13", "+\u0663"])
+def test_oracle_budget_env_var_takes_only_ascii_digits(tmp_path, capsys, monkeypatch, env):
+    path = _write(tmp_path, "wide.txt", WIDE_SIX)
+    monkeypatch.setenv("TWOVAL_ORACLE_BUDGET", env)
+    assert main(["verify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: TWOVAL_ORACLE_BUDGET must be an integer, got {env!r}\n"
+
+
 def test_oracle_budget_env_var_rejects_nonpositive(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "nbe.txt", "machines 2\njobs 2\njob 0 1 0 1\njob 1 1 0 1\n")
     monkeypatch.setenv("TWOVAL_ORACLE_BUDGET", "-3")
@@ -300,15 +343,38 @@ def test_bound_nonconstructive_note(capsys):
     assert "nonconstructive 53/30" in out
 
 
+def _child_env():
+    """The environment with the imported package's src directory on PYTHONPATH."""
+    src = str(Path(twoval_makespan.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_module_entry_point_runs():
     # the child imports the package from wherever this test imported it
-    src = str(Path(twoval_makespan.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "twoval_makespan", "bound", "--alpha", "5/2"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "min 7/4 1.7500" in proc.stdout
+
+
+def test_solve_into_a_pipe_closed_early_exits_141(tmp_path, capsys):
+    # as in `solve big.txt | head -1`: the schedule is far longer than one line
+    assert main(["gen", "--seed", "1", "--jobs", "3000", "--machines", "5", "--alpha", "1"]) == 0
+    path = _write(tmp_path, "big.txt", capsys.readouterr().out)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twoval_makespan", "solve", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    assert proc.stdout.readline().startswith(b"assign 0 ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err

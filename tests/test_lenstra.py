@@ -2,6 +2,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from twoval_makespan.flow import FractionalAssignment
 from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import (
@@ -223,3 +225,34 @@ def test_flow_deeper_than_the_recursion_limit():
     assert solution.capacity == 1
     assert makespan(inst, solution.schedule) == 1
     assert solve_two_valued(inst).makespan == 1
+
+
+def test_round_forest_rejects_a_cyclic_support():
+    # both jobs half on machine 0 and half on machine 1: the support is a 4-cycle
+    inst = Instance.build(2, [(1, [0, 1]), (1, [0, 1])])
+    half = Fraction(1, 2)
+    assignment = FractionalAssignment(({0: half, 1: half}, {0: half, 1: half}))
+    assert not support_is_forest(assignment)
+    with pytest.raises(RuntimeError, match="^support graph is not a forest$"):
+        round_forest(assignment, inst)
+
+
+def test_round_forest_rejects_an_empty_support():
+    inst = Instance.build(2, [(1, [0, 1]), (1, [0])])
+    assignment = FractionalAssignment(({0: Fraction(1)}, {}))
+    with pytest.raises(ValueError, match="^job 1 has empty support$"):
+        round_forest(assignment, inst)
+
+
+def test_cancel_cycles_on_a_ring_deeper_than_the_recursion_limit():
+    # job j half on machine j and half on j + 1 mod n: one support cycle through all 2n nodes
+    n = 2000
+    inst = Instance.build(n, [(1, [j, (j + 1) % n]) for j in range(n)])
+    half = Fraction(1, 2)
+    assignment = FractionalAssignment(tuple({j: half, (j + 1) % n: half} for j in range(n)))
+    assert not support_is_forest(assignment)
+    canceled = cancel_cycles(assignment, inst)
+    assert support_is_forest(canceled)
+    assert _loads(canceled, inst) == _loads(assignment, inst)
+    assert all(sum(fractions.values()) == 1 for fractions in canceled.per_job)
+    assert makespan(inst, round_forest(canceled, inst)) <= 2
