@@ -1,12 +1,13 @@
 """Line-based instance files.
 
-    # optional comments
+    # a comment: only whole lines starting with '#'
     machines <m>
     jobs <n>
     job <id> <num>/<den> <machine indices...>
 
 Sizes are exact rationals, `/1` optional for integers; decimals are rejected.
-Every integer is ASCII digits with an optional sign.
+Every integer is ASCII digits with an optional sign; the counts must not be
+negative. A '#' after other text is no comment: it makes the line an error.
 Job ids must be 0..n-1 in order. Printing then parsing is the identity.
 """
 
@@ -63,10 +64,9 @@ def parse_instance(text: str) -> Instance:
         parts = line.split()
         if len(parts) != 2 or parts[0] != keyword:
             raise FileFormatError(f"expected '{keyword} <count>', got {line!r}")
-        try:
-            return parse_int(parts[1])
-        except ValueError:
-            raise FileFormatError(f"bad count in {line!r}") from None
+        if _INTEGER.fullmatch(parts[1]) is None or int(parts[1]) < 0:
+            raise FileFormatError(f"bad count in {line!r}")
+        return int(parts[1])
 
     machine_count = header(lines[0], "machines")
     job_count = header(lines[1], "jobs")

@@ -4,13 +4,13 @@ The fractional relaxation for a load bound T is a transportation problem:
 each job supplies its size to its allowed machines and each machine absorbs
 at most T. It is solved on the package's one flow kernel (`flow`) as an
 integral max-flow after clearing denominators. Feasibility is monotone in T.
-Scaling the sizes b and s to integers by the lcm D of their denominators,
-every load any schedule can produce is a multiple of g/D with
-g = gcd(D*b, D*s), so `flow.smallest_feasible` binary-searches them up to the
-total size for the smallest feasible one, T_g <= the integral optimum, and
-snaps it up to the smallest load a*b + c*s >= T_g (0 <= a, c <= n),
-re-solving there when it moved: at most ceil(log2(total/g + 1)) + 2 flow
-solves and O(n) integer work.
+With the sizes b and s scaled to integers by the lcm D of their denominators
+(`model.integer_sizes`), every load any schedule can produce is a multiple of
+g/D with g = gcd(D*b, D*s). `flow.smallest_feasible` binary-searches those
+multiples up to the total size, probing each one snapped up to the smallest
+true load a*b + c*s above it (0 <= a, c <= n). Snapping is monotone, so the
+winning probe is the smallest feasible true load and its flow is the result:
+at most ceil(log2(total/g + 1)) + 1 flow solves and O(n) integer work each.
 
 Canceling support cycles and rounding the remaining forest then places every
 job while raising each machine load by at most one job size, at most b: a 3/2
@@ -30,7 +30,7 @@ from typing import Collection, Sequence
 from .flow import (
     FlowNetwork, FractionalAssignment, job_fractions, max_flow_integral, smallest_feasible,
 )
-from .model import Instance, Schedule, machine_loads, makespan, require_valid
+from .model import Instance, Schedule, integer_sizes, machine_loads, makespan, require_valid
 
 
 @dataclass(frozen=True)
@@ -40,34 +40,27 @@ class LenstraSolution:
     forest: FractionalAssignment  # the cycle-free assignment at capacity that got rounded
 
 
-def _size_units(instance: Instance) -> tuple[int, tuple[int, ...]]:
-    """The lcm D of the size denominators and the distinct sizes times D, ascending."""
-    sizes = instance.distinct_sizes()
-    denom = math.lcm(*(size.denominator for size in sizes))
-    return denom, tuple(int(size * denom) for size in sizes)
-
-
 def load_grid(instance: Instance) -> range:
     """Every multiple of g/D from 0 to the total size, as numerators over D.
 
-    D clears the size denominators and g = gcd of the scaled sizes, so every
-    machine load any schedule can produce, times D, is in the range.
+    D and the sizes times D are `integer_sizes`, g is the gcd of those, so
+    every machine load any schedule can produce, times D, is in the range.
     """
-    denom, units = _size_units(instance)
-    total = int(sum(job.size for job in instance.jobs) * denom)
-    return range(0, total + 1, math.gcd(*units) or 1)  # an empty instance has the single load 0
+    _, sizes = integer_sizes(instance)
+    # with no jobs the gcd is 0 and the range is the single load 0
+    return range(0, sum(sizes) + 1, math.gcd(*sizes) or 1)
 
 
-def _snap_to_grid(instance: Instance, target: int) -> int:
-    """Smallest a*b + c*s >= target / D with 0 <= a, c <= n, times D.
+def _snap_to_grid(sizes: Sequence[int], target: int) -> int:
+    """Smallest a*b + c*s >= target with 0 <= a, c <= n, for the n integer job sizes.
 
-    The target is a numerator over D between 0 and the total size.
+    b and s are the largest and smallest size, equal when there is only one;
+    the target is an integer between 0 and the total size.
     """
-    _, units = _size_units(instance)
-    if len(units) < 2:
-        return target  # multiples of the one size up to the total are c*s with c <= n
-    small, big = units
-    n = instance.job_count
+    if not sizes:
+        return 0
+    small, big = min(sizes), max(sizes)
+    n = len(sizes)
     # a big jobs need c = max(0, ceil((target - a*big) / small)) small ones
     first = max(0, -((n * small - target) // big))  # fewest big jobs leaving c <= n
     last = min(n, -(-target // big))  # from here on c = 0 and more big jobs only add load
@@ -79,14 +72,16 @@ def _snap_to_grid(instance: Instance, target: int) -> int:
 def transportation_network(instance: Instance, capacity: Fraction) -> FlowNetwork:
     """Source -> job (its size) -> allowed machines (its size) -> sink (capacity).
 
-    All capacities are in units of 1/D for the lcm D of the capacity's and the
-    sizes' denominators; no big-job throttling, machines may hold any mix.
+    All capacities are in units of 1/L for L the lcm of the `integer_sizes`
+    factor D and the capacity's denominator; no big-job throttling, machines
+    may hold any mix.
     """
     n = instance.job_count
     m = instance.machine_count
-    denom = math.lcm(capacity.denominator, *(job.size.denominator for job in instance.jobs))
-    supplies = [int(job.size * denom) for job in instance.jobs]
-    cap_units = int(capacity * denom)
+    denom, sizes = integer_sizes(instance)
+    common = math.lcm(denom, capacity.denominator)
+    supplies = [size * (common // denom) for size in sizes]
+    cap_units = capacity.numerator * (common // capacity.denominator)
 
     source, job0, machine0, sink = 0, 1, 1 + n, 1 + n + m
     arcs = [(source, job0 + j, supplies[j]) for j in range(n)]
@@ -263,24 +258,22 @@ def _check_forest_rounding(
 def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAssignment]:
     """Smallest feasible load a*b + c*s (0 <= a, c <= n), plus the flow there.
 
-    Every such load is a multiple of g/D and feasibility is monotone, so the
-    smallest feasible point of `load_grid`, snapped up to the next a*b + c*s,
-    is the smallest feasible point of the full (n+1)^2 grid.
+    Every such load is a multiple of g/D, snapping a multiple up to the next
+    a*b + c*s is monotone and so is feasibility, so bisecting `load_grid` with
+    each point probed at its snapped load finds the smallest feasible point of
+    the full (n+1)^2 grid, and the winning probe's flow is the one at it.
     """
-    denom, _ = _size_units(instance)
+    denom, sizes = integer_sizes(instance)
     grid = load_grid(instance)
-    found = smallest_feasible(
-        0, len(grid) - 1, lambda k: fractional_assign_plain(instance, Fraction(grid[k], denom))
-    )
+
+    def probe(k: int) -> FractionalAssignment | None:
+        return fractional_assign_plain(instance, Fraction(_snap_to_grid(sizes, grid[k]), denom))
+
+    found = smallest_feasible(0, len(grid) - 1, probe)
     if found is None:
         raise RuntimeError("transportation problem infeasible at the full-load bound")
     index, assignment = found
-    bound = _snap_to_grid(instance, grid[index])
-    if bound != grid[index]:
-        assignment = fractional_assign_plain(instance, Fraction(bound, denom))
-        if assignment is None:
-            raise RuntimeError("transportation problem infeasible above a feasible bound")
-    return Fraction(bound, denom), assignment
+    return Fraction(_snap_to_grid(sizes, grid[index]), denom), assignment
 
 
 def lenstra_solve(instance: Instance) -> LenstraSolution:

@@ -8,18 +8,17 @@ concurrent solver runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 
 def as_rational(value: object) -> Fraction:
-    """Coerce an int, a Fraction, or a string like '3/4' to an exact rational."""
+    """Coerce an int or a Fraction to an exact rational; anything else raises TypeError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -152,26 +151,33 @@ def normalize(instance: Instance) -> tuple[Instance, Fraction]:
     return Instance(instance.machine_count, jobs), alpha
 
 
+def integer_sizes(instance: Instance) -> tuple[int, tuple[int, ...]]:
+    """The lcm D of the size denominators and every job's size times D, in job order.
+
+    D is the smallest factor making every size integral; it is 1 with no jobs.
+    """
+    denom = math.lcm(*(job.size.denominator for job in instance.jobs))
+    sizes = tuple(job.size.numerator * (denom // job.size.denominator) for job in instance.jobs)
+    return denom, sizes
+
+
 def scale_to_integer(instance: Instance) -> ScaledInstance:
     """Clear denominators of a normalized instance, producing sizes {1, k}.
 
     Requires the small size to be a unit fraction 1/q; other ratios must go
-    through the size-rounding reduction first.
+    through the size-rounding reduction first. The `integer_sizes` factor D is
+    then q, so big jobs have size k = q and small ones size 1 (k = 1 when the
+    instance has at most one size).
     """
     sizes = instance.distinct_sizes()
     if len(sizes) > 2:
         raise ValueError("invalid instance: more than two size values")
-    if not sizes:
-        return ScaledInstance(instance, 1, Fraction(1))
-    if sizes[-1] != 1:
+    if sizes and sizes[-1] != 1:
         raise ValueError("instance is not normalized: big size must be 1")
-    if len(sizes) == 1:
-        return ScaledInstance(instance, 1, Fraction(1))
-    small = sizes[0]
-    if small.numerator != 1:
-        raise ValueError(f"non-integer ratio: small size {small} is not a unit fraction")
-    q = small.denominator
-    jobs = tuple(Job(job.size * q, job.allowed) for job in instance.jobs)
+    if sizes and sizes[0].numerator != 1:
+        raise ValueError(f"non-integer ratio: small size {sizes[0]} is not a unit fraction")
+    q, scaled = integer_sizes(instance)
+    jobs = tuple(Job(Fraction(size), job.allowed) for size, job in zip(scaled, instance.jobs))
     return ScaledInstance(Instance(instance.machine_count, jobs), q, Fraction(1, q))
 
 

@@ -8,11 +8,10 @@ enumerator used to cross-validate the pruned one on tiny instances.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Instance, Schedule, makespan, require_valid
+from .model import Instance, Schedule, integer_sizes, makespan, require_valid
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -39,11 +38,6 @@ class RatioCheck:
     witness: Schedule
 
 
-def _integer_sizes(instance: Instance) -> tuple[list[int], int]:
-    denom = math.lcm(*(job.size.denominator for job in instance.jobs)) if instance.jobs else 1
-    return [int(job.size * denom) for job in instance.jobs], denom
-
-
 def brute_force_opt(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Exact optimum by pruned depth-first search, deterministic in input order.
 
@@ -56,7 +50,7 @@ def brute_force_opt(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) 
     n = instance.job_count
     if n == 0:
         return OracleResult(Fraction(0), Schedule(()))
-    sizes, denom = _integer_sizes(instance)
+    denom, sizes = integer_sizes(instance)
     allowed = [sorted(job.allowed) for job in instance.jobs]
     loads = [0] * instance.machine_count
     current = [0] * n
@@ -107,7 +101,7 @@ def enumerate_opt(instance: Instance) -> OracleResult:
     n = instance.job_count
     if n == 0:
         return OracleResult(Fraction(0), Schedule(()))
-    sizes, denom = _integer_sizes(instance)
+    denom, sizes = integer_sizes(instance)
     allowed = [sorted(job.allowed) for job in instance.jobs]
     best_value: int | None = None
     best_assign: tuple[int, ...] | None = None

@@ -72,10 +72,21 @@ def test_parse_accepts_comments_and_blank_lines():
         "machines 2\njobs 1\njob 0 1 \uff11\n",  # fullwidth digit
         "machines 2\njobs 1\njob 0 1/ 0\n",  # empty denominator
         "machines 2\njobs 1\njob 0 +-1 0\n",  # two signs
+        "machines 2\njobs 1\njob 0 1 0 1  # big\n",  # comments are whole lines only
+        "machines 2 # two\njobs 0\n",
     ],
 )
 def test_parse_errors(text):
     with pytest.raises(FileFormatError):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    ("text", "line"),
+    [("machines -1\njobs 0\n", "machines -1"), ("machines 2\njobs -1\n", "jobs -1")],
+)
+def test_parse_names_a_negative_count(text, line):
+    with pytest.raises(FileFormatError, match=f"^bad count in '{line}'$"):
         parse_instance(text)
 
 

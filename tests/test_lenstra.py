@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from twoval_makespan import lenstra
 from twoval_makespan.flow import FractionalAssignment
 from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import (
@@ -116,6 +117,31 @@ def test_snapped_search_matches_the_full_grid():
             snapped += 1  # a smaller multiple of g/D was feasible but is no load
     assert len(cases) >= 300
     assert snapped > 0
+
+
+def test_additive_search_probes_only_true_loads(monkeypatch):
+    probed = []
+
+    def recording(instance, capacity):
+        probed.append(capacity)
+        return fractional_assign_plain(instance, capacity)
+
+    monkeypatch.setattr(lenstra, "fractional_assign_plain", recording)
+    rng = random.Random("lenstra-probes")
+    for sizes in [(Fraction(7, 3), Fraction(1, 2)), (7, 5), (Fraction(13, 8), 1)]:
+        for _ in range(100):
+            m = rng.randint(1, 4)
+            inst = Instance.build(m, [
+                (rng.choice(sizes), rng.sample(range(m), rng.randint(1, m)))
+                for _ in range(rng.randint(1, 10))
+            ])
+            probed.clear()
+            capacity, _ = min_feasible_fractional(inst)
+            loads = set(_reference_grid(inst))  # a*b + c*s with 0 <= a, c <= n
+            assert probed and all(load in loads for load in probed)
+            assert capacity in probed
+            # one probe at the top, then the bisection: no re-solve after it
+            assert len(probed) <= math.ceil(math.log2(len(load_grid(inst)))) + 1
 
 
 def test_cancel_cycles_keeps_integral_assignment():

@@ -6,6 +6,7 @@ import pytest
 from twoval_makespan.model import (
     Instance,
     Schedule,
+    integer_sizes,
     is_graph_balancing,
     machine_loads,
     makespan,
@@ -96,6 +97,18 @@ def test_scale_to_integer_rejects_non_integer_ratio():
     inst = Instance.build(2, [(Fraction(2, 5), [0]), (1, [1])])
     with pytest.raises(ValueError, match="non-integer ratio"):
         scale_to_integer(inst)
+
+
+def test_build_rejects_a_string_size():
+    # sizes are parsed in fileio; a string is no rational, whatever it spells
+    with pytest.raises(TypeError, match="cannot interpret '0.5' as an exact rational"):
+        Instance.build(1, [("0.5", [0])])
+
+
+def test_integer_sizes_in_job_order():
+    inst = Instance.build(2, [(Fraction(7, 3), [0]), (Fraction(1, 2), [1]), (2, [0])])
+    assert integer_sizes(inst) == (6, (14, 3, 12))
+    assert integer_sizes(Instance.build(2, [])) == (1, ())
 
 
 def test_big_small_classification():
