@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import random
 import sys
 import time
 from fractions import Fraction
@@ -20,7 +21,7 @@ from .bounds import gb_worst_case_alpha, guarantee_report, worst_case_alpha
 from .fileio import (
     FileFormatError, format_fraction, format_instance, parse_fraction, parse_instance, parse_int,
 )
-from .generator import generate_instance
+from .generator import random_instance
 from .graph_balancing import gb_solve_two_valued
 from .lenstra import lenstra_solve
 from .model import Instance, is_graph_balancing, makespan, normalize, scale_to_integer, validate
@@ -120,11 +121,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     alpha = parse_fraction(args.alpha)
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    instance = generate_instance(
-        seed=args.seed,
-        jobs=args.jobs,
-        machines=args.machines,
-        alpha=alpha,
+    instance = random_instance(
+        random.Random(args.seed),
+        args.jobs,
+        args.machines,
+        alpha,
         gb=args.gb,
         ensure_big=not args.allow_all_small,
     )
@@ -157,7 +158,9 @@ def _explicit_bound(args: argparse.Namespace) -> Fraction | None:
     return bound
 
 
-def _applicable_bound(instance: Instance, result: SolveResult, opt: Fraction, mode: str) -> Fraction:
+def _applicable_bound(
+    instance: Instance, result: SolveResult, opt: Fraction, mode: str
+) -> Fraction:
     """Default verification bound: the certified bound for the regime opt lies in."""
     sizes = instance.distinct_sizes()
     big = sizes[-1] if sizes else Fraction(0)
@@ -245,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.set_defaults(func=cmd_gen)
 
-    p_verify = sub.add_parser("verify", help="solve, then check the ratio against the exact optimum")
+    p_verify = sub.add_parser(
+        "verify", help="solve, then check the ratio against the exact optimum"
+    )
     p_verify.add_argument("path")
     p_verify.add_argument("--mode", choices=MODES, default="auto")
     p_verify.add_argument("--bound", help="explicit ratio bound num/den (default: certified bound)")

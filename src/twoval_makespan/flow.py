@@ -1,19 +1,21 @@
-"""The package's one flow kernel: integral max-flow, fraction reading, search.
+"""The package's one flow kernel: integral max-flow, share reading, search.
 
 Both rounding families need the smallest load bound at which an integral
 max-flow meets the demand (the total job size in flow units). A `FlowNetwork`
 is a tuple of (tail, head, capacity) arcs, the first n of them source -> job j
-with the job's size; `max_flow_integral` solves it, `job_fractions` reads the
-job fractions off the flow and `smallest_feasible` bisects a monotone probe,
-keeping the winning probe's flow. `lenstra` builds its transportation
-networks on this kernel.
+with the job's size in flow units; `max_flow_integral` solves it,
+`job_fractions` reads each job's per-machine shares, in the same integer
+units, off the flow and `smallest_feasible` bisects a monotone probe, keeping
+the winning probe's flow. `lenstra` builds its transportation networks on
+this kernel.
 
 The {1, k} network: source -> job -> per-machine throttle node (big jobs only)
 -> machine -> sink. Small jobs have unit arcs straight to machine nodes; the
 throttle v_{i,b} caps the big-job flow entering machine i at k. A flow meeting
-the demand thus leaves small jobs integral, big fractions multiples of 1/k and
-at most one big job's worth of big fractions per machine. The sink arcs carry
-the makespan estimate, in which feasibility is monotone.
+the demand thus leaves each small job's one unit on one machine, each big
+job's k units in whole units on its machines and at most k big units per
+machine. The sink arcs carry the makespan estimate, in which feasibility is
+monotone.
 """
 
 from __future__ import annotations
@@ -48,22 +50,23 @@ class FlowSolution:
 
 @dataclass(frozen=True)
 class FractionalAssignment:
-    """Per-job machine fractions, each job's fractions summing to 1."""
+    """Per-job machine shares in integer flow units, nonzero shares only.
 
-    per_job: tuple[dict[int, Fraction], ...]
+    Job j's shares sum to sizes[j], its source -> job arc capacity, so job j
+    runs the fraction shares[j][i] / sizes[j] of itself on machine i.
+    """
 
-    @property
-    def job_count(self) -> int:
-        return len(self.per_job)
+    shares: tuple[dict[int, int], ...]
+    sizes: tuple[int, ...]
 
     def fraction(self, job: int, machine: int) -> Fraction:
-        return self.per_job[job].get(machine, Fraction(0))
+        return Fraction(self.shares[job].get(machine, 0), self.sizes[job])
 
     def support(self, job: int) -> tuple[int, ...]:
-        return tuple(sorted(self.per_job[job]))
+        return tuple(sorted(self.shares[job]))
 
     def is_integral(self, job: int) -> bool:
-        return len(self.per_job[job]) == 1
+        return len(self.shares[job]) == 1
 
 
 def build_network(scaled: ScaledInstance, estimate: int) -> FlowNetwork:
@@ -106,22 +109,20 @@ def build_network(scaled: ScaledInstance, estimate: int) -> FlowNetwork:
 
 def max_flow_integral(network: FlowNetwork) -> FlowSolution:
     """Integral maximum flow over the network's arcs, deterministic per input."""
-    solver = Dinic(network.node_count)
-    edge_ids = [solver.add_edge(tail, head, capacity) for tail, head, capacity in network.arcs]
+    solver = Dinic(network.node_count, network.arcs)
     value = solver.max_flow(network.source, network.sink)
-    flows = tuple(solver.flow_on(eid) for eid in edge_ids)
-    return FlowSolution(flows=flows, value=value)
+    return FlowSolution(flows=solver.flows(), value=value)
 
 
 def job_fractions(network: FlowNetwork, flow: FlowSolution) -> FractionalAssignment:
-    """Each job's machine fractions: units on its outgoing arcs over its size."""
-    per_job = []
-    for j, entries in enumerate(network.job_arcs):
-        size = network.arcs[j][2]  # the source -> job arc carries the job's size
-        per_job.append(
-            {machine: Fraction(flow.flows[arc], size) for machine, arc in entries if flow.flows[arc]}
-        )
-    return FractionalAssignment(tuple(per_job))
+    """Each job's machine shares: the flow units on its outgoing arcs, out of its size."""
+    shares = tuple(
+        {machine: flow.flows[arc] for machine, arc in entries if flow.flows[arc]}
+        for entries in network.job_arcs
+    )
+    # the source -> job arcs come first and carry the job sizes
+    sizes = tuple(capacity for _, _, capacity in network.arcs[: len(shares)])
+    return FractionalAssignment(shares, sizes)
 
 
 def smallest_feasible(lo: int, hi: int, probe: Callable[[int], W | None]) -> tuple[int, W] | None:
@@ -147,10 +148,10 @@ def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] |
     """Smallest integer estimate in [max size, total size] meeting the demand.
 
     Returns it with the assignment extracted from the winning probe's flow,
-    so the estimate is never solved twice. Returns None when no estimate works, i.e. the big jobs cannot be spread
-    with at most one big job's worth per machine; every schedule of such an
-    instance stacks two big jobs somewhere and the caller must fall back to
-    the additive rounding.
+    so the estimate is never solved twice. Returns None when no estimate
+    works, i.e. the big jobs cannot be spread with at most one big job's worth
+    per machine; every schedule of such an instance stacks two big jobs
+    somewhere and the caller must fall back to the additive rounding.
     """
 
     def probe(estimate: int) -> tuple[FlowNetwork, FlowSolution] | None:
@@ -168,11 +169,11 @@ def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] |
 def extract_assignment(
     network: FlowNetwork, flow: FlowSolution, scaled: ScaledInstance
 ) -> FractionalAssignment:
-    """Read job fractions off a demand-meeting integral flow.
+    """Read job shares off a demand-meeting integral flow.
 
     Each big job's flow into a throttle node exits only toward that machine,
-    so apportioning the throttle->machine arc by inflow gives the job exactly
-    its own units: fraction = (units reaching the machine) / size.
+    so the units on the job -> throttle arc are exactly the job's own units
+    reaching the machine: its share there, out of its size k.
     """
     if flow.value != network.demand:
         raise ValueError(f"flow value {flow.value} does not meet demand {network.demand}")
@@ -182,24 +183,23 @@ def extract_assignment(
 
 
 def check_extraction_invariants(assignment: FractionalAssignment, scaled: ScaledInstance) -> None:
-    """Verify the structural guarantees every extraction must satisfy."""
+    """Verify the structural guarantees every extraction must satisfy, in flow units."""
     k = scaled.k
-    big_load = [Fraction(0)] * scaled.base.machine_count
-    for j in range(scaled.base.job_count):
-        fractions = assignment.per_job[j]
-        total = sum(fractions.values(), Fraction(0))
-        if total != 1:
-            raise RuntimeError(f"job {j}: fractions sum to {total}, expected 1")
+    big_units = [0] * scaled.base.machine_count
+    for j, shares in enumerate(assignment.shares):
+        size = scaled.size_int(j)
+        total = sum(shares.values())
+        if assignment.sizes[j] != size or total != size:
+            raise RuntimeError(
+                f"job {j}: shares sum to {total} of size {assignment.sizes[j]}, expected {size}"
+            )
         if scaled.is_big(j):
-            for machine, value in fractions.items():
-                if value < Fraction(1, k):
-                    raise RuntimeError(f"big job {j}: fraction {value} below 1/{k}")
-                if (value * k).denominator != 1:
-                    raise RuntimeError(f"big job {j}: fraction {value} not a multiple of 1/{k}")
-                big_load[machine] += value
-        else:
-            if len(fractions) != 1 or next(iter(fractions.values())) != 1:
-                raise RuntimeError(f"small job {j} is not integrally assigned")
-    for machine, load in enumerate(big_load):
-        if load > 1:
-            raise RuntimeError(f"machine {machine}: big fractions sum to {load} > 1")
+            for machine, share in shares.items():
+                if not 1 <= share <= k:
+                    raise RuntimeError(f"big job {j}: share {share} outside 1..{k}")
+                big_units[machine] += share
+        elif len(shares) != 1:
+            raise RuntimeError(f"small job {j} is not integrally assigned")
+    for machine, units in enumerate(big_units):
+        if units > k:
+            raise RuntimeError(f"machine {machine}: big shares sum to {units} > {k}")

@@ -40,15 +40,3 @@ def random_instance(
     if ensure_big and a > 1 and specs and all(size != 1 for size, _ in specs):
         specs[0] = (Fraction(1), specs[0][1])
     return Instance.build(machines, specs)
-
-
-def generate_instance(
-    seed: int,
-    jobs: int,
-    machines: int,
-    alpha: object,
-    gb: bool = False,
-    ensure_big: bool = True,
-) -> Instance:
-    """Deterministic instance for a seed; identical arguments give identical output."""
-    return random_instance(random.Random(seed), jobs, machines, alpha, gb, ensure_big)

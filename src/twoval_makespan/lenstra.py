@@ -11,12 +11,16 @@ multiples up to the total size, probing each one snapped up to the smallest
 true load a*b + c*s above it (0 <= a, c <= n). Snapping is monotone, so the
 winning probe is the smallest feasible true load and its flow is the result:
 at most ceil(log2(total/g + 1)) + 1 flow solves and O(n) integer work each.
+The winning assignment holds each job's per-machine shares in the flow's
+integer units, in which every job's size is its true size times one common
+factor.
 
 Canceling support cycles and rounding the remaining forest then places every
 job while raising each machine load by at most one job size, at most b: a 3/2
-approximation once the optimum is at least 2b. Both walk the support graph of
-the fractional jobs (on two or more machines), node j for job j and n + i for
-machine i, through one machine -> fractional-jobs index, `_jobs_by_machine`.
+approximation once the optimum is at least 2b. Both work on those integer
+shares and walk the support graph of the fractional jobs (on two or more
+machines), node j for job j and n + i for machine i, through one machine ->
+fractional-jobs index, `_jobs_by_machine`.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Collection, Sequence
 from .flow import (
     FlowNetwork, FractionalAssignment, job_fractions, max_flow_integral, smallest_feasible,
 )
-from .model import Instance, Schedule, integer_sizes, machine_loads, makespan, require_valid
+from .model import Instance, Schedule, integer_sizes, makespan, require_valid
 
 
 @dataclass(frozen=True)
@@ -164,34 +168,27 @@ def _find_support_cycle(supports: Sequence[Collection[int]]) -> list[tuple[int, 
     return None
 
 
-def cancel_cycles(assignment: FractionalAssignment, instance: Instance) -> FractionalAssignment:
-    """Remove support cycles by circulating weight around each one.
+def cancel_cycles(assignment: FractionalAssignment) -> FractionalAssignment:
+    """Remove support cycles by circulating flow units around each one.
 
-    In weight units every node of a support cycle touches exactly two cycle
+    In flow units every node of a support cycle touches exactly two cycle
     edges with opposite adjustment signs, so job totals and machine loads are
     preserved exactly; each round zeroes at least one support edge, leaving
     the fractional support acyclic.
     """
-    weights = [
-        {machine: frac * job.size for machine, frac in fractions.items()}
-        for fractions, job in zip(assignment.per_job, instance.jobs)
-    ]
-    while (cycle := _find_support_cycle(weights)) is not None:
-        delta = min(weights[j][i] for j, i in cycle[1::2])
+    shares = [dict(job_shares) for job_shares in assignment.shares]
+    while (cycle := _find_support_cycle(shares)) is not None:
+        delta = min(shares[j][i] for j, i in cycle[1::2])
         for t, (j, i) in enumerate(cycle):
-            weights[j][i] += delta if t % 2 == 0 else -delta
-            if weights[j][i] == 0:
-                del weights[j][i]
-    per_job = tuple(
-        {machine: weight / job.size for machine, weight in job_weights.items()}
-        for job_weights, job in zip(weights, instance.jobs)
-    )
-    return FractionalAssignment(per_job)
+            shares[j][i] += delta if t % 2 == 0 else -delta
+            if shares[j][i] == 0:
+                del shares[j][i]
+    return FractionalAssignment(tuple(shares), assignment.sizes)
 
 
 def support_is_forest(assignment: FractionalAssignment) -> bool:
     """True when the bipartite support graph of fractional jobs is acyclic."""
-    return _find_support_cycle(assignment.per_job) is None
+    return _find_support_cycle(assignment.shares) is None
 
 
 def round_forest(assignment: FractionalAssignment, instance: Instance) -> Schedule:
@@ -237,19 +234,26 @@ def round_forest(assignment: FractionalAssignment, instance: Instance) -> Schedu
 def _check_forest_rounding(
     assignment: FractionalAssignment, instance: Instance, schedule: Schedule
 ) -> None:
-    frac_loads = [Fraction(0)] * instance.machine_count
-    for j in range(instance.job_count):
-        for machine, frac in assignment.per_job[j].items():
-            frac_loads[machine] += frac * instance.jobs[j].size
+    """Each machine receives at most one fractional job and grows by at most its size.
+
+    Loads are compared in the assignment's flow units; like `machine_loads`,
+    a placement outside the job's allowed set is rejected.
+    """
+    frac_loads = [0] * instance.machine_count
+    loads = [0] * instance.machine_count
     received: dict[int, list[int]] = {}
     for j, machine in enumerate(schedule.assignment):
+        if machine not in instance.jobs[j].allowed:
+            raise ValueError(f"job {j} assigned to machine {machine} outside its allowed set")
+        for i, share in assignment.shares[j].items():
+            frac_loads[i] += share
+        loads[machine] += assignment.sizes[j]
         if not assignment.is_integral(j):
             received.setdefault(machine, []).append(j)
-    loads = machine_loads(instance, schedule)
     for machine, jobs in received.items():
         if len(jobs) > 1:
             raise RuntimeError(f"machine {machine} received {len(jobs)} rounded jobs")
-        if loads[machine] > frac_loads[machine] + instance.jobs[jobs[0]].size:
+        if loads[machine] > frac_loads[machine] + assignment.sizes[jobs[0]]:
             raise RuntimeError(
                 f"machine {machine} load grew by more than one job size during rounding"
             )
@@ -284,7 +288,7 @@ def lenstra_solve(instance: Instance) -> LenstraSolution:
     """
     require_valid(instance)
     capacity, assignment = min_feasible_fractional(instance)
-    canceled = cancel_cycles(assignment, instance)
+    canceled = cancel_cycles(assignment)
     schedule = round_forest(canceled, instance)
     sizes = instance.distinct_sizes()
     big = sizes[-1] if sizes else Fraction(0)

@@ -1,37 +1,36 @@
 """Deterministic Dinic max-flow for small integer-capacity networks.
 
-Edges are explored in insertion order, so identical inputs always produce
-identical flows; all flows are integral on integer capacities. Paths are
-walked with an explicit stack, not recursion, so any level-graph depth works.
-`flow.max_flow_integral` is the package's only caller.
+The network is given as (tail, head, capacity) arcs; edge 2i is arc i and
+edge 2i + 1 its reverse, so the flow on arc i is the residual capacity of
+edge 2i + 1. Edges are explored in arc order, so identical inputs always
+produce identical flows; all flows are integral on integer capacities. Paths
+are walked with an explicit stack, not recursion, so any level-graph depth
+works. `flow.max_flow_integral` is the package's only caller.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 
 class Dinic:
-    def __init__(self, node_count: int):
+    def __init__(self, node_count: int, arcs: Iterable[tuple[int, int, int]]):
+        """Residual arrays for the arcs: edge 2i is arc i, edge 2i + 1 its reverse."""
         self.node_count = node_count
         self._to: list[int] = []
         self._cap: list[int] = []
         self._adj: list[list[int]] = [[] for _ in range(node_count)]
+        for tail, head, capacity in arcs:
+            if capacity < 0:
+                raise ValueError("negative capacity")
+            self._adj[tail].append(len(self._to))
+            self._adj[head].append(len(self._to) + 1)
+            self._to += (head, tail)
+            self._cap += (capacity, 0)
 
-    def add_edge(self, tail: int, head: int, capacity: int) -> int:
-        """Add a directed edge and return its id; the residual edge is id ^ 1."""
-        if capacity < 0:
-            raise ValueError("negative capacity")
-        edge_id = len(self._to)
-        self._to.append(head)
-        self._cap.append(capacity)
-        self._adj[tail].append(edge_id)
-        self._to.append(tail)
-        self._cap.append(0)
-        self._adj[head].append(edge_id + 1)
-        return edge_id
-
-    def flow_on(self, edge_id: int) -> int:
-        """Flow pushed through a forward edge (the residual capacity of its twin)."""
-        return self._cap[edge_id ^ 1]
+    def flows(self) -> tuple[int, ...]:
+        """Flow on each arc, in arc order."""
+        return tuple(self._cap[1::2])
 
     def max_flow(self, source: int, sink: int) -> int:
         total = 0

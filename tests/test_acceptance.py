@@ -215,7 +215,7 @@ def test_structural_invariants(unitk_rows, gb_rows):
         heads = {}
         for j in scaled.big_jobs():
             support = assignment.support(j)
-            if len(support) == 2 and assignment.per_job[j][support[0]] == half:
+            if len(support) == 2 and assignment.fraction(j, support[0]) == half:
                 for machine in support:
                     degree[machine] = degree.get(machine, 0) + 1
                 head = row["schedule"].assignment[j]
@@ -236,13 +236,13 @@ def test_structural_invariants(unitk_rows, gb_rows):
         _, assignment = min_feasible_fractional(inst)
         before = [Fraction(0)] * machines
         for j in range(inst.job_count):
-            for machine, frac in assignment.per_job[j].items():
-                before[machine] += frac * inst.jobs[j].size
-        canceled = cancel_cycles(assignment, inst)
+            for machine in assignment.support(j):
+                before[machine] += assignment.fraction(j, machine) * inst.jobs[j].size
+        canceled = cancel_cycles(assignment)
         after = [Fraction(0)] * machines
         for j in range(inst.job_count):
-            for machine, frac in canceled.per_job[j].items():
-                after[machine] += frac * inst.jobs[j].size
+            for machine in canceled.support(j):
+                after[machine] += canceled.fraction(j, machine) * inst.jobs[j].size
         checks += 1
         if not support_is_forest(canceled):
             violations.append(("cancel-acyclic",))

@@ -44,11 +44,11 @@ def render(seed: int) -> dict:
     """The case's hashes, and whether its fractional assignment had a cycle."""
     instance = _instance(seed)
     _, assignment = min_feasible_fractional(instance)
-    canceled = cancel_cycles(assignment, instance)
+    canceled = cancel_cycles(assignment)
     schedule = round_forest(canceled, instance)
     per_job = ";".join(
-        ",".join(f"{machine}:{frac}" for machine, frac in fractions.items())
-        for fractions in canceled.per_job
+        ",".join(f"{machine}:{Fraction(share, size)}" for machine, share in shares.items())
+        for shares, size in zip(canceled.shares, canceled.sizes)
     )
     return {
         "seed": seed,

@@ -12,6 +12,7 @@ from twoval_makespan.flow import (
 )
 from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import transportation_network
+from twoval_makespan.maxflow import Dinic
 from twoval_makespan.model import Instance, ScaledInstance, normalize, scale_to_integer
 from twoval_makespan.oracle import enumerate_opt
 
@@ -107,7 +108,7 @@ def test_extract_small_job_integral():
     network = build_network(scaled, estimate)
     assignment = extract_assignment(network, max_flow_integral(network), scaled)
     assert assignment.is_integral(0)
-    assert sum(assignment.per_job[0].values()) == 1
+    assert sum(assignment.shares[0].values()) == assignment.sizes[0]
 
 
 def test_extract_half_split_big_job():
@@ -124,7 +125,7 @@ def test_extract_half_split_big_job():
     flows[arcs[(4, network.sink)]] = 1
     flows[arcs[(5, network.sink)]] = 1
     assignment = extract_assignment(network, FlowSolution(tuple(flows), 2), scaled)
-    assert assignment.per_job[0] == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    assert (assignment.shares[0], assignment.sizes[0]) == ({0: 1, 1: 1}, 2)
 
 
 def test_extract_two_thirds_split():
@@ -141,7 +142,7 @@ def test_extract_two_thirds_split():
     flows[arcs[(4, network.sink)]] = 2
     flows[arcs[(5, network.sink)]] = 1
     assignment = extract_assignment(network, FlowSolution(tuple(flows), 3), scaled)
-    assert assignment.per_job[0] == {0: Fraction(2, 3), 1: Fraction(1, 3)}
+    assert (assignment.shares[0], assignment.sizes[0]) == ({0: 2, 1: 1}, 3)
 
 
 def test_extract_rejects_short_flow():
@@ -149,6 +150,17 @@ def test_extract_rejects_short_flow():
     network = build_network(scaled, 1)
     with pytest.raises(ValueError, match="demand"):
         extract_assignment(network, FlowSolution((0,) * len(network.arcs), 0), scaled)
+
+
+def test_dinic_rejects_a_negative_capacity():
+    with pytest.raises(ValueError, match="^negative capacity$"):
+        Dinic(2, [(0, 1, -1)])
+
+
+def test_build_network_rejects_a_negative_estimate():
+    scaled = _scaled(1, [(1, [0])])
+    with pytest.raises(ValueError, match="^estimate must be nonnegative$"):
+        build_network(scaled, -1)
 
 
 def test_extraction_invariants_on_random_instances():
@@ -164,7 +176,7 @@ def test_extraction_invariants_on_random_instances():
         # extract_assignment checks the invariants internally and raises on breach
         assignment = extract_assignment(network, max_flow_integral(network), scaled)
         for j in range(scaled.base.job_count):
-            assert sum(assignment.per_job[j].values()) == 1
+            assert sum(assignment.shares[j].values()) == assignment.sizes[j]
         # the search keeps the winning probe's flow instead of solving again
         assert searched == assignment
 
@@ -182,7 +194,7 @@ def test_empty_instance_estimate_zero():
     scaled = scale_to_integer(Instance.build(2, []))
     estimate, assignment = min_feasible_T(scaled)
     assert estimate == 0
-    assert assignment.job_count == 0
+    assert len(assignment.shares) == 0
 
 
 def _networkx_value(nx, network):

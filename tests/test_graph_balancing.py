@@ -82,7 +82,8 @@ def test_gb_forced_half_split_path():
     result = gb_solve_unit_k(scaled)
     assert result is not None
     assert result.estimate == 2
-    assert result.assignment.per_job[0] == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    assert [result.assignment.fraction(0, i) for i in (0, 1)] == [Fraction(1, 2)] * 2
+    assert result.assignment.support(0) == (0, 1)
     # the single path edge is directed away from machine 0
     assert result.schedule.assignment[0] == 1
     assert makespan(scaled.base, result.schedule) == 3
@@ -102,7 +103,7 @@ def test_gb_support_structure_invariant():
         for j in scaled.big_jobs():
             support = result.assignment.support(j)
             assert len(support) <= 2
-            values = sorted(result.assignment.per_job[j].values())
+            values = sorted(result.assignment.fraction(j, i) for i in support)
             if len(values) == 2:
                 assert values == [half, half] or values[1] > half
 
@@ -158,7 +159,7 @@ def test_matching_agrees_with_oracle():
 def test_forest_round_single_split_job():
     inst = Instance.build(2, [(Fraction(7, 10), [0, 1]), (1, [0])])
     _, assignment = min_feasible_fractional(inst)
-    canceled = cancel_cycles(assignment, inst)
+    canceled = cancel_cycles(assignment)
     schedule = gb_forest_round(inst, canceled)
     assert all(load <= 2 for load in machine_loads(inst, schedule))
 
@@ -168,8 +169,7 @@ def test_forest_round_path_alternates():
     inst = Instance.build(3, [(Fraction(7, 10), [0, 1]), (Fraction(7, 10), [1, 2])])
     from twoval_makespan.flow import FractionalAssignment
 
-    half = Fraction(1, 2)
-    assignment = FractionalAssignment(({0: half, 1: half}, {1: half, 2: half}))
+    assignment = FractionalAssignment(({0: 1, 1: 1}, {1: 1, 2: 1}), (2, 2))
     schedule = gb_forest_round(inst, assignment)
     assert schedule.assignment[0] != schedule.assignment[1]
 
@@ -186,7 +186,7 @@ def test_forest_round_loads_at_most_two_when_opt_is_two_smalls():
             continue
         seen += 1
         _, assignment = min_feasible_fractional(norm)
-        canceled = cancel_cycles(assignment, norm)
+        canceled = cancel_cycles(assignment)
         schedule = gb_forest_round(norm, canceled)
         assert all(load <= 2 for load in machine_loads(norm, schedule))
     assert seen >= 5  # the sweep found genuine OPT = 2s fixtures

@@ -24,15 +24,20 @@ from twoval_makespan.oracle import enumerate_opt
 def _loads(assignment, instance):
     loads = [Fraction(0)] * instance.machine_count
     for j in range(instance.job_count):
-        for machine, frac in assignment.per_job[j].items():
-            loads[machine] += frac * instance.jobs[j].size
+        for machine in assignment.support(j):
+            loads[machine] += assignment.fraction(j, machine) * instance.jobs[j].size
     return loads
+
+
+def _whole(assignment, j):
+    """Job j's shares sum to its size: its fractions sum to 1."""
+    return sum(assignment.shares[j].values()) == assignment.sizes[j]
 
 
 def test_fractional_single_job():
     inst = Instance.build(1, [(1, [0])])
     assignment = fractional_assign_plain(inst, Fraction(1))
-    assert assignment.per_job[0] == {0: Fraction(1)}
+    assert assignment.shares[0] == {0: assignment.sizes[0]}
 
 
 def test_fractional_infeasible_below_total():
@@ -45,7 +50,7 @@ def test_fractional_split_respects_capacity():
     assignment = fractional_assign_plain(inst, Fraction(1))
     assert assignment is not None
     assert all(load <= 1 for load in _loads(assignment, inst))
-    assert all(sum(pj.values()) == 1 for pj in assignment.per_job)
+    assert all(_whole(assignment, j) for j in range(inst.job_count))
 
 
 def test_load_grid_covers_all_schedule_loads():
@@ -146,48 +151,48 @@ def test_additive_search_probes_only_true_loads(monkeypatch):
 
 def test_cancel_cycles_keeps_integral_assignment():
     inst = Instance.build(2, [(1, [0]), (1, [1])])
-    assignment = FractionalAssignment(({0: Fraction(1)}, {1: Fraction(1)}))
-    assert cancel_cycles(assignment, inst) == assignment
+    assignment = FractionalAssignment(({0: 1}, {1: 1}), (1, 1))
+    assert cancel_cycles(assignment) == assignment
 
 
 def test_cancel_cycles_breaks_four_cycle():
     # two jobs split half/half over the same two machines form a 4-cycle
     inst = Instance.build(2, [(1, [0, 1]), (1, [0, 1])])
-    half = Fraction(1, 2)
-    assignment = FractionalAssignment(({0: half, 1: half}, {0: half, 1: half}))
+    assignment = FractionalAssignment(({0: 1, 1: 1}, {0: 1, 1: 1}), (2, 2))
     before = _loads(assignment, inst)
-    canceled = cancel_cycles(assignment, inst)
+    canceled = cancel_cycles(assignment)
     assert support_is_forest(canceled)
     assert _loads(canceled, inst) == before
     assert any(canceled.is_integral(j) for j in range(2))
-    assert all(sum(pj.values()) == 1 for pj in canceled.per_job)
+    assert all(_whole(canceled, j) for j in range(2))
 
 
 def test_cancel_cycles_properties_on_random_fixtures():
     rng = random.Random("lenstra-cancel")
     for _ in range(40):
-        inst = random_instance(rng, rng.randint(2, 9), rng.randint(2, 4), Fraction(rng.randint(2, 7), 2))
+        inst = random_instance(
+            rng, rng.randint(2, 9), rng.randint(2, 4), Fraction(rng.randint(2, 7), 2)
+        )
         capacity, assignment = min_feasible_fractional(inst)
         before = _loads(assignment, inst)
-        canceled = cancel_cycles(assignment, inst)
+        canceled = cancel_cycles(assignment)
         after = _loads(canceled, inst)
         assert support_is_forest(canceled)
         assert after == before  # circulation preserves loads exactly
         for j in range(inst.job_count):
-            assert sum(canceled.per_job[j].values()) == 1
+            assert _whole(canceled, j)
 
 
 def test_round_forest_identity_on_integral():
     inst = Instance.build(2, [(1, [0]), (1, [1])])
-    assignment = FractionalAssignment(({0: Fraction(1)}, {1: Fraction(1)}))
+    assignment = FractionalAssignment(({0: 1}, {1: 1}), (1, 1))
     schedule = round_forest(assignment, inst)
     assert schedule.assignment == (0, 1)
 
 
 def test_round_forest_single_split_job():
     inst = Instance.build(2, [(1, [0, 1])])
-    half = Fraction(1, 2)
-    schedule = round_forest(FractionalAssignment(({0: half, 1: half},)), inst)
+    schedule = round_forest(FractionalAssignment(({0: 1, 1: 1},), (2,)), inst)
     machine = schedule.assignment[0]
     assert machine in (0, 1)
     assert makespan(inst, schedule) == 1  # load grew by half the size
@@ -196,9 +201,11 @@ def test_round_forest_single_split_job():
 def test_round_forest_additive_bound_on_random_fixtures():
     rng = random.Random("lenstra-round")
     for _ in range(40):
-        inst = random_instance(rng, rng.randint(2, 9), rng.randint(2, 4), Fraction(rng.randint(3, 8), 2))
+        inst = random_instance(
+            rng, rng.randint(2, 9), rng.randint(2, 4), Fraction(rng.randint(3, 8), 2)
+        )
         _, assignment = min_feasible_fractional(inst)
-        canceled = cancel_cycles(assignment, inst)
+        canceled = cancel_cycles(assignment)
         schedule = round_forest(canceled, inst)
         frac_loads = _loads(canceled, inst)
         big = inst.distinct_sizes()[-1]
@@ -223,7 +230,9 @@ def test_lenstra_additive_bound_and_three_halves_regime():
     rng = random.Random("lenstra-ratio")
     seen_regime = 0
     for _ in range(80):
-        inst = random_instance(rng, rng.randint(1, 8), rng.randint(1, 3), Fraction(rng.randint(2, 6)))
+        inst = random_instance(
+            rng, rng.randint(1, 8), rng.randint(1, 3), Fraction(rng.randint(2, 6))
+        )
         solution = lenstra_solve(inst)
         value = makespan(inst, solution.schedule)
         big = inst.distinct_sizes()[-1]
@@ -256,8 +265,7 @@ def test_flow_deeper_than_the_recursion_limit():
 def test_round_forest_rejects_a_cyclic_support():
     # both jobs half on machine 0 and half on machine 1: the support is a 4-cycle
     inst = Instance.build(2, [(1, [0, 1]), (1, [0, 1])])
-    half = Fraction(1, 2)
-    assignment = FractionalAssignment(({0: half, 1: half}, {0: half, 1: half}))
+    assignment = FractionalAssignment(({0: 1, 1: 1}, {0: 1, 1: 1}), (2, 2))
     assert not support_is_forest(assignment)
     with pytest.raises(RuntimeError, match="^support graph is not a forest$"):
         round_forest(assignment, inst)
@@ -265,7 +273,7 @@ def test_round_forest_rejects_a_cyclic_support():
 
 def test_round_forest_rejects_an_empty_support():
     inst = Instance.build(2, [(1, [0, 1]), (1, [0])])
-    assignment = FractionalAssignment(({0: Fraction(1)}, {}))
+    assignment = FractionalAssignment(({0: 1}, {}), (1, 1))
     with pytest.raises(ValueError, match="^job 1 has empty support$"):
         round_forest(assignment, inst)
 
@@ -274,11 +282,10 @@ def test_cancel_cycles_on_a_ring_deeper_than_the_recursion_limit():
     # job j half on machine j and half on j + 1 mod n: one support cycle through all 2n nodes
     n = 2000
     inst = Instance.build(n, [(1, [j, (j + 1) % n]) for j in range(n)])
-    half = Fraction(1, 2)
-    assignment = FractionalAssignment(tuple({j: half, (j + 1) % n: half} for j in range(n)))
+    assignment = FractionalAssignment(tuple({j: 1, (j + 1) % n: 1} for j in range(n)), (2,) * n)
     assert not support_is_forest(assignment)
-    canceled = cancel_cycles(assignment, inst)
+    canceled = cancel_cycles(assignment)
     assert support_is_forest(canceled)
     assert _loads(canceled, inst) == _loads(assignment, inst)
-    assert all(sum(fractions.values()) == 1 for fractions in canceled.per_job)
+    assert all(_whole(canceled, j) for j in range(n))
     assert makespan(inst, round_forest(canceled, inst)) <= 2

@@ -1,4 +1,5 @@
-"""Property tests for the integer size scaling and the snap to true loads.
+"""Property tests for the integer size scaling, the snap to true loads and
+cycle canceling on integer shares.
 
 They need hypothesis and skip without it. No example database is kept;
 hypothesis may still cache source constants under `.hypothesis/`, which git
@@ -14,7 +15,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from twoval_makespan.lenstra import _snap_to_grid
+from twoval_makespan.flow import FractionalAssignment
+from twoval_makespan.lenstra import _snap_to_grid, cancel_cycles, round_forest, support_is_forest
 from twoval_makespan.model import Instance, integer_sizes
 
 PROPERTY = settings(database=None, deadline=None)
@@ -51,3 +53,44 @@ def test_integer_sizes_uses_the_smallest_clearing_factor(sizes):
     assert all(type(value) is int for value in scaled)
     assert [Fraction(value, denom) for value in scaled] == sizes
     assert all(any((size * d).denominator != 1 for size in sizes) for d in range(1, denom))
+
+
+@st.composite
+def share_supports(draw):
+    """Integer shares of up to 8 jobs on up to 5 machines; supports are dense, so cycles abound."""
+    machines = draw(st.integers(1, 5))
+    machine = st.integers(0, machines - 1)
+    jobs = draw(st.integers(0, 8))
+    shares = [
+        {i: draw(st.integers(1, 6)) for i in draw(st.lists(machine, min_size=1, unique=True))}
+        for _ in range(jobs)
+    ]
+    return machines, shares
+
+
+@PROPERTY
+@given(share_supports())
+def test_cancel_cycles_keeps_totals_and_loads_and_leaves_a_forest(case):
+    machines, shares = case
+    sizes = tuple(sum(job_shares.values()) for job_shares in shares)
+    assignment = FractionalAssignment(tuple(shares), sizes)
+
+    canceled = cancel_cycles(assignment)
+
+    def unit_loads(result):
+        loads = [0] * machines
+        for job_shares in result.shares:
+            for i, share in job_shares.items():
+                loads[i] += share
+        return loads
+
+    assert canceled.sizes == sizes
+    assert [sum(job_shares.values()) for job_shares in canceled.shares] == list(sizes)
+    assert unit_loads(canceled) == unit_loads(assignment)
+    assert all(share > 0 for job_shares in canceled.shares for share in job_shares.values())
+    assert all(set(after) <= set(before) for after, before in zip(canceled.shares, shares))
+    assert support_is_forest(canceled)
+
+    instance = Instance.build(machines, list(zip(sizes, shares)))
+    schedule = round_forest(canceled, instance)
+    assert all(machine in job_shares for machine, job_shares in zip(schedule.assignment, shares))

@@ -4,7 +4,9 @@ from fractions import Fraction
 from twoval_makespan.flow import FractionalAssignment, min_feasible_T
 from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import lenstra_solve
-from twoval_makespan.model import Instance, ScaledInstance, machine_loads, makespan, normalize, scale_to_integer
+from twoval_makespan.model import (
+    Instance, ScaledInstance, machine_loads, makespan, normalize, scale_to_integer,
+)
 from twoval_makespan.oracle import enumerate_opt
 from twoval_makespan.unitk import match_big_jobs, solve_unit_k
 
@@ -19,15 +21,14 @@ def _scaled_direct(machines, jobs, k):
 
 def test_match_single_integral_big_job():
     scaled = _scaled_direct(1, [(2, [0])], k=2)
-    assignment = FractionalAssignment(({0: Fraction(1)},))
+    assignment = FractionalAssignment(({0: 2},), (2,))
     assert match_big_jobs(assignment, scaled) == {0: 0}
 
 
 def test_match_two_split_jobs():
     base = Instance.build(3, [(2, [0, 1]), (2, [1, 2])])
     scaled = ScaledInstance(base, 2, Fraction(1, 2))
-    half = Fraction(1, 2)
-    assignment = FractionalAssignment(({0: half, 1: half}, {1: half, 2: half}))
+    assignment = FractionalAssignment(({0: 1, 1: 1}, {1: 1, 2: 1}), (2, 2))
     matched = match_big_jobs(assignment, scaled)
     # any of the hand-enumerated matchings is acceptable; ties break low
     assert matched in ({0: 0, 1: 1}, {0: 0, 1: 2}, {0: 1, 1: 2})
