@@ -40,8 +40,10 @@ def parse_fraction(text: str) -> Fraction:
             return Fraction(parse_int(parts[0]))
         if len(parts) == 2:
             return Fraction(parse_int(parts[0]), parse_int(parts[1]))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise FileFormatError(f"bad rational {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise FileFormatError(f"bad rational {text!r}: zero denominator") from None
     raise FileFormatError(f"bad rational {text!r}")
 
 

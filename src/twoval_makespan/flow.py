@@ -3,18 +3,19 @@
 Both rounding families need the smallest load bound at which an integral
 max-flow meets the demand (the total job size in flow units). A `FlowNetwork`
 is a tuple of (tail, head, capacity) arcs, the first n of them source -> job j
-with the job's size in flow units; `max_flow_integral` solves it,
-`job_fractions` reads each job's per-machine shares, in the same integer
-units, off the flow and `smallest_feasible` bisects a monotone probe, keeping
-the winning probe's flow. `lenstra` builds its transportation networks on
-this kernel.
+with the job's size in flow units, built once per search without the
+machine -> sink arcs; `max_flow_integral(network, bound)` adds them at the
+probed bound and solves, `job_fractions` reads each job's per-machine shares,
+in the same units, off the flow and `smallest_feasible` bisects a monotone
+probe, keeping the winning probe's flow. `lenstra` builds its transportation
+network on this kernel.
 
 The {1, k} network: source -> job -> per-machine throttle node (big jobs only)
 -> machine -> sink. Small jobs have unit arcs straight to machine nodes; the
 throttle v_{i,b} caps the big-job flow entering machine i at k. A flow meeting
 the demand thus leaves each small job's one unit on one machine, each big
 job's k units in whole units on its machines and at most k big units per
-machine. The sink arcs carry the makespan estimate, in which feasibility is
+machine. The probed bound is the makespan estimate, in which feasibility is
 monotone.
 """
 
@@ -32,14 +33,21 @@ W = TypeVar("W")
 
 @dataclass(frozen=True)
 class FlowNetwork:
+    """Every arc but machine -> sink. Node 0 is the source, the last node the sink."""
+
     node_count: int
-    source: int
-    sink: int
+    machines: int  # machine i is node sink - machines + i
     arcs: tuple[tuple[int, int, int], ...]  # (tail, head, capacity); arc j is source -> job j
     demand: int
     # per job: ((machine, arc index), ...) for the job's outgoing arcs, pointing
     # at the throttle layer for {1, k} big jobs and at machine nodes otherwise
     job_arcs: tuple[tuple[tuple[int, int], ...], ...]
+
+    def arcs_at(self, capacity: int) -> tuple[tuple[int, int, int], ...]:
+        """The full arc list: the built arcs, then each machine -> sink at capacity, in order."""
+        sink = self.node_count - 1
+        nodes = range(sink - self.machines, sink)
+        return self.arcs + tuple((node, sink, capacity) for node in nodes)
 
 
 @dataclass(frozen=True)
@@ -69,20 +77,16 @@ class FractionalAssignment:
         return len(self.shares[job]) == 1
 
 
-def build_network(scaled: ScaledInstance, estimate: int) -> FlowNetwork:
-    """Construct the layered network for a makespan estimate (sink arc capacity)."""
-    if estimate < 0:
-        raise ValueError("estimate must be nonnegative")
+def build_network(scaled: ScaledInstance) -> FlowNetwork:
+    """The layered {1, k} network up to the machine nodes; the estimate is the probe's."""
     base = scaled.base
     n = base.job_count
     m = base.machine_count
-    source = 0
     job0 = 1
     throttle0 = 1 + n
     machine0 = 1 + n + m
-    sink = 1 + n + 2 * m
 
-    arcs = [(source, job0 + j, scaled.size_int(j)) for j in range(n)]
+    arcs = [(0, job0 + j, scaled.size_int(j)) for j in range(n)]
     job_arcs: list[tuple[tuple[int, int], ...]] = []
     for j in range(n):
         entries = []
@@ -95,22 +99,20 @@ def build_network(scaled: ScaledInstance, estimate: int) -> FlowNetwork:
             entries.append((i, len(arcs) - 1))
         job_arcs.append(tuple(entries))
     arcs.extend((throttle0 + i, machine0 + i, scaled.k) for i in range(m))
-    arcs.extend((machine0 + i, sink, estimate) for i in range(m))
 
     return FlowNetwork(
-        node_count=sink + 1,
-        source=source,
-        sink=sink,
+        node_count=machine0 + m + 1,
+        machines=m,
         arcs=tuple(arcs),
         demand=scaled.total_size(),
         job_arcs=tuple(job_arcs),
     )
 
 
-def max_flow_integral(network: FlowNetwork) -> FlowSolution:
-    """Integral maximum flow over the network's arcs, deterministic per input."""
-    solver = Dinic(network.node_count, network.arcs)
-    value = solver.max_flow(network.source, network.sink)
+def max_flow_integral(network: FlowNetwork, capacity: int) -> FlowSolution:
+    """Integral maximum flow over `network.arcs_at(capacity)`, deterministic per input."""
+    solver = Dinic(network.node_count, network.arcs_at(capacity))
+    value = solver.max_flow(0, network.node_count - 1)
     return FlowSolution(flows=solver.flows(), value=value)
 
 
@@ -153,16 +155,16 @@ def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] |
     per machine; every schedule of such an instance stacks two big jobs
     somewhere and the caller must fall back to the additive rounding.
     """
+    network = build_network(scaled)
 
-    def probe(estimate: int) -> tuple[FlowNetwork, FlowSolution] | None:
-        network = build_network(scaled, estimate)
-        flow = max_flow_integral(network)
-        return (network, flow) if flow.value == network.demand else None
+    def probe(estimate: int) -> FlowSolution | None:
+        flow = max_flow_integral(network, estimate)
+        return flow if flow.value == network.demand else None
 
     found = smallest_feasible(scaled.max_size(), scaled.total_size(), probe)
     if found is None:
         return None
-    estimate, (network, flow) = found
+    estimate, flow = found
     return estimate, extract_assignment(network, flow, scaled)
 
 

@@ -5,15 +5,14 @@ each job supplies its size to its allowed machines and each machine absorbs
 at most T. It is solved on the package's one flow kernel (`flow`) as an
 integral max-flow after clearing denominators. Feasibility is monotone in T.
 With the sizes b and s scaled to integers by the lcm D of their denominators
-(`model.integer_sizes`), every load any schedule can produce is a multiple of
-g/D with g = gcd(D*b, D*s). `flow.smallest_feasible` binary-searches those
-multiples up to the total size, probing each one snapped up to the smallest
-true load a*b + c*s above it (0 <= a, c <= n). Snapping is monotone, so the
-winning probe is the smallest feasible true load and its flow is the result:
-at most ceil(log2(total/g + 1)) + 1 flow solves and O(n) integer work each.
+(`model.integer_sizes`), every load is a multiple of g/D, g = gcd(D*b, D*s).
+The network is built once, in units of 1/D, and `flow.smallest_feasible`
+binary-searches the multiples up to the total size, probing each one snapped
+up to the smallest true load a*b + c*s above it (0 <= a, c <= n). Snapping is
+monotone, so the winning probe is the smallest feasible true load and its
+flow is the result: at most ceil(log2(total/g + 1)) + 1 flow solves.
 The winning assignment holds each job's per-machine shares in the flow's
-integer units, in which every job's size is its true size times one common
-factor.
+integer units, in which every job's size is its true size times D.
 
 Canceling support cycles and rounding the remaining forest then places every
 job while raising each machine load by at most one job size, at most b: a 3/2
@@ -44,13 +43,12 @@ class LenstraSolution:
     forest: FractionalAssignment  # the cycle-free assignment at capacity that got rounded
 
 
-def load_grid(instance: Instance) -> range:
+def load_grid(sizes: Sequence[int]) -> range:
     """Every multiple of g/D from 0 to the total size, as numerators over D.
 
-    D and the sizes times D are `integer_sizes`, g is the gcd of those, so
-    every machine load any schedule can produce, times D, is in the range.
+    The sizes are `integer_sizes`, the jobs' sizes times D, and g is their
+    gcd, so every machine load any schedule can produce, times D, is in range.
     """
-    _, sizes = integer_sizes(instance)
     # with no jobs the gcd is 0 and the range is the single load 0
     return range(0, sum(sizes) + 1, math.gcd(*sizes) or 1)
 
@@ -73,42 +71,33 @@ def _snap_to_grid(sizes: Sequence[int], target: int) -> int:
     )
 
 
-def transportation_network(instance: Instance, capacity: Fraction) -> FlowNetwork:
-    """Source -> job (its size) -> allowed machines (its size) -> sink (capacity).
+def transportation_network(instance: Instance, sizes: Sequence[int]) -> FlowNetwork:
+    """Source -> job (its size) -> allowed machines (its size); the sink arcs are the probe's.
 
-    All capacities are in units of 1/L for L the lcm of the `integer_sizes`
-    factor D and the capacity's denominator; no big-job throttling, machines
-    may hold any mix.
+    The sizes are `integer_sizes`, so every capacity, and the load bound each
+    probe puts on the machine -> sink arcs, is in units of 1/D; no big-job
+    throttling, machines may hold any mix.
     """
     n = instance.job_count
     m = instance.machine_count
-    denom, sizes = integer_sizes(instance)
-    common = math.lcm(denom, capacity.denominator)
-    supplies = [size * (common // denom) for size in sizes]
-    cap_units = capacity.numerator * (common // capacity.denominator)
-
-    source, job0, machine0, sink = 0, 1, 1 + n, 1 + n + m
-    arcs = [(source, job0 + j, supplies[j]) for j in range(n)]
+    job0, machine0 = 1, 1 + n
+    arcs = [(0, job0 + j, sizes[j]) for j in range(n)]
     job_arcs = []
     for j in range(n):
         entries = []
         for i in sorted(instance.jobs[j].allowed):
             entries.append((i, len(arcs)))
-            arcs.append((job0 + j, machine0 + i, supplies[j]))
+            arcs.append((job0 + j, machine0 + i, sizes[j]))
         job_arcs.append(tuple(entries))
-    arcs.extend((machine0 + i, sink, cap_units) for i in range(m))
-    return FlowNetwork(sink + 1, source, sink, tuple(arcs), sum(supplies), tuple(job_arcs))
+    return FlowNetwork(machine0 + m + 1, m, tuple(arcs), sum(sizes), tuple(job_arcs))
 
 
-def fractional_assign_plain(instance: Instance, capacity: Fraction) -> FractionalAssignment | None:
+def fractional_assign_plain(network: FlowNetwork, capacity: int) -> FractionalAssignment | None:
     """Fractional assignment with every machine load <= capacity, or None.
 
-    Solved as an exact integral flow on the transportation network.
+    The capacity is in the network's units: 1/D for `transportation_network`.
     """
-    if capacity < 0:
-        return None
-    network = transportation_network(instance, capacity)
-    flow = max_flow_integral(network)
+    flow = max_flow_integral(network, capacity)
     if flow.value != network.demand:
         return None
     return job_fractions(network, flow)
@@ -268,10 +257,11 @@ def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAss
     the full (n+1)^2 grid, and the winning probe's flow is the one at it.
     """
     denom, sizes = integer_sizes(instance)
-    grid = load_grid(instance)
+    grid = load_grid(sizes)
+    network = transportation_network(instance, sizes)
 
     def probe(k: int) -> FractionalAssignment | None:
-        return fractional_assign_plain(instance, Fraction(_snap_to_grid(sizes, grid[k]), denom))
+        return fractional_assign_plain(network, _snap_to_grid(sizes, grid[k]))
 
     found = smallest_feasible(0, len(grid) - 1, probe)
     if found is None:

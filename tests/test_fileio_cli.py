@@ -31,7 +31,7 @@ def test_fraction_round_trip():
 def test_fraction_rejects_decimals():
     with pytest.raises(FileFormatError):
         parse_fraction("1.5")
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match="^bad rational '1/0': zero denominator$"):
         parse_fraction("1/0")
 
 
@@ -242,6 +242,23 @@ def test_verify_rejects_nonpositive_bound(tmp_path, capsys, bound):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --bound must be positive, got {bound}\n"
+
+
+@pytest.mark.parametrize(
+    "size, argv, text",
+    [
+        ("1/0", ["solve", "FILE"], "1/0"),
+        ("1", ["verify", "FILE", "--bound", "1/0"], "1/0"),
+        ("1", ["gen", "--seed", "1", "--jobs", "2", "--machines", "2", "--alpha", "0/0"], "0/0"),
+        ("1", ["bound", "--alpha", "3/0"], "3/0"),
+    ],
+)
+def test_zero_denominator_is_reported_by_name(tmp_path, capsys, size, argv, text):
+    path = _write(tmp_path, "zd.txt", f"machines 1\njobs 1\njob 0 {size} 0\n")
+    assert main([path if arg == "FILE" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad rational '{text}': zero denominator\n"
 
 
 def test_verify_parses_the_bound_before_the_oracle(tmp_path, capsys):

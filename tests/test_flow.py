@@ -13,7 +13,9 @@ from twoval_makespan.flow import (
 from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import transportation_network
 from twoval_makespan.maxflow import Dinic
-from twoval_makespan.model import Instance, ScaledInstance, normalize, scale_to_integer
+from twoval_makespan.model import (
+    Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer,
+)
 from twoval_makespan.oracle import enumerate_opt
 
 
@@ -29,37 +31,37 @@ def _scaled_direct(machines, jobs, k):
 def test_network_node_count_four_jobs_two_machines():
     # 4 jobs, 2 machines: 1 source + 4 job nodes + 2 throttles + 2 machines + 1 sink
     scaled = _scaled(2, [(2, [0]), (1, [0, 1]), (1, [1]), (2, [0, 1])])
-    network = build_network(scaled, 3)
+    network = build_network(scaled)
     assert network.node_count == 10
     assert network.node_count == 1 + 4 + 2 * 2 + 1
     # at the brute-forced optimum the full demand is routable
     opt = enumerate_opt(scaled.base).opt_makespan
-    at_opt = build_network(scaled, int(opt))
-    assert max_flow_integral(at_opt).value == at_opt.demand == 6
+    at_opt = build_network(scaled)
+    assert max_flow_integral(at_opt, int(opt)).value == at_opt.demand == 6
 
 
 def test_smallest_network_is_a_unit_path():
     scaled = _scaled(1, [(1, [0])])
-    network = build_network(scaled, 1)
+    network = build_network(scaled)
     # source->job, job->machine (small, direct), throttle->machine, machine->sink
-    caps = list(network.arcs)
+    caps = list(network.arcs_at(1))
     assert (0, 1, 1) in caps  # source -> job
-    assert all(capacity == 1 for _, _, capacity in network.arcs)
-    assert max_flow_integral(network).value == 1 == network.demand
+    assert all(capacity == 1 for _, _, capacity in network.arcs_at(1))
+    assert max_flow_integral(network, 1).value == 1 == network.demand
 
 
 def test_big_job_routes_through_throttles():
     scaled = _scaled_direct(2, [(2, [0, 1])], k=2)  # one big job, k = 2
-    network = build_network(scaled, 2)
+    network = build_network(scaled)
     job_node = 1
     throttle0, throttle1 = 2, 3
     machine0, machine1 = 4, 5
-    caps = {(tail, head): capacity for tail, head, capacity in network.arcs}
+    caps = {(tail, head): capacity for tail, head, capacity in network.arcs_at(2)}
     assert caps[(job_node, throttle0)] == 2
     assert caps[(job_node, throttle1)] == 2
     assert caps[(throttle0, machine0)] == 2
     assert caps[(throttle1, machine1)] == 2
-    assert caps[(machine0, network.sink)] == 2
+    assert caps[(machine0, network.node_count - 1)] == 2
     # no arc from the big job straight to a machine node
     assert (job_node, machine0) not in caps and (job_node, machine1) not in caps
 
@@ -67,8 +69,8 @@ def test_big_job_routes_through_throttles():
 def test_throttle_caps_big_inflow():
     # two big jobs restricted to one machine: at most k units can reach it
     scaled = _scaled_direct(1, [(2, [0]), (2, [0])], k=2)
-    network = build_network(scaled, 100)
-    solution = max_flow_integral(network)
+    network = build_network(scaled)
+    solution = max_flow_integral(network, 100)
     assert solution.value <= 2 < network.demand
     assert min_feasible_T(scaled) is None
 
@@ -96,8 +98,8 @@ def test_feasibility_monotone_in_estimate():
         scaled = scale_to_integer(normalize(inst)[0])
         feasible = []
         for estimate in range(scaled.max_size(), scaled.total_size() + 1):
-            network = build_network(scaled, estimate)
-            feasible.append(max_flow_integral(network).value == network.demand)
+            network = build_network(scaled)
+            feasible.append(max_flow_integral(network, estimate).value == network.demand)
         # once feasible, always feasible
         assert all(b or not a for a, b in zip(feasible, feasible[1:]))
 
@@ -105,8 +107,8 @@ def test_feasibility_monotone_in_estimate():
 def test_extract_small_job_integral():
     scaled = _scaled(2, [(1, [0, 1])])
     estimate, _ = min_feasible_T(scaled)
-    network = build_network(scaled, estimate)
-    assignment = extract_assignment(network, max_flow_integral(network), scaled)
+    network = build_network(scaled)
+    assignment = extract_assignment(network, max_flow_integral(network, estimate), scaled)
     assert assignment.is_integral(0)
     assert sum(assignment.shares[0].values()) == assignment.sizes[0]
 
@@ -114,16 +116,17 @@ def test_extract_small_job_integral():
 def test_extract_half_split_big_job():
     # hand-built flow: big job k=2 sends 1 unit to each throttle
     scaled = _scaled_direct(2, [(2, [0, 1])], k=2)
-    network = build_network(scaled, 1)
-    flows = [0] * len(network.arcs)
+    network = build_network(scaled)
+    sink = network.node_count - 1
+    flows = [0] * len(network.arcs_at(1))
     flows[0] = 2  # source -> job
-    arcs = {(tail, head): idx for idx, (tail, head, _) in enumerate(network.arcs)}
+    arcs = {(tail, head): idx for idx, (tail, head, _) in enumerate(network.arcs_at(1))}
     flows[arcs[(1, 2)]] = 1  # job -> throttle 0
     flows[arcs[(1, 3)]] = 1  # job -> throttle 1
     flows[arcs[(2, 4)]] = 1
     flows[arcs[(3, 5)]] = 1
-    flows[arcs[(4, network.sink)]] = 1
-    flows[arcs[(5, network.sink)]] = 1
+    flows[arcs[(4, sink)]] = 1
+    flows[arcs[(5, sink)]] = 1
     assignment = extract_assignment(network, FlowSolution(tuple(flows), 2), scaled)
     assert (assignment.shares[0], assignment.sizes[0]) == ({0: 1, 1: 1}, 2)
 
@@ -131,25 +134,26 @@ def test_extract_half_split_big_job():
 def test_extract_two_thirds_split():
     # big job k=3 sending 2 units to throttle 0 and 1 to throttle 1
     scaled = _scaled_direct(2, [(3, [0, 1])], k=3)
-    network = build_network(scaled, 2)
-    arcs = {(tail, head): idx for idx, (tail, head, _) in enumerate(network.arcs)}
-    flows = [0] * len(network.arcs)
+    network = build_network(scaled)
+    sink = network.node_count - 1
+    arcs = {(tail, head): idx for idx, (tail, head, _) in enumerate(network.arcs_at(2))}
+    flows = [0] * len(network.arcs_at(2))
     flows[arcs[(0, 1)]] = 3
     flows[arcs[(1, 2)]] = 2
     flows[arcs[(1, 3)]] = 1
     flows[arcs[(2, 4)]] = 2
     flows[arcs[(3, 5)]] = 1
-    flows[arcs[(4, network.sink)]] = 2
-    flows[arcs[(5, network.sink)]] = 1
+    flows[arcs[(4, sink)]] = 2
+    flows[arcs[(5, sink)]] = 1
     assignment = extract_assignment(network, FlowSolution(tuple(flows), 3), scaled)
     assert (assignment.shares[0], assignment.sizes[0]) == ({0: 2, 1: 1}, 3)
 
 
 def test_extract_rejects_short_flow():
     scaled = _scaled(1, [(1, [0])])
-    network = build_network(scaled, 1)
+    network = build_network(scaled)
     with pytest.raises(ValueError, match="demand"):
-        extract_assignment(network, FlowSolution((0,) * len(network.arcs), 0), scaled)
+        extract_assignment(network, FlowSolution((0,) * len(network.arcs_at(1)), 0), scaled)
 
 
 def test_dinic_rejects_a_negative_capacity():
@@ -157,10 +161,11 @@ def test_dinic_rejects_a_negative_capacity():
         Dinic(2, [(0, 1, -1)])
 
 
-def test_build_network_rejects_a_negative_estimate():
-    scaled = _scaled(1, [(1, [0])])
-    with pytest.raises(ValueError, match="^estimate must be nonnegative$"):
-        build_network(scaled, -1)
+def test_max_flow_integral_rejects_a_negative_capacity():
+    # the bound is the machine -> sink capacity, so Dinic's own check rejects it
+    network = build_network(_scaled(1, [(1, [0])]))
+    with pytest.raises(ValueError, match="^negative capacity$"):
+        max_flow_integral(network, -1)
 
 
 def test_extraction_invariants_on_random_instances():
@@ -172,9 +177,9 @@ def test_extraction_invariants_on_random_instances():
         if found is None:
             continue
         estimate, searched = found
-        network = build_network(scaled, estimate)
+        network = build_network(scaled)
         # extract_assignment checks the invariants internally and raises on breach
-        assignment = extract_assignment(network, max_flow_integral(network), scaled)
+        assignment = extract_assignment(network, max_flow_integral(network, estimate), scaled)
         for j in range(scaled.base.job_count):
             assert sum(assignment.shares[j].values()) == assignment.sizes[j]
         # the search keeps the winning probe's flow instead of solving again
@@ -184,9 +189,9 @@ def test_extraction_invariants_on_random_instances():
 def test_flow_deterministic():
     scaled = _scaled(3, [(2, [0, 1]), (1, [1, 2]), (2, [0, 2]), (1, [0])])
     estimate, _ = min_feasible_T(scaled)
-    network = build_network(scaled, estimate)
-    first = max_flow_integral(network)
-    second = max_flow_integral(build_network(scaled, estimate))
+    network = build_network(scaled)
+    first = max_flow_integral(network, estimate)
+    second = max_flow_integral(build_network(scaled), estimate)
     assert first == second
 
 
@@ -197,23 +202,26 @@ def test_empty_instance_estimate_zero():
     assert len(assignment.shares) == 0
 
 
-def _networkx_value(nx, network):
+def _networkx_value(nx, network, bound):
     graph = nx.DiGraph()
     graph.add_nodes_from(range(network.node_count))
-    for tail, head, capacity in network.arcs:
+    for tail, head, capacity in network.arcs_at(bound):
         assert not graph.has_edge(tail, head)  # DiGraph would merge parallel arcs
         graph.add_edge(tail, head, capacity=capacity)
-    return nx.maximum_flow_value(graph, network.source, network.sink)
+    return nx.maximum_flow_value(graph, 0, network.node_count - 1)
 
 
-def _check_flow(network, solution):
+def _check_flow(network, bound, solution):
+    source, sink = 0, network.node_count - 1
+    arcs = network.arcs_at(bound)
+    assert len(solution.flows) == len(arcs)
     excess = [0] * network.node_count
-    for (tail, head, capacity), units in zip(network.arcs, solution.flows):
+    for (tail, head, capacity), units in zip(arcs, solution.flows):
         assert 0 <= units <= capacity
         excess[tail] -= units
         excess[head] += units
-    assert excess[network.sink] == solution.value == -excess[network.source]
-    inner = set(range(network.node_count)) - {network.source, network.sink}
+    assert excess[sink] == solution.value == -excess[source]
+    inner = set(range(network.node_count)) - {source, sink}
     assert not any(excess[v] for v in inner)
 
 
@@ -224,13 +232,15 @@ def test_max_flow_matches_networkx():
     for _ in range(40):
         inst = random_instance(rng, rng.randint(0, 12), rng.randint(1, 5), rng.randint(1, 5))
         scaled = scale_to_integer(normalize(inst)[0])
-        networks.append(build_network(scaled, rng.randint(0, scaled.total_size())))
+        networks.append((build_network(scaled), rng.randint(0, scaled.total_size())))
     for _ in range(40):
         alpha = Fraction(rng.randint(2, 9), rng.randint(1, 4))
         inst = random_instance(rng, rng.randint(0, 12), rng.randint(1, 5), max(alpha, 1))
-        total = sum(job.size for job in inst.jobs)
-        networks.append(transportation_network(inst, total * Fraction(rng.randint(0, 8), 8)))
-    for network in networks:
-        solution = max_flow_integral(network)
-        assert solution.value == _networkx_value(nx, network)
-        _check_flow(network, solution)
+        _, sizes = integer_sizes(inst)
+        # the bound in the network's units of 1/D, infeasible ones included
+        bound = sum(sizes) * rng.randint(0, 8) // 8
+        networks.append((transportation_network(inst, sizes), bound))
+    for network, bound in networks:
+        solution = max_flow_integral(network, bound)
+        assert solution.value == _networkx_value(nx, network, bound)
+        _check_flow(network, bound, solution)

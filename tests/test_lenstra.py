@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from twoval_makespan import lenstra
+from twoval_makespan import flow, lenstra
 from twoval_makespan.flow import FractionalAssignment
 from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import (
@@ -15,8 +15,11 @@ from twoval_makespan.lenstra import (
     min_feasible_fractional,
     round_forest,
     support_is_forest,
+    transportation_network,
 )
-from twoval_makespan.model import Instance, machine_loads, makespan
+from twoval_makespan.model import (
+    Instance, integer_sizes, machine_loads, makespan, normalize, scale_to_integer,
+)
 from twoval_makespan.twovalued import solve_two_valued
 from twoval_makespan.oracle import enumerate_opt
 
@@ -34,20 +37,28 @@ def _whole(assignment, j):
     return sum(assignment.shares[j].values()) == assignment.sizes[j]
 
 
+def _plain(instance, capacity):
+    """`fractional_assign_plain` at a rational load bound on the multiples of 1/D."""
+    denom, sizes = integer_sizes(instance)
+    units = capacity * denom
+    assert units.denominator == 1
+    return fractional_assign_plain(transportation_network(instance, sizes), int(units))
+
+
 def test_fractional_single_job():
     inst = Instance.build(1, [(1, [0])])
-    assignment = fractional_assign_plain(inst, Fraction(1))
+    assignment = _plain(inst, Fraction(1))
     assert assignment.shares[0] == {0: assignment.sizes[0]}
 
 
 def test_fractional_infeasible_below_total():
     inst = Instance.build(1, [(1, [0]), (1, [0])])
-    assert fractional_assign_plain(inst, Fraction(1)) is None
+    assert _plain(inst, Fraction(1)) is None
 
 
 def test_fractional_split_respects_capacity():
     inst = Instance.build(2, [(1, [0, 1]), (1, [0, 1])])
-    assignment = fractional_assign_plain(inst, Fraction(1))
+    assignment = _plain(inst, Fraction(1))
     assert assignment is not None
     assert all(load <= 1 for load in _loads(assignment, inst))
     assert all(_whole(assignment, j) for j in range(inst.job_count))
@@ -55,7 +66,7 @@ def test_fractional_split_respects_capacity():
 
 def test_load_grid_covers_all_schedule_loads():
     inst = Instance.build(2, [(2, [0, 1]), (Fraction(1, 2), [0, 1]), (2, [0])])
-    grid = {Fraction(k, _denom(inst)) for k in load_grid(inst)}
+    grid = {Fraction(k, _denom(inst)) for k in load_grid(integer_sizes(inst)[1])}
     # loads of every machine under every schedule must appear in the grid
     for a in (0, 1):
         for b in (0, 1):
@@ -87,7 +98,7 @@ def _smallest_feasible(instance, points):
     lo, hi = 0, len(points) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if fractional_assign_plain(instance, points[mid]) is not None:
+        if _plain(instance, points[mid]) is not None:
             hi = mid
         else:
             lo = mid + 1
@@ -114,11 +125,11 @@ def test_snapped_search_matches_the_full_grid():
     for inst in cases:
         capacity, assignment = min_feasible_fractional(inst)
         assert capacity == _smallest_feasible(inst, _reference_grid(inst))
-        assert assignment == fractional_assign_plain(inst, capacity)
-        grid = load_grid(inst)
+        assert assignment == _plain(inst, capacity)
+        grid = load_grid(integer_sizes(inst)[1])
         assert capacity * _denom(inst) in grid
         step = Fraction(grid.step, _denom(inst))
-        if capacity > 0 and fractional_assign_plain(inst, capacity - step) is not None:
+        if capacity > 0 and _plain(inst, capacity - step) is not None:
             snapped += 1  # a smaller multiple of g/D was feasible but is no load
     assert len(cases) >= 300
     assert snapped > 0
@@ -126,10 +137,11 @@ def test_snapped_search_matches_the_full_grid():
 
 def test_additive_search_probes_only_true_loads(monkeypatch):
     probed = []
+    denom = 1
 
-    def recording(instance, capacity):
-        probed.append(capacity)
-        return fractional_assign_plain(instance, capacity)
+    def recording(network, capacity):
+        probed.append(Fraction(capacity, denom))
+        return fractional_assign_plain(network, capacity)
 
     monkeypatch.setattr(lenstra, "fractional_assign_plain", recording)
     rng = random.Random("lenstra-probes")
@@ -141,12 +153,48 @@ def test_additive_search_probes_only_true_loads(monkeypatch):
                 for _ in range(rng.randint(1, 10))
             ])
             probed.clear()
+            denom = _denom(inst)
             capacity, _ = min_feasible_fractional(inst)
             loads = set(_reference_grid(inst))  # a*b + c*s with 0 <= a, c <= n
             assert probed and all(load in loads for load in probed)
             assert capacity in probed
             # one probe at the top, then the bisection: no re-solve after it
-            assert len(probed) <= math.ceil(math.log2(len(load_grid(inst)))) + 1
+            assert len(probed) <= math.ceil(math.log2(len(load_grid(integer_sizes(inst)[1])))) + 1
+
+
+def test_each_search_builds_one_network(monkeypatch):
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(flow, "build_network")
+    counting(flow, "max_flow_integral")
+    counting(lenstra, "transportation_network")
+    counting(lenstra, "integer_sizes")
+    counting(lenstra, "fractional_assign_plain")
+    rng = random.Random("lenstra-one-network")
+    searches = 0
+    for _ in range(60):
+        inst = random_instance(rng, rng.randint(4, 12), rng.randint(2, 4), rng.choice([2, 3]))
+        calls.clear()
+        if flow.min_feasible_T(scale_to_integer(normalize(inst)[0])) is not None:
+            assert calls["max_flow_integral"] >= 2
+            assert calls["build_network"] == 1
+            searches += 1
+        alpha = rng.choice([Fraction(5, 2), Fraction(7, 3), Fraction(3, 2)])
+        inst = random_instance(rng, rng.randint(4, 12), rng.randint(2, 4), alpha)
+        calls.clear()
+        min_feasible_fractional(inst)
+        assert calls["fractional_assign_plain"] >= 2
+        assert calls["transportation_network"] == calls["integer_sizes"] == 1
+    assert searches > 0
 
 
 def test_cancel_cycles_keeps_integral_assignment():
