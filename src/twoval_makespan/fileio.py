@@ -86,7 +86,7 @@ def parse_instance(text: str) -> Instance:
         except ValueError:
             raise FileFormatError(f"bad job id in {line!r}") from None
         if job_id != position:
-            raise FileFormatError(f"job ids must be 0..n-1 in order; got {job_id} at line {position}")
+            raise FileFormatError(f"expected job {position}, got {job_id} in {line!r}")
         size = parse_fraction(parts[2])
         try:
             machines = [parse_int(token) for token in parts[3:]]

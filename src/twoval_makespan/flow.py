@@ -6,9 +6,11 @@ is a tuple of (tail, head, capacity) arcs, the first n of them source -> job j
 with the job's size in flow units, built once per search without the
 machine -> sink arcs; `max_flow_integral(network, bound)` adds them at the
 probed bound and solves, `job_fractions` reads each job's per-machine shares,
-in the same units, off the flow and `smallest_feasible` bisects a monotone
-probe, keeping the winning probe's flow. `lenstra` builds its transportation
-network on this kernel.
+in the same units, off the flow and `smallest_feasible` gallops a monotone
+probe up from a lower bound and bisects the last gap, keeping the winning
+probe's flow. Both searches start at the averaging bound total / m, where the
+smallest feasible bound usually sits, so a search usually takes one max-flow.
+`lenstra` builds its transportation network on this kernel.
 
 The {1, k} network: source -> job -> per-machine throttle node (big jobs only)
 -> machine -> sink. Small jobs have unit arcs straight to machine nodes; the
@@ -16,7 +18,8 @@ throttle v_{i,b} caps the big-job flow entering machine i at k. A flow meeting
 the demand thus leaves each small job's one unit on one machine, each big
 job's k units in whole units on its machines and at most k big units per
 machine. The probed bound is the makespan estimate, in which feasibility is
-monotone.
+monotone; whether any estimate works is decided by a matching of the big jobs
+alone, without a max-flow.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, TypeVar
 
+from .matching import maximum_bipartite_matching
 from .maxflow import Dinic
 from .model import ScaledInstance
 
@@ -130,38 +134,55 @@ def job_fractions(network: FlowNetwork, flow: FlowSolution) -> FractionalAssignm
 def smallest_feasible(lo: int, hi: int, probe: Callable[[int], W | None]) -> tuple[int, W] | None:
     """Smallest point in [lo, hi] whose probe returns a witness, and that witness.
 
-    Feasibility must be monotone. The probe runs at hi first, then on the
-    bisection midpoints; None means hi itself is infeasible.
+    Feasibility must be monotone. The probe gallops up from lo (lo, lo + 1,
+    lo + 3, lo + 7, ..., capped at hi) to the first feasible point, then
+    bisects the gap below it: at most 2 ceil(log2(d + 1)) probes for an
+    answer d above lo. None means hi itself is infeasible.
     """
-    witness = probe(hi)
-    if witness is None:
-        return None
-    while lo < hi:
-        mid = (lo + hi) // 2
+    point, step = lo, 1
+    while (witness := probe(point)) is None:
+        if point == hi:
+            return None
+        lo, point, step = point + 1, min(point + step, hi), 2 * step
+    while lo < point:  # lo - 1 is infeasible, point feasible
+        mid = (lo + point) // 2
         found = probe(mid)
         if found is None:
             lo = mid + 1
         else:
-            hi, witness = mid, found
-    return hi, witness
+            point, witness = mid, found
+    return point, witness
 
 
 def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] | None:
-    """Smallest integer estimate in [max size, total size] meeting the demand.
+    """Smallest integer estimate meeting the demand, searched up from the averaging bound.
 
     Returns it with the assignment extracted from the winning probe's flow,
-    so the estimate is never solved twice. Returns None when no estimate
-    works, i.e. the big jobs cannot be spread with at most one big job's worth
-    per machine; every schedule of such an instance stacks two big jobs
-    somewhere and the caller must fall back to the additive rounding.
+    so the estimate is never solved twice. No estimate below max(max size,
+    ceil(total / m)) can work (the sink arcs carry at most m times it), so
+    the search gallops up from there. Returns None, without any max-flow,
+    when the big jobs have no matching with at most one per machine: at
+    estimate = total only the throttles bind, so the flow meets the demand
+    iff such a fractional, hence integral, matching exists. Every schedule of
+    such an instance stacks two big jobs somewhere and the caller must fall
+    back to the additive rounding.
     """
+    base = scaled.base
+    bigs = scaled.big_jobs()
+    if len(bigs) > base.machine_count:
+        return None
+    adjacency = [sorted(base.jobs[j].allowed) for j in bigs]
+    if None in maximum_bipartite_matching(adjacency):
+        return None
     network = build_network(scaled)
 
     def probe(estimate: int) -> FlowSolution | None:
         flow = max_flow_integral(network, estimate)
         return flow if flow.value == network.demand else None
 
-    found = smallest_feasible(scaled.max_size(), scaled.total_size(), probe)
+    total = scaled.total_size()
+    lo = max(scaled.max_size(), -(-total // max(base.machine_count, 1)))
+    found = smallest_feasible(lo, total, probe)
     if found is None:
         return None
     estimate, flow = found

@@ -7,10 +7,13 @@ integral max-flow after clearing denominators. Feasibility is monotone in T.
 With the sizes b and s scaled to integers by the lcm D of their denominators
 (`model.integer_sizes`), every load is a multiple of g/D, g = gcd(D*b, D*s).
 The network is built once, in units of 1/D, and `flow.smallest_feasible`
-binary-searches the multiples up to the total size, probing each one snapped
-up to the smallest true load a*b + c*s above it (0 <= a, c <= n). Snapping is
+searches the multiples up to the total size, probing each one snapped up to
+the smallest true load a*b + c*s above it (0 <= a, c <= n). Snapping is
 monotone, so the winning probe is the smallest feasible true load and its
-flow is the result: at most ceil(log2(total/g + 1)) + 1 flow solves.
+flow is the result. The search gallops up from the first multiple at or
+above total / m, a lower bound on every feasible load, and bisects the last
+gap: at most 2 ceil(log2(d + 1)) flow solves for a winner d multiples above
+that start, usually one.
 The winning assignment holds each job's per-machine shares in the flow's
 integer units, in which every job's size is its true size times D.
 
@@ -252,9 +255,13 @@ def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAss
     """Smallest feasible load a*b + c*s (0 <= a, c <= n), plus the flow there.
 
     Every such load is a multiple of g/D, snapping a multiple up to the next
-    a*b + c*s is monotone and so is feasibility, so bisecting `load_grid` with
-    each point probed at its snapped load finds the smallest feasible point of
-    the full (n+1)^2 grid, and the winning probe's flow is the one at it.
+    a*b + c*s is monotone and so is feasibility, so searching `load_grid` with
+    each point probed at its snapped load finds the smallest feasible load
+    of the full (n+1)^2 grid, and the winning probe's flow is the one at it.
+    The search gallops up from the first multiple at or above total / m.
+    The smallest feasible load is a multiple of g/D and at least total / m,
+    so that start is at most it: a feasible start snaps to it (lower indices
+    may too), and an infeasible one gallops up to the first index that does.
     """
     denom, sizes = integer_sizes(instance)
     grid = load_grid(sizes)
@@ -263,7 +270,9 @@ def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAss
     def probe(k: int) -> FractionalAssignment | None:
         return fractional_assign_plain(network, _snap_to_grid(sizes, grid[k]))
 
-    found = smallest_feasible(0, len(grid) - 1, probe)
+    last = len(grid) - 1
+    start = min(-(-sum(sizes) // (max(instance.machine_count, 1) * grid.step)), last)
+    found = smallest_feasible(start, last, probe)
     if found is None:
         raise RuntimeError("transportation problem infeasible at the full-load bound")
     index, assignment = found

@@ -90,6 +90,12 @@ def test_parse_names_a_negative_count(text, line):
         parse_instance(text)
 
 
+def test_parse_quotes_a_job_line_out_of_order():
+    text = "machines 2\njobs 2\njob 1 3 0\njob 0 1 1\n"
+    with pytest.raises(FileFormatError, match="^expected job 0, got 1 in 'job 1 3 0'$"):
+        parse_instance(text)
+
+
 def test_parse_keeps_signs_for_validate():
     inst = parse_instance("machines 2\njobs 2\njob 0 -1 0\njob 1 +1/2 1\n")
     assert [job.size for job in inst.jobs] == [-1, Fraction(1, 2)]

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from twoval_makespan import flow
 from twoval_makespan.flow import (
     FlowSolution,
     build_network,
@@ -17,6 +19,7 @@ from twoval_makespan.model import (
     Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer,
 )
 from twoval_makespan.oracle import enumerate_opt
+from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
 
 
 def _scaled(machines, jobs):
@@ -184,6 +187,42 @@ def test_extraction_invariants_on_random_instances():
             assert sum(assignment.shares[j].values()) == assignment.sizes[j]
         # the search keeps the winning probe's flow instead of solving again
         assert searched == assignment
+
+
+def test_no_estimate_exactly_when_the_full_load_flow_falls_short(monkeypatch):
+    # min_feasible_T decides None by a matching of the big jobs, with no
+    # max-flow; the flow at estimate = total must agree on every reduction.
+    # Otherwise its first probe is at the averaging bound.
+    probes = []
+
+    def recording(network, capacity):
+        probes.append(capacity)
+        return max_flow_integral(network, capacity)
+
+    monkeypatch.setattr(flow, "max_flow_integral", recording)
+    rng = random.Random("flow-none-by-matching")
+    searches = unmatched_within_m = 0
+    for _ in range(520):
+        m = rng.randint(1, 5)
+        alpha = Fraction(rng.randint(3, 13), rng.randint(1, 4))
+        norm, alpha = normalize(random_instance(rng, rng.randint(0, 10), m, max(alpha, 2)))
+        for which in (SMALL_DOWN, SMALL_UP):
+            scaled = scale_to_integer(build_reduced(norm, alpha, which))
+            total = scaled.total_size()
+            short = max_flow_integral(build_network(scaled), total).value < total
+            probes.clear()
+            found = min_feasible_T(scaled)
+            assert (found is None) == short
+            assert bool(probes) != short  # None without a max-flow, else at least one probe
+            if found is not None:
+                # the search gallops up from the averaging bound
+                lo = max(scaled.max_size(), -(-total // m))
+                assert probes[0] == lo and min(probes) == lo
+                assert len(probes) <= 2 * math.ceil(math.log2(found[0] - lo + 1)) + 1
+            searches += 1
+            unmatched_within_m += short and len(scaled.big_jobs()) <= m
+    assert searches >= 1000
+    assert unmatched_within_m >= 20
 
 
 def test_flow_deterministic():

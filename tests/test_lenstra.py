@@ -158,8 +158,16 @@ def test_additive_search_probes_only_true_loads(monkeypatch):
             loads = set(_reference_grid(inst))  # a*b + c*s with 0 <= a, c <= n
             assert probed and all(load in loads for load in probed)
             assert capacity in probed
-            # one probe at the top, then the bisection: no re-solve after it
-            assert len(probed) <= math.ceil(math.log2(len(load_grid(integer_sizes(inst)[1])))) + 1
+            # the search starts at the first multiple of g/D at or above total / m
+            grid = load_grid(integer_sizes(inst)[1])
+            start = min(-(-grid[-1] // (m * grid.step)), len(grid) - 1)
+            # and wins at the first index from there whose snapped load reaches the capacity
+            index = next(
+                k for k in range(start, len(grid))
+                if min(load for load in loads if load >= Fraction(grid[k], denom)) >= capacity
+            )
+            # a gallop up from the start, then a bisection of its last gap: no re-solve after it
+            assert len(probed) <= 2 * math.ceil(math.log2(index - start + 1)) + 1
 
 
 def test_each_search_builds_one_network(monkeypatch):
@@ -180,21 +188,23 @@ def test_each_search_builds_one_network(monkeypatch):
     counting(lenstra, "integer_sizes")
     counting(lenstra, "fractional_assign_plain")
     rng = random.Random("lenstra-one-network")
-    searches = 0
-    for _ in range(60):
+    # searches that took 2 or more probes, where one network must serve them all
+    unit_k = additive = 0
+    for _ in range(400):
         inst = random_instance(rng, rng.randint(4, 12), rng.randint(2, 4), rng.choice([2, 3]))
         calls.clear()
-        if flow.min_feasible_T(scale_to_integer(normalize(inst)[0])) is not None:
-            assert calls["max_flow_integral"] >= 2
+        flow.min_feasible_T(scale_to_integer(normalize(inst)[0]))
+        if calls.get("max_flow_integral", 0) >= 2:
             assert calls["build_network"] == 1
-            searches += 1
+            unit_k += 1
         alpha = rng.choice([Fraction(5, 2), Fraction(7, 3), Fraction(3, 2)])
         inst = random_instance(rng, rng.randint(4, 12), rng.randint(2, 4), alpha)
         calls.clear()
         min_feasible_fractional(inst)
-        assert calls["fractional_assign_plain"] >= 2
-        assert calls["transportation_network"] == calls["integer_sizes"] == 1
-    assert searches > 0
+        if calls["fractional_assign_plain"] >= 2:
+            assert calls["transportation_network"] == calls["integer_sizes"] == 1
+            additive += 1
+    assert unit_k >= 5 and additive >= 30
 
 
 def test_cancel_cycles_keeps_integral_assignment():

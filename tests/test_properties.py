@@ -1,5 +1,5 @@
-"""Property tests for the integer size scaling, the snap to true loads and
-cycle canceling on integer shares.
+"""Property tests for the galloping feasibility search, the integer size
+scaling, the snap to true loads and cycle canceling on integer shares.
 
 They need hypothesis and skip without it. No example database is kept;
 hypothesis may still cache source constants under `.hypothesis/`, which git
@@ -7,6 +7,7 @@ ignores.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,42 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from twoval_makespan.flow import FractionalAssignment
+from twoval_makespan.flow import FractionalAssignment, smallest_feasible
 from twoval_makespan.lenstra import _snap_to_grid, cancel_cycles, round_forest, support_is_forest
 from twoval_makespan.model import Instance, integer_sizes
 
 PROPERTY = settings(database=None, deadline=None)
+
+
+@st.composite
+def search_ranges(draw):
+    """A range [lo, hi] and a feasibility threshold in it, at an end of it, or above it."""
+    lo = draw(st.integers(-50, 50))
+    hi = lo + draw(st.one_of(st.just(0), st.integers(0, 300)))
+    threshold = draw(st.one_of(st.just(lo), st.just(hi), st.just(hi + 1), st.integers(lo, hi)))
+    return lo, hi, threshold
+
+
+@PROPERTY
+@given(search_ranges())
+def test_smallest_feasible_matches_a_linear_scan(case):
+    lo, hi, threshold = case
+    probed = []
+
+    def probe(point):
+        probed.append(point)
+        return ("witness", point) if point >= threshold else None
+
+    found = smallest_feasible(lo, hi, probe)
+    expected = next((point for point in range(lo, hi + 1) if point >= threshold), None)
+    assert all(lo <= point <= hi for point in probed)
+    if expected is None:
+        assert found is None
+        distance = hi - lo
+    else:
+        assert found == (expected, ("witness", expected))
+        distance = expected - lo
+    assert len(probed) <= 2 * math.ceil(math.log2(distance + 1)) + 1
 
 
 @st.composite
