@@ -24,7 +24,9 @@ from .fileio import (
 from .generator import random_instance
 from .graph_balancing import gb_solve_two_valued
 from .lenstra import lenstra_solve
-from .model import Instance, is_graph_balancing, makespan, normalize, scale_to_integer, validate
+from .model import (
+    Instance, is_graph_balancing, makespan, normalize, scale_to_integer, size_ratio, validate,
+)
 from .oracle import DEFAULT_NODE_BUDGET, BudgetExceeded, brute_force_opt, ratio_verdict
 from .twovalued import ADDITIVE, SolveResult, solve_two_valued
 from .unitk import solve_unit_k
@@ -54,11 +56,12 @@ def _solve(instance: Instance, mode: str) -> SolveResult:
             raise ValueError("gb mode requires every job to allow at most 2 machines")
         solver = gb_solve_two_valued if mode == "gb" else solve_two_valued
         return solver(instance)
-    norm, alpha = normalize(instance)
     if mode == "lenstra":
+        alpha = size_ratio(instance)
         schedule, chosen = lenstra_solve(instance).schedule, ADDITIVE
     elif mode == "unitk":
         # raises on a non-integer size ratio; at alpha = k the report's bound is 2 - 1/k
+        norm, alpha = normalize(instance)
         solution = solve_unit_k(scale_to_integer(norm))
         if solution is not None:
             schedule, chosen = solution.schedule, "flow"

@@ -83,19 +83,18 @@ class FractionalAssignment:
 
 def build_network(scaled: ScaledInstance) -> FlowNetwork:
     """The layered {1, k} network up to the machine nodes; the estimate is the probe's."""
-    base = scaled.base
-    n = base.job_count
-    m = base.machine_count
+    n = len(scaled.sizes)
+    m = scaled.machine_count
     job0 = 1
     throttle0 = 1 + n
     machine0 = 1 + n + m
 
-    arcs = [(0, job0 + j, scaled.size_int(j)) for j in range(n)]
+    arcs = [(0, job0 + j, size) for j, size in enumerate(scaled.sizes)]
     job_arcs: list[tuple[tuple[int, int], ...]] = []
-    for j in range(n):
+    for j, allowed in enumerate(scaled.allowed):
         entries = []
         big = scaled.is_big(j)
-        for i in sorted(base.jobs[j].allowed):
+        for i in sorted(allowed):
             if big:
                 arcs.append((job0 + j, throttle0 + i, scaled.k))
             else:
@@ -108,7 +107,7 @@ def build_network(scaled: ScaledInstance) -> FlowNetwork:
         node_count=machine0 + m + 1,
         machines=m,
         arcs=tuple(arcs),
-        demand=scaled.total_size(),
+        demand=sum(scaled.sizes),
         job_arcs=tuple(job_arcs),
     )
 
@@ -167,11 +166,11 @@ def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] |
     such an instance stacks two big jobs somewhere and the caller must fall
     back to the additive rounding.
     """
-    base = scaled.base
+    m = scaled.machine_count
     bigs = scaled.big_jobs()
-    if len(bigs) > base.machine_count:
+    if len(bigs) > m:
         return None
-    adjacency = [sorted(base.jobs[j].allowed) for j in bigs]
+    adjacency = [sorted(scaled.allowed[j]) for j in bigs]
     if None in maximum_bipartite_matching(adjacency):
         return None
     network = build_network(scaled)
@@ -180,8 +179,8 @@ def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] |
         flow = max_flow_integral(network, estimate)
         return flow if flow.value == network.demand else None
 
-    total = scaled.total_size()
-    lo = max(scaled.max_size(), -(-total // max(base.machine_count, 1)))
+    total = network.demand
+    lo = max(max(scaled.sizes, default=0), -(-total // max(m, 1)))
     found = smallest_feasible(lo, total, probe)
     if found is None:
         return None
@@ -208,9 +207,9 @@ def extract_assignment(
 def check_extraction_invariants(assignment: FractionalAssignment, scaled: ScaledInstance) -> None:
     """Verify the structural guarantees every extraction must satisfy, in flow units."""
     k = scaled.k
-    big_units = [0] * scaled.base.machine_count
+    big_units = [0] * scaled.machine_count
     for j, shares in enumerate(assignment.shares):
-        size = scaled.size_int(j)
+        size = scaled.sizes[j]
         total = sum(shares.values())
         if assignment.sizes[j] != size or total != size:
             raise RuntimeError(

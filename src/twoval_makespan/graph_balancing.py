@@ -20,19 +20,12 @@ rather than searching for its own. Either way the best branch is within
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .flow import FractionalAssignment
 from .lenstra import lenstra_solve, round_forest
 from .matching import maximum_bipartite_matching
-from .model import (
-    Instance,
-    ScaledInstance,
-    Schedule,
-    is_graph_balancing,
-    normalize,
-    require_valid,
-)
+from .model import Instance, ScaledInstance, Schedule, require_valid, size_ratio
 from .twovalued import SMALL_DOWN, SolveResult, race, reduction_branches
 from .unitk import UnitKSolution, round_flow
 
@@ -40,8 +33,8 @@ MATCHING = "matching"
 FOREST = "forest"
 
 
-def _require_gb(instance: Instance) -> None:
-    if not is_graph_balancing(instance):
+def _require_gb(allowed_sets: Iterable[frozenset[int]]) -> None:
+    if any(len(allowed) > 2 for allowed in allowed_sets):
         raise ValueError("not a graph-balancing instance: some job allows more than 2 machines")
 
 
@@ -102,7 +95,7 @@ def _check_orientation(edges: Sequence[tuple[int, int, int]], heads: dict[int, i
 
 def gb_solve_unit_k(scaled: ScaledInstance) -> UnitKSolution | None:
     """{1, k} rounding specialized to 2-machine eligibility; None means fall back."""
-    _require_gb(scaled.base)
+    _require_gb(scaled.allowed)
     return round_flow(scaled, _majority_and_orient, scaled.k)
 
 
@@ -133,11 +126,11 @@ def _majority_and_orient(assignment: FractionalAssignment, scaled: ScaledInstanc
 def gb_perfect_matching_opt1(instance: Instance) -> Schedule | None:
     """Schedule with one job per machine if one exists, via maximum matching.
 
-    Intended for normalized instances with small size above 1/2, where any
-    two jobs together overload a machine, so a makespan-1 schedule is exactly
-    a perfect matching of jobs into machines.
+    Intended for alpha < 2, a small size above half the big size b: any two
+    jobs together then exceed b, so a makespan-b schedule is exactly a
+    perfect matching of jobs into machines.
     """
-    _require_gb(instance)
+    _require_gb(job.allowed for job in instance.jobs)
     adjacency = [sorted(job.allowed) for job in instance.jobs]
     matched = maximum_bipartite_matching(adjacency)
     if any(machine is None for machine in matched):
@@ -151,26 +144,26 @@ def gb_forest_round(instance: Instance, assignment: FractionalAssignment) -> Sch
     Each tree's pending fractional job is absorbed by a machine below it, so
     every machine gains at most one job; rejects cyclic support.
     """
-    _require_gb(instance)
+    _require_gb(job.allowed for job in instance.jobs)
     return round_forest(assignment, instance)
 
 
 def gb_solve_two_valued(instance: Instance) -> SolveResult:
     """Race the branches appropriate for alpha and keep the best schedule."""
     require_valid(instance)
-    _require_gb(instance)
-    norm, alpha = normalize(instance)
+    _require_gb(job.allowed for job in instance.jobs)
+    alpha = size_ratio(instance)
     if not 1 < alpha < 2:
-        branches = reduction_branches(norm, alpha, None, gb_solve_unit_k)
+        branches = reduction_branches(instance, alpha, None, gb_solve_unit_k)
         return race(
             instance, alpha, branches, lenstra_solve(instance).schedule, graph_balancing=True
         )
 
     branches: dict[str, Schedule] = {}
-    matched = gb_perfect_matching_opt1(norm)
+    matched = gb_perfect_matching_opt1(instance)
     if matched is not None:
         branches[MATCHING] = matched
-    branches.update(reduction_branches(norm, alpha, [SMALL_DOWN], gb_solve_unit_k))  # k = 2
+    branches.update(reduction_branches(instance, alpha, [SMALL_DOWN], gb_solve_unit_k))  # k = 2
     # the forest branch rounds the additive branch's own cycle-free assignment
     additive = lenstra_solve(instance)
     branches[FOREST] = gb_forest_round(instance, additive.forest)

@@ -1,9 +1,10 @@
 """Exact-rational model of two-size scheduling instances.
 
-Every size, load and bound in the solver paths is a `fractions.Fraction`;
-floating point only appears when reports are rendered for humans. All model
-values are frozen dataclasses, so they can be shared freely between
-concurrent solver runs.
+An `Instance` holds its sizes as `fractions.Fraction`s. The solvers scale
+them to integers (`integer_sizes`, `ScaledInstance`) and work in those units;
+alpha, reported loads and bounds stay exact Fractions. Floating point only
+appears when reports are rendered for humans. All model values are frozen
+dataclasses, so they can be shared freely between concurrent solver runs.
 """
 
 from __future__ import annotations
@@ -62,32 +63,28 @@ class Schedule:
 
 @dataclass(frozen=True)
 class ScaledInstance:
-    """Integer view of a normalized instance: all sizes are exactly 1 or k."""
+    """A {1, k} instance in integer units: every job keeps its machine set and has size 1 or k."""
 
-    base: Instance
+    machine_count: int
+    allowed: tuple[frozenset[int], ...]
+    sizes: tuple[int, ...]
     k: int
-    scale_factor: Fraction
 
-    def size_int(self, job: int) -> int:
-        size = self.base.jobs[job].size
-        return size.numerator  # sizes are integral by construction
+    @classmethod
+    def of(cls, instance: Instance, k: int) -> "ScaledInstance":
+        """The largest-size jobs get size k and all other jobs size 1."""
+        big = max((job.size for job in instance.jobs), default=None)
+        sizes = tuple(k if job.size == big else 1 for job in instance.jobs)
+        return cls(instance.machine_count, tuple(job.allowed for job in instance.jobs), sizes, k)
 
     def is_big(self, job: int) -> bool:
-        return self.k > 1 and self.size_int(job) == self.k
+        return self.k > 1 and self.sizes[job] == self.k
 
     def big_jobs(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.base.job_count) if self.is_big(j))
+        return tuple(j for j in range(len(self.sizes)) if self.is_big(j))
 
     def small_jobs(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.base.job_count) if not self.is_big(j))
-
-    def total_size(self) -> int:
-        return sum(self.size_int(j) for j in range(self.base.job_count))
-
-    def max_size(self) -> int:
-        if not self.base.jobs:
-            return 0
-        return max(self.size_int(j) for j in range(self.base.job_count))
+        return tuple(j for j in range(len(self.sizes)) if not self.is_big(j))
 
 
 def validate(instance: Instance) -> str | None:
@@ -118,13 +115,13 @@ def machine_loads(instance: Instance, schedule: Schedule) -> list[Fraction]:
         raise ValueError(
             f"schedule covers {len(schedule.assignment)} jobs, instance has {instance.job_count}"
         )
-    loads = [Fraction(0)] * instance.machine_count
+    denom, sizes = integer_sizes(instance)
+    units = [0] * instance.machine_count
     for job_idx, machine in enumerate(schedule.assignment):
-        job = instance.jobs[job_idx]
-        if machine not in job.allowed:
+        if machine not in instance.jobs[job_idx].allowed:
             raise ValueError(f"job {job_idx} assigned to machine {machine} outside its allowed set")
-        loads[machine] += job.size
-    return loads
+        units[machine] += sizes[job_idx]
+    return [Fraction(load, denom) for load in units]
 
 
 def makespan(instance: Instance, schedule: Schedule) -> Fraction:
@@ -133,22 +130,33 @@ def makespan(instance: Instance, schedule: Schedule) -> Fraction:
     return max(loads, default=Fraction(0))
 
 
+def _checked_sizes(instance: Instance) -> tuple[Fraction, ...]:
+    """The distinct sizes, ascending; raises unless there are at most two, all positive."""
+    sizes = instance.distinct_sizes()
+    if len(sizes) > 2:
+        raise ValueError("invalid instance: more than two size values")
+    if sizes and sizes[0] <= 0:
+        raise ValueError("invalid instance: nonpositive size")
+    return sizes
+
+
+def size_ratio(instance: Instance) -> Fraction:
+    """alpha, the big size over the small one; 1 for single-sized (or empty) instances."""
+    sizes = _checked_sizes(instance)
+    return sizes[-1] / sizes[0] if sizes else Fraction(1)
+
+
 def normalize(instance: Instance) -> tuple[Instance, Fraction]:
     """Divide all sizes by the big size so sizes become {1/alpha, 1}.
 
     Single-sized (or empty) instances normalize to all-ones with alpha = 1.
     """
-    sizes = instance.distinct_sizes()
-    if len(sizes) > 2:
-        raise ValueError("invalid instance: more than two size values")
+    sizes = _checked_sizes(instance)
     if not sizes:
         return instance, Fraction(1)
     big = sizes[-1]
-    if big <= 0:
-        raise ValueError("invalid instance: nonpositive size")
-    alpha = big / sizes[0]
     jobs = tuple(Job(job.size / big, job.allowed) for job in instance.jobs)
-    return Instance(instance.machine_count, jobs), alpha
+    return Instance(instance.machine_count, jobs), big / sizes[0]
 
 
 def integer_sizes(instance: Instance) -> tuple[int, tuple[int, ...]]:
@@ -162,23 +170,18 @@ def integer_sizes(instance: Instance) -> tuple[int, tuple[int, ...]]:
 
 
 def scale_to_integer(instance: Instance) -> ScaledInstance:
-    """Clear denominators of a normalized instance, producing sizes {1, k}.
+    """The {1, k} view of a normalized instance.
 
     Requires the small size to be a unit fraction 1/q; other ratios must go
-    through the size-rounding reduction first. The `integer_sizes` factor D is
-    then q, so big jobs have size k = q and small ones size 1 (k = 1 when the
-    instance has at most one size).
+    through the size-rounding reduction first. Big jobs then have size k = q
+    and small ones size 1 (k = 1 when the instance has at most one size).
     """
-    sizes = instance.distinct_sizes()
-    if len(sizes) > 2:
-        raise ValueError("invalid instance: more than two size values")
+    sizes = _checked_sizes(instance)
     if sizes and sizes[-1] != 1:
         raise ValueError("instance is not normalized: big size must be 1")
     if sizes and sizes[0].numerator != 1:
         raise ValueError(f"non-integer ratio: small size {sizes[0]} is not a unit fraction")
-    q, scaled = integer_sizes(instance)
-    jobs = tuple(Job(Fraction(size), job.allowed) for size, job in zip(scaled, instance.jobs))
-    return ScaledInstance(Instance(instance.machine_count, jobs), q, Fraction(1, q))
+    return ScaledInstance.of(instance, sizes[0].denominator if sizes else 1)
 
 
 def is_graph_balancing(instance: Instance) -> bool:

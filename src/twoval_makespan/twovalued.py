@@ -1,11 +1,12 @@
 """Best-of-branches solver for two-size instances with arbitrary rational sizes.
 
-Normalize so sizes are {1/alpha, 1}, then race three branches and keep the
-smallest makespan in original units:
+With alpha the big size over the small one, race three branches and keep
+the smallest makespan in original units:
 
-  small-down  replace the small size by 1/ceil(alpha), solve the {1, k} flow
-              rounding with k = ceil(alpha), lift back (factor f1)
-  small-up    replace it by 1/floor(alpha), k = floor(alpha), lift back (f2)
+  small-down  size big jobs k = ceil(alpha) and small jobs 1, that is the
+              small size lowered to 1/ceil(alpha) of the big one, solve the
+              {1, k} flow rounding and lift back (factor f1)
+  small-up    the same with k = floor(alpha), the small size raised (f2)
   additive    transportation rounding on the original sizes, additive error
               at most the big size
 
@@ -23,18 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .bounds import GuaranteeReport, guarantee_report, lift_factors
+from .bounds import GuaranteeReport, guarantee_report
 from .lenstra import lenstra_solve
 from .model import (
-    Instance,
-    Job,
-    ScaledInstance,
-    Schedule,
-    machine_loads,
-    makespan,
-    normalize,
-    require_valid,
-    scale_to_integer,
+    Instance, ScaledInstance, Schedule, machine_loads, makespan, require_valid, size_ratio,
 )
 from .unitk import UnitKSolution, solve_unit_k
 
@@ -53,23 +46,18 @@ class SolveResult:
     chosen: str
 
 
-def build_reduced(normalized: Instance, alpha: Fraction, which: str) -> Instance:
-    """Replace small sizes by the nearest unit fraction, up or down in size.
+def build_reduced(instance: Instance, alpha: Fraction, which: str) -> ScaledInstance:
+    """The {1, k} instance with the small size rounded to 1/k of the big one.
 
-    The original small size is the reduced one times f1 (small-down) or f2
-    (small-up), the lift factors of `bounds.lift_factors(alpha)`.
+    k is ceil(alpha) (small-down) or floor(alpha) (small-up). The original
+    small size is the reduced one times f1 or f2, the lift factors of
+    `bounds.lift_factors(alpha)`.
     """
     if which == SMALL_DOWN:
-        denom = math.ceil(alpha)
-    elif which == SMALL_UP:
-        denom = math.floor(alpha)
-    else:
-        raise ValueError(f"unknown reduction {which!r}")
-    new_small = Fraction(1, denom)
-    jobs = tuple(
-        job if job.size == 1 else Job(new_small, job.allowed) for job in normalized.jobs
-    )
-    return Instance(normalized.machine_count, jobs)
+        return ScaledInstance.of(instance, math.ceil(alpha))
+    if which == SMALL_UP:
+        return ScaledInstance.of(instance, math.floor(alpha))
+    raise ValueError(f"unknown reduction {which!r}")
 
 
 def pick_best(
@@ -84,13 +72,13 @@ def pick_best(
 def solve_two_valued(instance: Instance) -> SolveResult:
     """Race the reductions and the additive rounding; certify the branch bound."""
     require_valid(instance)
-    norm, alpha = normalize(instance)
-    branches = reduction_branches(norm, alpha, None, solve_unit_k)
+    alpha = size_ratio(instance)
+    branches = reduction_branches(instance, alpha, None, solve_unit_k)
     return race(instance, alpha, branches, lenstra_solve(instance).schedule)
 
 
 def reduction_branches(
-    norm: Instance,
+    instance: Instance,
     alpha: Fraction,
     which_list: Sequence[str] | None,
     solve: Callable[[ScaledInstance], UnitKSolution | None],
@@ -99,11 +87,11 @@ def reduction_branches(
 
     None picks the reductions that apply at alpha: small-up alone when alpha
     is an integer, else small-down then small-up. A reduction whose flow is
-    infeasible is left out. At alpha == 1 the normalized instance is solved
-    as it stands and its schedule is the uniform branch.
+    infeasible is left out. At alpha == 1 every job has size 1 and the
+    schedule is the uniform branch.
     """
     if alpha == 1:
-        result = solve(scale_to_integer(norm))
+        result = solve(ScaledInstance.of(instance, 1))
         if result is None:  # single-size flow always meets demand at the top estimate
             raise RuntimeError("uniform-size flow unexpectedly infeasible")
         return {UNIFORM: result.schedule}
@@ -111,11 +99,11 @@ def reduction_branches(
         which_list = [SMALL_UP] if alpha.denominator == 1 else [SMALL_DOWN, SMALL_UP]
     branches: dict[str, Schedule] = {}
     for which in which_list:
-        result = solve(scale_to_integer(build_reduced(norm, alpha, which)))
+        result = solve(build_reduced(instance, alpha, which))
         if result is None:
             continue
         if which == SMALL_DOWN:
-            _check_lifted_loads(norm, alpha, result)
+            _check_lifted_loads(instance, result)
         branches[which] = result.schedule
     return branches
 
@@ -143,18 +131,19 @@ def race(
     )
 
 
-def _check_lifted_loads(norm: Instance, alpha: Fraction, result: UnitKSolution) -> None:
-    """Big-job machines obey load <= 1 + (T1 - 1/ceil(alpha)) * f1 in normalized units.
+def _check_lifted_loads(instance: Instance, result: UnitKSolution) -> None:
+    """Big-job machines of a small-down schedule obey load <= b + (T - 1) * s.
 
-    Holds for either {1, k} rounding: its slack, k - 1 or k/2, is at most
-    k - 1 for k >= 2.
+    T is the {1, k} estimate and b, s the big and small sizes. The cap is
+    b * (1 + (T1 - 1/ceil(alpha)) * f1) with T1 = T / ceil(alpha), the
+    estimate in units of b. Holds for either {1, k} rounding: its slack,
+    k - 1 or k/2, is at most k - 1 for k >= 2.
     """
-    ceil_a = math.ceil(alpha)
-    t_norm = Fraction(result.estimate, ceil_a)
-    cap = 1 + (t_norm - Fraction(1, ceil_a)) * lift_factors(alpha)[0]
-    loads = machine_loads(norm, result.schedule)
+    small, big = instance.distinct_sizes()
+    cap = big + (result.estimate - 1) * small
+    loads = machine_loads(instance, result.schedule)
     for j, machine in enumerate(result.schedule.assignment):
-        if norm.jobs[j].size == 1 and loads[machine] > cap:
+        if instance.jobs[j].size == big and loads[machine] > cap:
             raise RuntimeError(
                 f"machine {machine} lifted load {loads[machine]} exceeds {cap}"
             )

@@ -74,7 +74,7 @@ def round_flow(
         return None
     estimate, assignment = found
 
-    placed: list[int | None] = [None] * scaled.base.job_count
+    placed: list[int | None] = [None] * len(scaled.sizes)
     for j in scaled.small_jobs():
         placed[j] = assignment.support(j)[0]
     for job, machine in place_big(assignment, scaled).items():
@@ -92,15 +92,15 @@ def _check_rounding(
     estimate: int,
     slack2: int,
 ) -> None:
-    loads = [0] * scaled.base.machine_count
-    big_count = [0] * scaled.base.machine_count
+    loads = [0] * scaled.machine_count
+    big_count = [0] * scaled.machine_count
     for j, machine in enumerate(schedule.assignment):
-        loads[machine] += scaled.size_int(j)
+        loads[machine] += scaled.sizes[j]
         if scaled.is_big(j):
             big_count[machine] += 1
         elif assignment.support(j) != (machine,):
             raise RuntimeError(f"small job {j} moved away from its flow assignment")
-    for machine in range(scaled.base.machine_count):
+    for machine in range(scaled.machine_count):
         if big_count[machine] > 1:
             raise RuntimeError(f"machine {machine} received {big_count[machine]} big jobs")
         if 2 * loads[machine] > 2 * estimate + slack2:

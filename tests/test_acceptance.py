@@ -35,6 +35,8 @@ from twoval_makespan.oracle import brute_force_opt, enumerate_opt
 from twoval_makespan.twovalued import solve_two_valued
 from twoval_makespan.unitk import match_big_jobs, solve_unit_k
 
+from helpers import integer_instance
+
 SWEEP = 500
 KS = (2, 3, 4, 5, 6)
 ALPHAS_TWO_VALUED = ("3/2", "8/5", "2", "5/2", "10/3", "9/2")
@@ -58,14 +60,15 @@ def _unitk_row(seed_text, k, gb):
     scaled = scale_to_integer(normalize(inst)[0])
     solver = gb_solve_unit_k if gb else solve_unit_k
     solution = solver(scaled)
-    schedule = solution.schedule if solution is not None else lenstra_solve(scaled.base).schedule
-    oracle = brute_force_opt(scaled.base)
+    base = integer_instance(scaled)
+    schedule = solution.schedule if solution is not None else lenstra_solve(base).schedule
+    oracle = brute_force_opt(base)
     return {
         "k": k,
         "scaled": scaled,
         "solution": solution,
         "schedule": schedule,
-        "value": makespan(scaled.base, schedule),
+        "value": makespan(base, schedule),
         "oracle": oracle,
     }
 
@@ -178,15 +181,16 @@ def test_lower_bound_property(unitk_rows, gb_rows):
             continue
         scaled = row["scaled"]
         witness = row["oracle"].witness
-        bigs_per_machine = [0] * scaled.base.machine_count
+        bigs_per_machine = [0] * scaled.machine_count
         for j, machine in enumerate(witness.assignment):
             if scaled.is_big(j):
                 bigs_per_machine[machine] += 1
         if max(bigs_per_machine, default=0) > 1:
             continue  # the found optimum stacks big jobs; the bound is not claimed
         checks += 1
-        estimate_in_original_units = Fraction(row["solution"].estimate) * scaled.scale_factor
-        opt_in_original_units = row["oracle"].opt_makespan * scaled.scale_factor
+        # the normalized instance's units: its big size is 1, k in the {1, k} units
+        estimate_in_original_units = Fraction(row["solution"].estimate, scaled.k)
+        opt_in_original_units = row["oracle"].opt_makespan / scaled.k
         if estimate_in_original_units > opt_in_original_units:
             violations.append((row["k"], row["solution"].estimate, row["oracle"].opt_makespan))
     _report("flow estimate lower-bounds the optimum", violations, checks)

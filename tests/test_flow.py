@@ -16,10 +16,12 @@ from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import transportation_network
 from twoval_makespan.maxflow import Dinic
 from twoval_makespan.model import (
-    Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer,
+    Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer, size_ratio,
 )
 from twoval_makespan.oracle import enumerate_opt
 from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
+
+from helpers import integer_instance
 
 
 def _scaled(machines, jobs):
@@ -28,7 +30,7 @@ def _scaled(machines, jobs):
 
 def _scaled_direct(machines, jobs, k):
     # keeps all-big fixtures at their intended k instead of renormalizing to 1
-    return ScaledInstance(Instance.build(machines, jobs), k, Fraction(1, k))
+    return ScaledInstance.of(Instance.build(machines, jobs), k)
 
 
 def test_network_node_count_four_jobs_two_machines():
@@ -38,7 +40,7 @@ def test_network_node_count_four_jobs_two_machines():
     assert network.node_count == 10
     assert network.node_count == 1 + 4 + 2 * 2 + 1
     # at the brute-forced optimum the full demand is routable
-    opt = enumerate_opt(scaled.base).opt_makespan
+    opt = enumerate_opt(integer_instance(scaled)).opt_makespan
     at_opt = build_network(scaled)
     assert max_flow_integral(at_opt, int(opt)).value == at_opt.demand == 6
 
@@ -88,7 +90,7 @@ def test_min_feasible_matches_brute_force():
     # big job on {0,1} plus two small jobs stuck on 0; both big placements enumerated
     inst = Instance.build(2, [(2, [0, 1]), (1, [0]), (1, [0])])
     scaled = scale_to_integer(normalize(inst)[0])
-    opt = enumerate_opt(scaled.base).opt_makespan
+    opt = enumerate_opt(integer_instance(scaled)).opt_makespan
     assert opt == 2
     estimate, _ = min_feasible_T(scaled)
     assert estimate == 2
@@ -100,7 +102,7 @@ def test_feasibility_monotone_in_estimate():
         inst = random_instance(rng, rng.randint(1, 8), rng.randint(1, 3), rng.randint(2, 4))
         scaled = scale_to_integer(normalize(inst)[0])
         feasible = []
-        for estimate in range(scaled.max_size(), scaled.total_size() + 1):
+        for estimate in range(max(scaled.sizes), sum(scaled.sizes) + 1):
             network = build_network(scaled)
             feasible.append(max_flow_integral(network, estimate).value == network.demand)
         # once feasible, always feasible
@@ -183,7 +185,7 @@ def test_extraction_invariants_on_random_instances():
         network = build_network(scaled)
         # extract_assignment checks the invariants internally and raises on breach
         assignment = extract_assignment(network, max_flow_integral(network, estimate), scaled)
-        for j in range(scaled.base.job_count):
+        for j in range(len(scaled.sizes)):
             assert sum(assignment.shares[j].values()) == assignment.sizes[j]
         # the search keeps the winning probe's flow instead of solving again
         assert searched == assignment
@@ -205,10 +207,11 @@ def test_no_estimate_exactly_when_the_full_load_flow_falls_short(monkeypatch):
     for _ in range(520):
         m = rng.randint(1, 5)
         alpha = Fraction(rng.randint(3, 13), rng.randint(1, 4))
-        norm, alpha = normalize(random_instance(rng, rng.randint(0, 10), m, max(alpha, 2)))
+        inst = random_instance(rng, rng.randint(0, 10), m, max(alpha, 2))
+        alpha = size_ratio(inst)
         for which in (SMALL_DOWN, SMALL_UP):
-            scaled = scale_to_integer(build_reduced(norm, alpha, which))
-            total = scaled.total_size()
+            scaled = build_reduced(inst, alpha, which)
+            total = sum(scaled.sizes)
             short = max_flow_integral(build_network(scaled), total).value < total
             probes.clear()
             found = min_feasible_T(scaled)
@@ -216,7 +219,7 @@ def test_no_estimate_exactly_when_the_full_load_flow_falls_short(monkeypatch):
             assert bool(probes) != short  # None without a max-flow, else at least one probe
             if found is not None:
                 # the search gallops up from the averaging bound
-                lo = max(scaled.max_size(), -(-total // m))
+                lo = max(max(scaled.sizes, default=0), -(-total // m))
                 assert probes[0] == lo and min(probes) == lo
                 assert len(probes) <= 2 * math.ceil(math.log2(found[0] - lo + 1)) + 1
             searches += 1
@@ -271,7 +274,7 @@ def test_max_flow_matches_networkx():
     for _ in range(40):
         inst = random_instance(rng, rng.randint(0, 12), rng.randint(1, 5), rng.randint(1, 5))
         scaled = scale_to_integer(normalize(inst)[0])
-        networks.append((build_network(scaled), rng.randint(0, scaled.total_size())))
+        networks.append((build_network(scaled), rng.randint(0, sum(scaled.sizes))))
     for _ in range(40):
         alpha = Fraction(rng.randint(2, 9), rng.randint(1, 4))
         inst = random_instance(rng, rng.randint(0, 12), rng.randint(1, 5), max(alpha, 1))

@@ -15,6 +15,7 @@ from twoval_makespan.graph_balancing import (
 from twoval_makespan.lenstra import cancel_cycles, min_feasible_fractional
 from twoval_makespan.model import (
     Instance,
+    ScaledInstance,
     machine_loads,
     makespan,
     normalize,
@@ -22,15 +23,15 @@ from twoval_makespan.model import (
 )
 from twoval_makespan.oracle import enumerate_opt
 
+from helpers import integer_instance
+
 
 def _scaled(machines, jobs):
     return scale_to_integer(normalize(Instance.build(machines, jobs))[0])
 
 
 def _scaled_direct(machines, jobs, k):
-    from twoval_makespan.model import ScaledInstance
-
-    return ScaledInstance(Instance.build(machines, jobs), k, Fraction(1, k))
+    return ScaledInstance.of(Instance.build(machines, jobs), k)
 
 
 def test_orient_single_edge():
@@ -72,8 +73,9 @@ def test_gb_triangle_gets_one_big_per_machine():
     for machine in result.schedule.assignment:
         counts[machine] += 1
     assert counts == [1, 1, 1]
-    assert makespan(scaled.base, result.schedule) == 2
-    assert enumerate_opt(scaled.base).opt_makespan == 2
+    base = integer_instance(scaled)
+    assert makespan(base, result.schedule) == 2
+    assert enumerate_opt(base).opt_makespan == 2
 
 
 def test_gb_forced_half_split_path():
@@ -86,8 +88,9 @@ def test_gb_forced_half_split_path():
     assert result.assignment.support(0) == (0, 1)
     # the single path edge is directed away from machine 0
     assert result.schedule.assignment[0] == 1
-    assert makespan(scaled.base, result.schedule) == 3
-    assert enumerate_opt(scaled.base).opt_makespan == 3
+    base = integer_instance(scaled)
+    assert makespan(base, result.schedule) == 3
+    assert enumerate_opt(base).opt_makespan == 3
 
 
 def test_gb_support_structure_invariant():
@@ -117,15 +120,16 @@ def test_gb_rounding_bounds():
         result = gb_solve_unit_k(scaled)
         if result is None:
             continue
-        loads = machine_loads(scaled.base, result.schedule)
-        bigs = [0] * scaled.base.machine_count
+        base = integer_instance(scaled)
+        loads = machine_loads(base, result.schedule)
+        bigs = [0] * scaled.machine_count
         for j, machine in enumerate(result.schedule.assignment):
             if scaled.is_big(j):
                 bigs[machine] += 1
         assert max(bigs, default=0) <= 1
         assert all(2 * load <= 2 * result.estimate + scaled.k for load in loads)
-        opt = enumerate_opt(scaled.base).opt_makespan
-        assert makespan(scaled.base, result.schedule) <= Fraction(3, 2) * opt
+        opt = enumerate_opt(base).opt_makespan
+        assert makespan(base, result.schedule) <= Fraction(3, 2) * opt
 
 
 def test_gb_rejects_wide_allowed_sets():

@@ -5,6 +5,7 @@ import pytest
 
 from twoval_makespan.model import (
     Instance,
+    ScaledInstance,
     Schedule,
     integer_sizes,
     is_graph_balancing,
@@ -12,6 +13,7 @@ from twoval_makespan.model import (
     makespan,
     normalize,
     scale_to_integer,
+    size_ratio,
     validate,
 )
 
@@ -82,15 +84,39 @@ def test_normalize_single_size():
 def test_scale_to_integer_unit_fraction():
     inst = Instance.build(2, [(Fraction(1, 3), [0]), (1, [1])])
     scaled = scale_to_integer(inst)
-    assert scaled.k == 3
-    assert scaled.scale_factor == Fraction(1, 3)
-    assert [scaled.size_int(j) for j in range(2)] == [1, 3]
+    assert scaled == ScaledInstance(2, (frozenset({0}), frozenset({1})), (1, 3), 3)
 
 
 def test_scale_to_integer_identity():
     inst = Instance.build(1, [(1, [0])])
     scaled = scale_to_integer(inst)
-    assert scaled.k == 1 and scaled.scale_factor == 1
+    assert scaled.k == 1 and scaled.sizes == (1,)
+
+
+def test_normalize_rejects_a_nonpositive_small_size():
+    # the small size, not only the big one, must be checked before dividing by it
+    for small in (0, -1):
+        inst = Instance.build(1, [(small, [0]), (1, [0])])
+        with pytest.raises(ValueError, match="^invalid instance: nonpositive size$"):
+            normalize(inst)
+        with pytest.raises(ValueError, match="^invalid instance: nonpositive size$"):
+            size_ratio(inst)
+
+
+def test_size_ratio():
+    assert size_ratio(Instance.build(2, [(2, [0]), (5, [1]), (2, [1])])) == Fraction(5, 2)
+    assert size_ratio(Instance.build(1, [(4, [0])])) == 1
+    assert size_ratio(Instance.build(1, [])) == 1
+
+
+def test_scaled_instance_gives_the_biggest_jobs_size_k():
+    big, small = Fraction(7, 3), Fraction(1, 2)
+    inst = Instance.build(3, [(big, [0, 2]), (small, [1]), (big, [1])])
+    scaled = ScaledInstance.of(inst, 4)
+    assert scaled.sizes == (4, 1, 4) and scaled.k == 4 and scaled.machine_count == 3
+    assert scaled.allowed == (frozenset({0, 2}), frozenset({1}), frozenset({1}))
+    assert ScaledInstance.of(inst, 1).sizes == (1, 1, 1)
+    assert ScaledInstance.of(Instance.build(2, []), 3).sizes == ()
 
 
 def test_scale_to_integer_rejects_non_integer_ratio():
@@ -157,7 +183,8 @@ def test_scale_round_trip():
         inst = Instance.build(machines, jobs)
         scaled = scale_to_integer(inst)
         for j, job in enumerate(inst.jobs):
-            assert scaled.base.jobs[j].size * scaled.scale_factor == job.size
+            assert Fraction(scaled.sizes[j], scaled.k) == job.size
+            assert scaled.allowed[j] == job.allowed
 
 
 def test_makespan_invariant_under_machine_permutation():

@@ -1,5 +1,6 @@
 """Property tests for the galloping feasibility search, the integer size
-scaling, the snap to true loads and cycle canceling on integer shares.
+scaling, the two routes to a {1, k} instance, the lifted-load cap, the snap
+to true loads and cycle canceling on integer shares.
 
 They need hypothesis and skip without it. No example database is kept;
 hypothesis may still cache source constants under `.hypothesis/`, which git
@@ -16,9 +17,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from twoval_makespan.bounds import lift_factors
 from twoval_makespan.flow import FractionalAssignment, smallest_feasible
 from twoval_makespan.lenstra import _snap_to_grid, cancel_cycles, round_forest, support_is_forest
-from twoval_makespan.model import Instance, integer_sizes
+from twoval_makespan.model import (
+    Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer, size_ratio,
+)
+from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
 
 PROPERTY = settings(database=None, deadline=None)
 
@@ -85,6 +90,42 @@ def test_integer_sizes_uses_the_smallest_clearing_factor(sizes):
     assert all(type(value) is int for value in scaled)
     assert [Fraction(value, denom) for value in scaled] == sizes
     assert all(any((size * d).denominator != 1 for size in sizes) for d in range(1, denom))
+
+
+@st.composite
+def integer_ratio_instances(draw):
+    """Up to 8 jobs on up to 4 machines, sized s or alpha * s for a rational s, integer alpha."""
+    small = draw(SIZES)
+    sizes = (small, small * draw(st.integers(1, 6)))
+    machines = draw(st.integers(1, 4))
+    job = st.tuples(st.sampled_from(sizes), st.sets(st.integers(0, machines - 1), min_size=1))
+    return Instance.build(machines, draw(st.lists(job, max_size=8)))
+
+
+@PROPERTY
+@given(integer_ratio_instances())
+def test_both_routes_to_a_unit_k_instance_agree(instance):
+    # the normalized route (the CLI's unitk mode) and the reduction the solvers run
+    alpha = size_ratio(instance)
+    via_normalize = scale_to_integer(normalize(instance)[0])
+    assert via_normalize == build_reduced(instance, alpha, SMALL_UP)
+    assert via_normalize == build_reduced(instance, alpha, SMALL_DOWN)
+    assert via_normalize.k == alpha
+    if alpha == 1:
+        assert via_normalize == ScaledInstance.of(instance, 1)
+
+
+@PROPERTY
+@given(SIZES, SIZES, st.integers(1, 200))
+def test_lifted_load_cap_in_original_units(first, second, estimate):
+    # b + (T - 1) s, the small-down check's cap, is b (1 + (T1 - 1/ceil(alpha)) f1)
+    # with T1 = T / ceil(alpha), the {1, k} estimate in units of the big size
+    small, big = sorted((first, second))
+    alpha = big / small
+    ceil_a = math.ceil(alpha)
+    f1 = lift_factors(alpha)[0]
+    normalized = big * (1 + (Fraction(estimate, ceil_a) - Fraction(1, ceil_a)) * f1)
+    assert big + (estimate - 1) * small == normalized
 
 
 @st.composite

@@ -1,45 +1,53 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from twoval_makespan.bounds import lift_factors
+from twoval_makespan.flow import FractionalAssignment
 from twoval_makespan.generator import random_instance
-from twoval_makespan.model import Instance, normalize
+from twoval_makespan.model import Instance, ScaledInstance, Schedule, scale_to_integer, size_ratio
 from twoval_makespan.oracle import enumerate_opt
 from twoval_makespan.twovalued import (
     ADDITIVE,
     SMALL_DOWN,
     SMALL_UP,
+    _check_lifted_loads,
     build_reduced,
     solve_two_valued,
 )
+from twoval_makespan.unitk import UnitKSolution
 
 
 def test_build_reduced_five_halves():
-    inst = Instance.build(2, [(Fraction(2, 5), [0]), (1, [1])])
-    norm, alpha = normalize(inst)
-    down = build_reduced(norm, alpha, SMALL_DOWN)
-    up = build_reduced(norm, alpha, SMALL_UP)
+    # small size 2/5 of the big one: lowered to 1/3 (k = 3), raised to 1/2 (k = 2)
+    inst = Instance.build(2, [(2, [0]), (5, [1])])
+    alpha = size_ratio(inst)
+    down = build_reduced(inst, alpha, SMALL_DOWN)
+    up = build_reduced(inst, alpha, SMALL_UP)
     f1, f2 = lift_factors(alpha)
-    assert down.jobs[0].size == Fraction(1, 3) and f1 == Fraction(6, 5)
-    assert up.jobs[0].size == Fraction(1, 2) and f2 == Fraction(4, 5)
+    assert down.sizes == (1, 3) and down.k == 3 and f1 == Fraction(6, 5)
+    assert up.sizes == (1, 2) and up.k == 2 and f2 == Fraction(4, 5)
+    assert down.allowed == up.allowed == (frozenset({0}), frozenset({1}))
 
 
 def test_build_reduced_integer_alpha_is_identity():
     inst = Instance.build(2, [(Fraction(1, 3), [0]), (1, [1])])
-    norm, alpha = normalize(inst)
-    up = build_reduced(norm, alpha, SMALL_UP)
-    assert up == norm and lift_factors(alpha)[1] == 1
+    alpha = size_ratio(inst)
+    up = build_reduced(inst, alpha, SMALL_UP)
+    assert up == scale_to_integer(inst) and lift_factors(alpha)[1] == 1
 
 
 def test_build_reduced_eight_fifths():
     inst = Instance.build(2, [(Fraction(5, 8), [0]), (1, [1])])
-    norm, alpha = normalize(inst)
+    alpha = size_ratio(inst)
     assert alpha == Fraction(8, 5)
-    down = build_reduced(norm, alpha, SMALL_DOWN)
-    up = build_reduced(norm, alpha, SMALL_UP)
+    down = build_reduced(inst, alpha, SMALL_DOWN)
+    up = build_reduced(inst, alpha, SMALL_UP)
     f1, f2 = lift_factors(alpha)
-    assert down.jobs[0].size == Fraction(1, 2) and f1 == Fraction(5, 4)
-    assert up.jobs[0].size == Fraction(1) and f2 == Fraction(5, 8)
+    assert down.sizes == (1, 2) and down.k == 2 and f1 == Fraction(5, 4)
+    # raised to the big size itself: one size, k = 1
+    assert up == ScaledInstance.of(inst, 1) and up.sizes == (1, 1) and f2 == Fraction(5, 8)
 
 
 def test_solve_alpha_two_within_three_halves():
@@ -88,3 +96,26 @@ def test_report_matches_alpha():
     result = solve_two_valued(inst)
     assert result.report.alpha == Fraction(5, 2)
     assert result.report.constructive_bound == Fraction(7, 4)
+
+
+def _doctored(assignment, estimate):
+    # the check reads only the schedule and the estimate
+    return UnitKSolution(Schedule.of(assignment), estimate, FractionalAssignment((), ()))
+
+
+def test_lifted_load_check_allows_a_big_job_machine_at_the_cap():
+    # b = 5, s = 2: at estimate 3 the cap is b + (3 - 1) s = 9, a big job and two smalls
+    inst = Instance.build(2, [(5, [0]), (2, [0, 1]), (2, [0, 1]), (2, [0, 1])])
+    _check_lifted_loads(inst, _doctored([0, 0, 0, 1], 3))
+    # a machine without a big job is not checked
+    _check_lifted_loads(inst, _doctored([0, 1, 1, 1], 1))
+
+
+def test_lifted_load_check_rejects_a_big_job_machine_one_small_above_the_cap():
+    inst = Instance.build(2, [(5, [0]), (2, [0, 1]), (2, [0, 1]), (2, [0, 1])])
+    # the schedule at the cap above, checked against a cap one s lower
+    with pytest.raises(RuntimeError, match="^machine 0 lifted load 9 exceeds 7$"):
+        _check_lifted_loads(inst, _doctored([0, 0, 0, 1], 2))
+    # or at the same cap with one more small job on the big job's machine
+    with pytest.raises(RuntimeError, match="^machine 0 lifted load 11 exceeds 9$"):
+        _check_lifted_loads(inst, _doctored([0, 0, 0, 0], 3))

@@ -10,13 +10,15 @@ from twoval_makespan.model import (
 from twoval_makespan.oracle import enumerate_opt
 from twoval_makespan.unitk import match_big_jobs, solve_unit_k
 
+from helpers import integer_instance
+
 
 def _scaled(machines, jobs):
     return scale_to_integer(normalize(Instance.build(machines, jobs))[0])
 
 
 def _scaled_direct(machines, jobs, k):
-    return ScaledInstance(Instance.build(machines, jobs), k, Fraction(1, k))
+    return ScaledInstance.of(Instance.build(machines, jobs), k)
 
 
 def test_match_single_integral_big_job():
@@ -27,7 +29,7 @@ def test_match_single_integral_big_job():
 
 def test_match_two_split_jobs():
     base = Instance.build(3, [(2, [0, 1]), (2, [1, 2])])
-    scaled = ScaledInstance(base, 2, Fraction(1, 2))
+    scaled = ScaledInstance.of(base, 2)
     assignment = FractionalAssignment(({0: 1, 1: 1}, {1: 1, 2: 1}), (2, 2))
     matched = match_big_jobs(assignment, scaled)
     # any of the hand-enumerated matchings is acceptable; ties break low
@@ -53,7 +55,7 @@ def test_all_small_schedule_hits_estimate_exactly():
     scaled = _scaled(2, [(1, [0, 1]), (1, [0, 1]), (1, [0])])
     result = solve_unit_k(scaled)
     assert result is not None
-    assert makespan(scaled.base, result.schedule) == result.estimate
+    assert makespan(integer_instance(scaled), result.schedule) == result.estimate
 
 
 def test_k_equal_one_is_exact():
@@ -63,7 +65,8 @@ def test_k_equal_one_is_exact():
         scaled = scale_to_integer(normalize(inst)[0])
         result = solve_unit_k(scaled)
         assert result is not None
-        assert makespan(scaled.base, result.schedule) == enumerate_opt(scaled.base).opt_makespan
+        base = integer_instance(scaled)
+        assert makespan(base, result.schedule) == enumerate_opt(base).opt_makespan
 
 
 def test_needs_fallback_on_crowded_bigs():
@@ -78,9 +81,10 @@ def test_ratio_against_oracle_with_fallback():
         inst = random_instance(rng, rng.randint(1, 8), rng.randint(1, 3), k)
         scaled = scale_to_integer(normalize(inst)[0])
         result = solve_unit_k(scaled)
-        schedule = result.schedule if result is not None else lenstra_solve(scaled.base).schedule
-        opt = enumerate_opt(scaled.base).opt_makespan
-        assert makespan(scaled.base, schedule) <= (2 - Fraction(1, k)) * opt
+        base = integer_instance(scaled)
+        schedule = result.schedule if result is not None else lenstra_solve(base).schedule
+        opt = enumerate_opt(base).opt_makespan
+        assert makespan(base, schedule) <= (2 - Fraction(1, k)) * opt
 
 
 def test_rounding_keeps_one_big_per_machine_and_additive_bound():
@@ -92,8 +96,8 @@ def test_rounding_keeps_one_big_per_machine_and_additive_bound():
         result = solve_unit_k(scaled)
         if result is None:
             continue
-        loads = machine_loads(scaled.base, result.schedule)
-        bigs = [0] * scaled.base.machine_count
+        loads = machine_loads(integer_instance(scaled), result.schedule)
+        bigs = [0] * scaled.machine_count
         for j, machine in enumerate(result.schedule.assignment):
             if scaled.is_big(j):
                 bigs[machine] += 1
