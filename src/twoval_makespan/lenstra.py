@@ -267,8 +267,14 @@ def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAss
     grid = load_grid(sizes)
     network = transportation_network(instance, sizes)
 
+    # neighbouring multiples often snap to the same load: solve each load once
+    solved: dict[int, FractionalAssignment | None] = {}
+
     def probe(k: int) -> FractionalAssignment | None:
-        return fractional_assign_plain(network, _snap_to_grid(sizes, grid[k]))
+        capacity = _snap_to_grid(sizes, grid[k])
+        if capacity not in solved:
+            solved[capacity] = fractional_assign_plain(network, capacity)
+        return solved[capacity]
 
     last = len(grid) - 1
     start = min(-(-sum(sizes) // (max(instance.machine_count, 1) * grid.step)), last)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 
@@ -47,7 +48,20 @@ class Instance:
         return len(self.jobs)
 
     def distinct_sizes(self) -> tuple[Fraction, ...]:
+        return self._distinct_sizes
+
+    # computed once per instance; cached_property writes the instance's
+    # __dict__ directly, so it works on a frozen dataclass and stays out of
+    # equality and hashing, which use the fields only
+    @cached_property
+    def _distinct_sizes(self) -> tuple[Fraction, ...]:
         return tuple(sorted({job.size for job in self.jobs}))
+
+    @cached_property
+    def _integer_sizes(self) -> tuple[int, tuple[int, ...]]:
+        denom = math.lcm(*(job.size.denominator for job in self.jobs))
+        sizes = tuple(job.size.numerator * (denom // job.size.denominator) for job in self.jobs)
+        return denom, sizes
 
 
 @dataclass(frozen=True)
@@ -163,10 +177,9 @@ def integer_sizes(instance: Instance) -> tuple[int, tuple[int, ...]]:
     """The lcm D of the size denominators and every job's size times D, in job order.
 
     D is the smallest factor making every size integral; it is 1 with no jobs.
+    Computed once per instance; later calls return the same tuple.
     """
-    denom = math.lcm(*(job.size.denominator for job in instance.jobs))
-    sizes = tuple(job.size.numerator * (denom // job.size.denominator) for job in instance.jobs)
-    return denom, sizes
+    return instance._integer_sizes
 
 
 def scale_to_integer(instance: Instance) -> ScaledInstance:

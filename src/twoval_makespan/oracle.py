@@ -3,6 +3,16 @@
 Only meant for desk-scale instances; the search is depth-first over
 job -> machine choices with load-based pruning, plus a pruning-free
 enumerator used to cross-validate the pruned one on tiny instances.
+
+The pruned search stops at the first complete schedule that meets the load
+floor (`load_floor`): the smallest a*b + c*s, with a and c at most the
+numbers of big and small jobs, that is at least max(b, ceil(total / m)).
+Every makespan is one machine's load, so it has that form and meets both
+bounds: the floor is at most the optimum, and a schedule at the floor is
+optimal. Complete schedules come in lexicographic order and only ones
+strictly below the incumbent are kept, so the first one at the optimum is
+the witness an exhaustive search returns too. The floor needs no flow and
+no solver code, so the oracle stays independent of what it checks.
 """
 
 from __future__ import annotations
@@ -10,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .model import Instance, Schedule, integer_sizes, makespan, require_valid
 
@@ -38,19 +49,45 @@ class RatioCheck:
     witness: Schedule
 
 
+def load_floor(sizes: Sequence[int], machine_count: int) -> int:
+    """Smallest a*b + c*s >= max(b, ceil(total / m)) over the jobs' own counts.
+
+    b and s are the largest and smallest integer size, a is at most the
+    number of size-b jobs and c at most the number of size-s jobs; a
+    single-size instance uses c*s only. No makespan is below it.
+    """
+    if not sizes:
+        return 0
+    small, big = min(sizes), max(sizes)
+    target = max(big, -(-sum(sizes) // machine_count))
+    smalls = sizes.count(small)
+    bigs = len(sizes) - smalls  # 0 for a single size
+    # a big jobs need c = max(0, ceil((target - a*b) / s)) small ones; a = bigs
+    # needs at most all of them, since the target is at most the total
+    return min(
+        a * big + c * small
+        for a in range(bigs + 1)
+        if (c := max(0, -((a * big - target) // small))) <= smalls
+    )
+
+
 def brute_force_opt(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Exact optimum by pruned depth-first search, deterministic in input order.
 
     Job idx tries its allowed machines in index order, each try counting one
     node; a try whose makespan so far reaches the incumbent is pruned. The
     search keeps one cursor per job instead of recursing, so the job count is
-    not limited by the recursion limit.
+    not limited by the recursion limit. It returns at the first complete
+    schedule that meets `load_floor`, so the budget counts nodes until then or
+    until the search ends; the witness is the first optimum in input order
+    either way (see the module docstring).
     """
     require_valid(instance)
     n = instance.job_count
     if n == 0:
         return OracleResult(Fraction(0), Schedule(()))
     denom, sizes = integer_sizes(instance)
+    floor = load_floor(sizes, instance.machine_count)
     allowed = [sorted(job.allowed) for job in instance.jobs]
     loads = [0] * instance.machine_count
     current = [0] * n
@@ -80,6 +117,8 @@ def brute_force_opt(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) 
             if idx == last:  # a complete schedule below the incumbent
                 best_value = new_max
                 best_assign = tuple(current)
+                if best_value == floor:  # nothing is below the floor: optimal
+                    return OracleResult(Fraction(best_value, denom), Schedule(best_assign))
                 continue
             loads[machine] = new_load
             cursor[idx] = position

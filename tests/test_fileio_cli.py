@@ -396,8 +396,9 @@ def test_module_entry_point_runs():
 
 
 def test_solve_into_a_pipe_closed_early_exits_141(tmp_path, capsys):
-    # as in `solve big.txt | head -1`: the schedule is far longer than one line
-    assert main(["gen", "--seed", "1", "--jobs", "3000", "--machines", "5", "--alpha", "1"]) == 0
+    # as in `solve big.txt | head -1`: the schedule, about 170 KB, outgrows a
+    # 64 KB pipe buffer, so the solver is still writing when the pipe closes
+    assert main(["gen", "--seed", "1", "--jobs", "12000", "--machines", "5", "--alpha", "1"]) == 0
     path = _write(tmp_path, "big.txt", capsys.readouterr().out)
     proc = subprocess.Popen(
         [sys.executable, "-m", "twoval_makespan", "solve", path],

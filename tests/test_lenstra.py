@@ -170,6 +170,26 @@ def test_additive_search_probes_only_true_loads(monkeypatch):
             assert len(probed) <= 2 * math.ceil(math.log2(index - start + 1)) + 1
 
 
+def test_additive_search_solves_each_load_once(monkeypatch):
+    probed = []
+
+    def recording(network, capacity):
+        probed.append(capacity)
+        return fractional_assign_plain(network, capacity)
+
+    monkeypatch.setattr(lenstra, "fractional_assign_plain", recording)
+    rng = random.Random("lenstra-once")
+    alphas = [Fraction(7, 3), Fraction(13, 8), Fraction(11, 7), Fraction(5, 2), Fraction(3, 2)]
+    searches = 0
+    for _ in range(600):
+        inst = random_instance(rng, rng.randint(1, 10), rng.randint(1, 4), rng.choice(alphas))
+        probed.clear()
+        min_feasible_fractional(inst)
+        assert len(probed) == len(set(probed))
+        searches += len(probed) >= 2
+    assert searches >= 50
+
+
 def test_each_search_builds_one_network(monkeypatch):
     calls = {}
 

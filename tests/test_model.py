@@ -137,6 +137,15 @@ def test_integer_sizes_in_job_order():
     assert integer_sizes(Instance.build(2, [])) == (1, ())
 
 
+def test_size_facts_are_computed_once():
+    inst = Instance.build(2, [(Fraction(7, 3), [0]), (Fraction(1, 2), [1])])
+    assert integer_sizes(inst) is integer_sizes(inst)
+    assert inst.distinct_sizes() is inst.distinct_sizes()
+    # the cache stays out of equality and hashing
+    fresh = Instance.build(2, [(Fraction(7, 3), [0]), (Fraction(1, 2), [1])])
+    assert fresh == inst and hash(fresh) == hash(inst)
+
+
 def test_big_small_classification():
     scaled = scale_to_integer(Instance.build(2, [(Fraction(1, 2), [0]), (1, [1])]))
     assert scaled.big_jobs() == (1,) and scaled.small_jobs() == (0,)

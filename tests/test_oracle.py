@@ -50,6 +50,16 @@ def test_budget_exceeded():
         brute_force_opt(inst, node_budget=5)
 
 
+def test_search_stops_at_the_load_floor():
+    # the floor is max(5, ceil(11 / 2)) = 6 = 2 + 2 + 2; the first complete
+    # schedule in input order meets it with job 0 on machine 1 still untried,
+    # so the search ends after one node per job
+    inst = Instance.build(2, [(5, [0, 1]), (2, [1]), (2, [1]), (2, [1])])
+    result = brute_force_opt(inst, node_budget=4)
+    assert result.opt_makespan == 6
+    assert result.witness == Schedule.of([0, 1, 1, 1])
+
+
 def test_search_deeper_than_the_recursion_limit():
     inst = Instance.build(2, [(1, [j % 2]) for j in range(3000)])
     result = brute_force_opt(inst)

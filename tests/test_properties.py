@@ -1,6 +1,6 @@
 """Property tests for the galloping feasibility search, the integer size
 scaling, the two routes to a {1, k} instance, the lifted-load cap, the snap
-to true loads and cycle canceling on integer shares.
+to true loads, cycle canceling on integer shares and the oracle's load floor.
 
 They need hypothesis and skip without it. No example database is kept;
 hypothesis may still cache source constants under `.hypothesis/`, which git
@@ -23,6 +23,7 @@ from twoval_makespan.lenstra import _snap_to_grid, cancel_cycles, round_forest, 
 from twoval_makespan.model import (
     Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer, size_ratio,
 )
+from twoval_makespan.oracle import brute_force_opt, enumerate_opt, load_floor
 from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
 
 PROPERTY = settings(database=None, deadline=None)
@@ -167,3 +168,30 @@ def test_cancel_cycles_keeps_totals_and_loads_and_leaves_a_forest(case):
     instance = Instance.build(machines, list(zip(sizes, shares)))
     schedule = round_forest(canceled, instance)
     assert all(machine in job_shares for machine, job_shares in zip(schedule.assignment, shares))
+
+
+@st.composite
+def two_size_instances(draw):
+    """Up to 7 jobs on up to 3 machines, each sized one of two integers."""
+    pair = draw(st.tuples(st.integers(1, 9), st.integers(1, 9)))
+    machines = draw(st.integers(1, 3))
+    job = st.tuples(st.sampled_from(pair), st.sets(st.integers(0, machines - 1), min_size=1))
+    return Instance.build(machines, draw(st.lists(job, max_size=7)))
+
+
+@PROPERTY
+@given(two_size_instances())
+def test_the_search_stopped_at_the_floor_is_the_exhaustive_optimum(instance):
+    pruned = brute_force_opt(instance)
+    plain = enumerate_opt(instance)
+    assert (pruned.opt_makespan, pruned.witness) == (plain.opt_makespan, plain.witness)
+    denom, sizes = integer_sizes(instance)
+    floor = load_floor(sizes, instance.machine_count)
+    assert floor <= plain.opt_makespan * denom
+    target = max(max(sizes, default=0), -(-sum(sizes) // instance.machine_count))
+    units = sorted(set(sizes))
+    loads = {
+        sum(count * unit for count, unit in zip(counts, units))
+        for counts in itertools.product(*(range(sizes.count(unit) + 1) for unit in units))
+    }
+    assert floor == min(load for load in loads if load >= target)
