@@ -122,16 +122,17 @@ def scan_assignment_grid(max_denominator: int = 1000) -> tuple[Fraction, Fractio
     return Fraction(best_num, best_den), Fraction(*best_alpha)
 
 
-def scan_gb_grid(max_denominator: int = 1000, hi: int = 6) -> tuple[Fraction, Fraction]:
-    """Max of min(1 + f1/2, 1/f2 + 1/2) over rationals in [2, hi] with bounded denominator.
+# for alpha beyond any interval start n >= 6 the first expression alone is at
+# most 1 + (n+1)/(2n) <= 19/12 < 1.652, so scanning alpha up to 6 covers the max
+GB_SCAN_HI = 6
 
-    For alpha beyond any interval start n >= 6 the first expression alone is
-    at most 1 + (n+1)/(2n) <= 19/12 < 1.652, so scanning up to 6 covers the max.
-    """
+
+def scan_gb_grid(max_denominator: int = 1000) -> tuple[Fraction, Fraction]:
+    """Max of min(1 + f1/2, 1/f2 + 1/2) over rationals in [2, GB_SCAN_HI], denominators bounded."""
     best_num, best_den = 0, 1
     best_alpha = (0, 1)
     for q in range(1, max_denominator + 1):
-        for p in range(2 * q, hi * q + 1):
+        for p in range(2 * q, GB_SCAN_HI * q + 1):
             n, r = divmod(p, q)
             if r == 0:
                 num, den = 3, 2  # integer alpha: both expressions equal 3/2

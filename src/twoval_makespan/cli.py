@@ -24,9 +24,7 @@ from .fileio import (
 from .generator import random_instance
 from .graph_balancing import gb_solve_two_valued
 from .lenstra import lenstra_solve
-from .model import (
-    Instance, is_graph_balancing, makespan, normalize, scale_to_integer, size_ratio, validate,
-)
+from .model import Instance, is_graph_balancing, makespan, normalize, scale_to_integer, size_ratio
 from .oracle import DEFAULT_NODE_BUDGET, BudgetExceeded, brute_force_opt, ratio_verdict
 from .twovalued import ADDITIVE, SolveResult, solve_two_valued
 from .unitk import solve_unit_k
@@ -102,11 +100,7 @@ def _load_instance(path: str) -> Instance:
             text = handle.read()
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from None
-    instance = parse_instance(text)
-    violation = validate(instance)
-    if violation is not None:
-        raise FileFormatError(f"invalid instance: {violation}")
-    return instance
+    return parse_instance(text)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

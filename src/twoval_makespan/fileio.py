@@ -9,6 +9,9 @@ Sizes are exact rationals, `/1` optional for integers; decimals are rejected.
 Every integer is ASCII digits with an optional sign; the counts must not be
 negative. A '#' after other text is no comment: it makes the line an error.
 Job ids must be 0..n-1 in order. Printing then parsing is the identity.
+
+An invalid instance (see `model`) raises `FileFormatError` with the text
+`Instance` raises: "invalid instance: <violation>".
 """
 
 from __future__ import annotations
@@ -93,7 +96,10 @@ def parse_instance(text: str) -> Instance:
         except ValueError:
             raise FileFormatError(f"bad machine index in {line!r}") from None
         jobs.append((size, machines))
-    return Instance.build(machine_count, jobs)
+    try:
+        return Instance.build(machine_count, jobs)
+    except ValueError as exc:  # the instance's own check: same text, as a format error
+        raise FileFormatError(str(exc)) from None
 
 
 def format_instance(instance: Instance) -> str:

@@ -19,13 +19,12 @@ rather than searching for its own. Either way the best branch is within
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .flow import FractionalAssignment
 from .lenstra import lenstra_solve, round_forest
 from .matching import maximum_bipartite_matching
-from .model import Instance, ScaledInstance, Schedule, require_valid, size_ratio
+from .model import Instance, ScaledInstance, Schedule, size_ratio
 from .twovalued import SMALL_DOWN, SolveResult, race, reduction_branches
 from .unitk import UnitKSolution, round_flow
 
@@ -102,7 +101,6 @@ def gb_solve_unit_k(scaled: ScaledInstance) -> UnitKSolution | None:
 def _majority_and_orient(assignment: FractionalAssignment, scaled: ScaledInstance) -> dict[int, int]:
     """Big jobs go to their majority machine; half/half jobs are oriented."""
     placed: dict[int, int] = {}
-    half = Fraction(1, 2)
     half_edges: list[tuple[int, int, int]] = []
     for j in scaled.big_jobs():
         support = assignment.support(j)
@@ -112,10 +110,10 @@ def _majority_and_orient(assignment: FractionalAssignment, scaled: ScaledInstanc
             placed[j] = support[0]
             continue
         u, v = support
-        fu = assignment.fraction(j, u)
-        if fu > half:
+        twice_u, size = 2 * assignment.shares[j][u], assignment.sizes[j]  # u's fraction vs 1/2
+        if twice_u > size:
             placed[j] = u
-        elif fu < half:
+        elif twice_u < size:
             placed[j] = v
         else:
             half_edges.append((j, u, v))
@@ -150,7 +148,6 @@ def gb_forest_round(instance: Instance, assignment: FractionalAssignment) -> Sch
 
 def gb_solve_two_valued(instance: Instance) -> SolveResult:
     """Race the branches appropriate for alpha and keep the best schedule."""
-    require_valid(instance)
     _require_gb(job.allowed for job in instance.jobs)
     alpha = size_ratio(instance)
     if not 1 < alpha < 2:

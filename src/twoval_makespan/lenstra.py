@@ -36,7 +36,7 @@ from typing import Collection, Sequence
 from .flow import (
     FlowNetwork, FractionalAssignment, job_fractions, max_flow_integral, smallest_feasible,
 )
-from .model import Instance, Schedule, integer_sizes, makespan, require_valid
+from .model import Instance, Schedule, integer_sizes, makespan
 
 
 @dataclass(frozen=True)
@@ -277,7 +277,7 @@ def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAss
         return solved[capacity]
 
     last = len(grid) - 1
-    start = min(-(-sum(sizes) // (max(instance.machine_count, 1) * grid.step)), last)
+    start = min(-(-sum(sizes) // (instance.machine_count * grid.step)), last)
     found = smallest_feasible(start, last, probe)
     if found is None:
         raise RuntimeError("transportation problem infeasible at the full-load bound")
@@ -291,7 +291,6 @@ def lenstra_solve(instance: Instance) -> LenstraSolution:
     The result's makespan is at most capacity + b, which the function checks
     on every run.
     """
-    require_valid(instance)
     capacity, assignment = min_feasible_fractional(instance)
     canceled = cancel_cycles(assignment)
     schedule = round_forest(canceled, instance)

@@ -5,6 +5,10 @@ them to integers (`integer_sizes`, `ScaledInstance`) and work in those units;
 alpha, reported loads and bounds stay exact Fractions. Floating point only
 appears when reports are rendered for humans. All model values are frozen
 dataclasses, so they can be shared freely between concurrent solver runs.
+
+An `Instance` is valid by construction: building an invalid one raises
+`ValueError("invalid instance: <violation>")` naming the first violation, so
+no solver checks its input again.
 """
 
 from __future__ import annotations
@@ -37,6 +41,26 @@ class Instance:
 
     machine_count: int
     jobs: tuple[Job, ...]
+
+    def __post_init__(self) -> None:
+        violation = self._violation()
+        if violation is not None:
+            raise ValueError(f"invalid instance: {violation}")
+
+    def _violation(self) -> str | None:
+        """None when all instance invariants hold, else the first violation."""
+        if self.machine_count < 1:
+            return "machine count must be positive"
+        for idx, job in enumerate(self.jobs):
+            if job.size <= 0:
+                return f"job {idx}: nonpositive size"
+            if not job.allowed:
+                return f"job {idx}: empty allowed set"
+            if min(job.allowed) < 0 or max(job.allowed) >= self.machine_count:
+                return f"job {idx}: machine index out of range"
+        if len(self.distinct_sizes()) > 2:
+            return "more than two size values"
+        return None
 
     @classmethod
     def build(cls, machine_count: int, jobs: Iterable[tuple[object, Iterable[int]]]) -> "Instance":
@@ -101,28 +125,6 @@ class ScaledInstance:
         return tuple(j for j in range(len(self.sizes)) if not self.is_big(j))
 
 
-def validate(instance: Instance) -> str | None:
-    """Return None when all instance invariants hold, else name the first violation."""
-    if instance.machine_count < 1:
-        return "machine count must be positive"
-    for idx, job in enumerate(instance.jobs):
-        if job.size <= 0:
-            return f"job {idx}: nonpositive size"
-        if not job.allowed:
-            return f"job {idx}: empty allowed set"
-        if any(i < 0 or i >= instance.machine_count for i in job.allowed):
-            return f"job {idx}: machine index out of range"
-    if len(instance.distinct_sizes()) > 2:
-        return "more than two size values"
-    return None
-
-
-def require_valid(instance: Instance) -> None:
-    violation = validate(instance)
-    if violation is not None:
-        raise ValueError(f"invalid instance: {violation}")
-
-
 def machine_loads(instance: Instance, schedule: Schedule) -> list[Fraction]:
     """Per-machine total size under an assignment; rejects disallowed placements."""
     if len(schedule.assignment) != instance.job_count:
@@ -140,23 +142,12 @@ def machine_loads(instance: Instance, schedule: Schedule) -> list[Fraction]:
 
 def makespan(instance: Instance, schedule: Schedule) -> Fraction:
     """Maximum machine load; machines with no jobs contribute 0."""
-    loads = machine_loads(instance, schedule)
-    return max(loads, default=Fraction(0))
-
-
-def _checked_sizes(instance: Instance) -> tuple[Fraction, ...]:
-    """The distinct sizes, ascending; raises unless there are at most two, all positive."""
-    sizes = instance.distinct_sizes()
-    if len(sizes) > 2:
-        raise ValueError("invalid instance: more than two size values")
-    if sizes and sizes[0] <= 0:
-        raise ValueError("invalid instance: nonpositive size")
-    return sizes
+    return max(machine_loads(instance, schedule))  # an instance has at least one machine
 
 
 def size_ratio(instance: Instance) -> Fraction:
     """alpha, the big size over the small one; 1 for single-sized (or empty) instances."""
-    sizes = _checked_sizes(instance)
+    sizes = instance.distinct_sizes()
     return sizes[-1] / sizes[0] if sizes else Fraction(1)
 
 
@@ -165,12 +156,13 @@ def normalize(instance: Instance) -> tuple[Instance, Fraction]:
 
     Single-sized (or empty) instances normalize to all-ones with alpha = 1.
     """
-    sizes = _checked_sizes(instance)
+    sizes = instance.distinct_sizes()
     if not sizes:
         return instance, Fraction(1)
-    big = sizes[-1]
-    jobs = tuple(Job(job.size / big, job.allowed) for job in instance.jobs)
-    return Instance(instance.machine_count, jobs), big / sizes[0]
+    small, big = sizes[0], sizes[-1]
+    low, one = small / big, Fraction(1)  # one division, shared by every small job
+    jobs = tuple(Job(one if job.size == big else low, job.allowed) for job in instance.jobs)
+    return Instance(instance.machine_count, jobs), big / small
 
 
 def integer_sizes(instance: Instance) -> tuple[int, tuple[int, ...]]:
@@ -189,7 +181,7 @@ def scale_to_integer(instance: Instance) -> ScaledInstance:
     through the size-rounding reduction first. Big jobs then have size k = q
     and small ones size 1 (k = 1 when the instance has at most one size).
     """
-    sizes = _checked_sizes(instance)
+    sizes = instance.distinct_sizes()
     if sizes and sizes[-1] != 1:
         raise ValueError("instance is not normalized: big size must be 1")
     if sizes and sizes[0].numerator != 1:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import Instance, Schedule, integer_sizes, makespan, require_valid
+from .model import Instance, Schedule, integer_sizes, makespan
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -82,7 +82,6 @@ def brute_force_opt(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) 
     until the search ends; the witness is the first optimum in input order
     either way (see the module docstring).
     """
-    require_valid(instance)
     n = instance.job_count
     if n == 0:
         return OracleResult(Fraction(0), Schedule(()))
@@ -136,7 +135,6 @@ def brute_force_opt(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) 
 
 def enumerate_opt(instance: Instance) -> OracleResult:
     """Pruning-free exhaustive optimum; cross-check for the pruned search."""
-    require_valid(instance)
     n = instance.job_count
     if n == 0:
         return OracleResult(Fraction(0), Schedule(()))

@@ -26,9 +26,7 @@ from typing import Callable, Sequence
 
 from .bounds import GuaranteeReport, guarantee_report
 from .lenstra import lenstra_solve
-from .model import (
-    Instance, ScaledInstance, Schedule, machine_loads, makespan, require_valid, size_ratio,
-)
+from .model import Instance, ScaledInstance, Schedule, machine_loads, makespan, size_ratio
 from .unitk import UnitKSolution, solve_unit_k
 
 SMALL_DOWN = "small-down"  # small size lowered to 1/ceil(alpha)
@@ -71,7 +69,6 @@ def pick_best(
 
 def solve_two_valued(instance: Instance) -> SolveResult:
     """Race the reductions and the additive rounding; certify the branch bound."""
-    require_valid(instance)
     alpha = size_ratio(instance)
     branches = reduction_branches(instance, alpha, None, solve_unit_k)
     return race(instance, alpha, branches, lenstra_solve(instance).schedule)

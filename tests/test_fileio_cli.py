@@ -17,7 +17,6 @@ from twoval_makespan.fileio import (
     parse_instance,
 )
 from twoval_makespan.generator import random_instance
-from twoval_makespan.model import validate
 
 
 def test_fraction_round_trip():
@@ -97,15 +96,61 @@ def test_parse_quotes_a_job_line_out_of_order():
 
 
 def test_parse_keeps_signs_for_validate():
-    inst = parse_instance("machines 2\njobs 2\njob 0 -1 0\njob 1 +1/2 1\n")
-    assert [job.size for job in inst.jobs] == [-1, Fraction(1, 2)]
-    assert validate(inst) == "job 0: nonpositive size"
+    inst = parse_instance("machines 2\njobs 2\njob 0 +1 0\njob 1 +1/2 1\n")
+    assert [job.size for job in inst.jobs] == [1, Fraction(1, 2)]
+    # a negative size parses, and the instance check then rejects it by job
+    with pytest.raises(FileFormatError, match="^invalid instance: job 0: nonpositive size$"):
+        parse_instance("machines 2\njobs 2\njob 0 -1 0\njob 1 +1/2 1\n")
 
 
 def _write(tmp_path, name, content):
     path = tmp_path / name
     path.write_text(content)
     return str(path)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize(
+    ("content", "message"),
+    [
+        (
+            "machines 0\njobs 1\njob 0 1 0\n",
+            "invalid instance: machine count must be positive",
+        ),
+        (
+            "machines 2\njobs 2\njob 0 1 0\njob 1 0 1\n",
+            "invalid instance: job 1: nonpositive size",
+        ),
+        (
+            "machines 2\njobs 1\njob 0 -1/2 0\n",
+            "invalid instance: job 0: nonpositive size",
+        ),
+        # a job line needs at least one machine, so the file format rejects an
+        # empty allowed set before any instance is built
+        (
+            "machines 2\njobs 1\njob 0 1\n",
+            "expected 'job <id> <size> <machines...>', got 'job 0 1'",
+        ),
+        (
+            "machines 2\njobs 2\njob 0 1 0\njob 1 1 0 2\n",
+            "invalid instance: job 1: machine index out of range",
+        ),
+        (
+            "machines 2\njobs 1\njob 0 1 -1\n",
+            "invalid instance: job 0: machine index out of range",
+        ),
+        (
+            "machines 2\njobs 3\njob 0 1 0\njob 1 2 1\njob 2 3 0 1\n",
+            "invalid instance: more than two size values",
+        ),
+    ],
+)
+def test_cli_rejects_an_invalid_instance(tmp_path, capsys, command, content, message):
+    path = _write(tmp_path, "invalid.txt", content)
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_solve_single_job(tmp_path, capsys):
@@ -333,12 +378,11 @@ def test_oracle_budget_env_var_rejects_nonpositive(tmp_path, capsys, monkeypatch
 
 
 def test_solve_output_schedule_is_valid(tmp_path, capsys):
-    from twoval_makespan.model import Schedule, machine_loads, validate
+    from twoval_makespan.model import Schedule, machine_loads
 
     assert main(["gen", "--seed", "21", "--jobs", "9", "--machines", "4", "--alpha", "7/3"]) == 0
     text = capsys.readouterr().out
-    inst = parse_instance(text)
-    assert validate(inst) is None
+    inst = parse_instance(text)  # raises unless the generated instance is valid
     path = _write(tmp_path, "sched.txt", text)
     assert main(["solve", path]) == 0
     out = capsys.readouterr().out

@@ -15,27 +15,16 @@ from twoval_makespan.flow import (
 from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import transportation_network
 from twoval_makespan.maxflow import Dinic
-from twoval_makespan.model import (
-    Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer, size_ratio,
-)
+from twoval_makespan.model import Instance, integer_sizes, normalize, scale_to_integer, size_ratio
 from twoval_makespan.oracle import enumerate_opt
 from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
 
-from helpers import integer_instance
-
-
-def _scaled(machines, jobs):
-    return scale_to_integer(normalize(Instance.build(machines, jobs))[0])
-
-
-def _scaled_direct(machines, jobs, k):
-    # keeps all-big fixtures at their intended k instead of renormalizing to 1
-    return ScaledInstance.of(Instance.build(machines, jobs), k)
+from helpers import integer_instance, scale, scale_with_k
 
 
 def test_network_node_count_four_jobs_two_machines():
     # 4 jobs, 2 machines: 1 source + 4 job nodes + 2 throttles + 2 machines + 1 sink
-    scaled = _scaled(2, [(2, [0]), (1, [0, 1]), (1, [1]), (2, [0, 1])])
+    scaled = scale(2, [(2, [0]), (1, [0, 1]), (1, [1]), (2, [0, 1])])
     network = build_network(scaled)
     assert network.node_count == 10
     assert network.node_count == 1 + 4 + 2 * 2 + 1
@@ -46,7 +35,7 @@ def test_network_node_count_four_jobs_two_machines():
 
 
 def test_smallest_network_is_a_unit_path():
-    scaled = _scaled(1, [(1, [0])])
+    scaled = scale(1, [(1, [0])])
     network = build_network(scaled)
     # source->job, job->machine (small, direct), throttle->machine, machine->sink
     caps = list(network.arcs_at(1))
@@ -56,7 +45,7 @@ def test_smallest_network_is_a_unit_path():
 
 
 def test_big_job_routes_through_throttles():
-    scaled = _scaled_direct(2, [(2, [0, 1])], k=2)  # one big job, k = 2
+    scaled = scale_with_k(2, [(2, [0, 1])], k=2)  # one big job, k = 2
     network = build_network(scaled)
     job_node = 1
     throttle0, throttle1 = 2, 3
@@ -73,7 +62,7 @@ def test_big_job_routes_through_throttles():
 
 def test_throttle_caps_big_inflow():
     # two big jobs restricted to one machine: at most k units can reach it
-    scaled = _scaled_direct(1, [(2, [0]), (2, [0])], k=2)
+    scaled = scale_with_k(1, [(2, [0]), (2, [0])], k=2)
     network = build_network(scaled)
     solution = max_flow_integral(network, 100)
     assert solution.value <= 2 < network.demand
@@ -81,7 +70,7 @@ def test_throttle_caps_big_inflow():
 
 
 def test_min_feasible_single_job():
-    scaled = _scaled_direct(1, [(3, [0])], k=3)
+    scaled = scale_with_k(1, [(3, [0])], k=3)
     estimate, _ = min_feasible_T(scaled)
     assert estimate == 3
 
@@ -110,7 +99,7 @@ def test_feasibility_monotone_in_estimate():
 
 
 def test_extract_small_job_integral():
-    scaled = _scaled(2, [(1, [0, 1])])
+    scaled = scale(2, [(1, [0, 1])])
     estimate, _ = min_feasible_T(scaled)
     network = build_network(scaled)
     assignment = extract_assignment(network, max_flow_integral(network, estimate), scaled)
@@ -120,7 +109,7 @@ def test_extract_small_job_integral():
 
 def test_extract_half_split_big_job():
     # hand-built flow: big job k=2 sends 1 unit to each throttle
-    scaled = _scaled_direct(2, [(2, [0, 1])], k=2)
+    scaled = scale_with_k(2, [(2, [0, 1])], k=2)
     network = build_network(scaled)
     sink = network.node_count - 1
     flows = [0] * len(network.arcs_at(1))
@@ -138,7 +127,7 @@ def test_extract_half_split_big_job():
 
 def test_extract_two_thirds_split():
     # big job k=3 sending 2 units to throttle 0 and 1 to throttle 1
-    scaled = _scaled_direct(2, [(3, [0, 1])], k=3)
+    scaled = scale_with_k(2, [(3, [0, 1])], k=3)
     network = build_network(scaled)
     sink = network.node_count - 1
     arcs = {(tail, head): idx for idx, (tail, head, _) in enumerate(network.arcs_at(2))}
@@ -155,7 +144,7 @@ def test_extract_two_thirds_split():
 
 
 def test_extract_rejects_short_flow():
-    scaled = _scaled(1, [(1, [0])])
+    scaled = scale(1, [(1, [0])])
     network = build_network(scaled)
     with pytest.raises(ValueError, match="demand"):
         extract_assignment(network, FlowSolution((0,) * len(network.arcs_at(1)), 0), scaled)
@@ -168,7 +157,7 @@ def test_dinic_rejects_a_negative_capacity():
 
 def test_max_flow_integral_rejects_a_negative_capacity():
     # the bound is the machine -> sink capacity, so Dinic's own check rejects it
-    network = build_network(_scaled(1, [(1, [0])]))
+    network = build_network(scale(1, [(1, [0])]))
     with pytest.raises(ValueError, match="^negative capacity$"):
         max_flow_integral(network, -1)
 
@@ -229,7 +218,7 @@ def test_no_estimate_exactly_when_the_full_load_flow_falls_short(monkeypatch):
 
 
 def test_flow_deterministic():
-    scaled = _scaled(3, [(2, [0, 1]), (1, [1, 2]), (2, [0, 2]), (1, [0])])
+    scaled = scale(3, [(2, [0, 1]), (1, [1, 2]), (2, [0, 2]), (1, [0])])
     estimate, _ = min_feasible_T(scaled)
     network = build_network(scaled)
     first = max_flow_integral(network, estimate)

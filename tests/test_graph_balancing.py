@@ -15,7 +15,6 @@ from twoval_makespan.graph_balancing import (
 from twoval_makespan.lenstra import cancel_cycles, min_feasible_fractional
 from twoval_makespan.model import (
     Instance,
-    ScaledInstance,
     machine_loads,
     makespan,
     normalize,
@@ -23,15 +22,7 @@ from twoval_makespan.model import (
 )
 from twoval_makespan.oracle import enumerate_opt
 
-from helpers import integer_instance
-
-
-def _scaled(machines, jobs):
-    return scale_to_integer(normalize(Instance.build(machines, jobs))[0])
-
-
-def _scaled_direct(machines, jobs, k):
-    return ScaledInstance.of(Instance.build(machines, jobs), k)
+from helpers import integer_instance, scale, scale_with_k
 
 
 def test_orient_single_edge():
@@ -66,7 +57,7 @@ def test_orient_rejects_degree_three():
 
 
 def test_gb_triangle_gets_one_big_per_machine():
-    scaled = _scaled_direct(3, [(2, [0, 1]), (2, [1, 2]), (2, [0, 2])], k=2)
+    scaled = scale_with_k(3, [(2, [0, 1]), (2, [1, 2]), (2, [0, 2])], k=2)
     result = gb_solve_unit_k(scaled)
     assert result is not None
     counts = [0, 0, 0]
@@ -80,7 +71,7 @@ def test_gb_triangle_gets_one_big_per_machine():
 
 def test_gb_forced_half_split_path():
     # smalls pin each machine at load 1, so the big job must split half/half
-    scaled = _scaled(2, [(2, [0, 1]), (1, [0]), (1, [1])])
+    scaled = scale(2, [(2, [0, 1]), (1, [0]), (1, [1])])
     result = gb_solve_unit_k(scaled)
     assert result is not None
     assert result.estimate == 2
@@ -133,7 +124,7 @@ def test_gb_rounding_bounds():
 
 
 def test_gb_rejects_wide_allowed_sets():
-    scaled = _scaled_direct(3, [(2, [0, 1, 2])], k=2)
+    scaled = scale_with_k(3, [(2, [0, 1, 2])], k=2)
     with pytest.raises(ValueError, match="graph-balancing"):
         gb_solve_unit_k(scaled)
 

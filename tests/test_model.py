@@ -5,6 +5,7 @@ import pytest
 
 from twoval_makespan.model import (
     Instance,
+    Job,
     ScaledInstance,
     Schedule,
     integer_sizes,
@@ -14,29 +15,43 @@ from twoval_makespan.model import (
     normalize,
     scale_to_integer,
     size_ratio,
-    validate,
 )
 
 
 def test_validate_minimal_instance():
     inst = Instance.build(1, [(1, [0])])
-    assert validate(inst) is None
+    assert inst.machine_count == 1 and inst.jobs[0].allowed == frozenset({0})
 
 
 def test_validate_empty_allowed_set():
-    inst = Instance.build(2, [(1, [])])
-    assert "empty allowed set" in validate(inst)
+    with pytest.raises(ValueError, match="^invalid instance: job 0: empty allowed set$"):
+        Instance.build(2, [(1, [])])
 
 
 def test_validate_three_sizes():
-    inst = Instance.build(2, [(1, [0]), (2, [1]), (3, [0])])
-    assert "more than two size values" in validate(inst)
+    with pytest.raises(ValueError, match="^invalid instance: more than two size values$"):
+        Instance.build(2, [(1, [0]), (2, [1]), (3, [0])])
 
 
 def test_validate_machine_count_and_range():
-    assert "machine count" in validate(Instance.build(0, []))
-    assert "out of range" in validate(Instance.build(2, [(1, [2])]))
-    assert "nonpositive size" in validate(Instance.build(2, [(0, [0])]))
+    with pytest.raises(ValueError, match="^invalid instance: machine count must be positive$"):
+        Instance.build(0, [])
+    with pytest.raises(ValueError, match="^invalid instance: job 0: machine index out of range$"):
+        Instance.build(2, [(1, [2])])
+    with pytest.raises(ValueError, match="^invalid instance: job 0: nonpositive size$"):
+        Instance.build(2, [(0, [0])])
+
+
+def test_validate_names_the_first_violation_in_job_order():
+    # per job: size, then an empty set, then the range; the size count last
+    jobs = [(1, [0]), (2, [5]), (0, [0]), (3, [])]
+    with pytest.raises(ValueError, match="^invalid instance: job 1: machine index out of range$"):
+        Instance.build(2, jobs)
+    with pytest.raises(ValueError, match="^invalid instance: job 2: nonpositive size$"):
+        Instance.build(6, jobs)
+    # the plain constructor checks as well as `build`
+    with pytest.raises(ValueError, match="^invalid instance: job 0: empty allowed set$"):
+        Instance(1, (Job(Fraction(1), frozenset()),))
 
 
 def test_makespan_sum_of_sizes():
@@ -94,13 +109,11 @@ def test_scale_to_integer_identity():
 
 
 def test_normalize_rejects_a_nonpositive_small_size():
-    # the small size, not only the big one, must be checked before dividing by it
+    # normalize and size_ratio divide by the small size; an instance with a
+    # small size of 0 or less cannot be built, so neither can be reached with one
     for small in (0, -1):
-        inst = Instance.build(1, [(small, [0]), (1, [0])])
-        with pytest.raises(ValueError, match="^invalid instance: nonpositive size$"):
-            normalize(inst)
-        with pytest.raises(ValueError, match="^invalid instance: nonpositive size$"):
-            size_ratio(inst)
+        with pytest.raises(ValueError, match="^invalid instance: job 0: nonpositive size$"):
+            Instance.build(1, [(small, [0]), (1, [0])])
 
 
 def test_size_ratio():
@@ -132,8 +145,8 @@ def test_build_rejects_a_string_size():
 
 
 def test_integer_sizes_in_job_order():
-    inst = Instance.build(2, [(Fraction(7, 3), [0]), (Fraction(1, 2), [1]), (2, [0])])
-    assert integer_sizes(inst) == (6, (14, 3, 12))
+    inst = Instance.build(2, [(Fraction(7, 3), [0]), (Fraction(1, 2), [1]), (Fraction(7, 3), [0])])
+    assert integer_sizes(inst) == (6, (14, 3, 14))
     assert integer_sizes(Instance.build(2, [])) == (1, ())
 
 

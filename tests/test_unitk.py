@@ -10,19 +10,11 @@ from twoval_makespan.model import (
 from twoval_makespan.oracle import enumerate_opt
 from twoval_makespan.unitk import match_big_jobs, solve_unit_k
 
-from helpers import integer_instance
-
-
-def _scaled(machines, jobs):
-    return scale_to_integer(normalize(Instance.build(machines, jobs))[0])
-
-
-def _scaled_direct(machines, jobs, k):
-    return ScaledInstance.of(Instance.build(machines, jobs), k)
+from helpers import integer_instance, scale, scale_with_k
 
 
 def test_match_single_integral_big_job():
-    scaled = _scaled_direct(1, [(2, [0])], k=2)
+    scaled = scale_with_k(1, [(2, [0])], k=2)
     assignment = FractionalAssignment(({0: 2},), (2,))
     assert match_big_jobs(assignment, scaled) == {0: 0}
 
@@ -52,7 +44,7 @@ def test_match_always_succeeds_on_extractions():
 
 
 def test_all_small_schedule_hits_estimate_exactly():
-    scaled = _scaled(2, [(1, [0, 1]), (1, [0, 1]), (1, [0])])
+    scaled = scale(2, [(1, [0, 1]), (1, [0, 1]), (1, [0])])
     result = solve_unit_k(scaled)
     assert result is not None
     assert makespan(integer_instance(scaled), result.schedule) == result.estimate
@@ -70,7 +62,7 @@ def test_k_equal_one_is_exact():
 
 
 def test_needs_fallback_on_crowded_bigs():
-    scaled = _scaled_direct(1, [(2, [0]), (2, [0])], k=2)
+    scaled = scale_with_k(1, [(2, [0]), (2, [0])], k=2)
     assert solve_unit_k(scaled) is None
 
 
@@ -106,7 +98,7 @@ def test_rounding_keeps_one_big_per_machine_and_additive_bound():
 
 
 def test_small_jobs_keep_flow_assignment():
-    scaled = _scaled(2, [(2, [0, 1]), (1, [0]), (1, [0, 1])])
+    scaled = scale(2, [(2, [0, 1]), (1, [0]), (1, [0, 1])])
     result = solve_unit_k(scaled)
     assert result is not None
     for j in scaled.small_jobs():
