@@ -12,6 +12,10 @@ Job ids must be 0..n-1 in order. Printing then parsing is the identity.
 
 An invalid instance (see `model`) raises `FileFormatError` with the text
 `Instance` raises: "invalid instance: <violation>".
+
+Each distinct size token is parsed to a `Fraction` once and shared by the jobs
+that carry it; the `Instance` built from them derives its integer units once,
+and every solver reads those units rather than the Fractions.
 """
 
 from __future__ import annotations
@@ -57,11 +61,8 @@ def format_fraction(value: Fraction) -> str:
 
 
 def parse_instance(text: str) -> Instance:
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    stripped = (line.strip() for line in text.splitlines())
+    lines = [line for line in stripped if line and not line.startswith("#")]
     if len(lines) < 2:
         raise FileFormatError("expected 'machines <m>' and 'jobs <n>' header lines")
 
@@ -79,23 +80,23 @@ def parse_instance(text: str) -> Instance:
     if len(body) != job_count:
         raise FileFormatError(f"expected {job_count} job lines, found {len(body)}")
 
+    sizes: dict[str, Fraction] = {}  # size token -> its value, parsed once per distinct token
     jobs = []
     for position, line in enumerate(body):
         parts = line.split()
         if len(parts) < 4 or parts[0] != "job":
             raise FileFormatError(f"expected 'job <id> <size> <machines...>', got {line!r}")
-        try:
-            job_id = parse_int(parts[1])
-        except ValueError:
-            raise FileFormatError(f"bad job id in {line!r}") from None
-        if job_id != position:
-            raise FileFormatError(f"expected job {position}, got {job_id} in {line!r}")
-        size = parse_fraction(parts[2])
-        try:
-            machines = [parse_int(token) for token in parts[3:]]
-        except ValueError:
-            raise FileFormatError(f"bad machine index in {line!r}") from None
-        jobs.append((size, machines))
+        if _INTEGER.fullmatch(parts[1]) is None:
+            raise FileFormatError(f"bad job id in {line!r}")
+        if int(parts[1]) != position:
+            raise FileFormatError(f"expected job {position}, got {int(parts[1])} in {line!r}")
+        size = sizes.get(parts[2])
+        if size is None:
+            size = sizes[parts[2]] = parse_fraction(parts[2])
+        machines = parts[3:]
+        if not all(map(_INTEGER.fullmatch, machines)):
+            raise FileFormatError(f"bad machine index in {line!r}")
+        jobs.append((size, map(int, machines)))
     try:
         return Instance.build(machine_count, jobs)
     except ValueError as exc:  # the instance's own check: same text, as a format error

@@ -25,7 +25,6 @@ alone, without a max-flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, TypeVar
 
 from .matching import maximum_bipartite_matching
@@ -70,9 +69,6 @@ class FractionalAssignment:
 
     shares: tuple[dict[int, int], ...]
     sizes: tuple[int, ...]
-
-    def fraction(self, job: int, machine: int) -> Fraction:
-        return Fraction(self.shares[job].get(machine, 0), self.sizes[job])
 
     def support(self, job: int) -> tuple[int, ...]:
         return tuple(sorted(self.shares[job]))

@@ -1,14 +1,18 @@
 """Exact-rational model of two-size scheduling instances.
 
-An `Instance` holds its sizes as `fractions.Fraction`s. The solvers scale
-them to integers (`integer_sizes`, `ScaledInstance`) and work in those units;
-alpha, reported loads and bounds stay exact Fractions. Floating point only
-appears when reports are rendered for humans. All model values are frozen
-dataclasses, so they can be shared freely between concurrent solver runs.
+An `Instance` holds its sizes as `fractions.Fraction`s and derives its
+integer units once, when it is built: the lcm D of the size denominators and
+every job's size times D (`integer_sizes`). Validation, `distinct_sizes`, the
+{1, k} view (`ScaledInstance`), `normalize` and machine loads all read those
+units, so no solver does per-job Fraction work; alpha, reported loads and
+bounds stay exact Fractions. Floating point only appears when reports are
+rendered for humans. All model values are frozen dataclasses, so they can be
+shared freely between concurrent solver runs.
 
 An `Instance` is valid by construction: building an invalid one raises
 `ValueError("invalid instance: <violation>")` naming the first violation, so
-no solver checks its input again.
+no solver checks its input again. A size that is not an int or a Fraction
+raises `as_rational`'s TypeError.
 """
 
 from __future__ import annotations
@@ -49,16 +53,18 @@ class Instance:
 
     def _violation(self) -> str | None:
         """None when all instance invariants hold, else the first violation."""
+        _, units = self._integer_sizes  # raises TypeError on a size that is no rational
         if self.machine_count < 1:
             return "machine count must be positive"
-        for idx, job in enumerate(self.jobs):
-            if job.size <= 0:
+        machines = frozenset(range(self.machine_count))
+        for idx, (unit, job) in enumerate(zip(units, self.jobs)):
+            if unit <= 0:
                 return f"job {idx}: nonpositive size"
             if not job.allowed:
                 return f"job {idx}: empty allowed set"
-            if min(job.allowed) < 0 or max(job.allowed) >= self.machine_count:
+            if not machines.issuperset(job.allowed):
                 return f"job {idx}: machine index out of range"
-        if len(self.distinct_sizes()) > 2:
+        if len(set(units)) > 2:
             return "more than two size values"
         return None
 
@@ -79,13 +85,14 @@ class Instance:
     # equality and hashing, which use the fields only
     @cached_property
     def _distinct_sizes(self) -> tuple[Fraction, ...]:
-        return tuple(sorted({job.size for job in self.jobs}))
+        denom, units = self._integer_sizes
+        return tuple(Fraction(unit, denom) for unit in sorted(set(units)))
 
     @cached_property
     def _integer_sizes(self) -> tuple[int, tuple[int, ...]]:
-        denom = math.lcm(*(job.size.denominator for job in self.jobs))
-        sizes = tuple(job.size.numerator * (denom // job.size.denominator) for job in self.jobs)
-        return denom, sizes
+        ratios = [as_rational(job.size).as_integer_ratio() for job in self.jobs]
+        denom = math.lcm(*{den for _, den in ratios})
+        return denom, tuple(num * (denom // den) for num, den in ratios)
 
 
 @dataclass(frozen=True)
@@ -111,8 +118,9 @@ class ScaledInstance:
     @classmethod
     def of(cls, instance: Instance, k: int) -> "ScaledInstance":
         """The largest-size jobs get size k and all other jobs size 1."""
-        big = max((job.size for job in instance.jobs), default=None)
-        sizes = tuple(k if job.size == big else 1 for job in instance.jobs)
+        _, units = integer_sizes(instance)
+        big = max(units, default=None)
+        sizes = tuple(k if unit == big else 1 for unit in units)
         return cls(instance.machine_count, tuple(job.allowed for job in instance.jobs), sizes, k)
 
     def is_big(self, job: int) -> bool:
@@ -125,24 +133,31 @@ class ScaledInstance:
         return tuple(j for j in range(len(self.sizes)) if not self.is_big(j))
 
 
-def machine_loads(instance: Instance, schedule: Schedule) -> list[Fraction]:
-    """Per-machine total size under an assignment; rejects disallowed placements."""
+def unit_loads(instance: Instance, schedule: Schedule) -> list[int]:
+    """Per-machine total size in the instance's integer units; rejects disallowed placements."""
     if len(schedule.assignment) != instance.job_count:
         raise ValueError(
             f"schedule covers {len(schedule.assignment)} jobs, instance has {instance.job_count}"
         )
-    denom, sizes = integer_sizes(instance)
+    _, sizes = integer_sizes(instance)
     units = [0] * instance.machine_count
     for job_idx, machine in enumerate(schedule.assignment):
         if machine not in instance.jobs[job_idx].allowed:
             raise ValueError(f"job {job_idx} assigned to machine {machine} outside its allowed set")
         units[machine] += sizes[job_idx]
-    return [Fraction(load, denom) for load in units]
+    return units
+
+
+def machine_loads(instance: Instance, schedule: Schedule) -> list[Fraction]:
+    """Per-machine total size under an assignment; rejects disallowed placements."""
+    denom, _ = integer_sizes(instance)
+    return [Fraction(load, denom) for load in unit_loads(instance, schedule)]
 
 
 def makespan(instance: Instance, schedule: Schedule) -> Fraction:
     """Maximum machine load; machines with no jobs contribute 0."""
-    return max(machine_loads(instance, schedule))  # an instance has at least one machine
+    denom, _ = integer_sizes(instance)
+    return Fraction(max(unit_loads(instance, schedule)), denom)  # at least one machine
 
 
 def size_ratio(instance: Instance) -> Fraction:
@@ -161,7 +176,11 @@ def normalize(instance: Instance) -> tuple[Instance, Fraction]:
         return instance, Fraction(1)
     small, big = sizes[0], sizes[-1]
     low, one = small / big, Fraction(1)  # one division, shared by every small job
-    jobs = tuple(Job(one if job.size == big else low, job.allowed) for job in instance.jobs)
+    _, units = integer_sizes(instance)
+    big_unit = max(units)
+    jobs = tuple(
+        Job(one if unit == big_unit else low, job.allowed) for unit, job in zip(units, instance.jobs)
+    )
     return Instance(instance.machine_count, jobs), big / small
 
 

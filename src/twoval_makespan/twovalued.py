@@ -26,7 +26,9 @@ from typing import Callable, Sequence
 
 from .bounds import GuaranteeReport, guarantee_report
 from .lenstra import lenstra_solve
-from .model import Instance, ScaledInstance, Schedule, machine_loads, makespan, size_ratio
+from .model import (
+    Instance, ScaledInstance, Schedule, integer_sizes, makespan, size_ratio, unit_loads,
+)
 from .unitk import UnitKSolution, solve_unit_k
 
 SMALL_DOWN = "small-down"  # small size lowered to 1/ceil(alpha)
@@ -136,11 +138,13 @@ def _check_lifted_loads(instance: Instance, result: UnitKSolution) -> None:
     estimate in units of b. Holds for either {1, k} rounding: its slack,
     k - 1 or k/2, is at most k - 1 for k >= 2.
     """
-    small, big = instance.distinct_sizes()
+    denom, units = integer_sizes(instance)  # b, s and the loads in these units
+    small, big = min(units), max(units)
     cap = big + (result.estimate - 1) * small
-    loads = machine_loads(instance, result.schedule)
+    loads = unit_loads(instance, result.schedule)
     for j, machine in enumerate(result.schedule.assignment):
-        if instance.jobs[j].size == big and loads[machine] > cap:
+        if units[j] == big and loads[machine] > cap:
             raise RuntimeError(
-                f"machine {machine} lifted load {loads[machine]} exceeds {cap}"
+                f"machine {machine} lifted load {Fraction(loads[machine], denom)}"
+                f" exceeds {Fraction(cap, denom)}"
             )

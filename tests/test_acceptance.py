@@ -35,7 +35,7 @@ from twoval_makespan.oracle import brute_force_opt, enumerate_opt
 from twoval_makespan.twovalued import solve_two_valued
 from twoval_makespan.unitk import match_big_jobs, solve_unit_k
 
-from helpers import integer_instance
+from helpers import fraction, integer_instance
 
 SWEEP = 500
 KS = (2, 3, 4, 5, 6)
@@ -219,7 +219,7 @@ def test_structural_invariants(unitk_rows, gb_rows):
         heads = {}
         for j in scaled.big_jobs():
             support = assignment.support(j)
-            if len(support) == 2 and assignment.fraction(j, support[0]) == half:
+            if len(support) == 2 and fraction(assignment, j, support[0]) == half:
                 for machine in support:
                     degree[machine] = degree.get(machine, 0) + 1
                 head = row["schedule"].assignment[j]
@@ -241,12 +241,12 @@ def test_structural_invariants(unitk_rows, gb_rows):
         before = [Fraction(0)] * machines
         for j in range(inst.job_count):
             for machine in assignment.support(j):
-                before[machine] += assignment.fraction(j, machine) * inst.jobs[j].size
+                before[machine] += fraction(assignment, j, machine) * inst.jobs[j].size
         canceled = cancel_cycles(assignment)
         after = [Fraction(0)] * machines
         for j in range(inst.job_count):
             for machine in canceled.support(j):
-                after[machine] += canceled.fraction(j, machine) * inst.jobs[j].size
+                after[machine] += fraction(canceled, j, machine) * inst.jobs[j].size
         checks += 1
         if not support_is_forest(canceled):
             violations.append(("cancel-acyclic",))

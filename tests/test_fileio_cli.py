@@ -50,34 +50,41 @@ def test_parse_accepts_comments_and_blank_lines():
 
 
 @pytest.mark.parametrize(
-    "text",
+    ("text", "message"),
     [
-        "machines 2\n",  # missing jobs header
-        "machines 2\njobs 1\n",  # missing job line
-        "machines 2\njobs 1\njob 1 1 0\n",  # id out of order
-        "machines 2\njobs 1\njob 0 1.5 0\n",  # decimal size
-        "machines 2\njobs 1\njob 0 1 x\n",  # bad machine token
-        "machines 2\njobs 2\njob 0 1 0\n",  # count mismatch
-        "machines 1_0\njobs 1\njob 0 1 0\n",  # digit separator in a count
-        "machines 2\njobs 0_1\njob 0 1 0\n",
-        "machines 2\njobs 1\njob 0_0 1 0\n",  # digit separator in a job id
-        "machines 2\njobs 1\njob 0 1_0 0\n",  # digit separator in a size
-        "machines 2\njobs 1\njob 0 1/1_0 0\n",
-        "machines 2\njobs 1\njob 0 1 0_1\n",  # digit separator in a machine index
-        "machines \u0662\njobs 1\njob 0 1 0\n",  # Arabic-Indic digits
-        "machines 2\njobs 1\njob \u0660 1 0\n",
-        "machines 2\njobs 1\njob 0 \u0661/2 0\n",
-        "machines 2\njobs 1\njob 0 1 \u0661\n",
-        "machines 2\njobs 1\njob 0 1 \uff11\n",  # fullwidth digit
-        "machines 2\njobs 1\njob 0 1/ 0\n",  # empty denominator
-        "machines 2\njobs 1\njob 0 +-1 0\n",  # two signs
-        "machines 2\njobs 1\njob 0 1 0 1  # big\n",  # comments are whole lines only
-        "machines 2 # two\njobs 0\n",
+        ("machines 2\n", "expected 'machines <m>' and 'jobs <n>' header lines"),  # no jobs header
+        ("machines 2\njobs 1\n", "expected 1 job lines, found 0"),  # missing job line
+        ("machines 2\njobs 1\njob 1 1 0\n", "expected job 0, got 1 in 'job 1 1 0'"),
+        ("machines 2\njobs 1\njob 0 1.5 0\n", "bad rational '1.5': not an integer: '1.5'"),
+        ("machines 2\njobs 1\njob 0 1 x\n", "bad machine index in 'job 0 1 x'"),
+        ("machines 2\njobs 2\njob 0 1 0\n", "expected 2 job lines, found 1"),
+        # digit separators
+        ("machines 1_0\njobs 1\njob 0 1 0\n", "bad count in 'machines 1_0'"),
+        ("machines 2\njobs 0_1\njob 0 1 0\n", "bad count in 'jobs 0_1'"),
+        ("machines 2\njobs 1\njob 0_0 1 0\n", "bad job id in 'job 0_0 1 0'"),
+        ("machines 2\njobs 1\njob 0 1_0 0\n", "bad rational '1_0': not an integer: '1_0'"),
+        ("machines 2\njobs 1\njob 0 1/1_0 0\n", "bad rational '1/1_0': not an integer: '1_0'"),
+        ("machines 2\njobs 1\njob 0 1 0_1\n", "bad machine index in 'job 0 1 0_1'"),
+        # Arabic-Indic and fullwidth digits
+        ("machines \u0662\njobs 1\njob 0 1 0\n", "bad count in 'machines \u0662'"),
+        ("machines 2\njobs 1\njob \u0660 1 0\n", "bad job id in 'job \u0660 1 0'"),
+        ("machines 2\njobs 1\njob 0 \u0661/2 0\n", "bad rational '\u0661/2': not an integer: '\u0661'"),
+        ("machines 2\njobs 1\njob 0 1 \u0661\n", "bad machine index in 'job 0 1 \u0661'"),
+        ("machines 2\njobs 1\njob 0 1 \uff11\n", "bad machine index in 'job 0 1 \uff11'"),
+        ("machines 2\njobs 1\njob 0 1/ 0\n", "bad rational '1/': not an integer: ''"),  # no denominator
+        ("machines 2\njobs 1\njob 0 +-1 0\n", "bad rational '+-1': not an integer: '+-1'"),
+        # comments are whole lines only
+        ("machines 2\njobs 1\njob 0 1 0 1  # big\n", "bad machine index in 'job 0 1 0 1  # big'"),
+        ("machines 2 # two\njobs 0\n", "expected 'machines <count>', got 'machines 2 # two'"),
+        # a bad machine token after good ones, and on a later line sharing a size token
+        ("machines 3\njobs 1\njob 0 1 0 2 x\n", "bad machine index in 'job 0 1 0 2 x'"),
+        ("machines 2\njobs 2\njob 0 1/2 0\njob 1 1/2 -\n", "bad machine index in 'job 1 1/2 -'"),
     ],
 )
-def test_parse_errors(text):
-    with pytest.raises(FileFormatError):
+def test_parse_errors(text, message):
+    with pytest.raises(FileFormatError) as info:
         parse_instance(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from twoval_makespan.model import (
 )
 from twoval_makespan.oracle import enumerate_opt
 
-from helpers import integer_instance, scale, scale_with_k
+from helpers import fraction, integer_instance, scale, scale_with_k
 
 
 def test_orient_single_edge():
@@ -75,7 +75,7 @@ def test_gb_forced_half_split_path():
     result = gb_solve_unit_k(scaled)
     assert result is not None
     assert result.estimate == 2
-    assert [result.assignment.fraction(0, i) for i in (0, 1)] == [Fraction(1, 2)] * 2
+    assert [fraction(result.assignment, 0, i) for i in (0, 1)] == [Fraction(1, 2)] * 2
     assert result.assignment.support(0) == (0, 1)
     # the single path edge is directed away from machine 0
     assert result.schedule.assignment[0] == 1
@@ -97,7 +97,7 @@ def test_gb_support_structure_invariant():
         for j in scaled.big_jobs():
             support = result.assignment.support(j)
             assert len(support) <= 2
-            values = sorted(result.assignment.fraction(j, i) for i in support)
+            values = sorted(fraction(result.assignment, j, i) for i in support)
             if len(values) == 2:
                 assert values == [half, half] or values[1] > half
 

@@ -23,12 +23,14 @@ from twoval_makespan.model import (
 from twoval_makespan.twovalued import solve_two_valued
 from twoval_makespan.oracle import enumerate_opt
 
+from helpers import fraction
+
 
 def _loads(assignment, instance):
     loads = [Fraction(0)] * instance.machine_count
     for j in range(instance.job_count):
         for machine in assignment.support(j):
-            loads[machine] += assignment.fraction(j, machine) * instance.jobs[j].size
+            loads[machine] += fraction(assignment, j, machine) * instance.jobs[j].size
     return loads
 
 

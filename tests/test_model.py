@@ -144,6 +144,15 @@ def test_build_rejects_a_string_size():
         Instance.build(1, [("0.5", [0])])
 
 
+def test_constructor_rejects_a_float_size():
+    # a float is no exact rational: the plain constructor raises as `build` does,
+    # instead of building an instance the solvers cannot scale
+    with pytest.raises(TypeError, match="^cannot interpret 0.5 as an exact rational$"):
+        Instance(1, (Job(0.5, frozenset({0})),))
+    with pytest.raises(TypeError, match="^cannot interpret 0.5 as an exact rational$"):
+        Instance(2, (Job(Fraction(1), frozenset({0})), Job(0.5, frozenset({1}))))
+
+
 def test_integer_sizes_in_job_order():
     inst = Instance.build(2, [(Fraction(7, 3), [0]), (Fraction(1, 2), [1]), (Fraction(7, 3), [0])])
     assert integer_sizes(inst) == (6, (14, 3, 14))

@@ -1,6 +1,7 @@
 """Property tests for the galloping feasibility search, the integer size
-scaling, the two routes to a {1, k} instance, the lifted-load cap, the snap
-to true loads, cycle canceling on integer shares and the oracle's load floor.
+scaling, the instance checks on integer units, the two routes to a {1, k}
+instance, the lifted-load cap, the snap to true loads, cycle canceling on
+integer shares and the oracle's load floor.
 
 They need hypothesis and skip without it. No example database is kept;
 hypothesis may still cache source constants under `.hypothesis/`, which git
@@ -15,7 +16,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twoval_makespan.bounds import lift_factors
 from twoval_makespan.flow import FractionalAssignment, smallest_feasible
@@ -25,6 +26,8 @@ from twoval_makespan.model import (
 )
 from twoval_makespan.oracle import brute_force_opt, enumerate_opt, load_floor
 from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
+
+from helpers import reference_violation
 
 PROPERTY = settings(database=None, deadline=None)
 
@@ -92,6 +95,52 @@ def test_integer_sizes_uses_the_smallest_clearing_factor(sizes):
     assert all(type(value) is int for value in scaled)
     assert [Fraction(value, denom) for value in scaled] == sizes
     assert all(any((size * d).denominator != 1 for size in sizes) for d in range(1, denom))
+
+
+FLAWS = ("no machines", "nonpositive sizes", "a third size", "bad machine sets")
+
+
+@st.composite
+def job_lists(draw):
+    """Up to 6 jobs on up to 3 machines, each list allowed a drawn subset of FLAWS.
+
+    A nonpositive size is 0 or negative; a bad machine set may be empty or
+    hold indices outside 0..m-1. Lists allowed a flaw need not show it.
+    """
+    flaws = draw(st.sets(st.sampled_from(FLAWS)))
+    first, second = draw(SIZES), draw(SIZES)
+    machines = draw(st.integers(0 if "no machines" in flaws else 1, 3))
+    sizes = [first, second]
+    if "nonpositive sizes" in flaws:
+        sizes += [Fraction(0), -first]
+    if "a third size" in flaws:
+        sizes.append(first + second)  # differs from both
+    if "bad machine sets" in flaws or machines == 0:
+        machine_set = st.sets(st.integers(-1, machines), max_size=3)
+    else:
+        machine_set = st.sets(st.integers(0, machines - 1), min_size=1)
+    return machines, draw(st.lists(st.tuples(st.sampled_from(sizes), machine_set), max_size=6))
+
+
+@settings(PROPERTY, max_examples=400)
+@given(job_lists())
+@example((2, [(Fraction(1), {0}), (Fraction(0), {1})]))  # the boundary of "nonpositive"
+@example((2, [(Fraction(1), {0}), (Fraction(1, 2), {1}), (Fraction(3, 2), {0, 1})]))
+def test_instance_checks_on_integer_units_match_the_per_job_fraction_checks(case):
+    machines, jobs = case
+    violation = reference_violation(machines, jobs)
+    if violation is not None:
+        with pytest.raises(ValueError) as info:
+            Instance.build(machines, jobs)
+        assert str(info.value) == f"invalid instance: {violation}"
+        return
+    instance = Instance.build(machines, jobs)
+    sizes = [size for size, _ in jobs]
+    distinct = instance.distinct_sizes()
+    assert distinct == tuple(sorted(set(sizes)))
+    assert all(type(size) is Fraction for size in distinct)
+    denom = math.lcm(*(size.denominator for size in sizes))
+    assert integer_sizes(instance) == (denom, tuple(int(size * denom) for size in sizes))
 
 
 @st.composite
