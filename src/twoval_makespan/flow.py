@@ -5,12 +5,15 @@ max-flow meets the demand (the total job size in flow units). A `FlowNetwork`
 is a tuple of (tail, head, capacity) arcs, the first n of them source -> job j
 with the job's size in flow units, built once per search without the
 machine -> sink arcs; `max_flow_integral(network, bound)` adds them at the
-probed bound and solves, `job_fractions` reads each job's per-machine shares,
-in the same units, off the flow and `smallest_feasible` gallops a monotone
-probe up from a lower bound and bisects the last gap, keeping the winning
-probe's flow. Both searches start at the averaging bound total / m, where the
-smallest feasible bound usually sits, so a search usually takes one max-flow.
-`lenstra` builds its transportation network on this kernel.
+probed bound and solves. A network builds its residual arrays once, with the
+sink arcs at capacity 0, so a probe only resets capacities: it copies them and
+sets the m sink arcs to the bound. `job_fractions` reads each job's
+per-machine shares, in the same units, off the flow and `smallest_feasible`
+gallops a monotone probe up from a lower bound and bisects the last gap,
+keeping the winning probe's flow. Both searches start at the averaging bound
+total / m, where the smallest feasible bound usually sits, so a search
+usually takes one max-flow. `lenstra` builds its transportation network on
+this kernel.
 
 The {1, k} network: source -> job -> per-machine throttle node (big jobs only)
 -> machine -> sink. Small jobs have unit arcs straight to machine nodes; the
@@ -25,6 +28,7 @@ alone, without a max-flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, TypeVar
 
 from .matching import maximum_bipartite_matching
@@ -51,6 +55,14 @@ class FlowNetwork:
         sink = self.node_count - 1
         nodes = range(sink - self.machines, sink)
         return self.arcs + tuple((node, sink, capacity) for node in nodes)
+
+    # built once per network, so a probe only resets capacities; cached_property
+    # writes the instance's __dict__ directly, so it works on a frozen dataclass
+    # and stays out of equality and hashing, which use the fields only
+    @cached_property
+    def _residual(self) -> Dinic:
+        """A solver over `arcs_at(0)` that never runs; each probe copies its capacities."""
+        return Dinic(self.node_count, self.arcs_at(0))
 
 
 @dataclass(frozen=True)
@@ -110,7 +122,7 @@ def build_network(scaled: ScaledInstance) -> FlowNetwork:
 
 def max_flow_integral(network: FlowNetwork, capacity: int) -> FlowSolution:
     """Integral maximum flow over `network.arcs_at(capacity)`, deterministic per input."""
-    solver = Dinic(network.node_count, network.arcs_at(capacity))
+    solver = network._residual._with_capacity(len(network.arcs), capacity)  # the sink arcs
     value = solver.max_flow(0, network.node_count - 1)
     return FlowSolution(flows=solver.flows(), value=value)
 

@@ -6,6 +6,29 @@ edge 2i + 1. Edges are explored in arc order, so identical inputs always
 produce identical flows; all flows are integral on integer capacities. Paths
 are walked with an explicit stack, not recursion, so any level-graph depth
 works. `flow.max_flow_integral` is the package's only caller.
+
+Each phase finds the same augmenting paths, in the same order and with the
+same push amounts, as the textbook walk (Dinitz 1970) that restarts every
+path at the source and checks each edge's level as it goes, with less work:
+
+- The breadth-first search expands the nodes level by level and stops once
+  the level above the sink is expanded. Expanding node u at level d keeps,
+  in `adj` order, each edge u -> v with residual capacity whose head is
+  unlabeled or labeled d + 1: u's level edges. A node the search labels but
+  does not expand has none; below the sink's level it could only be a dead
+  end of the phase, since level edges climb one level at a time.
+- Within a phase flow is pushed only along level edges, and the reverse of a
+  level edge points one level down, so no edge becomes a level edge during
+  the phase. Walking the precomputed lists and checking only the residual
+  capacity thus skips exactly the edges the textbook walk skips.
+- After a push the walk keeps the path up to the first edge the push
+  saturated and continues from that edge's tail. A restart from the source
+  would retrace exactly that prefix, since every current edge on it still
+  has residual capacity.
+
+A node's current edge is the last entry of its level-edge list, kept in
+reverse `adj` order, so passing an edge is one `pop`. One table of these
+lists serves every phase of a max-flow, so a phase allocates no new lists.
 """
 
 from __future__ import annotations
@@ -28,64 +51,95 @@ class Dinic:
             self._to += (head, tail)
             self._cap += (capacity, 0)
 
+    def _with_capacity(self, first: int, capacity: int) -> Dinic:
+        """A fresh solver over the same arcs, with arc `first` and every later arc at `capacity`.
+
+        Only the residual capacities are copied; the edge arrays are shared.
+        Call it on a solver that has not run, so the other arcs keep their capacities.
+        """
+        if capacity < 0:
+            raise ValueError("negative capacity")
+        solver = object.__new__(Dinic)
+        solver.node_count, solver._to, solver._adj = self.node_count, self._to, self._adj
+        solver._cap = self._cap.copy()
+        solver._cap[2 * first :: 2] = [capacity] * (len(self._cap) // 2 - first)
+        return solver
+
     def flows(self) -> tuple[int, ...]:
         """Flow on each arc, in arc order."""
         return tuple(self._cap[1::2])
 
     def max_flow(self, source: int, sink: int) -> int:
+        if source == sink:  # the search below would find the sink at level 0 in every phase
+            raise ValueError("source and sink are the same node")
         total = 0
-        while True:
-            level = self._bfs(source, sink)
-            if level is None:
-                return total
-            iters = [0] * self.node_count
-            while True:
-                pushed = self._augment(source, sink, level, iters)
-                if pushed == 0:
-                    break
-                total += pushed
+        out: list[list[int]] = [[] for _ in range(self.node_count)]  # one table for every phase
+        while self._level_edges(source, sink, out):
+            total += self._augment_all(source, sink, out)
+        return total
 
-    def _bfs(self, source: int, sink: int) -> list[int] | None:
-        level = [-1] * self.node_count
-        level[source] = 0
-        queue = [source]
-        head = 0
-        while head < len(queue):
-            node = queue[head]
-            head += 1
-            for edge_id in self._adj[node]:
-                other = self._to[edge_id]
-                if self._cap[edge_id] > 0 and level[other] < 0:
-                    level[other] = level[node] + 1
-                    queue.append(other)
-        return level if level[sink] >= 0 else None
+    def _level_edges(self, source: int, sink: int, out: list[list[int]]) -> bool:
+        """Refill `out` with each node's level edges, in reverse `adj` order.
 
-    def _augment(self, source: int, sink: int, level: list[int], iters: list[int]) -> int:
-        """Push one level-graph path found depth-first; 0 when none is left.
-
-        A node's edge pointer moves past an edge only once it is saturated,
-        off-level or leads to a dead end.
+        False when the sink is cut off. Nodes left unexpanded get no edges.
         """
         to, cap, adj = self._to, self._cap, self._adj
+        for edges in out:
+            edges.clear()
+        level = [-1] * self.node_count
+        level[source] = 0
+        frontier = [source]
+        depth = 1  # the level of the nodes the frontier reaches
+        while frontier:
+            reached = []
+            for node in frontier:
+                edges = out[node]
+                for edge_id in adj[node]:
+                    if cap[edge_id]:
+                        other = to[edge_id]
+                        seen = level[other]
+                        if seen < 0:
+                            level[other] = depth
+                            reached.append(other)
+                            edges.append(edge_id)
+                        elif seen == depth:
+                            edges.append(edge_id)
+                edges.reverse()
+            if level[sink] >= 0:
+                return True
+            frontier = reached
+            depth += 1
+        return False
+
+    def _augment_all(self, source: int, sink: int, out: list[list[int]]) -> int:
+        """Push level-graph paths found depth-first until none is left; the total pushed."""
+        to, cap = self._to, self._cap
+        total = 0
         path: list[int] = []  # edge ids from the source to `node`
         node = source
-        while node != sink:
-            edges = adj[node]
-            while iters[node] < len(edges):
-                edge_id = edges[iters[node]]
-                if cap[edge_id] > 0 and level[to[edge_id]] == level[node] + 1:
-                    break
-                iters[node] += 1
-            else:
-                if not path:
-                    return 0
+        while True:
+            edges = out[node]
+            while edges and not cap[edges[-1]]:
+                edges.pop()
+            if edges:
+                edge_id = edges[-1]
+                path.append(edge_id)
+                node = to[edge_id]
+                if node != sink:
+                    continue
+                pushed = min([cap[edge_id] for edge_id in path])
+                total += pushed
+                cut = -1  # the first edge the push saturated
+                for idx, edge_id in enumerate(path):
+                    left = cap[edge_id] - pushed
+                    cap[edge_id] = left
+                    cap[edge_id ^ 1] += pushed
+                    if not left and cut < 0:
+                        cut = idx
+                node = to[path[cut] ^ 1]
+                del path[cut:]
+            elif path:
                 node = to[path.pop() ^ 1]  # back to the tail, past the dead end
-                iters[node] += 1
-                continue
-            path.append(edge_id)
-            node = to[edge_id]
-        pushed = min(cap[edge_id] for edge_id in path)
-        for edge_id in path:
-            cap[edge_id] -= pushed
-            cap[edge_id ^ 1] += pushed
-        return pushed
+                out[node].pop()
+            else:
+                return total

@@ -12,7 +12,9 @@ shared freely between concurrent solver runs.
 An `Instance` is valid by construction: building an invalid one raises
 `ValueError("invalid instance: <violation>")` naming the first violation, so
 no solver checks its input again. A size that is not an int or a Fraction
-raises `as_rational`'s TypeError.
+raises `as_rational`'s TypeError. `normalize` changes only the two size
+values of a valid instance, so it derives the new units from them and does
+not check the jobs again.
 """
 
 from __future__ import annotations
@@ -67,6 +69,20 @@ class Instance:
         if len(set(units)) > 2:
             return "more than two size values"
         return None
+
+    @classmethod
+    def _resized(
+        cls, machine_count: int, jobs: tuple[Job, ...], integer_sizes: tuple[int, tuple[int, ...]]
+    ) -> "Instance":
+        """A valid instance's machine sets with new positive sizes, two at most, not checked again.
+
+        `integer_sizes` must be what `_integer_sizes` would derive from `jobs`.
+        """
+        instance = object.__new__(cls)
+        object.__setattr__(instance, "machine_count", machine_count)
+        object.__setattr__(instance, "jobs", jobs)
+        instance.__dict__["_integer_sizes"] = integer_sizes
+        return instance
 
     @classmethod
     def build(cls, machine_count: int, jobs: Iterable[tuple[object, Iterable[int]]]) -> "Instance":
@@ -181,7 +197,10 @@ def normalize(instance: Instance) -> tuple[Instance, Fraction]:
     jobs = tuple(
         Job(one if unit == big_unit else low, job.allowed) for unit, job in zip(units, instance.jobs)
     )
-    return Instance(instance.machine_count, jobs), big / small
+    # with low = p/q in lowest terms, D = q and the jobs are q or p units
+    p, q = low.numerator, low.denominator
+    scaled = tuple(q if unit == big_unit else p for unit in units)
+    return Instance._resized(instance.machine_count, jobs, (q, scaled)), big / small
 
 
 def integer_sizes(instance: Instance) -> tuple[int, tuple[int, ...]]:

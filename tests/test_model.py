@@ -201,6 +201,24 @@ def test_normalize_preserves_makespan_up_to_big_size():
         assert makespan(norm, schedule) * big == makespan(inst, schedule)
 
 
+def test_normalize_matches_a_checked_instance_of_the_same_jobs():
+    # normalize derives the result's integer units from the two size values
+    # instead of checking and scaling every job again
+    rng = random.Random("model-normalize-units")
+    for case in range(300):
+        machines = rng.randint(1, 4)
+        sizes = [Fraction(rng.randint(1, 30), rng.randint(1, 12)) for _ in range(2)]
+        jobs = [
+            (rng.choice(sizes), rng.sample(range(machines), rng.randint(1, machines)))
+            for _ in range(rng.randint(0 if case < 10 else 1, 8))
+        ]
+        norm, alpha = normalize(Instance.build(machines, jobs))
+        checked = Instance(norm.machine_count, norm.jobs)
+        assert norm == checked and hash(norm) == hash(checked)
+        assert integer_sizes(norm) == integer_sizes(checked)
+        assert norm.distinct_sizes() == checked.distinct_sizes()
+
+
 def test_scale_round_trip():
     rng = random.Random("model-scale")
     for _ in range(50):
