@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .matching import maximum_bipartite_matching
 from .maxflow import Dinic
@@ -69,6 +69,15 @@ class FlowNetwork:
 class FlowSolution:
     flows: tuple[int, ...]
     value: int
+    # set when the flow falls short of the demand: no bound below it meets the
+    # demand, and None means no bound does (see the module docstring)
+    floor: int | None = None
+
+
+class Floor(NamedTuple):
+    """An infeasible probe's proof: no point below `at` is feasible; none is when `at` is None."""
+
+    at: int | None
 
 
 @dataclass(frozen=True)
@@ -121,10 +130,20 @@ def build_network(scaled: ScaledInstance) -> FlowNetwork:
 
 
 def max_flow_integral(network: FlowNetwork, capacity: int) -> FlowSolution:
-    """Integral maximum flow over `network.arcs_at(capacity)`, deterministic per input."""
+    """Integral maximum flow over `network.arcs_at(capacity)`, deterministic per input.
+
+    A flow short of the demand carries the floor its minimum cut proves.
+    """
     solver = network._residual._with_capacity(len(network.arcs), capacity)  # the sink arcs
-    value = solver.max_flow(0, network.node_count - 1)
-    return FlowSolution(flows=solver.flows(), value=value)
+    sink = network.node_count - 1
+    value = solver.max_flow(0, sink)
+    floor = None
+    if value < network.demand:
+        # the cut's c machines each add one sink arc at `capacity`: value = F + c * capacity
+        cut = sum(label >= 0 for label in solver.level[sink - network.machines : sink])
+        if cut:
+            floor = capacity - (value - network.demand) // cut
+    return FlowSolution(flows=solver.flows(), value=value, floor=floor)
 
 
 def job_fractions(network: FlowNetwork, flow: FlowSolution) -> FractionalAssignment:
@@ -138,27 +157,46 @@ def job_fractions(network: FlowNetwork, flow: FlowSolution) -> FractionalAssignm
     return FractionalAssignment(shares, sizes)
 
 
-def smallest_feasible(lo: int, hi: int, probe: Callable[[int], W | None]) -> tuple[int, W] | None:
+def smallest_feasible(
+    lo: int, hi: int, probe: Callable[[int], W | Floor | None]
+) -> tuple[int, W] | None:
     """Smallest point in [lo, hi] whose probe returns a witness, and that witness.
 
     Feasibility must be monotone. The probe gallops up from lo (lo, lo + 1,
     lo + 3, lo + 7, ..., capped at hi) to the first feasible point, then
     bisects the gap below it: at most 2 ceil(log2(d + 1)) probes for an
     answer d above lo. None means hi itself is infeasible.
+
+    An infeasible probe returns None, or a `Floor` when it proves more. Its
+    `at` raises lo to it: the next gallop point is at least lo, and a
+    bisection drops the points below it. A Floor of None, or one above hi,
+    ends the search with None at once. Since a floor only raises lo, the
+    probe bound above still holds.
     """
     point, step = lo, 1
-    while (witness := probe(point)) is None:
-        if point == hi:
+    while (found := probe(point)) is None or isinstance(found, Floor):
+        lo = _raised(point, found)
+        if lo is None or lo > hi:
             return None
-        lo, point, step = point + 1, min(point + step, hi), 2 * step
+        point, step = max(lo, min(point + step, hi)), 2 * step
+    witness = found
     while lo < point:  # lo - 1 is infeasible, point feasible
         mid = (lo + point) // 2
         found = probe(mid)
-        if found is None:
-            lo = mid + 1
+        if found is None or isinstance(found, Floor):
+            lo = _raised(mid, found)
+            if lo is None or lo > point:
+                raise RuntimeError(f"probe at {mid} rules out the feasible point {point}")
         else:
             point, witness = mid, found
     return point, witness
+
+
+def _raised(point: int, found: Floor | None) -> int | None:
+    """The smallest point an infeasible probe at `point` leaves open; None when it leaves none."""
+    if found is None:
+        return point + 1
+    return None if found.at is None else max(point + 1, found.at)
 
 
 def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] | None:
@@ -183,9 +221,9 @@ def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] |
         return None
     network = build_network(scaled)
 
-    def probe(estimate: int) -> FlowSolution | None:
+    def probe(estimate: int) -> FlowSolution | Floor:
         flow = max_flow_integral(network, estimate)
-        return flow if flow.value == network.demand else None
+        return flow if flow.value == network.demand else Floor(flow.floor)
 
     total = network.demand
     lo = max(max(scaled.sizes, default=0), -(-total // max(m, 1)))

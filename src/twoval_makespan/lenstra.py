@@ -34,7 +34,8 @@ from fractions import Fraction
 from typing import Collection, Sequence
 
 from .flow import (
-    FlowNetwork, FractionalAssignment, job_fractions, max_flow_integral, smallest_feasible,
+    Floor, FlowNetwork, FlowSolution, FractionalAssignment, job_fractions, max_flow_integral,
+    smallest_feasible,
 )
 from .model import Instance, Schedule, integer_sizes, makespan
 
@@ -95,12 +96,15 @@ def transportation_network(instance: Instance, sizes: Sequence[int]) -> FlowNetw
     return FlowNetwork(machine0 + m + 1, m, tuple(arcs), sum(sizes), tuple(job_arcs))
 
 
-def fractional_assign_plain(network: FlowNetwork, capacity: int) -> FractionalAssignment | None:
-    """Fractional assignment with every machine load <= capacity, or None.
+def fractional_assign_plain(
+    network: FlowNetwork, flow: FlowSolution
+) -> FractionalAssignment | None:
+    """The job shares of a probe's max-flow, or None when it falls short of the demand.
 
-    The capacity is in the network's units: 1/D for `transportation_network`.
+    The flow is `max_flow_integral(network, capacity)`, with the capacity in
+    the network's units (1/D for `transportation_network`), so the shares
+    keep every machine load at most the capacity.
     """
-    flow = max_flow_integral(network, capacity)
     if flow.value != network.demand:
         return None
     return job_fractions(network, flow)
@@ -268,13 +272,21 @@ def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAss
     network = transportation_network(instance, sizes)
 
     # neighbouring multiples often snap to the same load: solve each load once
-    solved: dict[int, FractionalAssignment | None] = {}
+    solved: dict[int, FractionalAssignment | Floor] = {}
 
-    def probe(k: int) -> FractionalAssignment | None:
+    def probe(k: int) -> FractionalAssignment | Floor:
         capacity = _snap_to_grid(sizes, grid[k])
         if capacity not in solved:
-            solved[capacity] = fractional_assign_plain(network, capacity)
+            flow = max_flow_integral(network, capacity)
+            found = fractional_assign_plain(network, flow)
+            solved[capacity] = found if found is not None else grid_floor(flow.floor)
         return solved[capacity]
+
+    def grid_floor(floor: int | None) -> Floor:
+        """The first index whose snapped load may reach the smallest true load at or above floor."""
+        if floor is None or floor > grid[-1]:
+            return Floor(None)
+        return Floor(_snap_to_grid(sizes, floor) // grid.step)
 
     last = len(grid) - 1
     start = min(-(-sum(sizes) // (instance.machine_count * grid.step)), last)

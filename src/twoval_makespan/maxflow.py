@@ -29,6 +29,12 @@ path at the source and checks each edge's level as it goes, with less work:
 A node's current edge is the last entry of its level-edge list, kept in
 reverse `adj` order, so passing an edge is one `pop`. One table of these
 lists serves every phase of a max-flow, so a phase allocates no new lists.
+
+The last phase's search finds the sink cut off and runs to exhaustion, so
+after `max_flow` the solver's `level` is >= 0 exactly on the nodes the
+source still reaches in the residual graph: the source side of a minimum
+cut. Every arc leaving that side is saturated and every arc entering it is
+empty, so the flow value equals the cut's capacity.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ class Dinic:
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int, int]]):
         """Residual arrays for the arcs: edge 2i is arc i, edge 2i + 1 its reverse."""
         self.node_count = node_count
+        self.level: list[int] = []  # the last search's labels; see the module docstring
         self._to: list[int] = []
         self._cap: list[int] = []
         self._adj: list[list[int]] = [[] for _ in range(node_count)]
@@ -61,6 +68,7 @@ class Dinic:
             raise ValueError("negative capacity")
         solver = object.__new__(Dinic)
         solver.node_count, solver._to, solver._adj = self.node_count, self._to, self._adj
+        solver.level = []
         solver._cap = self._cap.copy()
         solver._cap[2 * first :: 2] = [capacity] * (len(self._cap) // 2 - first)
         return solver
@@ -79,14 +87,14 @@ class Dinic:
         return total
 
     def _level_edges(self, source: int, sink: int, out: list[list[int]]) -> bool:
-        """Refill `out` with each node's level edges, in reverse `adj` order.
+        """Refill `out` with each node's level edges, in reverse `adj` order, and label `level`.
 
         False when the sink is cut off. Nodes left unexpanded get no edges.
         """
         to, cap, adj = self._to, self._cap, self._adj
         for edges in out:
             edges.clear()
-        level = [-1] * self.node_count
+        level = self.level = [-1] * self.node_count
         level[source] = 0
         frontier = [source]
         depth = 1  # the level of the nodes the frontier reaches

@@ -15,7 +15,9 @@ from twoval_makespan.flow import (
 from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import transportation_network
 from twoval_makespan.maxflow import Dinic
-from twoval_makespan.model import Instance, integer_sizes, normalize, scale_to_integer, size_ratio
+from twoval_makespan.model import (
+    Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer, size_ratio,
+)
 from twoval_makespan.oracle import enumerate_opt
 from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
 
@@ -275,3 +277,57 @@ def test_max_flow_matches_networkx():
         solution = max_flow_integral(network, bound)
         assert solution.value == _networkx_value(nx, network, bound)
         _check_flow(network, bound, solution)
+
+
+def _crowded_instance(rng):
+    """Up to 14 jobs on up to 5 machines, eligible mostly on the low machines, at most m big.
+
+    Job j may run on a random subset of machines 0..r - 1 for a random r, so
+    the low machines are crowded and many bounds fall short.
+    """
+    m = rng.randint(2, 5)
+    big, small = rng.choice([(3, 1), (2, 1), (5, 2), (7, 3), (4, 1)])
+    bigs = rng.randint(0, m)
+    jobs = []
+    for j in range(rng.randint(2, 14)):
+        reach = rng.randint(1, m)
+        jobs.append((big if j < bigs else small, rng.sample(range(reach), rng.randint(1, reach))))
+    return Instance.build(m, jobs)
+
+
+@pytest.mark.parametrize("family", ["unit-k", "transportation"])
+def test_a_short_probe_floors_every_feasible_bound(family):
+    # every bound from the averaging bound to the total, on seeded networks
+    rng = random.Random(f"flow-floor-{family}")
+    short = never = jumps = 0
+    for _ in range(60):
+        inst = _crowded_instance(rng)
+        if family == "unit-k":
+            network = build_network(ScaledInstance.of(inst, rng.randint(2, 4)))
+        else:
+            network = transportation_network(inst, integer_sizes(inst)[1])
+        sink, demand, m = network.node_count - 1, network.demand, network.machines
+        bounds = range(-(-demand // m), demand + 1)
+        probes = [max_flow_integral(network, bound) for bound in bounds]
+        smallest = next((t for t, probe in zip(bounds, probes) if probe.value == demand), None)
+        for bound, probe in zip(bounds, probes):
+            if probe.value == demand:
+                assert probe.floor is None
+                continue
+            short += 1
+            if probe.floor is None:
+                assert smallest is None
+                never += 1
+            else:
+                assert bound < probe.floor <= (demand + 1 if smallest is None else smallest)
+                jumps += probe.floor > bound + 1
+            # the kept labels mark a min cut: F fixed capacity plus c sink arcs at the bound
+            solver = Dinic(network.node_count, network.arcs_at(bound))
+            assert solver.max_flow(0, sink) == probe.value
+            side = {node for node, label in enumerate(solver.level) if label >= 0}
+            fixed = sum(c for tail, head, c in network.arcs if tail in side and head not in side)
+            cut = len(side.intersection(range(sink - m, sink)))
+            assert probe.value == fixed + cut * bound
+            assert probe.floor == (None if cut == 0 else bound + -(-(demand - probe.value) // cut))
+    assert short >= 100 and jumps >= 20
+    assert never >= 100 if family == "unit-k" else never == 0

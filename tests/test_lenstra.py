@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from twoval_makespan import flow, lenstra
-from twoval_makespan.flow import FractionalAssignment
+from twoval_makespan.flow import FractionalAssignment, max_flow_integral
 from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import (
     cancel_cycles,
@@ -44,7 +44,8 @@ def _plain(instance, capacity):
     denom, sizes = integer_sizes(instance)
     units = capacity * denom
     assert units.denominator == 1
-    return fractional_assign_plain(transportation_network(instance, sizes), int(units))
+    network = transportation_network(instance, sizes)
+    return fractional_assign_plain(network, max_flow_integral(network, int(units)))
 
 
 def test_fractional_single_job():
@@ -143,9 +144,9 @@ def test_additive_search_probes_only_true_loads(monkeypatch):
 
     def recording(network, capacity):
         probed.append(Fraction(capacity, denom))
-        return fractional_assign_plain(network, capacity)
+        return max_flow_integral(network, capacity)
 
-    monkeypatch.setattr(lenstra, "fractional_assign_plain", recording)
+    monkeypatch.setattr(lenstra, "max_flow_integral", recording)
     rng = random.Random("lenstra-probes")
     for sizes in [(Fraction(7, 3), Fraction(1, 2)), (7, 5), (Fraction(13, 8), 1)]:
         for _ in range(100):
@@ -172,14 +173,47 @@ def test_additive_search_probes_only_true_loads(monkeypatch):
             assert len(probed) <= 2 * math.ceil(math.log2(index - start + 1)) + 1
 
 
+def test_additive_search_snaps_each_floor_to_a_true_load(monkeypatch):
+    # a short probe's floor is in units of 1/D and often no true load a*b + c*s;
+    # the search must still win at the full grid's smallest feasible load
+    floors = []
+
+    def recording(network, capacity):
+        flow = max_flow_integral(network, capacity)
+        if flow.floor is not None:
+            floors.append((capacity, flow.floor))
+        return flow
+
+    monkeypatch.setattr(lenstra, "max_flow_integral", recording)
+    rng = random.Random("lenstra-floor-snap")
+    raw = jumps = 0
+    for sizes in [(Fraction(7, 3), Fraction(1, 2)), (7, 5), (Fraction(13, 8), 1),
+                  (Fraction(9, 4), Fraction(2, 3))]:
+        for _ in range(100):
+            m = rng.randint(2, 5)
+            jobs = []
+            for _ in range(rng.randint(2, 12)):
+                reach = rng.randint(1, m)  # crowd the low machines, so the start falls short
+                jobs.append((rng.choice(sizes), rng.sample(range(reach), rng.randint(1, reach))))
+            inst = Instance.build(m, jobs)
+            floors.clear()
+            capacity, _ = min_feasible_fractional(inst)
+            assert capacity == _smallest_feasible(inst, _reference_grid(inst))
+            denom, loads = _denom(inst), set(_reference_grid(inst))
+            step = load_grid(integer_sizes(inst)[1]).step
+            raw += any(Fraction(floor, denom) not in loads for _, floor in floors)
+            jumps += any(floor > probed + step for probed, floor in floors)
+    assert raw >= 40 and jumps >= 200
+
+
 def test_additive_search_solves_each_load_once(monkeypatch):
     probed = []
 
     def recording(network, capacity):
         probed.append(capacity)
-        return fractional_assign_plain(network, capacity)
+        return max_flow_integral(network, capacity)
 
-    monkeypatch.setattr(lenstra, "fractional_assign_plain", recording)
+    monkeypatch.setattr(lenstra, "max_flow_integral", recording)
     rng = random.Random("lenstra-once")
     alphas = [Fraction(7, 3), Fraction(13, 8), Fraction(11, 7), Fraction(5, 2), Fraction(3, 2)]
     searches = 0

@@ -1,7 +1,8 @@
-"""Property tests for the galloping feasibility search, the integer size
-scaling, the instance checks on integer units, the two routes to a {1, k}
-instance, the lifted-load cap, the snap to true loads, cycle canceling on
-integer shares and the oracle's load floor.
+"""Property tests for the galloping feasibility search, with and without
+floors from infeasible probes, the integer size scaling, the instance checks
+on integer units, the two routes to a {1, k} instance, the lifted-load cap,
+the snap to true loads, cycle canceling on integer shares and the oracle's
+load floor.
 
 They need hypothesis and skip without it. No example database is kept;
 hypothesis may still cache source constants under `.hypothesis/`, which git
@@ -19,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from twoval_makespan.bounds import lift_factors
-from twoval_makespan.flow import FractionalAssignment, smallest_feasible
+from twoval_makespan.flow import Floor, FractionalAssignment, smallest_feasible
 from twoval_makespan.lenstra import _snap_to_grid, cancel_cycles, round_forest, support_is_forest
 from twoval_makespan.model import (
     Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer, size_ratio,
@@ -50,6 +51,35 @@ def test_smallest_feasible_matches_a_linear_scan(case):
     def probe(point):
         probed.append(point)
         return ("witness", point) if point >= threshold else None
+
+    found = smallest_feasible(lo, hi, probe)
+    expected = next((point for point in range(lo, hi + 1) if point >= threshold), None)
+    assert all(lo <= point <= hi for point in probed)
+    if expected is None:
+        assert found is None
+        distance = hi - lo
+    else:
+        assert found == (expected, ("witness", expected))
+        distance = expected - lo
+    assert len(probed) <= 2 * math.ceil(math.log2(distance + 1)) + 1
+
+
+@PROPERTY
+@given(search_ranges(), st.data())
+def test_smallest_feasible_with_floors_matches_a_linear_scan(case, data):
+    # an infeasible probe at t may report any valid floor: one in (t, threshold],
+    # or "never" when nothing in the range is feasible, or nothing at all
+    lo, hi, threshold = case
+    probed = []
+
+    def probe(point):
+        probed.append(point)
+        if point >= threshold:
+            return ("witness", point)
+        floors = [st.none(), st.builds(Floor, st.integers(point + 1, threshold))]
+        if threshold > hi:
+            floors.append(st.just(Floor(None)))
+        return data.draw(st.one_of(floors))
 
     found = smallest_feasible(lo, hi, probe)
     expected = next((point for point in range(lo, hi + 1) if point >= threshold), None)
