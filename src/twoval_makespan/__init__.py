@@ -19,7 +19,7 @@ from .model import (
     normalize,
     scale_to_integer,
 )
-from .oracle import BudgetExceeded, OracleResult, brute_force_opt, verify_ratio
+from .oracle import BudgetExceeded, OracleResult, brute_force_opt
 from .twovalued import SolveResult, solve_two_valued
 from .unitk import UnitKSolution, solve_unit_k
 
@@ -45,5 +45,4 @@ __all__ = [
     "scale_to_integer",
     "solve_two_valued",
     "solve_unit_k",
-    "verify_ratio",
 ]

@@ -15,6 +15,18 @@ total / m, where the smallest feasible bound usually sits, so a search
 usually takes one max-flow. `lenstra` builds its transportation network on
 this kernel.
 
+A probe that falls short also bounds every later one. After the max-flow,
+Dinic's labels mark the source side of a minimum cut (`maxflow`); say c
+machine nodes lie on it. Its capacity at bound t is F + c * t, where F is
+the capacity of the other arcs leaving it, and it equals the flow value v.
+At any bound t' the same cut caps the flow at F + c * t', so no bound below
+floor = t + ceil((demand - v) / c) meets the demand, and none does when
+c = 0. `FlowSolution.floor` carries it, read from the m machine labels
+alone, and the search raises its lo to it. The winner is still the smallest
+feasible bound and its flow depends only on the arc list, so the floor
+saves probes and changes no result. This is a Newton (Dinkelbach) step on
+the parametric min-cut function (Gallo, Grigoriadis and Tarjan 1989).
+
 The {1, k} network: source -> job -> per-machine throttle node (big jobs only)
 -> machine -> sink. Small jobs have unit arcs straight to machine nodes; the
 throttle v_{i,b} caps the big-job flow entering machine i at k. A flow meeting
@@ -167,11 +179,12 @@ def smallest_feasible(
     bisects the gap below it: at most 2 ceil(log2(d + 1)) probes for an
     answer d above lo. None means hi itself is infeasible.
 
-    An infeasible probe returns None, or a `Floor` when it proves more. Its
-    `at` raises lo to it: the next gallop point is at least lo, and a
-    bisection drops the points below it. A Floor of None, or one above hi,
-    ends the search with None at once. Since a floor only raises lo, the
-    probe bound above still holds.
+    An infeasible probe returns None, or a `Floor` when it proves more, as
+    a max-flow probe does with its min cut's floor t + ceil((demand - v) / c)
+    (module docstring). Its `at` raises lo: the next gallop point is at
+    least lo, and a bisection drops the points below it. A Floor of None, or
+    one above hi, ends the search with None at once. Since a floor only
+    raises lo, the probe bound above still holds.
     """
     point, step = lo, 1
     while (found := probe(point)) is None or isinstance(found, Floor):

@@ -14,6 +14,15 @@ flow is the result. The search gallops up from the first multiple at or
 above total / m, a lower bound on every feasible load, and bisects the last
 gap: at most 2 ceil(log2(d + 1)) flow solves for a winner d multiples above
 that start, usually one.
+
+A probe that falls short reports its min cut's floor, t + ceil((demand -
+v) / c) in units of 1/D (`flow`): no smaller bound is feasible. The floor is
+often no true load, so the search snaps it up to one, L, before it becomes
+a grid index, L / g. The smallest feasible load is a true load at least the
+floor, so it is at least L; every index below L / g snaps to at most L, so
+none wins at a smaller load, and L / g itself snaps to L. A floor above the
+total size means no load is feasible.
+
 The winning assignment holds each job's per-machine shares in the flow's
 integer units, in which every job's size is its true size times D.
 
@@ -182,11 +191,6 @@ def cancel_cycles(assignment: FractionalAssignment) -> FractionalAssignment:
     return FractionalAssignment(tuple(shares), assignment.sizes)
 
 
-def support_is_forest(assignment: FractionalAssignment) -> bool:
-    """True when the bipartite support graph of fractional jobs is acyclic."""
-    return _find_support_cycle(assignment.shares) is None
-
-
 def round_forest(assignment: FractionalAssignment, instance: Instance) -> Schedule:
     """Round a forest-supported assignment, each machine gaining at most one job.
 
@@ -283,7 +287,7 @@ def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAss
         return solved[capacity]
 
     def grid_floor(floor: int | None) -> Floor:
-        """The first index whose snapped load may reach the smallest true load at or above floor."""
+        """A probe's floor as a grid index: snapped up to a true load, over g (module docstring)."""
         if floor is None or floor > grid[-1]:
             return Floor(None)
         return Floor(_snap_to_grid(sizes, floor) // grid.step)

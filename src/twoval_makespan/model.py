@@ -117,10 +117,6 @@ class Schedule:
 
     assignment: tuple[int, ...]
 
-    @classmethod
-    def of(cls, assignment: Iterable[int]) -> "Schedule":
-        return cls(tuple(assignment))
-
 
 @dataclass(frozen=True)
 class ScaledInstance:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import Instance, Schedule, integer_sizes, makespan
+from .model import Instance, Schedule, integer_sizes
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -37,14 +37,6 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class OracleResult:
-    opt_makespan: Fraction
-    witness: Schedule
-
-
-@dataclass(frozen=True)
-class RatioCheck:
-    passed: bool
-    ratio: Fraction
     opt_makespan: Fraction
     witness: Schedule
 
@@ -162,16 +154,3 @@ def ratio_verdict(value: Fraction, opt: Fraction, bound: Fraction) -> tuple[Frac
     if opt == 0:
         return Fraction(1), value == 0
     return value / opt, value <= bound * opt
-
-
-def verify_ratio(
-    instance: Instance,
-    schedule: Schedule,
-    bound: Fraction,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> RatioCheck:
-    """Exact-rational check that a schedule is within `bound` times the optimum."""
-    value = makespan(instance, schedule)
-    result = brute_force_opt(instance, node_budget)
-    ratio, passed = ratio_verdict(value, result.opt_makespan, bound)
-    return RatioCheck(passed=passed, ratio=ratio, opt_makespan=result.opt_makespan, witness=result.witness)

@@ -1,9 +1,15 @@
 """Helpers shared by the test modules."""
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from twoval_makespan.flow import FractionalAssignment
-from twoval_makespan.model import Instance, ScaledInstance, normalize, scale_to_integer
+from twoval_makespan.lenstra import _find_support_cycle
+from twoval_makespan.model import (
+    Instance, ScaledInstance, Schedule, makespan, normalize, scale_to_integer,
+)
+from twoval_makespan.oracle import DEFAULT_NODE_BUDGET, brute_force_opt, ratio_verdict
 
 
 def integer_instance(scaled: ScaledInstance) -> Instance:
@@ -27,6 +33,37 @@ def scale_with_k(machines, jobs, k) -> ScaledInstance:
 def fraction(assignment: FractionalAssignment, job: int, machine: int) -> Fraction:
     """The part of the job that the assignment runs on the machine."""
     return Fraction(assignment.shares[job].get(machine, 0), assignment.sizes[job])
+
+
+def schedule_of(assignment: Iterable[int]) -> Schedule:
+    """The schedule placing job j on the j-th machine of `assignment`."""
+    return Schedule(tuple(assignment))
+
+
+def support_is_forest(assignment: FractionalAssignment) -> bool:
+    """True when the bipartite support graph of fractional jobs is acyclic."""
+    return _find_support_cycle(assignment.shares) is None
+
+
+@dataclass(frozen=True)
+class RatioCheck:
+    passed: bool
+    ratio: Fraction
+    opt_makespan: Fraction
+    witness: Schedule
+
+
+def verify_ratio(
+    instance: Instance,
+    schedule: Schedule,
+    bound: Fraction,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> RatioCheck:
+    """Exact-rational check that a schedule is within `bound` times the optimum."""
+    value = makespan(instance, schedule)
+    result = brute_force_opt(instance, node_budget)
+    ratio, passed = ratio_verdict(value, result.opt_makespan, bound)
+    return RatioCheck(passed, ratio, result.opt_makespan, result.witness)
 
 
 def reference_violation(machine_count: int, jobs) -> str | None:

@@ -28,14 +28,13 @@ from twoval_makespan.lenstra import (
     lenstra_solve,
     min_feasible_fractional,
     round_forest,
-    support_is_forest,
 )
 from twoval_makespan.model import machine_loads, makespan, normalize, scale_to_integer
 from twoval_makespan.oracle import brute_force_opt, enumerate_opt
 from twoval_makespan.twovalued import solve_two_valued
 from twoval_makespan.unitk import match_big_jobs, solve_unit_k
 
-from helpers import fraction, integer_instance
+from helpers import fraction, integer_instance, support_is_forest
 
 SWEEP = 500
 KS = (2, 3, 4, 5, 6)

@@ -17,12 +17,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from twoval_makespan.generator import random_instance
-from twoval_makespan.lenstra import (
-    cancel_cycles,
-    min_feasible_fractional,
-    round_forest,
-    support_is_forest,
-)
+from twoval_makespan.lenstra import cancel_cycles, min_feasible_fractional, round_forest
+
+from helpers import support_is_forest
 
 DATA = Path(__file__).resolve().parent / "data" / "additive_pinned.json"
 ALPHAS = ("3/2", "5/2", "7/3", "7/5", "11/7", "13/8")

@@ -385,7 +385,9 @@ def test_oracle_budget_env_var_rejects_nonpositive(tmp_path, capsys, monkeypatch
 
 
 def test_solve_output_schedule_is_valid(tmp_path, capsys):
-    from twoval_makespan.model import Schedule, machine_loads
+    from twoval_makespan.model import machine_loads
+
+    from helpers import schedule_of
 
     assert main(["gen", "--seed", "21", "--jobs", "9", "--machines", "4", "--alpha", "7/3"]) == 0
     text = capsys.readouterr().out
@@ -398,7 +400,7 @@ def test_solve_output_schedule_is_valid(tmp_path, capsys):
         if line.startswith("assign "):
             _, job, machine = line.split()
             assignment[int(job)] = int(machine)
-    machine_loads(inst, Schedule.of(assignment))  # raises if any placement is disallowed
+    machine_loads(inst, schedule_of(assignment))  # raises if any placement is disallowed
 
 
 def test_bound_table(capsys):

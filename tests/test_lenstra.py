@@ -14,7 +14,6 @@ from twoval_makespan.lenstra import (
     load_grid,
     min_feasible_fractional,
     round_forest,
-    support_is_forest,
     transportation_network,
 )
 from twoval_makespan.model import (
@@ -23,7 +22,7 @@ from twoval_makespan.model import (
 from twoval_makespan.twovalued import solve_two_valued
 from twoval_makespan.oracle import enumerate_opt
 
-from helpers import fraction
+from helpers import fraction, support_is_forest
 
 
 def _loads(assignment, instance):

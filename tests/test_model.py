@@ -7,7 +7,6 @@ from twoval_makespan.model import (
     Instance,
     Job,
     ScaledInstance,
-    Schedule,
     integer_sizes,
     is_graph_balancing,
     machine_loads,
@@ -16,6 +15,8 @@ from twoval_makespan.model import (
     scale_to_integer,
     size_ratio,
 )
+
+from helpers import schedule_of
 
 
 def test_validate_minimal_instance():
@@ -56,23 +57,23 @@ def test_validate_names_the_first_violation_in_job_order():
 
 def test_makespan_sum_of_sizes():
     inst = Instance.build(2, [(1, [0, 1]), (1, [0, 1])])
-    assert makespan(inst, Schedule.of([0, 0])) == 2
+    assert makespan(inst, schedule_of([0, 0])) == 2
 
 
 def test_makespan_max_of_loads():
     inst = Instance.build(2, [(2, [0]), (1, [1])])
-    assert makespan(inst, Schedule.of([0, 1])) == 2
+    assert makespan(inst, schedule_of([0, 1])) == 2
 
 
 def test_makespan_empty_instance():
     inst = Instance.build(3, [])
-    assert makespan(inst, Schedule.of([])) == 0
+    assert makespan(inst, schedule_of([])) == 0
 
 
 def test_makespan_rejects_disallowed_assignment():
     inst = Instance.build(2, [(1, [0])])
     with pytest.raises(ValueError):
-        makespan(inst, Schedule.of([1]))
+        makespan(inst, schedule_of([1]))
 
 
 def test_normalize_integer_ratio():
@@ -188,7 +189,7 @@ def _random_instance(rng):
 
 
 def _random_schedule(rng, inst):
-    return Schedule.of(rng.choice(sorted(job.allowed)) for job in inst.jobs)
+    return schedule_of(rng.choice(sorted(job.allowed)) for job in inst.jobs)
 
 
 def test_normalize_preserves_makespan_up_to_big_size():
@@ -247,7 +248,7 @@ def test_makespan_invariant_under_machine_permutation():
             inst.machine_count,
             [(job.size, [perm[i] for i in job.allowed]) for job in inst.jobs],
         )
-        permuted_schedule = Schedule.of(perm[m] for m in schedule.assignment)
+        permuted_schedule = schedule_of(perm[m] for m in schedule.assignment)
         assert makespan(inst, schedule) == makespan(permuted, permuted_schedule)
 
 
@@ -258,4 +259,4 @@ def test_is_graph_balancing():
 
 def test_machine_loads_empty_machines_contribute_zero():
     inst = Instance.build(3, [(2, [1])])
-    assert machine_loads(inst, Schedule.of([1])) == [0, 2, 0]
+    assert machine_loads(inst, schedule_of([1])) == [0, 2, 0]

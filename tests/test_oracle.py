@@ -4,13 +4,10 @@ from fractions import Fraction
 import pytest
 
 from twoval_makespan.generator import random_instance
-from twoval_makespan.model import Instance, Schedule, makespan
-from twoval_makespan.oracle import (
-    BudgetExceeded,
-    brute_force_opt,
-    enumerate_opt,
-    verify_ratio,
-)
+from twoval_makespan.model import Instance, makespan
+from twoval_makespan.oracle import BudgetExceeded, brute_force_opt, enumerate_opt
+
+from helpers import schedule_of, verify_ratio
 
 
 def test_single_job_optimum_is_its_size():
@@ -57,25 +54,25 @@ def test_search_stops_at_the_load_floor():
     inst = Instance.build(2, [(5, [0, 1]), (2, [1]), (2, [1]), (2, [1])])
     result = brute_force_opt(inst, node_budget=4)
     assert result.opt_makespan == 6
-    assert result.witness == Schedule.of([0, 1, 1, 1])
+    assert result.witness == schedule_of([0, 1, 1, 1])
 
 
 def test_search_deeper_than_the_recursion_limit():
     inst = Instance.build(2, [(1, [j % 2]) for j in range(3000)])
     result = brute_force_opt(inst)
     assert result.opt_makespan == 1500
-    assert result.witness == Schedule.of(j % 2 for j in range(3000))
+    assert result.witness == schedule_of(j % 2 for j in range(3000))
 
 
 def test_verify_ratio_optimal_schedule():
     inst = Instance.build(2, [(1, [0]), (1, [1])])
-    check = verify_ratio(inst, Schedule.of([0, 1]), Fraction(1))
+    check = verify_ratio(inst, schedule_of([0, 1]), Fraction(1))
     assert check.passed and check.ratio == 1
 
 
 def test_verify_ratio_fails_on_doubled_load():
     inst = Instance.build(2, [(1, [0, 1]), (1, [0, 1])])
-    check = verify_ratio(inst, Schedule.of([0, 0]), Fraction(3, 2))
+    check = verify_ratio(inst, schedule_of([0, 0]), Fraction(3, 2))
     assert not check.passed
     assert check.ratio == 2
 
@@ -85,12 +82,12 @@ def test_oracle_is_a_floor_for_any_valid_schedule():
     for _ in range(40):
         inst = random_instance(rng, rng.randint(1, 6), rng.randint(1, 3), 3)
         opt = brute_force_opt(inst).opt_makespan
-        schedule = Schedule.of(rng.choice(sorted(job.allowed)) for job in inst.jobs)
+        schedule = schedule_of(rng.choice(sorted(job.allowed)) for job in inst.jobs)
         assert makespan(inst, schedule) >= opt
 
 
 def test_budget_propagates_through_verify_ratio():
     inst = Instance.build(4, [(1, [0, 1, 2, 3])] * 10)
-    schedule = Schedule.of([0] * 10)
+    schedule = schedule_of([0] * 10)
     with pytest.raises(BudgetExceeded):
         verify_ratio(inst, schedule, Fraction(2), node_budget=5)

@@ -21,14 +21,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from twoval_makespan.bounds import lift_factors
 from twoval_makespan.flow import Floor, FractionalAssignment, smallest_feasible
-from twoval_makespan.lenstra import _snap_to_grid, cancel_cycles, round_forest, support_is_forest
+from twoval_makespan.lenstra import _snap_to_grid, cancel_cycles, round_forest
 from twoval_makespan.model import (
     Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer, size_ratio,
 )
 from twoval_makespan.oracle import brute_force_opt, enumerate_opt, load_floor
 from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
 
-from helpers import reference_violation
+from helpers import reference_violation, support_is_forest
 
 PROPERTY = settings(database=None, deadline=None)
 
@@ -71,15 +71,21 @@ def test_smallest_feasible_with_floors_matches_a_linear_scan(case, data):
     # or "never" when nothing in the range is feasible, or nothing at all
     lo, hi, threshold = case
     probed = []
+    floor = lo  # no probe goes below a floor reported before it
 
     def probe(point):
+        nonlocal floor
+        assert point >= floor
         probed.append(point)
         if point >= threshold:
             return ("witness", point)
         floors = [st.none(), st.builds(Floor, st.integers(point + 1, threshold))]
         if threshold > hi:
             floors.append(st.just(Floor(None)))
-        return data.draw(st.one_of(floors))
+        found = data.draw(st.one_of(floors))
+        if found is not None and found.at is not None:
+            floor = max(floor, found.at)
+        return found
 
     found = smallest_feasible(lo, hi, probe)
     expected = next((point for point in range(lo, hi + 1) if point >= threshold), None)

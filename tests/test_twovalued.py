@@ -6,7 +6,7 @@ import pytest
 from twoval_makespan.bounds import lift_factors
 from twoval_makespan.flow import FractionalAssignment
 from twoval_makespan.generator import random_instance
-from twoval_makespan.model import Instance, ScaledInstance, Schedule, scale_to_integer, size_ratio
+from twoval_makespan.model import Instance, ScaledInstance, scale_to_integer, size_ratio
 from twoval_makespan.oracle import enumerate_opt
 from twoval_makespan.twovalued import (
     ADDITIVE,
@@ -17,6 +17,8 @@ from twoval_makespan.twovalued import (
     solve_two_valued,
 )
 from twoval_makespan.unitk import UnitKSolution
+
+from helpers import schedule_of
 
 
 def test_build_reduced_five_halves():
@@ -100,7 +102,7 @@ def test_report_matches_alpha():
 
 def _doctored(assignment, estimate):
     # the check reads only the schedule and the estimate
-    return UnitKSolution(Schedule.of(assignment), estimate, FractionalAssignment((), ()))
+    return UnitKSolution(schedule_of(assignment), estimate, FractionalAssignment((), ()))
 
 
 def test_lifted_load_check_allows_a_big_job_machine_at_the_cap():
