@@ -184,7 +184,10 @@ def smallest_feasible(
     (module docstring). Its `at` raises lo: the next gallop point is at
     least lo, and a bisection drops the points below it. A Floor of None, or
     one above hi, ends the search with None at once. Since a floor only
-    raises lo, the probe bound above still holds.
+    raises lo, the probe bound above still holds. A floor may also pass
+    feasible points whose witnesses are no better than the one at `at`, as
+    the additive search's snapped grid indices do (`lenstra`); a floor at
+    or past the bisection's feasible point ends the search there.
     """
     point, step = lo, 1
     while (found := probe(point)) is None or isinstance(found, Floor):
@@ -193,13 +196,13 @@ def smallest_feasible(
             return None
         point, step = max(lo, min(point + step, hi)), 2 * step
     witness = found
-    while lo < point:  # lo - 1 is infeasible, point feasible
+    while lo < point:  # point is feasible, and no point below lo has a better witness
         mid = (lo + point) // 2
         found = probe(mid)
         if found is None or isinstance(found, Floor):
             lo = _raised(mid, found)
-            if lo is None or lo > point:
-                raise RuntimeError(f"probe at {mid} rules out the feasible point {point}")
+            if lo is None:
+                raise RuntimeError(f"probe at {mid} rules out every point, but {point} is feasible")
         else:
             point, witness = mid, found
     return point, witness

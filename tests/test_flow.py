@@ -6,11 +6,13 @@ import pytest
 
 from twoval_makespan import flow
 from twoval_makespan.flow import (
+    Floor,
     FlowSolution,
     build_network,
     extract_assignment,
     max_flow_integral,
     min_feasible_T,
+    smallest_feasible,
 )
 from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import transportation_network
@@ -277,6 +279,21 @@ def test_max_flow_matches_networkx():
         solution = max_flow_integral(network, bound)
         assert solution.value == _networkx_value(nx, network, bound)
         _check_flow(network, bound, solution)
+
+
+def test_a_floor_past_the_feasible_point_ends_the_bisection():
+    # as on the additive grid, points 5..11 hold the same best witness, and the
+    # bisection's probe at 4 reports the floor 11, past the feasible point 5
+    probed = []
+
+    def probe(point):
+        probed.append(point)
+        if point >= 5:
+            return "best"
+        return Floor(11) if point == 4 else None
+
+    assert smallest_feasible(0, 11, probe) == (5, "best")
+    assert probed == [0, 1, 3, 7, 5, 4]
 
 
 def _crowded_instance(rng):

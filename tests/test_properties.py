@@ -100,6 +100,51 @@ def test_smallest_feasible_with_floors_matches_a_linear_scan(case, data):
 
 
 @st.composite
+def stepped_searches(draw):
+    """A start lo, a nondecreasing value per point from lo on, and a threshold on the values.
+
+    A point is feasible when its value reaches the threshold, and its witness
+    is its value, as an additive grid index is feasible when its snapped load is.
+    """
+    lo = draw(st.integers(-50, 50))
+    values = sorted(draw(st.lists(st.integers(0, 8), min_size=1, max_size=120)))
+    return lo, values, draw(st.integers(0, 9))
+
+
+@settings(PROPERTY, max_examples=500)
+@given(stepped_searches(), st.data())
+def test_smallest_feasible_with_floors_past_equal_witnesses(case, data):
+    # a floor may pass feasible points, up to the last one holding the best witness
+    lo, values, threshold = case
+    hi = lo + len(values) - 1
+    best = next((value for value in values if value >= threshold), None)
+    holding = [lo + k for k, value in enumerate(values) if value == best]
+    probed = []
+
+    def probe(point):
+        probed.append(point)
+        if values[point - lo] >= threshold:
+            return values[point - lo]
+        if best is None:
+            above = st.builds(Floor, st.integers(point + 1, hi + 5))
+            floors = [st.none(), st.just(Floor(None)), above]
+        else:  # the highest floor allowed is drawn often: it passes the most points
+            within = st.builds(Floor, st.integers(point + 1, holding[-1]))
+            floors = [st.none(), st.just(Floor(holding[-1])), within]
+        return data.draw(st.one_of(floors))
+
+    found = smallest_feasible(lo, hi, probe)
+    assert all(lo <= point <= hi for point in probed)
+    if best is None:
+        assert found is None
+        distance = hi - lo
+    else:
+        assert found is not None and found[1] == best and found[0] in holding
+        distance = holding[0] - lo
+    assert len(probed) <= 2 * math.ceil(math.log2(distance + 1)) + 1
+
+
+@st.composite
 def sizes_and_target(draw):
     """Up to 8 integer job sizes drawn from two values, and a target up to their total."""
     pair = draw(st.tuples(st.integers(1, 20), st.integers(1, 20)))
