@@ -87,7 +87,12 @@ class FlowSolution:
 
 
 class Floor(NamedTuple):
-    """An infeasible probe's proof: no point below `at` is feasible; none is when `at` is None."""
+    """What an infeasible probe proves: a search loses nothing by skipping to `at`.
+
+    `at` None means no point is feasible. For a max-flow probe no bound below
+    `at` is feasible; the additive search's grid indices may skip feasible
+    indices that give the same load (`lenstra`).
+    """
 
     at: int | None
 
