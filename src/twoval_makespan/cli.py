@@ -24,7 +24,7 @@ from .fileio import (
 from .generator import random_instance
 from .graph_balancing import gb_solve_two_valued
 from .lenstra import lenstra_solve
-from .model import Instance, is_graph_balancing, makespan, normalize, scale_to_integer, size_ratio
+from .model import Instance, ScaledInstance, is_graph_balancing, makespan, size_ratio
 from .oracle import DEFAULT_NODE_BUDGET, BudgetExceeded, brute_force_opt, ratio_verdict
 from .twovalued import ADDITIVE, SolveResult, solve_two_valued
 from .unitk import solve_unit_k
@@ -58,9 +58,10 @@ def _solve(instance: Instance, mode: str) -> SolveResult:
         alpha = size_ratio(instance)
         schedule, chosen = lenstra_solve(instance).schedule, ADDITIVE
     elif mode == "unitk":
-        # raises on a non-integer size ratio; at alpha = k the report's bound is 2 - 1/k
-        norm, alpha = normalize(instance)
-        solution = solve_unit_k(scale_to_integer(norm))
+        alpha = size_ratio(instance)  # at alpha = k the report's bound is 2 - 1/k
+        if alpha.denominator != 1:
+            raise ValueError(f"non-integer ratio: small size {1 / alpha} is not a unit fraction")
+        solution = solve_unit_k(ScaledInstance.of(instance, alpha.numerator))
         if solution is not None:
             schedule, chosen = solution.schedule, "flow"
         else:

@@ -1,19 +1,20 @@
 """The package's one flow kernel: integral max-flow, share reading, search.
 
 Both rounding families need the smallest load bound at which an integral
-max-flow meets the demand (the total job size in flow units). A `FlowNetwork`
-is a tuple of (tail, head, capacity) arcs, the first n of them source -> job j
-with the job's size in flow units, built once per search without the
-machine -> sink arcs; `max_flow_integral(network, bound)` adds them at the
-probed bound and solves. A network builds its residual arrays once, with the
-sink arcs at capacity 0, so a probe only resets capacities: it copies them and
-sets the m sink arcs to the bound. `job_fractions` reads each job's
-per-machine shares, in the same units, off the flow and `smallest_feasible`
-gallops a monotone probe up from a lower bound and bisects the last gap,
-keeping the winning probe's flow. Both searches start at the averaging bound
-total / m, where the smallest feasible bound usually sits, so a search
-usually takes one max-flow. `lenstra` builds its transportation network on
-this kernel.
+max-flow meets the demand (the total job size in flow units). One builder,
+`flow_network`, lays out both networks: source -> job j -> each allowed
+machine, every arc at the job's size, and the {1, k} network sends its big
+jobs through per-machine throttle nodes (below); `lenstra`'s transportation
+network has none. A `FlowNetwork` stores the job sizes and every arc but
+machine -> sink, the first n of them source -> job j; `max_flow_integral`
+adds the sink arcs at the probed bound and solves. A network builds its
+residual arrays once, with the sink arcs at capacity 0, so a probe only
+resets capacities: it copies them and sets the m sink arcs to the bound.
+`job_fractions` reads each job's per-machine shares, in the same units, off
+the flow and `smallest_feasible` gallops a monotone probe up from a lower
+bound and bisects the last gap, keeping the winning probe's flow. Both
+searches start at the averaging bound total / m, where the smallest
+feasible bound usually sits, so a search usually takes one max-flow.
 
 A probe that falls short also bounds every later one. After the max-flow,
 Dinic's labels mark the source side of a minimum cut (`maxflow`); say c
@@ -41,7 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, TypeVar
+from itertools import count
+from typing import Callable, Collection, NamedTuple, Sequence, TypeVar
 
 from .matching import maximum_bipartite_matching
 from .maxflow import Dinic
@@ -61,6 +63,7 @@ class FlowNetwork:
     # per job: ((machine, arc index), ...) for the job's outgoing arcs, pointing
     # at the throttle layer for {1, k} big jobs and at machine nodes otherwise
     job_arcs: tuple[tuple[tuple[int, int], ...], ...]
+    sizes: tuple[int, ...]  # per job, in flow units: its source -> job capacity
 
     def arcs_at(self, capacity: int) -> tuple[tuple[int, int, int], ...]:
         """The full arc list: the built arcs, then each machine -> sink at capacity, in order."""
@@ -115,35 +118,35 @@ class FractionalAssignment:
         return len(self.shares[job]) == 1
 
 
+def flow_network(
+    machine_count: int,
+    allowed: Sequence[Collection[int]],
+    sizes: Sequence[int],
+    k: int | None = None,
+) -> FlowNetwork:
+    """Source -> job j -> each allowed machine, every arc at sizes[j]; no sink arcs.
+
+    With k given, node 1 + n + i is machine i's throttle: big jobs (size k > 1)
+    enter it instead of machine i, and it passes at most k on.
+    """
+    n, m = len(sizes), machine_count
+    machine0 = 1 + n if k is None else 1 + n + m
+    arcs = [(0, 1 + j, size) for j, size in enumerate(sizes)]
+    job_arcs = []
+    for j, (eligible, size) in enumerate(zip(allowed, sizes)):
+        # a {1, k} big job enters its machines through their throttles
+        head0 = machine0 - m if k is not None and k > 1 and size == k else machine0
+        machines = sorted(eligible)
+        job_arcs.append(tuple(zip(machines, count(len(arcs)))))  # (machine, arc index)
+        arcs.extend((1 + j, head0 + i, size) for i in machines)
+    if k is not None:
+        arcs.extend((1 + n + i, machine0 + i, k) for i in range(m))
+    return FlowNetwork(machine0 + m + 1, m, tuple(arcs), sum(sizes), tuple(job_arcs), tuple(sizes))
+
+
 def build_network(scaled: ScaledInstance) -> FlowNetwork:
     """The layered {1, k} network up to the machine nodes; the estimate is the probe's."""
-    n = len(scaled.sizes)
-    m = scaled.machine_count
-    job0 = 1
-    throttle0 = 1 + n
-    machine0 = 1 + n + m
-
-    arcs = [(0, job0 + j, size) for j, size in enumerate(scaled.sizes)]
-    job_arcs: list[tuple[tuple[int, int], ...]] = []
-    for j, allowed in enumerate(scaled.allowed):
-        entries = []
-        big = scaled.is_big(j)
-        for i in sorted(allowed):
-            if big:
-                arcs.append((job0 + j, throttle0 + i, scaled.k))
-            else:
-                arcs.append((job0 + j, machine0 + i, 1))
-            entries.append((i, len(arcs) - 1))
-        job_arcs.append(tuple(entries))
-    arcs.extend((throttle0 + i, machine0 + i, scaled.k) for i in range(m))
-
-    return FlowNetwork(
-        node_count=machine0 + m + 1,
-        machines=m,
-        arcs=tuple(arcs),
-        demand=sum(scaled.sizes),
-        job_arcs=tuple(job_arcs),
-    )
+    return flow_network(scaled.machine_count, scaled.allowed, scaled.sizes, scaled.k)
 
 
 def max_flow_integral(network: FlowNetwork, capacity: int) -> FlowSolution:
@@ -169,55 +172,44 @@ def job_fractions(network: FlowNetwork, flow: FlowSolution) -> FractionalAssignm
         {machine: flow.flows[arc] for machine, arc in entries if flow.flows[arc]}
         for entries in network.job_arcs
     )
-    # the source -> job arcs come first and carry the job sizes
-    sizes = tuple(capacity for _, _, capacity in network.arcs[: len(shares)])
-    return FractionalAssignment(shares, sizes)
+    return FractionalAssignment(shares, network.sizes)
 
 
-def smallest_feasible(
-    lo: int, hi: int, probe: Callable[[int], W | Floor | None]
-) -> tuple[int, W] | None:
+def smallest_feasible(lo: int, hi: int, probe: Callable[[int], W | Floor]) -> tuple[int, W] | None:
     """Smallest point in [lo, hi] whose probe returns a witness, and that witness.
 
     Feasibility must be monotone. The probe gallops up from lo (lo, lo + 1,
     lo + 3, lo + 7, ..., capped at hi) to the first feasible point, then
-    bisects the gap below it: at most 2 ceil(log2(d + 1)) probes for an
+    bisects the gap below it: at most 2 ceil(log2(d + 1)) + 1 probes for an
     answer d above lo. None means hi itself is infeasible.
 
-    An infeasible probe returns None, or a `Floor` when it proves more, as
-    a max-flow probe does with its min cut's floor t + ceil((demand - v) / c)
-    (module docstring). Its `at` raises lo: the next gallop point is at
-    least lo, and a bisection drops the points below it. A Floor of None, or
-    one above hi, ends the search with None at once. Since a floor only
+    An infeasible probe returns a `Floor`: `Floor(point + 1)` when it proves
+    nothing more, or, for a max-flow probe, its min cut's floor
+    t + ceil((demand - v) / c) (module docstring). Its `at` raises lo: the
+    next gallop point is at least lo, and a bisection drops the points below
+    it. A Floor of None,
+    or one above hi, ends the search with None at once. Since a floor only
     raises lo, the probe bound above still holds. A floor may also pass
     feasible points whose witnesses are no better than the one at `at`, as
     the additive search's snapped grid indices do (`lenstra`); a floor at
     or past the bisection's feasible point ends the search there.
     """
     point, step = lo, 1
-    while (found := probe(point)) is None or isinstance(found, Floor):
-        lo = _raised(point, found)
-        if lo is None or lo > hi:
+    while isinstance(found := probe(point), Floor):
+        if found.at is None or (lo := max(point + 1, found.at)) > hi:
             return None
         point, step = max(lo, min(point + step, hi)), 2 * step
     witness = found
     while lo < point:  # point is feasible, and no point below lo has a better witness
         mid = (lo + point) // 2
         found = probe(mid)
-        if found is None or isinstance(found, Floor):
-            lo = _raised(mid, found)
-            if lo is None:
-                raise RuntimeError(f"probe at {mid} rules out every point, but {point} is feasible")
-        else:
+        if not isinstance(found, Floor):
             point, witness = mid, found
+        elif found.at is None:
+            raise RuntimeError(f"probe at {mid} rules out every point, but {point} is feasible")
+        else:
+            lo = max(mid + 1, found.at)
     return point, witness
-
-
-def _raised(point: int, found: Floor | None) -> int | None:
-    """The smallest point an infeasible probe at `point` leaves open; None when it leaves none."""
-    if found is None:
-        return point + 1
-    return None if found.at is None else max(point + 1, found.at)
 
 
 def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] | None:

@@ -6,14 +6,15 @@ at most T. It is solved on the package's one flow kernel (`flow`) as an
 integral max-flow after clearing denominators. Feasibility is monotone in T.
 With the sizes b and s scaled to integers by the lcm D of their denominators
 (`model.integer_sizes`), every load is a multiple of g/D, g = gcd(D*b, D*s).
-The network is built once, in units of 1/D, and `flow.smallest_feasible`
+The network is `flow.flow_network` without throttles, built once in units
+of 1/D, and it stores the job sizes in those units. `flow.smallest_feasible`
 searches the multiples up to the total size, probing each one snapped up to
 the smallest true load a*b + c*s above it (0 <= a, c <= n). Snapping is
 monotone, so the winning probe is the smallest feasible true load and its
 flow is the result. The search gallops up from the first multiple at or
 above total / m, a lower bound on every feasible load, and bisects the last
-gap: at most 2 ceil(log2(d + 1)) flow solves for a winner d multiples above
-that start, usually one.
+gap: at most 2 ceil(log2(d + 1)) + 1 flow solves for a winner d multiples
+above that start, usually one.
 
 A probe that falls short reports its min cut's floor, t + ceil((demand -
 v) / c) in units of 1/D (`flow`): no smaller bound is feasible. The floor is
@@ -43,8 +44,8 @@ from fractions import Fraction
 from typing import Collection, Sequence
 
 from .flow import (
-    Floor, FlowNetwork, FlowSolution, FractionalAssignment, job_fractions, max_flow_integral,
-    smallest_feasible,
+    Floor, FlowNetwork, FlowSolution, FractionalAssignment, flow_network, job_fractions,
+    max_flow_integral, smallest_feasible,
 )
 from .model import Instance, Schedule, integer_sizes, makespan
 
@@ -84,34 +85,13 @@ def _snap_to_grid(sizes: Sequence[int], target: int) -> int:
     )
 
 
-def transportation_network(instance: Instance, sizes: Sequence[int]) -> FlowNetwork:
-    """Source -> job (its size) -> allowed machines (its size); the sink arcs are the probe's.
-
-    The sizes are `integer_sizes`, so every capacity, and the load bound each
-    probe puts on the machine -> sink arcs, is in units of 1/D; no big-job
-    throttling, machines may hold any mix.
-    """
-    n = instance.job_count
-    m = instance.machine_count
-    job0, machine0 = 1, 1 + n
-    arcs = [(0, job0 + j, sizes[j]) for j in range(n)]
-    job_arcs = []
-    for j in range(n):
-        entries = []
-        for i in sorted(instance.jobs[j].allowed):
-            entries.append((i, len(arcs)))
-            arcs.append((job0 + j, machine0 + i, sizes[j]))
-        job_arcs.append(tuple(entries))
-    return FlowNetwork(machine0 + m + 1, m, tuple(arcs), sum(sizes), tuple(job_arcs))
-
-
 def fractional_assign_plain(
     network: FlowNetwork, flow: FlowSolution
 ) -> FractionalAssignment | None:
     """The job shares of a probe's max-flow, or None when it falls short of the demand.
 
     The flow is `max_flow_integral(network, capacity)`, with the capacity in
-    the network's units (1/D for `transportation_network`), so the shares
+    the network's units (1/D for the transportation network), so the shares
     keep every machine load at most the capacity.
     """
     if flow.value != network.demand:
@@ -273,7 +253,7 @@ def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAss
     """
     denom, sizes = integer_sizes(instance)
     grid = load_grid(sizes)
-    network = transportation_network(instance, sizes)
+    network = flow_network(instance.machine_count, [job.allowed for job in instance.jobs], sizes)
 
     # neighbouring multiples often snap to the same load: solve each load once
     solved: dict[int, FractionalAssignment | Floor] = {}

@@ -4,10 +4,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from twoval_makespan.flow import FractionalAssignment
+from twoval_makespan.flow import FlowNetwork, FractionalAssignment, flow_network
 from twoval_makespan.lenstra import _find_support_cycle
 from twoval_makespan.model import (
-    Instance, ScaledInstance, Schedule, makespan, normalize, scale_to_integer,
+    Instance, ScaledInstance, Schedule, integer_sizes, makespan, normalize, scale_to_integer,
 )
 from twoval_makespan.oracle import DEFAULT_NODE_BUDGET, brute_force_opt, ratio_verdict
 
@@ -28,6 +28,12 @@ def scale_with_k(machines, jobs, k) -> ScaledInstance:
     Keeps all-big fixtures at their intended k instead of renormalizing to 1.
     """
     return ScaledInstance.of(Instance.build(machines, jobs), k)
+
+
+def transportation(instance: Instance) -> FlowNetwork:
+    """The additive search's network: no throttles, capacities in units of 1/D."""
+    allowed = [job.allowed for job in instance.jobs]
+    return flow_network(instance.machine_count, allowed, integer_sizes(instance)[1])
 
 
 def fraction(assignment: FractionalAssignment, job: int, machine: int) -> Fraction:

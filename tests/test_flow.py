@@ -15,7 +15,6 @@ from twoval_makespan.flow import (
     smallest_feasible,
 )
 from twoval_makespan.generator import random_instance
-from twoval_makespan.lenstra import transportation_network
 from twoval_makespan.maxflow import Dinic
 from twoval_makespan.model import (
     Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer, size_ratio,
@@ -23,7 +22,7 @@ from twoval_makespan.model import (
 from twoval_makespan.oracle import enumerate_opt
 from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
 
-from helpers import integer_instance, scale, scale_with_k
+from helpers import integer_instance, scale, scale_with_k, transportation
 
 
 def test_network_node_count_four_jobs_two_machines():
@@ -274,7 +273,7 @@ def test_max_flow_matches_networkx():
         _, sizes = integer_sizes(inst)
         # the bound in the network's units of 1/D, infeasible ones included
         bound = sum(sizes) * rng.randint(0, 8) // 8
-        networks.append((transportation_network(inst, sizes), bound))
+        networks.append((transportation(inst), bound))
     for network, bound in networks:
         solution = max_flow_integral(network, bound)
         assert solution.value == _networkx_value(nx, network, bound)
@@ -290,7 +289,7 @@ def test_a_floor_past_the_feasible_point_ends_the_bisection():
         probed.append(point)
         if point >= 5:
             return "best"
-        return Floor(11) if point == 4 else None
+        return Floor(11 if point == 4 else point + 1)
 
     assert smallest_feasible(0, 11, probe) == (5, "best")
     assert probed == [0, 1, 3, 7, 5, 4]
@@ -322,7 +321,7 @@ def test_a_short_probe_floors_every_feasible_bound(family):
         if family == "unit-k":
             network = build_network(ScaledInstance.of(inst, rng.randint(2, 4)))
         else:
-            network = transportation_network(inst, integer_sizes(inst)[1])
+            network = transportation(inst)
         sink, demand, m = network.node_count - 1, network.demand, network.machines
         bounds = range(-(-demand // m), demand + 1)
         probes = [max_flow_integral(network, bound) for bound in bounds]

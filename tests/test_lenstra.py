@@ -14,7 +14,6 @@ from twoval_makespan.lenstra import (
     load_grid,
     min_feasible_fractional,
     round_forest,
-    transportation_network,
 )
 from twoval_makespan.model import (
     Instance, integer_sizes, machine_loads, makespan, normalize, scale_to_integer,
@@ -22,7 +21,7 @@ from twoval_makespan.model import (
 from twoval_makespan.twovalued import solve_two_valued
 from twoval_makespan.oracle import enumerate_opt
 
-from helpers import fraction, support_is_forest
+from helpers import fraction, support_is_forest, transportation
 
 
 def _loads(assignment, instance):
@@ -40,10 +39,9 @@ def _whole(assignment, j):
 
 def _plain(instance, capacity):
     """`fractional_assign_plain` at a rational load bound on the multiples of 1/D."""
-    denom, sizes = integer_sizes(instance)
-    units = capacity * denom
+    units = capacity * integer_sizes(instance)[0]
     assert units.denominator == 1
-    network = transportation_network(instance, sizes)
+    network = transportation(instance)
     return fractional_assign_plain(network, max_flow_integral(network, int(units)))
 
 
@@ -239,7 +237,7 @@ def test_each_search_builds_one_network(monkeypatch):
 
     counting(flow, "build_network")
     counting(flow, "max_flow_integral")
-    counting(lenstra, "transportation_network")
+    counting(lenstra, "flow_network")
     counting(lenstra, "integer_sizes")
     counting(lenstra, "fractional_assign_plain")
     rng = random.Random("lenstra-one-network")
@@ -257,7 +255,7 @@ def test_each_search_builds_one_network(monkeypatch):
         calls.clear()
         min_feasible_fractional(inst)
         if calls["fractional_assign_plain"] >= 2:
-            assert calls["transportation_network"] == calls["integer_sizes"] == 1
+            assert calls["flow_network"] == calls["integer_sizes"] == 1
             additive += 1
     assert unit_k >= 5 and additive >= 30
 

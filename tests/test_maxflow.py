@@ -5,10 +5,10 @@ import pytest
 
 from twoval_makespan.flow import build_network, max_flow_integral
 from twoval_makespan.generator import random_instance
-from twoval_makespan.lenstra import transportation_network
 from twoval_makespan.maxflow import Dinic
-from twoval_makespan.model import Instance, integer_sizes, normalize, scale_to_integer
+from twoval_makespan.model import Instance, normalize, scale_to_integer
 
+from helpers import transportation
 from reference_dinic import ReferenceDinic
 
 
@@ -69,7 +69,7 @@ def _network(family, inst):
     """The {1, k} network of the normalized instance, or its transportation network."""
     if family == "unit-k":
         return build_network(scale_to_integer(normalize(inst)[0]))
-    return transportation_network(inst, integer_sizes(inst)[1])
+    return transportation(inst)
 
 
 def _phases(node_count, arcs, source, sink):

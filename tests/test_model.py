@@ -237,6 +237,28 @@ def test_scale_round_trip():
             assert scaled.allowed[j] == job.allowed
 
 
+def test_normalized_route_matches_the_scaled_view_at_alpha():
+    # the CLI's unitk mode builds ScaledInstance.of(i, alpha) for an integer alpha,
+    # with k = 1 for a single size or no jobs, where normalize plus scale_to_integer did
+    rng = random.Random("model-unitk-route")
+    kinds = [0, 0, 0]  # instances with no, one and two sizes
+    for case in range(300):
+        machines = rng.randint(1, 4)
+        small = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        sizes = (small, small * (1 if case % 3 == 0 else rng.randint(2, 6)))
+        jobs = [
+            (rng.choice(sizes), rng.sample(range(machines), rng.randint(1, machines)))
+            for _ in range(0 if case < 10 else rng.randint(1, 8))
+        ]
+        inst = Instance.build(machines, jobs)
+        kinds[len(inst.distinct_sizes())] += 1
+        alpha = size_ratio(inst)
+        scaled = ScaledInstance.of(inst, alpha.numerator)
+        assert alpha.denominator == 1 and scaled.k == alpha
+        assert scale_to_integer(normalize(inst)[0]) == scaled
+    assert kinds[0] == 10 and min(kinds) >= 10
+
+
 def test_makespan_invariant_under_machine_permutation():
     rng = random.Random("model-permute")
     for _ in range(30):

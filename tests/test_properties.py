@@ -1,5 +1,5 @@
-"""Property tests for the galloping feasibility search, with and without
-floors from infeasible probes, the integer size scaling, the instance checks
+"""Property tests for the galloping feasibility search, with infeasible
+probes that floor the next point or skip further, the integer size scaling, the instance checks
 on integer units, the two routes to a {1, k} instance, the lifted-load cap,
 the snap to true loads, cycle canceling on integer shares and the oracle's
 load floor.
@@ -50,7 +50,7 @@ def test_smallest_feasible_matches_a_linear_scan(case):
 
     def probe(point):
         probed.append(point)
-        return ("witness", point) if point >= threshold else None
+        return ("witness", point) if point >= threshold else Floor(point + 1)
 
     found = smallest_feasible(lo, hi, probe)
     expected = next((point for point in range(lo, hi + 1) if point >= threshold), None)
@@ -68,7 +68,7 @@ def test_smallest_feasible_matches_a_linear_scan(case):
 @given(search_ranges(), st.data())
 def test_smallest_feasible_with_floors_matches_a_linear_scan(case, data):
     # an infeasible probe at t may report any valid floor: one in (t, threshold],
-    # or "never" when nothing in the range is feasible, or nothing at all
+    # or "never" when nothing in the range is feasible, or just t + 1
     lo, hi, threshold = case
     probed = []
     floor = lo  # no probe goes below a floor reported before it
@@ -79,11 +79,11 @@ def test_smallest_feasible_with_floors_matches_a_linear_scan(case, data):
         probed.append(point)
         if point >= threshold:
             return ("witness", point)
-        floors = [st.none(), st.builds(Floor, st.integers(point + 1, threshold))]
+        floors = [st.just(Floor(point + 1)), st.builds(Floor, st.integers(point + 1, threshold))]
         if threshold > hi:
             floors.append(st.just(Floor(None)))
         found = data.draw(st.one_of(floors))
-        if found is not None and found.at is not None:
+        if found.at is not None:
             floor = max(floor, found.at)
         return found
 
@@ -127,10 +127,10 @@ def test_smallest_feasible_with_floors_past_equal_witnesses(case, data):
             return values[point - lo]
         if best is None:
             above = st.builds(Floor, st.integers(point + 1, hi + 5))
-            floors = [st.none(), st.just(Floor(None)), above]
+            floors = [st.just(Floor(point + 1)), st.just(Floor(None)), above]
         else:  # the highest floor allowed is drawn often: it passes the most points
             within = st.builds(Floor, st.integers(point + 1, holding[-1]))
-            floors = [st.none(), st.just(Floor(holding[-1])), within]
+            floors = [st.just(Floor(point + 1)), st.just(Floor(holding[-1])), within]
         return data.draw(st.one_of(floors))
 
     found = smallest_feasible(lo, hi, probe)
@@ -237,7 +237,7 @@ def integer_ratio_instances(draw):
 @PROPERTY
 @given(integer_ratio_instances())
 def test_both_routes_to_a_unit_k_instance_agree(instance):
-    # the normalized route (the CLI's unitk mode) and the reduction the solvers run
+    # the normalized route (the benchmark's unitk operation) and the solvers' reduction
     alpha = size_ratio(instance)
     via_normalize = scale_to_integer(normalize(instance)[0])
     assert via_normalize == build_reduced(instance, alpha, SMALL_UP)
