@@ -54,11 +54,10 @@ def _solve(instance: Instance, mode: str) -> SolveResult:
             raise ValueError("gb mode requires every job to allow at most 2 machines")
         solver = gb_solve_two_valued if mode == "gb" else solve_two_valued
         return solver(instance)
+    alpha = size_ratio(instance)  # at alpha = k the unitk report's bound is 2 - 1/k
     if mode == "lenstra":
-        alpha = size_ratio(instance)
         schedule, chosen = lenstra_solve(instance).schedule, ADDITIVE
     elif mode == "unitk":
-        alpha = size_ratio(instance)  # at alpha = k the report's bound is 2 - 1/k
         if alpha.denominator != 1:
             raise ValueError(f"non-integer ratio: small size {1 / alpha} is not a unit fraction")
         solution = solve_unit_k(ScaledInstance.of(instance, alpha.numerator))

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
 from typing import Callable, Collection, NamedTuple, Sequence, TypeVar
 
 from .matching import maximum_bipartite_matching
@@ -133,12 +132,14 @@ def flow_network(
     machine0 = 1 + n if k is None else 1 + n + m
     arcs = [(0, 1 + j, size) for j, size in enumerate(sizes)]
     job_arcs = []
-    for j, (eligible, size) in enumerate(zip(allowed, sizes)):
+    for job_node, (eligible, size) in enumerate(zip(allowed, sizes), 1):
         # a {1, k} big job enters its machines through their throttles
         head0 = machine0 - m if k is not None and k > 1 and size == k else machine0
-        machines = sorted(eligible)
-        job_arcs.append(tuple(zip(machines, count(len(arcs)))))  # (machine, arc index)
-        arcs.extend((1 + j, head0 + i, size) for i in machines)
+        entries = []
+        for i in sorted(eligible):
+            entries.append((i, len(arcs)))  # (machine, arc index)
+            arcs.append((job_node, head0 + i, size))
+        job_arcs.append(tuple(entries))
     if k is not None:
         arcs.extend((1 + n + i, machine0 + i, k) for i in range(m))
     return FlowNetwork(machine0 + m + 1, m, tuple(arcs), sum(sizes), tuple(job_arcs), tuple(sizes))
