@@ -133,7 +133,6 @@ def flow_network(
     arcs = [(0, 1 + j, size) for j, size in enumerate(sizes)]
     job_arcs = []
     for job_node, (eligible, size) in enumerate(zip(allowed, sizes), 1):
-        # a {1, k} big job enters its machines through their throttles
         head0 = machine0 - m if k is not None and k > 1 and size == k else machine0
         entries = []
         for i in sorted(eligible):
