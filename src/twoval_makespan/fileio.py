@@ -13,19 +13,27 @@ Job ids must be 0..n-1 in order. Printing then parsing is the identity.
 An invalid instance (see `model`) raises `FileFormatError` with the text
 `Instance` raises: "invalid instance: <violation>".
 
-Each distinct size token is parsed to a `Fraction` once and shared by the jobs
-that carry it; the `Instance` built from them derives its integer units once,
-and every solver reads those units rather than the Fractions.
+A job line of unsigned ASCII digits and single spaces is read with one
+regular-expression match. Every other job line (tabs, repeated spaces, signs,
+a bad token) and a line whose id is out of order take the per-token path,
+which accepts the same jobs and words every error. Each distinct size token is
+parsed to a `Fraction` once and shared by the jobs that carry it; the
+`Instance` built from them derives its integer units once, and every solver
+reads those units rather than the Fractions.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Iterable
 
 from .model import Instance
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# the common job line: unsigned ASCII digits and single spaces; any other line
+# takes the per-token path, which accepts the same jobs and words every error
+_JOB_LINE = re.compile(r"job ([0-9]+) ([0-9]+(?:/[0-9]+)?) ([0-9]+(?: [0-9]+)*)")
 
 
 class FileFormatError(ValueError):
@@ -83,24 +91,42 @@ def parse_instance(text: str) -> Instance:
     sizes: dict[str, Fraction] = {}  # size token -> its value, parsed once per distinct token
     jobs = []
     for position, line in enumerate(body):
-        parts = line.split()
-        if len(parts) < 4 or parts[0] != "job":
-            raise FileFormatError(f"expected 'job <id> <size> <machines...>', got {line!r}")
-        if _INTEGER.fullmatch(parts[1]) is None:
-            raise FileFormatError(f"bad job id in {line!r}")
-        if int(parts[1]) != position:
-            raise FileFormatError(f"expected job {position}, got {int(parts[1])} in {line!r}")
-        size = sizes.get(parts[2])
+        match = _JOB_LINE.fullmatch(line)
+        if match is None or int(match[1]) != position:
+            jobs.append(_job_tokens(line, position, sizes))
+            continue
+        _, token, machines = match.groups()
+        size = sizes.get(token)
         if size is None:
-            size = sizes[parts[2]] = parse_fraction(parts[2])
-        machines = parts[3:]
-        if not all(map(_INTEGER.fullmatch, machines)):
-            raise FileFormatError(f"bad machine index in {line!r}")
-        jobs.append((size, map(int, machines)))
+            size = sizes[token] = parse_fraction(token)
+        jobs.append((size, map(int, machines.split())))
     try:
         return Instance.build(machine_count, jobs)
     except ValueError as exc:  # the instance's own check: same text, as a format error
         raise FileFormatError(str(exc)) from None
+
+
+def _job_tokens(
+    line: str, position: int, sizes: dict[str, Fraction]
+) -> tuple[Fraction, Iterable[int]]:
+    """Job line `position` read token by token, any whitespace and signs allowed.
+
+    Raises on the first bad token; `sizes` caches each size token's value.
+    """
+    parts = line.split()
+    if len(parts) < 4 or parts[0] != "job":
+        raise FileFormatError(f"expected 'job <id> <size> <machines...>', got {line!r}")
+    if _INTEGER.fullmatch(parts[1]) is None:
+        raise FileFormatError(f"bad job id in {line!r}")
+    if int(parts[1]) != position:
+        raise FileFormatError(f"expected job {position}, got {int(parts[1])} in {line!r}")
+    size = sizes.get(parts[2])
+    if size is None:
+        size = sizes[parts[2]] = parse_fraction(parts[2])
+    machines = parts[3:]
+    if not all(map(_INTEGER.fullmatch, machines)):
+        raise FileFormatError(f"bad machine index in {line!r}")
+    return size, map(int, machines)
 
 
 def format_instance(instance: Instance) -> str:

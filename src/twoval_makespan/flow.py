@@ -5,11 +5,13 @@ max-flow meets the demand (the total job size in flow units). One builder,
 `flow_network`, lays out both networks: source -> job j -> each allowed
 machine, every arc at the job's size, and the {1, k} network sends its big
 jobs through per-machine throttle nodes (below); `lenstra`'s transportation
-network has none. A `FlowNetwork` stores the job sizes and every arc but
-machine -> sink, the first n of them source -> job j; `max_flow_integral`
-adds the sink arcs at the probed bound and solves. A network builds its
-residual arrays once, with the sink arcs at capacity 0, so a probe only
-resets capacities: it copies them and sets the m sink arcs to the bound.
+network has none. The builder writes each arc straight into Dinic's
+residual arrays (`maxflow`), the first n arcs source -> job j and the last
+m machine -> sink at capacity 0, and a `FlowNetwork` holds that solver,
+which never runs, with the job sizes. A probe only resets capacities:
+`max_flow_integral` copies them, sets the m sink arcs to the probed bound
+and solves. The arc list is read back off the arrays only on demand
+(`FlowNetwork.arcs`), for tests and tracing.
 `job_fractions` reads each job's per-machine shares, in the same units, off
 the flow and `smallest_feasible` gallops a monotone probe up from a lower
 bound and bisects the last gap, keeping the winning probe's flow. Both
@@ -41,7 +43,6 @@ alone, without a max-flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Collection, NamedTuple, Sequence, TypeVar
 
 from .matching import maximum_bipartite_matching
@@ -53,30 +54,29 @@ W = TypeVar("W")
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Every arc but machine -> sink. Node 0 is the source, the last node the sink."""
+    """Every arc, sink arcs at 0, in a solver's arrays. Node 0 is the source, the last the sink."""
 
     node_count: int
-    machines: int  # machine i is node sink - machines + i
-    arcs: tuple[tuple[int, int, int], ...]  # (tail, head, capacity); arc j is source -> job j
+    machines: int  # machine i is node sink - machines + i; the last m arcs are machine i -> sink
     demand: int
     # per job: ((machine, arc index), ...) for the job's outgoing arcs, pointing
     # at the throttle layer for {1, k} big jobs and at machine nodes otherwise
     job_arcs: tuple[tuple[tuple[int, int], ...], ...]
     sizes: tuple[int, ...]  # per job, in flow units: its source -> job capacity
+    residual: Dinic  # never runs; each probe copies its capacities
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int, int], ...]:
+        """(tail, head, capacity) of every arc but machine -> sink; arc j is source -> job j."""
+        to, cap = self.residual._to, self.residual._cap
+        end = len(to) - 2 * self.machines  # arc i is (to[2i + 1], to[2i], cap[2i])
+        return tuple(zip(to[1:end:2], to[0:end:2], cap[0:end:2]))
 
     def arcs_at(self, capacity: int) -> tuple[tuple[int, int, int], ...]:
-        """The full arc list: the built arcs, then each machine -> sink at capacity, in order."""
+        """The full arc list: `arcs`, then each machine -> sink at capacity, in order."""
         sink = self.node_count - 1
         nodes = range(sink - self.machines, sink)
         return self.arcs + tuple((node, sink, capacity) for node in nodes)
-
-    # built once per network, so a probe only resets capacities; cached_property
-    # writes the instance's __dict__ directly, so it works on a frozen dataclass
-    # and stays out of equality and hashing, which use the fields only
-    @cached_property
-    def _residual(self) -> Dinic:
-        """A solver over `arcs_at(0)` that never runs; each probe copies its capacities."""
-        return Dinic(self.node_count, self.arcs_at(0))
 
 
 @dataclass(frozen=True)
@@ -123,25 +123,47 @@ def flow_network(
     sizes: Sequence[int],
     k: int | None = None,
 ) -> FlowNetwork:
-    """Source -> job j -> each allowed machine, every arc at sizes[j]; no sink arcs.
+    """Source -> job j -> each allowed machine at sizes[j], then each machine -> sink at 0.
 
     With k given, node 1 + n + i is machine i's throttle: big jobs (size k > 1)
-    enter it instead of machine i, and it passes at most k on.
+    enter it instead of machine i, and it passes at most k on. The arcs go
+    straight into Dinic's residual arrays in `arcs_at` order: edge 2i is arc
+    i and edge 2i + 1 its reverse, and each node lists its edges in arc order.
     """
     n, m = len(sizes), machine_count
     machine0 = 1 + n if k is None else 1 + n + m
-    arcs = [(0, 1 + j, size) for j, size in enumerate(sizes)]
+    big0 = machine0 - m if k is not None and k > 1 else machine0  # where size-k jobs enter
+    sink = machine0 + m
+    # arc j is source -> job j: edge 2j heads to node 1 + j, edge 2j + 1 back to the source
+    to = [0] * (2 * n)
+    to[::2] = range(1, n + 1)
+    cap = [0] * (2 * n)
+    cap[::2] = sizes
+    adj = [list(range(0, 2 * n, 2))]
+    adj += [[edge] for edge in range(1, 2 * n, 2)]
+    adj += [[] for _ in range(sink - n)]
     job_arcs = []
     for job_node, (eligible, size) in enumerate(zip(allowed, sizes), 1):
-        head0 = machine0 - m if k is not None and k > 1 and size == k else machine0
+        head0 = big0 if size == k else machine0
+        out = adj[job_node]
         entries = []
         for i in sorted(eligible):
-            entries.append((i, len(arcs)))  # (machine, arc index)
-            arcs.append((job_node, head0 + i, size))
+            edge = len(to)
+            entries.append((i, edge >> 1))  # (machine, arc index)
+            out.append(edge)
+            adj[head0 + i].append(edge + 1)
+            to += (head0 + i, job_node)
+            cap += (size, 0)
         job_arcs.append(tuple(entries))
-    if k is not None:
-        arcs.extend((1 + n + i, machine0 + i, k) for i in range(m))
-    return FlowNetwork(machine0 + m + 1, m, tuple(arcs), sum(sizes), tuple(job_arcs), tuple(sizes))
+    last = [(1 + n + i, machine0 + i, k) for i in range(m)] if k is not None else []
+    last += [(machine0 + i, sink, 0) for i in range(m)]
+    for tail, head, capacity in last:  # throttle i -> machine i, then machine i -> sink
+        adj[tail].append(len(to))
+        adj[head].append(len(to) + 1)
+        to += (head, tail)
+        cap += (capacity, 0)
+    residual = Dinic._over(sink + 1, to, cap, adj)
+    return FlowNetwork(sink + 1, m, sum(sizes), tuple(job_arcs), tuple(sizes), residual)
 
 
 def build_network(scaled: ScaledInstance) -> FlowNetwork:
@@ -154,8 +176,8 @@ def max_flow_integral(network: FlowNetwork, capacity: int) -> FlowSolution:
 
     A flow short of the demand carries the floor its minimum cut proves.
     """
-    solver = network._residual._with_capacity(len(network.arcs), capacity)  # the sink arcs
-    sink = network.node_count - 1
+    residual, sink = network.residual, network.node_count - 1
+    solver = residual._with_capacity(len(residual._to) // 2 - network.machines, capacity)
     value = solver.max_flow(0, sink)
     floor = None
     if value < network.demand:

@@ -2,10 +2,14 @@
 
 The network is given as (tail, head, capacity) arcs; edge 2i is arc i and
 edge 2i + 1 its reverse, so the flow on arc i is the residual capacity of
-edge 2i + 1. Edges are explored in arc order, so identical inputs always
-produce identical flows; all flows are integral on integer capacities. Paths
-are walked with an explicit stack, not recursion, so any level-graph depth
-works. `flow.max_flow_integral` is the package's only caller.
+edge 2i + 1. The residual arrays hold, per edge, its head (`_to`) and
+residual capacity (`_cap`), and per node its edge ids in arc order (`_adj`).
+`flow.flow_network` writes these arrays directly, in the layout `__init__`
+builds from an arc list, and hands them over through `_over`. Edges are
+explored in arc order, so identical inputs always produce identical flows;
+all flows are integral on integer capacities. Paths are walked with an
+explicit stack, not recursion, so any level-graph depth works.
+`flow.max_flow_integral` is the package's only caller of `max_flow`.
 
 Each phase finds the same augmenting paths, in the same order and with the
 same push amounts, as the textbook walk (Dinitz 1970) that restarts every
@@ -58,6 +62,14 @@ class Dinic:
             self._to += (head, tail)
             self._cap += (capacity, 0)
 
+    @classmethod
+    def _over(cls, node_count: int, to: list[int], cap: list[int], adj: list[list[int]]) -> Dinic:
+        """A solver over residual arrays laid out as `__init__` lays them out, not copied."""
+        solver = object.__new__(cls)
+        solver.node_count, solver.level = node_count, []
+        solver._to, solver._cap, solver._adj = to, cap, adj
+        return solver
+
     def _with_capacity(self, first: int, capacity: int) -> Dinic:
         """A fresh solver over the same arcs, with arc `first` and every later arc at `capacity`.
 
@@ -66,12 +78,9 @@ class Dinic:
         """
         if capacity < 0:
             raise ValueError("negative capacity")
-        solver = object.__new__(Dinic)
-        solver.node_count, solver._to, solver._adj = self.node_count, self._to, self._adj
-        solver.level = []
-        solver._cap = self._cap.copy()
-        solver._cap[2 * first :: 2] = [capacity] * (len(self._cap) // 2 - first)
-        return solver
+        cap = self._cap.copy()
+        cap[2 * first :: 2] = [capacity] * (len(cap) // 2 - first)
+        return Dinic._over(self.node_count, self._to, cap, self._adj)
 
     def flows(self) -> tuple[int, ...]:
         """Flow on each arc, in arc order."""

@@ -141,9 +141,6 @@ class ScaledInstance:
     def big_jobs(self) -> tuple[int, ...]:
         return tuple(j for j in range(len(self.sizes)) if self.is_big(j))
 
-    def small_jobs(self) -> tuple[int, ...]:
-        return tuple(j for j in range(len(self.sizes)) if not self.is_big(j))
-
 
 def unit_loads(instance: Instance, schedule: Schedule) -> list[int]:
     """Per-machine total size in the instance's integer units; rejects disallowed placements."""

@@ -74,9 +74,12 @@ def round_flow(
         return None
     estimate, assignment = found
 
-    placed: list[int | None] = [None] * len(scaled.sizes)
-    for j in scaled.small_jobs():
-        placed[j] = assignment.support(j)[0]
+    k = scaled.k
+    # a small job's flow sits on one machine (check_extraction_invariants)
+    placed: list[int | None] = [
+        None if k > 1 and size == k else next(iter(shares))
+        for size, shares in zip(scaled.sizes, assignment.shares)
+    ]
     for job, machine in place_big(assignment, scaled).items():
         placed[job] = machine
     schedule = Schedule(tuple(placed))  # type: ignore[arg-type]
@@ -92,13 +95,15 @@ def _check_rounding(
     estimate: int,
     slack2: int,
 ) -> None:
+    k = scaled.k
     loads = [0] * scaled.machine_count
     big_count = [0] * scaled.machine_count
-    for j, machine in enumerate(schedule.assignment):
-        loads[machine] += scaled.sizes[j]
-        if scaled.is_big(j):
+    jobs = zip(schedule.assignment, scaled.sizes, assignment.shares)
+    for j, (machine, size, shares) in enumerate(jobs):
+        loads[machine] += size
+        if k > 1 and size == k:
             big_count[machine] += 1
-        elif assignment.support(j) != (machine,):
+        elif len(shares) != 1 or machine not in shares:
             raise RuntimeError(f"small job {j} moved away from its flow assignment")
     for machine in range(scaled.machine_count):
         if big_count[machine] > 1:

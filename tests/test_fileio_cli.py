@@ -10,13 +10,16 @@ import pytest
 import twoval_makespan
 from twoval_makespan.cli import main
 from twoval_makespan.fileio import (
+    _JOB_LINE,
     FileFormatError,
+    _job_tokens,
     format_fraction,
     format_instance,
     parse_fraction,
     parse_instance,
 )
 from twoval_makespan.generator import random_instance
+from twoval_makespan.model import Instance
 
 
 def test_fraction_round_trip():
@@ -108,6 +111,78 @@ def test_parse_keeps_signs_for_validate():
     # a negative size parses, and the instance check then rejects it by job
     with pytest.raises(FileFormatError, match="^invalid instance: job 0: nonpositive size$"):
         parse_instance("machines 2\njobs 2\njob 0 -1 0\njob 1 +1/2 1\n")
+
+
+def _per_token(text):
+    """The instance the per-token job-line path reads from a well-formed text."""
+    stripped = (line.strip() for line in text.splitlines())
+    lines = [line for line in stripped if line and not line.startswith("#")]
+    sizes = {}
+    jobs = [_job_tokens(line, position, sizes) for position, line in enumerate(lines[2:])]
+    return Instance.build(int(lines[0].split()[1]), jobs)
+
+
+def _variant(rng, value, signed=True):
+    """An integer token for `value`: sometimes with leading zeros, sometimes with a '+'."""
+    token = "0" * rng.choice((0, 0, 0, 1, 2)) + str(value)
+    return "+" + token if signed and rng.random() < 0.1 else token
+
+
+def _messy_text(rng):
+    """A well-formed instance file in a mix of the spellings the format allows."""
+    machines = rng.randint(1, 5)
+    small, big = rng.randint(1, 4), rng.randint(1, 9)
+    den = rng.choice((1, 1, 2, 3))
+    seps = (" ", " ", " ", " ", "  ", "\t", " \t")
+    n = rng.randint(0, 8)
+    lines = [f"machines {machines}", f"jobs {n}"]
+    for job in range(n):
+        plain = rng.random() < 0.5  # single spaces and no signs: the fast match's shape
+        size = _variant(rng, rng.choice((small, big)), not plain)
+        if den > 1 or rng.random() < 0.2:
+            size += "/" + _variant(rng, den, signed=False)
+        allowed = rng.sample(range(machines), rng.randint(1, machines))
+        machine_tokens = (_variant(rng, i, not plain) for i in allowed)
+        tokens = ["job", _variant(rng, job, not plain), size, *machine_tokens]
+        line = tokens[0]
+        for token in tokens[1:]:
+            line += (" " if plain else rng.choice(seps)) + token
+        lines.append(rng.choice(("", "", "", " ", "\t")) + line + rng.choice(("", "", " ")))
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(("", "# note", "  # job 0 1 0")))
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_matches_the_per_token_path():
+    rng = random.Random("fileio-fast-path")
+    fast = slow = 0
+    for _ in range(600):
+        text = _messy_text(rng)
+        assert parse_instance(text) == _per_token(text), text
+        for line in text.splitlines():
+            if line.strip().startswith("job"):
+                matched = _JOB_LINE.fullmatch(line.strip()) is not None
+                fast, slow = fast + matched, slow + (not matched)
+    assert fast >= 500 and slow >= 500  # both paths read many lines
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("machines 2\njobs 2\njob 0 1 0\njob 0 1 1\n", "expected job 1, got 0 in 'job 0 1 1'"),
+        ("machines 2\njobs 1\njob 0 1/0 0\n", "bad rational '1/0': zero denominator"),
+        ("machines 1\njobs 1\njob 0 1 5\n", "invalid instance: job 0: machine index out of range"),
+        (
+            "machines 1\njobs 3\njob 0 1 0\njob 1 2 0\njob 2 3 0\n",
+            "invalid instance: more than two size values",
+        ),
+    ],
+)
+def test_parse_errors_after_the_fast_match(text, message):
+    assert all(_JOB_LINE.fullmatch(line) for line in text.splitlines()[2:])
+    with pytest.raises(FileFormatError) as info:
+        parse_instance(text)
+    assert str(info.value) == message
 
 
 def _write(tmp_path, name, content):

@@ -22,6 +22,7 @@ from twoval_makespan.model import (
 from twoval_makespan.oracle import enumerate_opt
 from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
 
+import test_network_pinned as network_pinned
 from helpers import integer_instance, scale, scale_with_k, transportation
 
 
@@ -156,6 +157,19 @@ def test_extract_rejects_short_flow():
 def test_dinic_rejects_a_negative_capacity():
     with pytest.raises(ValueError, match="^negative capacity$"):
         Dinic(2, [(0, 1, -1)])
+
+
+def test_the_builder_fills_the_arrays_dinic_builds_from_the_arc_list():
+    """The fused build against `Dinic(node_count, arcs)` on the pinned layouts' instances."""
+    for seed in range(network_pinned.CASES):
+        instance = network_pinned.draw(seed)
+        networks = [build_network(ScaledInstance.of(instance, k)) for k in range(1, 5)]
+        networks.append(network_pinned.transportation(instance))
+        for network in networks:
+            built, reference = network.residual, Dinic(network.node_count, network.arcs_at(0))
+            assert built._to == reference._to
+            assert built._cap == reference._cap
+            assert built._adj == reference._adj
 
 
 def test_max_flow_integral_rejects_a_negative_capacity():

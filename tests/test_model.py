@@ -171,7 +171,7 @@ def test_size_facts_are_computed_once():
 
 def test_big_small_classification():
     scaled = scale_to_integer(Instance.build(2, [(Fraction(1, 2), [0]), (1, [1])]))
-    assert scaled.big_jobs() == (1,) and scaled.small_jobs() == (0,)
+    assert scaled.big_jobs() == (1,) and not scaled.is_big(0)
     # single-size instances have no big jobs: k == 1
     uniform = scale_to_integer(Instance.build(2, [(1, [0]), (1, [1])]))
     assert uniform.k == 1 and uniform.big_jobs() == ()

@@ -101,5 +101,6 @@ def test_small_jobs_keep_flow_assignment():
     scaled = scale(2, [(2, [0, 1]), (1, [0]), (1, [0, 1])])
     result = solve_unit_k(scaled)
     assert result is not None
-    for j in scaled.small_jobs():
+    for j in (1, 2):  # the small jobs
+        assert not scaled.is_big(j)
         assert result.assignment.support(j) == (result.schedule.assignment[j],)
