@@ -31,8 +31,6 @@ from typing import Iterable
 from .model import Instance
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-# the common job line: unsigned ASCII digits and single spaces; any other line
-# takes the per-token path, which accepts the same jobs and words every error
 _JOB_LINE = re.compile(r"job ([0-9]+) ([0-9]+(?:/[0-9]+)?) ([0-9]+(?: [0-9]+)*)")
 
 

@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from twoval_makespan.flow import FractionalAssignment, min_feasible_T
 from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import lenstra_solve
 from twoval_makespan.model import (
-    Instance, ScaledInstance, machine_loads, makespan, normalize, scale_to_integer,
+    Instance, ScaledInstance, Schedule, machine_loads, makespan, normalize, scale_to_integer,
 )
 from twoval_makespan.oracle import enumerate_opt
-from twoval_makespan.unitk import match_big_jobs, solve_unit_k
+from twoval_makespan.unitk import _check_rounding, match_big_jobs, solve_unit_k
 
 from helpers import integer_instance, scale, scale_with_k
 
@@ -104,3 +106,17 @@ def test_small_jobs_keep_flow_assignment():
     for j in (1, 2):  # the small jobs
         assert not scaled.is_big(j)
         assert result.assignment.support(j) == (result.schedule.assignment[j],)
+
+
+def test_the_rounding_check_rejects_a_moved_small_job_and_stacked_big_jobs():
+    scaled = scale(2, [(2, [0, 1]), (2, [0, 1]), (1, [0, 1])])
+    result = solve_unit_k(scaled)
+    assert result is not None
+    slack2 = 2 * (scaled.k - 1)
+    moved = list(result.schedule.assignment)
+    moved[2] = 1 - moved[2]
+    with pytest.raises(RuntimeError, match="^small job 2 moved away from its flow assignment$"):
+        _check_rounding(scaled, result.assignment, Schedule(tuple(moved)), result.estimate, slack2)
+    stacked = (0, 0, result.schedule.assignment[2])
+    with pytest.raises(RuntimeError, match="^machine 0 received 2 big jobs$"):
+        _check_rounding(scaled, result.assignment, Schedule(stacked), result.estimate, slack2)
