@@ -9,9 +9,10 @@ network has none. The builder writes each arc straight into Dinic's
 residual arrays (`maxflow`), the first n arcs source -> job j and the last
 m machine -> sink at capacity 0, and a `FlowNetwork` holds that solver,
 which never runs, with the job sizes. A probe only resets capacities:
-`max_flow_integral` copies them, sets the m sink arcs to the probed bound
-and solves. The arc list is read back off the arrays only on demand
-(`FlowNetwork.arcs`), for tests and tracing.
+`max_flow_integral` copies them, sets the m sink arcs to the probed bound,
+pushes Dinic's first phase itself (below) and lets Dinic run the rest. The
+arc list is read back off the arrays only on demand (`FlowNetwork.arcs`),
+for tests and tracing.
 `job_fractions` reads each job's per-machine shares, in the same units, off
 the flow and `smallest_feasible` gallops a monotone probe up from a lower
 bound and bisects the last gap, keeping the winning probe's flow. Both
@@ -29,6 +30,23 @@ alone, and the search raises its lo to it. The winner is still the smallest
 feasible bound and its flow depends only on the arc list, so the floor
 saves probes and changes no result. This is a Newton (Dinkelbach) step on
 the parametric min-cut function (Gallo, Grigoriadis and Tarjan 1989).
+
+On a fresh network Dinic's first phase is a first-fit pass. Call a job
+direct when its arcs go straight to machine nodes: every job of the
+transportation network, the size-1 jobs of the {1, k} one. At a bound
+t > 0, with a direct job that has an arc, the first breadth-first search
+labels the jobs 1, their machines and the big jobs' throttles 2 and the
+sink 3. A throttle's arc then leads to a machine at level 2, which is no
+level edge, or to one at level 3, which is left unexpanded, so big jobs get
+no flow in that phase. The walk (`maxflow`) takes the jobs in order and
+each job's machines in arc order, pushing the smaller of the job's
+remaining size and the machine's remaining sink capacity; a push that fills
+a machine's sink arc makes the machine a dead end, and the walk moves on to
+the job's next machine. `_first_phase` pushes that blocking flow directly
+and Dinic starts at its second phase on the same residual capacities, so
+every flow, label and floor is the one a cold Dinic finds. At t = 0, or with
+no direct job that has an arc, the pass pushes nothing and Dinic runs its
+own first phase.
 
 The {1, k} network: source -> job -> per-machine throttle node (big jobs only)
 -> machine -> sink. Small jobs have unit arcs straight to machine nodes; the
@@ -174,11 +192,13 @@ def build_network(scaled: ScaledInstance) -> FlowNetwork:
 def max_flow_integral(network: FlowNetwork, capacity: int) -> FlowSolution:
     """Integral maximum flow over `network.arcs_at(capacity)`, deterministic per input.
 
-    A flow short of the demand carries the floor its minimum cut proves.
+    The flow is the one `Dinic` finds on those arcs, its first phase pushed
+    by `_first_phase`. A flow short of the demand carries the floor its
+    minimum cut proves.
     """
     residual, sink = network.residual, network.node_count - 1
     solver = residual._with_capacity(len(residual._to) // 2 - network.machines, capacity)
-    value = solver.max_flow(0, sink)
+    value = _first_phase(network, solver._cap, capacity) + solver.max_flow(0, sink)
     floor = None
     if value < network.demand:
         # the cut's c machines each add one sink arc at `capacity`: value = F + c * capacity
@@ -186,6 +206,37 @@ def max_flow_integral(network: FlowNetwork, capacity: int) -> FlowSolution:
         if cut:
             floor = capacity - (value - network.demand) // cut
     return FlowSolution(flows=solver.flows(), value=value, floor=floor)
+
+
+def _first_phase(network: FlowNetwork, cap: list[int], capacity: int) -> int:
+    """Dinic's first phase on the fresh network, pushed first-fit into `cap`; the units pushed.
+
+    Each job whose arcs go straight to machine nodes, in job order, fills its
+    machines in arc order, each up to its sink arc's room at `capacity`; big
+    {1, k} jobs, behind the throttles, push nothing (module docstring).
+    """
+    m = network.machines
+    to, machine0 = network.residual._to, network.node_count - 1 - m
+    room = [capacity] * m  # per machine, what its sink arc still takes
+    for job, (entries, size) in enumerate(zip(network.job_arcs, network.sizes)):
+        if not entries or to[2 * entries[0][1]] < machine0:
+            continue  # no arcs, or a big job entering the throttles
+        left = size
+        for machine, arc in entries:
+            free = room[machine]
+            if free:
+                pushed = min(left, free)
+                room[machine] = free - pushed
+                cap[2 * arc] -= pushed
+                cap[2 * arc + 1] = pushed
+                left -= pushed
+                if not left:
+                    break
+        cap[2 * job], cap[2 * job + 1] = left, size - left
+    sink0 = len(cap) - 2 * m  # edge sink0 + 2i is machine i -> sink
+    cap[sink0::2] = room
+    cap[sink0 + 1 :: 2] = [capacity - free for free in room]
+    return m * capacity - sum(room)
 
 
 def job_fractions(network: FlowNetwork, flow: FlowSolution) -> FractionalAssignment:
@@ -209,12 +260,12 @@ def smallest_feasible(lo: int, hi: int, probe: Callable[[int], W | Floor]) -> tu
     nothing more, or, for a max-flow probe, its min cut's floor
     t + ceil((demand - v) / c) (module docstring). Its `at` raises lo: the
     next gallop point is at least lo, and a bisection drops the points below
-    it. A Floor of None,
-    or one above hi, ends the search with None at once. Since a floor only
-    raises lo, the probe bound above still holds. A floor may also pass
-    feasible points whose witnesses are no better than the one at `at`, as
-    the additive search's snapped grid indices do (`lenstra`); a floor at
-    or past the bisection's feasible point ends the search there.
+    it. A Floor of None, or one above hi, ends the search with None at
+    once. Since a floor only raises lo, the probe bound above still holds. A
+    floor may also pass feasible points whose witnesses are no better than
+    the one at `at`, as the additive search's snapped grid indices do
+    (`lenstra`); a floor at or past the bisection's feasible point ends the
+    search there.
     """
     point, step = lo, 1
     while isinstance(found := probe(point), Floor):

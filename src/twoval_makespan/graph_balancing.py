@@ -126,9 +126,12 @@ def gb_perfect_matching_opt1(instance: Instance) -> Schedule | None:
 
     Intended for alpha < 2, a small size above half the big size b: any two
     jobs together then exceed b, so a makespan-b schedule is exactly a
-    perfect matching of jobs into machines.
+    perfect matching of jobs into machines. With more jobs than machines
+    there is none, and no matching runs.
     """
     _require_gb(job.allowed for job in instance.jobs)
+    if len(instance.jobs) > instance.machine_count:
+        return None
     adjacency = [sorted(job.allowed) for job in instance.jobs]
     matched = maximum_bipartite_matching(adjacency)
     if any(machine is None for machine in matched):

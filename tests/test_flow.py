@@ -10,6 +10,7 @@ from twoval_makespan.flow import (
     FlowSolution,
     build_network,
     extract_assignment,
+    flow_network,
     max_flow_integral,
     min_feasible_T,
     smallest_feasible,
@@ -361,3 +362,60 @@ def test_a_short_probe_floors_every_feasible_bound(family):
             assert probe.floor == (None if cut == 0 else bound + -(-(demand - probe.value) // cut))
     assert short >= 100 and jumps >= 20
     assert never >= 100 if family == "unit-k" else never == 0
+
+
+def _first_phase_network(rng, kind):
+    """A random `flow_network` of the kind: one in eight has no jobs, one in four one machine."""
+    m = 1 if rng.random() < 0.25 else rng.randint(2, 4)
+    n = 0 if rng.random() < 0.125 else rng.randint(1, 8)
+    allowed = [rng.sample(range(m), rng.randint(1, m)) for _ in range(n)]
+    if kind == "transportation":
+        return flow_network(m, allowed, [rng.randint(1, 6) for _ in range(n)])
+    k = rng.randint(2, 4) if kind == "all-big" else rng.randint(1, 4)
+    sizes = [k if kind == "all-big" or rng.random() < 0.4 else 1 for _ in range(n)]
+    return flow_network(m, allowed, sizes, k)
+
+
+@pytest.mark.parametrize("kind", ["unit-k", "all-big", "transportation"])
+def test_the_first_fit_pass_is_dinics_first_phase(kind, monkeypatch):
+    # against a cold Dinic at every bound: the same flows, value, floor and
+    # final labels, and the residual capacities at each of the warm solver's
+    # searches are the cold one's from its second search on whenever the
+    # pass pushed, so the pass computed exactly the first phase
+    searches = {}  # solver -> residual capacities at each of its searches
+    level_edges = Dinic._level_edges
+
+    def recording(self, source, sink, out):
+        searches.setdefault(self, []).append(self._cap.copy())
+        return level_edges(self, source, sink, out)
+
+    monkeypatch.setattr(Dinic, "_level_edges", recording)
+    rng = random.Random(f"flow-first-phase-{kind}")
+    seen = {"pushed": 0, "idle": 0, "later phases": 0, "short": 0}
+    for _ in range(300):
+        network = _first_phase_network(rng, kind)
+        sink, m = network.node_count - 1, network.machines
+        n = len(network.sizes)
+        direct = any(tail <= n and head >= sink - m for tail, head, _ in network.arcs[n:])
+        for bound in range(network.demand + 2):
+            searches.clear()
+            solution = max_flow_integral(network, bound)
+            (warm, warm_caps), = searches.items()
+            cold = Dinic(network.node_count, network.arcs_at(bound))
+            value = cold.max_flow(0, sink)
+            cold_caps = searches[cold]
+            cut = sum(label >= 0 for label in cold.level[sink - m : sink])
+            floor = None
+            if value < network.demand and cut:
+                floor = bound + -(-(network.demand - value) // cut)
+            assert solution == FlowSolution(cold.flows(), value, floor)
+            assert warm.level == cold.level
+            pushed = bound > 0 and direct
+            assert warm_caps == cold_caps[pushed:]
+            seen["pushed" if pushed else "idle"] += 1
+            seen["later phases"] += len(cold_caps) > 2  # phases with flow after the first
+            seen["short"] += value < network.demand
+    if kind == "all-big":  # every job enters the throttles: Dinic runs every phase
+        assert seen["pushed"] == 0
+        del seen["pushed"]
+    assert all(count >= 100 for count in seen.values()), seen

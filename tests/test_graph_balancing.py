@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from twoval_makespan import graph_balancing
 from twoval_makespan.generator import random_instance
 from twoval_makespan.graph_balancing import (
     FOREST,
@@ -13,6 +14,7 @@ from twoval_makespan.graph_balancing import (
     orient_components,
 )
 from twoval_makespan.lenstra import cancel_cycles, min_feasible_fractional
+from twoval_makespan.matching import maximum_bipartite_matching
 from twoval_makespan.model import (
     Instance,
     machine_loads,
@@ -22,7 +24,7 @@ from twoval_makespan.model import (
 )
 from twoval_makespan.oracle import enumerate_opt
 
-from helpers import fraction, integer_instance, scale, scale_with_k
+from helpers import fraction, integer_instance, scale, scale_with_k, schedule_of
 
 
 def test_orient_single_edge():
@@ -139,6 +141,31 @@ def test_matching_two_disjoint_jobs():
 def test_matching_pigeonhole_returns_none():
     inst = Instance.build(2, [(1, [0, 1]), (1, [0, 1]), (1, [0, 1])])
     assert gb_perfect_matching_opt1(inst) is None
+
+
+def test_more_jobs_than_machines_skips_the_matching(monkeypatch):
+    # the pigeonhole answers None before any matching runs, as the matching would
+    rng = random.Random("gb-matching-pigeonhole")
+    matched_calls = []
+
+    def recording(adjacency):
+        matched_calls.append(len(adjacency))
+        return maximum_bipartite_matching(adjacency)
+
+    monkeypatch.setattr(graph_balancing, "maximum_bipartite_matching", recording)
+    over = unmatched = 0
+    for _ in range(400):
+        m = rng.randint(1, 5)
+        inst = random_instance(rng, rng.randint(0, 8), m, Fraction(10, 7), gb=True)
+        n = len(inst.jobs)
+        matched = maximum_bipartite_matching([sorted(job.allowed) for job in inst.jobs])
+        matched_calls.clear()
+        schedule = gb_perfect_matching_opt1(inst)
+        assert schedule == (None if None in matched else schedule_of(matched))
+        assert matched_calls == ([] if n > m else [n])
+        over += n > m
+        unmatched += n <= m and schedule is None
+    assert 100 <= over <= 300 and unmatched >= 20
 
 
 def test_matching_agrees_with_oracle():
