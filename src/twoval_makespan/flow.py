@@ -14,10 +14,11 @@ pushes Dinic's first phase itself (below) and lets Dinic run the rest. The
 arc list is read back off the arrays only on demand (`FlowNetwork.arcs`),
 for tests and tracing.
 `job_fractions` reads each job's per-machine shares, in the same units, off
-the flow and `smallest_feasible` gallops a monotone probe up from a lower
-bound and bisects the last gap, keeping the winning probe's flow. Both
-searches start at the averaging bound total / m, where the smallest
-feasible bound usually sits, so a search usually takes one max-flow.
+the flow, and `smallest_feasible` probes up from a lower bound, each time
+at the last short probe's floor (below), and keeps the first feasible
+probe's flow. Both searches start at the averaging bound total / m, where
+the smallest feasible bound usually sits, so a search usually takes one
+max-flow.
 
 A probe that falls short also bounds every later one. After the max-flow,
 Dinic's labels mark the source side of a minimum cut (`maxflow`); say c
@@ -26,10 +27,16 @@ the capacity of the other arcs leaving it, and it equals the flow value v.
 At any bound t' the same cut caps the flow at F + c * t', so no bound below
 floor = t + ceil((demand - v) / c) meets the demand, and none does when
 c = 0. `FlowSolution.floor` carries it, read from the m machine labels
-alone, and the search raises its lo to it. The winner is still the smallest
-feasible bound and its flow depends only on the arc list, so the floor
-saves probes and changes no result. This is a Newton (Dinkelbach) step on
-the parametric min-cut function (Gallo, Grigoriadis and Tarjan 1989).
+alone, and the search probes there next. A floor rules out only
+infeasible bounds, so the first feasible probe is the smallest feasible
+bound, and its flow depends only on the arc list. This is a Newton
+(Dinkelbach) step on the parametric min-cut function (Gallo, Grigoriadis
+and Tarjan 1989), and it ends quickly: if the probe at a bound t' at or
+above the floor falls short too, its cut has c' < c machines, since that
+cut's capacity is at least v at t (the min cut there) and below the demand
+at t', so c' * (t' - t) < demand - v <= c * (t' - t). Each short probe thus
+drops the cut's machine count, from at most m, and c = 0 ends the search:
+at most m + 1 max-flows per search.
 
 On a fresh network Dinic's first phase is a first-fit pass. Call a job
 direct when its arcs go straight to machine nodes: every job of the
@@ -107,11 +114,12 @@ class FlowSolution:
 
 
 class Floor(NamedTuple):
-    """What an infeasible probe proves: a search loses nothing by skipping to `at`.
+    """What an infeasible probe proves: the search loses nothing by probing `at` next.
 
     `at` None means no point is feasible. For a max-flow probe no bound below
-    `at` is feasible; the additive search's grid indices may skip feasible
-    indices that give the same load (`lenstra`).
+    `at` is feasible, and a search probing each floor in turn takes at most
+    m + 1 max-flows (module docstring); the additive search's grid indices
+    may skip feasible indices that give the same load (`lenstra`).
     """
 
     at: int | None
@@ -196,8 +204,11 @@ def max_flow_integral(network: FlowNetwork, capacity: int) -> FlowSolution:
     by `_first_phase`. A flow short of the demand carries the floor its
     minimum cut proves.
     """
+    if capacity < 0:
+        raise ValueError("negative capacity")
     residual, sink = network.residual, network.node_count - 1
-    solver = residual._with_capacity(len(residual._to) // 2 - network.machines, capacity)
+    # `_first_phase` writes every sink arc, so the copy needs no capacity set first
+    solver = Dinic._over(network.node_count, residual._to, residual._cap.copy(), residual._adj)
     value = _first_phase(network, solver._cap, capacity) + solver.max_flow(0, sink)
     floor = None
     if value < network.demand:
@@ -249,40 +260,25 @@ def job_fractions(network: FlowNetwork, flow: FlowSolution) -> FractionalAssignm
 
 
 def smallest_feasible(lo: int, hi: int, probe: Callable[[int], W | Floor]) -> tuple[int, W] | None:
-    """Smallest point in [lo, hi] whose probe returns a witness, and that witness.
+    """First point in [lo, hi] whose probe returns a witness, and that witness.
 
-    Feasibility must be monotone. The probe gallops up from lo (lo, lo + 1,
-    lo + 3, lo + 7, ..., capped at hi) to the first feasible point, then
-    bisects the gap below it: at most 2 ceil(log2(d + 1)) + 1 probes for an
-    answer d above lo. None means hi itself is infeasible.
-
-    An infeasible probe returns a `Floor`: `Floor(point + 1)` when it proves
-    nothing more, or, for a max-flow probe, its min cut's floor
-    t + ceil((demand - v) / c) (module docstring). Its `at` raises lo: the
-    next gallop point is at least lo, and a bisection drops the points below
-    it. A Floor of None, or one above hi, ends the search with None at
-    once. Since a floor only raises lo, the probe bound above still holds. A
-    floor may also pass feasible points whose witnesses are no better than
-    the one at `at`, as the additive search's snapped grid indices do
-    (`lenstra`); a floor at or past the bisection's feasible point ends the
-    search there.
+    The search probes lo and, while the probe returns a `Floor`, moves lo up
+    to max(lo + 1, its `at`) and probes again. None means a Floor of None or
+    a floor past hi. Every floor must rule out only points with no better
+    witness, so the first witness is the answer: a max-flow probe's min-cut
+    floor t + ceil((demand - v) / c) rules out only infeasible bounds, and
+    the additive search's snapped grid indices may pass feasible indices
+    that give the same load (`lenstra`). With min-cut floors a search takes
+    at most m + 1 max-flows for m machines (module docstring).
     """
-    point, step = lo, 1
-    while isinstance(found := probe(point), Floor):
-        if found.at is None or (lo := max(point + 1, found.at)) > hi:
-            return None
-        point, step = max(lo, min(point + step, hi)), 2 * step
-    witness = found
-    while lo < point:  # point is feasible, and no point below lo has a better witness
-        mid = (lo + point) // 2
-        found = probe(mid)
+    while lo <= hi:
+        found = probe(lo)
         if not isinstance(found, Floor):
-            point, witness = mid, found
-        elif found.at is None:
-            raise RuntimeError(f"probe at {mid} rules out every point, but {point} is feasible")
-        else:
-            lo = max(mid + 1, found.at)
-    return point, witness
+            return lo, found
+        if found.at is None:
+            return None
+        lo = max(lo + 1, found.at)
+    return None
 
 
 def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] | None:
@@ -291,7 +287,8 @@ def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] |
     Returns it with the assignment extracted from the winning probe's flow,
     so the estimate is never solved twice. No estimate below max(max size,
     ceil(total / m)) can work (the sink arcs carry at most m times it), so
-    the search gallops up from there. Returns None, without any max-flow,
+    the search starts there and probes each short probe's floor next, at most
+    m + 1 max-flows in all. Returns None, without any max-flow,
     when the big jobs have no matching with at most one per machine: at
     estimate = total only the throttles bind, so the flow meets the demand
     iff such a fractional, hence integral, matching exists. Every schedule of

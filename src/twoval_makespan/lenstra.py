@@ -10,19 +10,20 @@ The network is `flow.flow_network` without throttles, built once in units
 of 1/D, and it stores the job sizes in those units. `flow.smallest_feasible`
 searches the multiples up to the total size, probing each one snapped up to
 the smallest true load a*b + c*s above it (0 <= a, c <= n). Snapping is
-monotone, so the winning probe is the smallest feasible true load and its
-flow is the result. The search gallops up from the first multiple at or
-above total / m, a lower bound on every feasible load, and bisects the last
-gap: at most 2 ceil(log2(d + 1)) + 1 flow solves for a winner d multiples
-above that start, usually one.
+monotone, so the first feasible probe is at the smallest feasible true load
+and its flow is the result. The search starts at the first multiple at or
+above total / m, a lower bound on every feasible load, and usually wins
+there.
 
 A probe that falls short reports its min cut's floor, t + ceil((demand -
 v) / c) in units of 1/D (`flow`): no smaller bound is feasible. The floor is
-often no true load, so the search snaps it up to one, L, before it becomes
-a grid index, L / g. The smallest feasible load is a true load at least the
-floor, so it is at least L; every index below L / g snaps to at most L, so
-none wins at a smaller load, and L / g itself snaps to L. A floor above the
-total size means no load is feasible.
+often no true load, so the search snaps it up to one, L, and probes the
+grid index L / g next. The smallest feasible load is a true load at least
+the floor, so it is at least L; every index below L / g snaps to at most L,
+so none wins at a smaller load, and L / g itself snaps to L. A floor above
+the total size means no load is feasible. Each probed load is thus above
+the last, so no load is solved twice, and as in `flow` each short probe's
+cut has fewer machines than the last one's: at most m + 1 flow solves.
 
 The winning assignment holds each job's per-machine shares in the flow's
 integer units, in which every job's size is its true size times D.
@@ -246,31 +247,25 @@ def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAss
     a*b + c*s is monotone and so is feasibility, so searching `load_grid` with
     each point probed at its snapped load finds the smallest feasible load
     of the full (n+1)^2 grid, and the winning probe's flow is the one at it.
-    The search gallops up from the first multiple at or above total / m.
-    The smallest feasible load is a multiple of g/D and at least total / m,
-    so that start is at most it: a feasible start snaps to it (lower indices
-    may too), and an infeasible one gallops up to the first index that does.
+    The search starts at the first multiple at or above total / m. The
+    smallest feasible load is a multiple of g/D and at least total / m, so
+    that start is at most it: a feasible start snaps to it, and from an
+    infeasible one each short probe's floor, snapped to a true load, leads
+    to the next index probed (module docstring).
     """
     denom, sizes = integer_sizes(instance)
     grid = load_grid(sizes)
     network = flow_network(instance.machine_count, [job.allowed for job in instance.jobs], sizes)
 
-    # neighbouring multiples often snap to the same load: solve each load once
-    solved: dict[int, FractionalAssignment | Floor] = {}
-
     def probe(k: int) -> FractionalAssignment | Floor:
-        capacity = _snap_to_grid(sizes, grid[k])
-        if capacity not in solved:
-            flow = max_flow_integral(network, capacity)
-            found = fractional_assign_plain(network, flow)
-            solved[capacity] = found if found is not None else grid_floor(flow.floor)
-        return solved[capacity]
-
-    def grid_floor(floor: int | None) -> Floor:
-        """A probe's floor as a grid index: snapped up to a true load, over g (module docstring)."""
-        if floor is None or floor > grid[-1]:
+        flow = max_flow_integral(network, _snap_to_grid(sizes, grid[k]))
+        found = fractional_assign_plain(network, flow)
+        if found is not None:
+            return found
+        if flow.floor is None or flow.floor > grid[-1]:
             return Floor(None)
-        return Floor(_snap_to_grid(sizes, floor) // grid.step)
+        # the floor snapped up to a true load, as a grid index (module docstring)
+        return Floor(_snap_to_grid(sizes, flow.floor) // grid.step)
 
     last = len(grid) - 1
     start = min(-(-sum(sizes) // (instance.machine_count * grid.step)), last)

@@ -74,18 +74,6 @@ class Dinic:
         solver._to, solver._cap, solver._adj = to, cap, adj
         return solver
 
-    def _with_capacity(self, first: int, capacity: int) -> Dinic:
-        """A fresh solver over the same arcs, with arc `first` and every later arc at `capacity`.
-
-        Only the residual capacities are copied; the edge arrays are shared.
-        Call it on a solver that has not run, so the other arcs keep their capacities.
-        """
-        if capacity < 0:
-            raise ValueError("negative capacity")
-        cap = self._cap.copy()
-        cap[2 * first :: 2] = [capacity] * (len(cap) // 2 - first)
-        return Dinic._over(self.node_count, self._to, cap, self._adj)
-
     def flows(self) -> tuple[int, ...]:
         """Flow on each arc, in arc order."""
         return tuple(self._cap[1::2])

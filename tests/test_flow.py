@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from twoval_makespan import flow
+from twoval_makespan import flow, lenstra
 from twoval_makespan.flow import (
     Floor,
     FlowSolution,
@@ -16,6 +16,7 @@ from twoval_makespan.flow import (
     smallest_feasible,
 )
 from twoval_makespan.generator import random_instance
+from twoval_makespan.lenstra import min_feasible_fractional
 from twoval_makespan.maxflow import Dinic
 from twoval_makespan.model import (
     Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer, size_ratio,
@@ -225,7 +226,8 @@ def test_no_estimate_exactly_when_the_full_load_flow_falls_short(monkeypatch):
             assert (found is None) == short
             assert bool(probes) != short  # None without a max-flow, else at least one probe
             if found is not None:
-                # the search gallops up from the averaging bound
+                # the search starts at the averaging bound and probes up from it,
+                # within the log bound of a gallop-and-bisect search
                 lo = max(max(scaled.sizes, default=0), -(-total // m))
                 assert probes[0] == lo and min(probes) == lo
                 assert len(probes) <= 2 * math.ceil(math.log2(found[0] - lo + 1)) + 1
@@ -295,9 +297,10 @@ def test_max_flow_matches_networkx():
         _check_flow(network, bound, solution)
 
 
-def test_a_floor_past_the_feasible_point_ends_the_bisection():
+def test_the_search_probes_each_floor_next():
     # as on the additive grid, points 5..11 hold the same best witness, and the
-    # bisection's probe at 4 reports the floor 11, past the feasible point 5
+    # probe at 4 reports the floor 11, past the feasible point 5: the search
+    # probes 11 next and wins there with that witness
     probed = []
 
     def probe(point):
@@ -306,8 +309,8 @@ def test_a_floor_past_the_feasible_point_ends_the_bisection():
             return "best"
         return Floor(11 if point == 4 else point + 1)
 
-    assert smallest_feasible(0, 11, probe) == (5, "best")
-    assert probed == [0, 1, 3, 7, 5, 4]
+    assert smallest_feasible(0, 11, probe) == (11, "best")
+    assert probed == [0, 1, 2, 3, 4, 11]
 
 
 def _crowded_instance(rng):
@@ -362,6 +365,81 @@ def test_a_short_probe_floors_every_feasible_bound(family):
             assert probe.floor == (None if cut == 0 else bound + -(-(demand - probe.value) // cut))
     assert short >= 100 and jumps >= 20
     assert never >= 100 if family == "unit-k" else never == 0
+
+
+def _staircase(rng, m, big):
+    """Jobs of size big and 1 confined to each machine prefix range(r), as (size, machines).
+
+    The prefix of r machines holds r * D_r units of work, where D_r falls in
+    r with gaps e_r = D_r - D_(r+1) > (r - 1) * e_(r-1). At the bound D_(r+1)
+    the work a prefix of s <= r machines holds beyond s * D_(r+1) then grows
+    with s, so the min cut is the prefix of r machines and its floor is D_r:
+    a search from the averaging bound D_m probes D_m, D_(m-1), ..., D_1.
+    """
+    gaps = [rng.randint(1, 2)]  # gaps[r - 1] is e_r
+    for r in range(2, m):
+        gaps.append((r - 1) * gaps[-1] + rng.randint(1, 2))
+    densities = [(m - 1) * gaps[-1] + rng.randint(0, 8)]  # D_m, so no prefix adds negative work
+    for gap in reversed(gaps):
+        densities.append(densities[-1] + gap)
+    jobs, confined = [], 0
+    for r, density in enumerate(reversed(densities), 1):
+        work, confined = r * density - confined, r * density
+        jobs += [(big, range(r))] * (work // big) + [(1, range(r))] * (work % big)
+    return jobs, densities
+
+
+def _staircase_instance(rng, family, m):
+    """A staircase for the family's search, and its densities D_m, ..., D_1.
+
+    The {1, k} one has only small jobs, so its throttles carry nothing.
+    """
+    if family == "transportation":
+        jobs, densities = _staircase(rng, m, rng.randint(2, 8))
+        return Instance.build(m, jobs), densities
+    jobs, densities = _staircase(rng, m, 1)
+    allowed = tuple(frozenset(machines) for _, machines in jobs)
+    return ScaledInstance(m, allowed, (1,) * len(jobs), rng.randint(2, 4)), densities
+
+
+@pytest.mark.parametrize("family", ["unit-k", "transportation"])
+def test_each_short_probe_leaves_fewer_machines_on_its_cut(family, monkeypatch):
+    # in every search the probed bounds rise, so the additive search never
+    # probes a load twice, and each short probe's min cut, read off a cold
+    # Dinic, has fewer machines on its source side than the last one's: at
+    # most m + 1 max-flows. A staircase's search probes D_m, ..., D_1 with
+    # one machine fewer on the cut each time.
+    probes = []  # (bound, cut machines or None when the flow meets the demand)
+
+    def recording(network, capacity):
+        solution = max_flow_integral(network, capacity)
+        cut = None
+        if solution.value < network.demand:
+            sink, m = network.node_count - 1, network.machines
+            cold = Dinic(network.node_count, network.arcs_at(capacity))
+            cold.max_flow(0, sink)
+            cut = sum(label >= 0 for label in cold.level[sink - m : sink])
+        probes.append((capacity, cut))
+        return solution
+
+    monkeypatch.setattr(flow if family == "unit-k" else lenstra, "max_flow_integral", recording)
+    search = min_feasible_T if family == "unit-k" else min_feasible_fractional
+    rng = random.Random(f"flow-cut-shrinks-{family}")
+    cases = [(_crowded_instance(rng), None) for _ in range(300)]
+    if family == "unit-k":
+        cases = [(ScaledInstance.of(inst, rng.randint(2, 4)), None) for inst, _ in cases]
+    cases += [_staircase_instance(rng, family, m) for m in range(2, 6) for _ in range(3)]
+    for inst, densities in cases:
+        probes.clear()
+        search(inst)
+        bounds = [bound for bound, _ in probes]
+        assert bounds == sorted(set(bounds))
+        assert len(probes) <= inst.machine_count + 1
+        cuts = [cut for _, cut in probes if cut is not None]
+        assert all(later < earlier for earlier, later in zip(cuts, cuts[1:]))
+        if densities is not None:
+            m = inst.machine_count
+            assert probes == list(zip(densities, [*range(m - 1, 0, -1), None]))
 
 
 def _first_phase_network(rng, kind):

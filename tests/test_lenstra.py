@@ -166,7 +166,8 @@ def test_additive_search_probes_only_true_loads(monkeypatch):
                 k for k in range(start, len(grid))
                 if min(load for load in loads if load >= Fraction(grid[k], denom)) >= capacity
             )
-            # a gallop up from the start, then a bisection of its last gap: no re-solve after it
+            # each short probe's floor is probed next, within the log bound of a
+            # gallop-and-bisect search
             assert len(probed) <= 2 * math.ceil(math.log2(index - start + 1)) + 1
 
 

@@ -1,8 +1,8 @@
-"""Property tests for the galloping feasibility search, with infeasible
-probes that floor the next point or skip further, the integer size scaling, the instance checks
-on integer units, the two routes to a {1, k} instance, the lifted-load cap,
-the snap to true loads, cycle canceling on integer shares and the oracle's
-load floor.
+"""Property tests for the feasibility search, which probes each infeasible
+probe's floor next (the point after it, or further), the integer size
+scaling, the instance checks on integer units, the two routes to a {1, k}
+instance, the lifted-load cap, the snap to true loads, cycle canceling on
+integer shares and the oracle's load floor.
 
 They need hypothesis and skip without it. No example database is kept;
 hypothesis may still cache source constants under `.hypothesis/`, which git
@@ -42,26 +42,41 @@ def search_ranges(draw):
     return lo, hi, threshold
 
 
+def _check_floor_iteration(lo, hi, answers, found):
+    """The probes were lo, then max(last + 1, its floor) each, up to the first witness.
+
+    `answers` holds each probe's (point, answer) in order; `found` is the result.
+    """
+    points = [point for point, _ in answers]
+    assert points[0] == lo and points[-1] <= hi
+    for (point, answer), following in zip(answers, points[1:]):
+        assert isinstance(answer, Floor) and following == max(point + 1, answer.at)
+    point, answer = answers[-1]
+    if isinstance(answer, Floor):  # ruled out every point, or none left up to hi
+        assert found is None
+        assert answer.at is None or max(point + 1, answer.at) > hi
+    else:
+        assert found == (point, answer)
+
+
 @PROPERTY
 @given(search_ranges())
 def test_smallest_feasible_matches_a_linear_scan(case):
     lo, hi, threshold = case
-    probed = []
+    answers = []
 
     def probe(point):
-        probed.append(point)
-        return ("witness", point) if point >= threshold else Floor(point + 1)
+        answer = ("witness", point) if point >= threshold else Floor(point + 1)
+        answers.append((point, answer))
+        return answer
 
     found = smallest_feasible(lo, hi, probe)
+    _check_floor_iteration(lo, hi, answers, found)
     expected = next((point for point in range(lo, hi + 1) if point >= threshold), None)
-    assert all(lo <= point <= hi for point in probed)
     if expected is None:
         assert found is None
-        distance = hi - lo
     else:
         assert found == (expected, ("witness", expected))
-        distance = expected - lo
-    assert len(probed) <= 2 * math.ceil(math.log2(distance + 1)) + 1
 
 
 @PROPERTY
@@ -70,33 +85,27 @@ def test_smallest_feasible_with_floors_matches_a_linear_scan(case, data):
     # an infeasible probe at t may report any valid floor: one in (t, threshold],
     # or "never" when nothing in the range is feasible, or just t + 1
     lo, hi, threshold = case
-    probed = []
-    floor = lo  # no probe goes below a floor reported before it
+    answers = []
 
     def probe(point):
-        nonlocal floor
-        assert point >= floor
-        probed.append(point)
         if point >= threshold:
-            return ("witness", point)
-        floors = [st.just(Floor(point + 1)), st.builds(Floor, st.integers(point + 1, threshold))]
-        if threshold > hi:
-            floors.append(st.just(Floor(None)))
-        found = data.draw(st.one_of(floors))
-        if found.at is not None:
-            floor = max(floor, found.at)
-        return found
+            answer = ("witness", point)
+        else:
+            within = st.builds(Floor, st.integers(point + 1, threshold))
+            floors = [st.just(Floor(point + 1)), within]
+            if threshold > hi:
+                floors.append(st.just(Floor(None)))
+            answer = data.draw(st.one_of(floors))
+        answers.append((point, answer))
+        return answer
 
     found = smallest_feasible(lo, hi, probe)
+    _check_floor_iteration(lo, hi, answers, found)
     expected = next((point for point in range(lo, hi + 1) if point >= threshold), None)
-    assert all(lo <= point <= hi for point in probed)
     if expected is None:
         assert found is None
-        distance = hi - lo
     else:
         assert found == (expected, ("witness", expected))
-        distance = expected - lo
-    assert len(probed) <= 2 * math.ceil(math.log2(distance + 1)) + 1
 
 
 @st.composite
@@ -119,29 +128,28 @@ def test_smallest_feasible_with_floors_past_equal_witnesses(case, data):
     hi = lo + len(values) - 1
     best = next((value for value in values if value >= threshold), None)
     holding = [lo + k for k, value in enumerate(values) if value == best]
-    probed = []
+    answers = []
 
     def probe(point):
-        probed.append(point)
         if values[point - lo] >= threshold:
-            return values[point - lo]
-        if best is None:
-            above = st.builds(Floor, st.integers(point + 1, hi + 5))
-            floors = [st.just(Floor(point + 1)), st.just(Floor(None)), above]
-        else:  # the highest floor allowed is drawn often: it passes the most points
-            within = st.builds(Floor, st.integers(point + 1, holding[-1]))
-            floors = [st.just(Floor(point + 1)), st.just(Floor(holding[-1])), within]
-        return data.draw(st.one_of(floors))
+            answer = values[point - lo]
+        else:
+            if best is None:
+                above = st.builds(Floor, st.integers(point + 1, hi + 5))
+                floors = [st.just(Floor(point + 1)), st.just(Floor(None)), above]
+            else:  # the highest floor allowed is drawn often: it passes the most points
+                within = st.builds(Floor, st.integers(point + 1, holding[-1]))
+                floors = [st.just(Floor(point + 1)), st.just(Floor(holding[-1])), within]
+            answer = data.draw(st.one_of(floors))
+        answers.append((point, answer))
+        return answer
 
     found = smallest_feasible(lo, hi, probe)
-    assert all(lo <= point <= hi for point in probed)
+    _check_floor_iteration(lo, hi, answers, found)
     if best is None:
         assert found is None
-        distance = hi - lo
     else:
         assert found is not None and found[1] == best and found[0] in holding
-        distance = holding[0] - lo
-    assert len(probed) <= 2 * math.ceil(math.log2(distance + 1)) + 1
 
 
 @st.composite
