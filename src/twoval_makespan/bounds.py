@@ -97,63 +97,6 @@ def gb_worst_case_alpha(n: int) -> Fraction:
     )
 
 
-def scan_assignment_grid(max_denominator: int = 1000) -> tuple[Fraction, Fraction]:
-    """Max of min(expr1, expr2) over rationals in (1, 5] with bounded denominator.
-
-    Pure integer arithmetic; returns (maximum, alpha attaining it).
-    """
-    best_num, best_den = 0, 1
-    best_alpha = (0, 1)
-    for q in range(1, max_denominator + 1):
-        for p in range(q + 1, 5 * q + 1):
-            n, r = divmod(p, q)
-            if r == 0:
-                num, den = 2 * p - q, p  # integer alpha: both expressions equal 2 - 1/alpha
-            else:
-                e1_num, e1_den = p + n * q, p
-                e2_num, e2_den = p + (n - 1) * q, n * q
-                if e1_num * e2_den <= e2_num * e1_den:
-                    num, den = e1_num, e1_den
-                else:
-                    num, den = e2_num, e2_den
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-                best_alpha = (p, q)
-    return Fraction(best_num, best_den), Fraction(*best_alpha)
-
-
-# for alpha beyond any interval start n >= 6 the first expression alone is at
-# most 1 + (n+1)/(2n) <= 19/12 < 1.652, so scanning alpha up to 6 covers the max
-GB_SCAN_HI = 6
-
-
-def scan_gb_grid(max_denominator: int = 1000) -> tuple[Fraction, Fraction]:
-    """Max of min(1 + f1/2, 1/f2 + 1/2) over rationals in [2, GB_SCAN_HI], denominators bounded."""
-    best_num, best_den = 0, 1
-    best_alpha = (0, 1)
-    for q in range(1, max_denominator + 1):
-        for p in range(2 * q, GB_SCAN_HI * q + 1):
-            n, r = divmod(p, q)
-            if r == 0:
-                num, den = 3, 2  # integer alpha: both expressions equal 3/2
-            else:
-                e1_num, e1_den = 2 * p + (n + 1) * q, 2 * p
-                e2_num, e2_den = 2 * p + n * q, 2 * n * q
-                if e1_num * e2_den <= e2_num * e1_den:
-                    num, den = e1_num, e1_den
-                else:
-                    num, den = e2_num, e2_den
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-                best_alpha = (p, q)
-    return Fraction(best_num, best_den), Fraction(*best_alpha)
-
-
-def gb_interval_start_bound(n: int) -> Fraction:
-    """Supremum of 1 + f1/2 over alpha in (n, n+1); decreasing in n."""
-    return 1 + Fraction(n + 1, 2 * n)
-
-
 def guarantee_report(alpha: object, graph_balancing: bool = False) -> GuaranteeReport:
     """Build the bound report attached to a solve result."""
     a = as_rational(alpha)

@@ -16,9 +16,21 @@ for tests and tracing.
 `job_fractions` reads each job's per-machine shares, in the same units, off
 the flow, and `smallest_feasible` probes up from a lower bound, each time
 at the last short probe's floor (below), and keeps the first feasible
-probe's flow. Both searches start at the averaging bound total / m, where
-the smallest feasible bound usually sits, so a search usually takes one
-max-flow.
+probe's flow. Both searches start at the network's machine-set floor,
+where the smallest feasible bound usually sits, so a search usually takes
+one max-flow.
+
+Any machine set S floors every bound: the jobs whose allowed sets lie
+inside S hold W_S flow units, all of which cross S's |S| sink arcs, so no
+bound below ceil(W_S / |S|) meets the demand. The throttles only cap flow
+further, so this holds in both networks. The builder, in its one pass over
+the jobs, takes the largest such floor over each single machine, each
+2-machine allowed set {u, v} (the jobs allowing u alone, v alone or exactly
+{u, v}) and all machines, whose floor is ceil(total / m), and stores it as
+`FlowNetwork.floor`. On graph balancing, where no job allows more than two
+machines, a single machine or a pair is often the densest set. The floor
+is at most the smallest feasible bound, so the first feasible probe, and
+with it the flow a search keeps, is the same from any lower start.
 
 A probe that falls short also bounds every later one. After the max-flow,
 Dinic's labels mark the source side of a minimum cut (`maxflow`); say c
@@ -79,7 +91,11 @@ W = TypeVar("W")
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Every arc, sink arcs at 0, in a solver's arrays. Node 0 is the source, the last the sink."""
+    """Every arc, sink arcs at 0, in a solver's arrays, and a floor under every feasible bound.
+
+    Node 0 is the source, the last the sink. The floor is the densest
+    machine set's ceil(W_S / |S|) (module docstring).
+    """
 
     node_count: int
     machines: int  # machine i is node sink - machines + i; the last m arcs are machine i -> sink
@@ -89,6 +105,7 @@ class FlowNetwork:
     job_arcs: tuple[tuple[tuple[int, int], ...], ...]
     sizes: tuple[int, ...]  # per job, in flow units: its source -> job capacity
     residual: Dinic  # never runs; each probe copies its capacities
+    floor: int  # in flow units: no bound below it meets the demand
 
     @property
     def arcs(self) -> tuple[tuple[int, int, int], ...]:
@@ -169,11 +186,19 @@ def flow_network(
     adj += [[edge] for edge in range(1, 2 * n, 2)]
     adj += [[] for _ in range(sink - n)]
     job_arcs = []
+    alone = [0] * m  # per machine, the work of the jobs allowing it alone
+    pairs: dict[tuple[int, ...], int] = {}  # per 2-machine allowed set, the work allowing exactly it
     for job_node, (eligible, size) in enumerate(zip(allowed, sizes), 1):
+        machines = sorted(eligible)
+        if len(machines) == 1:
+            alone[machines[0]] += size
+        elif len(machines) == 2:
+            pair = tuple(machines)
+            pairs[pair] = pairs.get(pair, 0) + size
         head0 = big0 if size == k else machine0
         out = adj[job_node]
         entries = []
-        for i in sorted(eligible):
+        for i in machines:
             edge = len(to)
             entries.append((i, edge >> 1))  # (machine, arc index)
             out.append(edge)
@@ -189,7 +214,13 @@ def flow_network(
         to += (head, tail)
         cap += (capacity, 0)
     residual = Dinic._over(sink + 1, to, cap, adj)
-    return FlowNetwork(sink + 1, m, sum(sizes), tuple(job_arcs), tuple(sizes), residual)
+    demand = sum(sizes)
+    # ceil(W_S / |S|) for each single machine, each pair above and all machines
+    floor = max(alone, default=0)
+    for (u, v), work in pairs.items():
+        floor = max(floor, -(-(alone[u] + alone[v] + work) // 2))
+    floor = max(floor, -(-demand // max(m, 1)))
+    return FlowNetwork(sink + 1, m, demand, tuple(job_arcs), tuple(sizes), residual, floor)
 
 
 def build_network(scaled: ScaledInstance) -> FlowNetwork:
@@ -282,22 +313,21 @@ def smallest_feasible(lo: int, hi: int, probe: Callable[[int], W | Floor]) -> tu
 
 
 def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] | None:
-    """Smallest integer estimate meeting the demand, searched up from the averaging bound.
+    """Smallest integer estimate meeting the demand, searched up from the machine-set floor.
 
     Returns it with the assignment extracted from the winning probe's flow,
     so the estimate is never solved twice. No estimate below max(max size,
-    ceil(total / m)) can work (the sink arcs carry at most m times it), so
-    the search starts there and probes each short probe's floor next, at most
-    m + 1 max-flows in all. Returns None, without any max-flow,
-    when the big jobs have no matching with at most one per machine: at
-    estimate = total only the throttles bind, so the flow meets the demand
-    iff such a fractional, hence integral, matching exists. Every schedule of
-    such an instance stacks two big jobs somewhere and the caller must fall
-    back to the additive rounding.
+    network.floor) can work (the floor's machine set carries its jobs' work,
+    module docstring), so the search starts there and probes each short
+    probe's floor next, at most m + 1 max-flows in all. Returns None,
+    without any max-flow, when the big jobs have no matching with at most
+    one per machine: at estimate = total only the throttles bind, so the
+    flow meets the demand iff such a fractional, hence integral, matching
+    exists. Every schedule of such an instance stacks two big jobs somewhere
+    and the caller must fall back to the additive rounding.
     """
-    m = scaled.machine_count
     bigs = scaled.big_jobs()
-    if len(bigs) > m:
+    if len(bigs) > scaled.machine_count:
         return None
     adjacency = [sorted(scaled.allowed[j]) for j in bigs]
     if None in maximum_bipartite_matching(adjacency):
@@ -308,9 +338,8 @@ def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] |
         flow = max_flow_integral(network, estimate)
         return flow if flow.value == network.demand else Floor(flow.floor)
 
-    total = network.demand
-    lo = max(max(scaled.sizes, default=0), -(-total // max(m, 1)))
-    found = smallest_feasible(lo, total, probe)
+    lo = max(max(scaled.sizes, default=0), network.floor)
+    found = smallest_feasible(lo, network.demand, probe)
     if found is None:
         return None
     estimate, flow = found

@@ -11,9 +11,9 @@ of 1/D, and it stores the job sizes in those units. `flow.smallest_feasible`
 searches the multiples up to the total size, probing each one snapped up to
 the smallest true load a*b + c*s above it (0 <= a, c <= n). Snapping is
 monotone, so the first feasible probe is at the smallest feasible true load
-and its flow is the result. The search starts at the first multiple at or
-above total / m, a lower bound on every feasible load, and usually wins
-there.
+and its flow is the result. The search starts at the network's machine-set
+floor (`flow`), a lower bound on every feasible load, snapped up to a true
+load, and usually wins there.
 
 A probe that falls short reports its min cut's floor, t + ceil((demand -
 v) / c) in units of 1/D (`flow`): no smaller bound is feasible. The floor is
@@ -247,11 +247,11 @@ def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAss
     a*b + c*s is monotone and so is feasibility, so searching `load_grid` with
     each point probed at its snapped load finds the smallest feasible load
     of the full (n+1)^2 grid, and the winning probe's flow is the one at it.
-    The search starts at the first multiple at or above total / m. The
-    smallest feasible load is a multiple of g/D and at least total / m, so
-    that start is at most it: a feasible start snaps to it, and from an
-    infeasible one each short probe's floor, snapped to a true load, leads
-    to the next index probed (module docstring).
+    The search starts at the index of the network's machine-set floor
+    snapped up to a true load. The smallest feasible load is a true load at
+    least that floor, so the start's load is at most it: a feasible start is
+    it, and from an infeasible one each short probe's floor, snapped to a
+    true load, leads to the next index probed (module docstring).
     """
     denom, sizes = integer_sizes(instance)
     grid = load_grid(sizes)
@@ -267,9 +267,8 @@ def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAss
         # the floor snapped up to a true load, as a grid index (module docstring)
         return Floor(_snap_to_grid(sizes, flow.floor) // grid.step)
 
-    last = len(grid) - 1
-    start = min(-(-sum(sizes) // (instance.machine_count * grid.step)), last)
-    found = smallest_feasible(start, last, probe)
+    start = _snap_to_grid(sizes, network.floor) // grid.step
+    found = smallest_feasible(start, len(grid) - 1, probe)
     if found is None:
         raise RuntimeError("transportation problem infeasible at the full-load bound")
     index, assignment = found

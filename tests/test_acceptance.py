@@ -15,10 +15,7 @@ import pytest
 from twoval_makespan.bounds import (
     ASSIGNMENT_GUARANTEE,
     GB_GUARANTEE,
-    gb_interval_start_bound,
     ratio_expressions,
-    scan_assignment_grid,
-    scan_gb_grid,
 )
 from twoval_makespan.cli import main as cli_main
 from twoval_makespan.generator import random_instance
@@ -34,7 +31,10 @@ from twoval_makespan.oracle import brute_force_opt, enumerate_opt
 from twoval_makespan.twovalued import solve_two_valued
 from twoval_makespan.unitk import match_big_jobs, solve_unit_k
 
-from helpers import fraction, integer_instance, support_is_forest
+from helpers import (
+    fraction, gb_interval_start_bound, integer_instance, scan_assignment_grid, scan_gb_grid,
+    support_is_forest,
+)
 
 SWEEP = 500
 KS = (2, 3, 4, 5, 6)

@@ -7,16 +7,15 @@ import pytest
 from twoval_makespan.bounds import (
     ASSIGNMENT_GUARANTEE,
     GB_GUARANTEE,
-    gb_interval_start_bound,
     gb_ratio_expressions,
     gb_worst_case_alpha,
     guarantee_report,
     lift_factors,
     ratio_expressions,
-    scan_assignment_grid,
-    scan_gb_grid,
     worst_case_alpha,
 )
+
+from helpers import gb_interval_start_bound, scan_assignment_grid, scan_gb_grid
 
 
 def test_lift_factors_examples():

@@ -25,7 +25,9 @@ from twoval_makespan.oracle import enumerate_opt
 from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
 
 import test_network_pinned as network_pinned
-from helpers import integer_instance, scale, scale_with_k, transportation
+from helpers import (
+    crowded_machines, integer_instance, machine_set_floor, scale, scale_with_k, transportation,
+)
 
 
 def test_network_node_count_four_jobs_two_machines():
@@ -202,7 +204,7 @@ def test_extraction_invariants_on_random_instances():
 def test_no_estimate_exactly_when_the_full_load_flow_falls_short(monkeypatch):
     # min_feasible_T decides None by a matching of the big jobs, with no
     # max-flow; the flow at estimate = total must agree on every reduction.
-    # Otherwise its first probe is at the averaging bound.
+    # Otherwise its first probe is at the densest small machine set's floor.
     probes = []
 
     def recording(network, capacity):
@@ -226,9 +228,10 @@ def test_no_estimate_exactly_when_the_full_load_flow_falls_short(monkeypatch):
             assert (found is None) == short
             assert bool(probes) != short  # None without a max-flow, else at least one probe
             if found is not None:
-                # the search starts at the averaging bound and probes up from it,
-                # within the log bound of a gallop-and-bisect search
-                lo = max(max(scaled.sizes, default=0), -(-total // m))
+                # the search starts at the machine-set floor and probes up from
+                # it, within the log bound of a gallop-and-bisect search
+                floor = machine_set_floor(m, scaled.allowed, scaled.sizes)
+                lo = max(max(scaled.sizes, default=0), floor)
                 assert probes[0] == lo and min(probes) == lo
                 assert len(probes) <= 2 * math.ceil(math.log2(found[0] - lo + 1)) + 1
             searches += 1
@@ -313,19 +316,95 @@ def test_the_search_probes_each_floor_next():
     assert probed == [0, 1, 2, 3, 4, 11]
 
 
-def _crowded_instance(rng):
-    """Up to 14 jobs on up to 5 machines, eligible mostly on the low machines, at most m big.
+def _floor_networks(rng, count):
+    """Random general and graph-balancing instances, each with its two networks.
 
-    Job j may run on a random subset of machines 0..r - 1 for a random r, so
-    the low machines are crowded and many bounds fall short.
+    Yields (instance, [its {1, k} network for a random k in 1..4, its
+    transportation network]).
     """
-    m = rng.randint(2, 5)
+    for _ in range(count):
+        m = rng.randint(1, 5)
+        alpha = rng.choice([1, 2, 3, Fraction(3, 2), Fraction(5, 2), Fraction(7, 3)])
+        inst = random_instance(rng, rng.randint(0, 9), m, alpha, gb=rng.random() < 0.5)
+        unit_k = build_network(ScaledInstance.of(inst, rng.randint(1, 4)))
+        yield inst, [unit_k, transportation(inst)]
+
+
+def test_the_floor_is_the_densest_single_machine_pair_or_whole_set():
+    rng = random.Random("flow-floor-brute-force")
+    lifted = 0
+    for inst, networks in _floor_networks(rng, 400):
+        allowed = [job.allowed for job in inst.jobs]
+        for network in networks:
+            assert network.floor == machine_set_floor(inst.machine_count, allowed, network.sizes)
+            lifted += network.floor > -(-network.demand // inst.machine_count)
+    assert lifted >= 150  # a single machine or a pair beats the averaging bound
+
+
+def test_the_floor_never_passes_the_smallest_feasible_bound():
+    rng = random.Random("flow-floor-valid")
+    exact = 0
+    for _, networks in _floor_networks(rng, 1000):
+        for network in networks:
+            smallest = next(
+                (t for t in range(network.demand + 1)
+                 if max_flow_integral(network, t).value == network.demand),
+                None,
+            )
+            assert network.floor <= (network.demand if smallest is None else smallest)
+            exact += network.floor == smallest
+    assert exact >= 1600  # of the 2000 networks, the floor is the answer
+
+
+def test_each_search_first_probes_its_floor(monkeypatch):
+    # min_feasible_T at max(max size, floor); min_feasible_fractional at the
+    # smallest true load a*b + c*s at or above the floor, both in flow units
+    probes = []
+
+    def recording(network, capacity):
+        probes.append(capacity)
+        return max_flow_integral(network, capacity)
+
+    monkeypatch.setattr(flow, "max_flow_integral", recording)
+    monkeypatch.setattr(lenstra, "max_flow_integral", recording)
+    rng = random.Random("flow-first-probe")
+    cases = [inst for inst, _ in _floor_networks(rng, 300)]
+    cases += [_crowded_instance(rng, least) for least in (1, 3) for _ in range(100)]
+    short = 0
+    for inst in cases:
+        m, allowed = inst.machine_count, [job.allowed for job in inst.jobs]
+        scaled = ScaledInstance.of(inst, rng.randint(1, 4))
+        probes.clear()
+        if min_feasible_T(scaled) is not None:
+            floor = machine_set_floor(m, allowed, scaled.sizes)
+            assert probes[0] == min(probes) == max(max(scaled.sizes, default=0), floor)
+            short += len(probes) > 1
+        _, units = integer_sizes(inst)
+        floor = machine_set_floor(m, allowed, units)
+        n, small, big = len(units), min(units, default=0), max(units, default=0)
+        loads = {a * big + c * small for a in range(n + 1) for c in range(n + 1)}
+        probes.clear()
+        min_feasible_fractional(inst)
+        assert probes[0] == min(probes) == min(load for load in loads if load >= floor)
+        short += len(probes) > 1
+    assert short >= 30  # searches that probed more than once
+
+
+def _crowded_instance(rng, least=1):
+    """Up to 14 jobs on least + 1 to least + 4 machines, at most m of them big.
+
+    Job j may run on a random subset of at least `least` of the machines
+    0..r - 1 for a random r >= least, so the low machines are crowded and
+    many bounds fall short. With least >= 3
+    no job's set is a single machine or a pair, so the search starts at
+    total / m (`FlowNetwork.floor`) and short starts stay common.
+    """
+    m = least + rng.randint(1, 4)
     big, small = rng.choice([(3, 1), (2, 1), (5, 2), (7, 3), (4, 1)])
     bigs = rng.randint(0, m)
     jobs = []
     for j in range(rng.randint(2, 14)):
-        reach = rng.randint(1, m)
-        jobs.append((big if j < bigs else small, rng.sample(range(reach), rng.randint(1, reach))))
+        jobs.append((big if j < bigs else small, crowded_machines(rng, m, least)))
     return Instance.build(m, jobs)
 
 
@@ -367,37 +446,39 @@ def test_a_short_probe_floors_every_feasible_bound(family):
     assert never >= 100 if family == "unit-k" else never == 0
 
 
-def _staircase(rng, m, big):
-    """Jobs of size big and 1 confined to each machine prefix range(r), as (size, machines).
+def _staircase(rng, m, big, first):
+    """Jobs of size big and 1 confined to each prefix range(r), first <= r <= m, for m > first.
 
     The prefix of r machines holds r * D_r units of work, where D_r falls in
     r with gaps e_r = D_r - D_(r+1) > (r - 1) * e_(r-1). At the bound D_(r+1)
     the work a prefix of s <= r machines holds beyond s * D_(r+1) then grows
-    with s, so the min cut is the prefix of r machines and its floor is D_r:
-    a search from the averaging bound D_m probes D_m, D_(m-1), ..., D_1.
+    with s, so the min cut is the prefix of r machines and its floor is D_r.
+    With first >= 3 no job's set is a single machine or a pair, so a search
+    starts at the averaging bound D_m and probes D_m, D_(m-1), ..., D_first;
+    with first = 1 machine 0 alone holds D_1, and the search starts there.
     """
-    gaps = [rng.randint(1, 2)]  # gaps[r - 1] is e_r
-    for r in range(2, m):
+    gaps = [rng.randint(1, 2)]  # gaps[r - first] is e_r
+    for r in range(first + 1, m):
         gaps.append((r - 1) * gaps[-1] + rng.randint(1, 2))
     densities = [(m - 1) * gaps[-1] + rng.randint(0, 8)]  # D_m, so no prefix adds negative work
     for gap in reversed(gaps):
         densities.append(densities[-1] + gap)
     jobs, confined = [], 0
-    for r, density in enumerate(reversed(densities), 1):
+    for r, density in enumerate(reversed(densities), first):
         work, confined = r * density - confined, r * density
         jobs += [(big, range(r))] * (work // big) + [(1, range(r))] * (work % big)
     return jobs, densities
 
 
-def _staircase_instance(rng, family, m):
-    """A staircase for the family's search, and its densities D_m, ..., D_1.
+def _staircase_instance(rng, family, m, first):
+    """A staircase for the family's search, and its densities D_m, ..., D_first.
 
     The {1, k} one has only small jobs, so its throttles carry nothing.
     """
     if family == "transportation":
-        jobs, densities = _staircase(rng, m, rng.randint(2, 8))
+        jobs, densities = _staircase(rng, m, rng.randint(2, 8), first)
         return Instance.build(m, jobs), densities
-    jobs, densities = _staircase(rng, m, 1)
+    jobs, densities = _staircase(rng, m, 1, first)
     allowed = tuple(frozenset(machines) for _, machines in jobs)
     return ScaledInstance(m, allowed, (1,) * len(jobs), rng.randint(2, 4)), densities
 
@@ -407,8 +488,9 @@ def test_each_short_probe_leaves_fewer_machines_on_its_cut(family, monkeypatch):
     # in every search the probed bounds rise, so the additive search never
     # probes a load twice, and each short probe's min cut, read off a cold
     # Dinic, has fewer machines on its source side than the last one's: at
-    # most m + 1 max-flows. A staircase's search probes D_m, ..., D_1 with
-    # one machine fewer on the cut each time.
+    # most m + 1 max-flows. A staircase on prefixes of 3 or more machines is
+    # searched D_m, ..., D_3 with one machine fewer on the cut each time; one
+    # that confines work to machine 0 alone is floored at D_1 and won there.
     probes = []  # (bound, cut machines or None when the flow meets the demand)
 
     def recording(network, capacity):
@@ -425,10 +507,12 @@ def test_each_short_probe_leaves_fewer_machines_on_its_cut(family, monkeypatch):
     monkeypatch.setattr(flow if family == "unit-k" else lenstra, "max_flow_integral", recording)
     search = min_feasible_T if family == "unit-k" else min_feasible_fractional
     rng = random.Random(f"flow-cut-shrinks-{family}")
-    cases = [(_crowded_instance(rng), None) for _ in range(300)]
+    cases = [(_crowded_instance(rng, least), None) for least in (1, 3) for _ in range(300)]
     if family == "unit-k":
         cases = [(ScaledInstance.of(inst, rng.randint(2, 4)), None) for inst, _ in cases]
-    cases += [_staircase_instance(rng, family, m) for m in range(2, 6) for _ in range(3)]
+    cases += [_staircase_instance(rng, family, m, 3) for m in range(4, 7) for _ in range(3)]
+    cases += [_staircase_instance(rng, family, m, 1) for m in range(2, 6)]
+    several = 0
     for inst, densities in cases:
         probes.clear()
         search(inst)
@@ -437,9 +521,15 @@ def test_each_short_probe_leaves_fewer_machines_on_its_cut(family, monkeypatch):
         assert len(probes) <= inst.machine_count + 1
         cuts = [cut for _, cut in probes if cut is not None]
         assert all(later < earlier for earlier, later in zip(cuts, cuts[1:]))
+        several += len(probes) >= 2
         if densities is not None:
             m = inst.machine_count
-            assert probes == list(zip(densities, [*range(m - 1, 0, -1), None]))
+            first = m + 1 - len(densities)
+            if first == 1:  # machine 0 alone floors the start at D_1
+                assert probes == [(densities[-1], None)]
+            else:
+                assert probes == list(zip(densities, [*range(m - 1, first - 1, -1), None]))
+    assert several >= 30  # searches that probed more than once
 
 
 def _first_phase_network(rng, kind):

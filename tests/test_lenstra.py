@@ -21,7 +21,9 @@ from twoval_makespan.model import (
 from twoval_makespan.twovalued import solve_two_valued
 from twoval_makespan.oracle import enumerate_opt
 
-from helpers import fraction, support_is_forest, transportation
+from helpers import (
+    crowded_machines, fraction, machine_set_floor, support_is_forest, transportation,
+)
 
 
 def _loads(assignment, instance):
@@ -135,6 +137,17 @@ def test_snapped_search_matches_the_full_grid():
     assert snapped > 0
 
 
+def _crowded(rng, n, m, sizes):
+    """n jobs of the given sizes on m >= 3 machines, each allowing at least 3 of them.
+
+    No job's set is a single machine or a pair, so the search starts at
+    total / m. Each job draws its machines from a prefix of a random prefix,
+    so the sets crowd the low machines and that start often falls short.
+    """
+    jobs = [(rng.choice(sizes), crowded_machines(rng, rng.randint(3, m), 3)) for _ in range(n)]
+    return Instance.build(m, jobs)
+
+
 def test_additive_search_probes_only_true_loads(monkeypatch):
     probed = []
     denom = 1
@@ -158,9 +171,12 @@ def test_additive_search_probes_only_true_loads(monkeypatch):
             loads = set(_reference_grid(inst))  # a*b + c*s with 0 <= a, c <= n
             assert probed and all(load in loads for load in probed)
             assert capacity in probed
-            # the search starts at the first multiple of g/D at or above total / m
-            grid = load_grid(integer_sizes(inst)[1])
-            start = min(-(-grid[-1] // (m * grid.step)), len(grid) - 1)
+            # the search starts at the smallest load at or above the machine-set floor
+            _, units = integer_sizes(inst)
+            floor = machine_set_floor(m, [job.allowed for job in inst.jobs], units)
+            assert probed[0] == min(load for load in loads if load * denom >= floor)
+            grid = load_grid(units)
+            start = int(probed[0] * denom) // grid.step
             # and wins at the first index from there whose snapped load reaches the capacity
             index = next(
                 k for k in range(start, len(grid))
@@ -188,12 +204,7 @@ def test_additive_search_snaps_each_floor_to_a_true_load(monkeypatch):
     for sizes in [(Fraction(7, 3), Fraction(1, 2)), (7, 5), (Fraction(13, 8), 1),
                   (Fraction(9, 4), Fraction(2, 3))]:
         for _ in range(100):
-            m = rng.randint(2, 5)
-            jobs = []
-            for _ in range(rng.randint(2, 12)):
-                reach = rng.randint(1, m)  # crowd the low machines, so the start falls short
-                jobs.append((rng.choice(sizes), rng.sample(range(reach), rng.randint(1, reach))))
-            inst = Instance.build(m, jobs)
+            inst = _crowded(rng, rng.randint(2, 12), rng.randint(5, 8), sizes)
             floors.clear()
             capacity, _ = min_feasible_fractional(inst)
             assert capacity == _smallest_feasible(inst, _reference_grid(inst))
@@ -216,7 +227,7 @@ def test_additive_search_solves_each_load_once(monkeypatch):
     alphas = [Fraction(7, 3), Fraction(13, 8), Fraction(11, 7), Fraction(5, 2), Fraction(3, 2)]
     searches = 0
     for _ in range(600):
-        inst = random_instance(rng, rng.randint(1, 10), rng.randint(1, 4), rng.choice(alphas))
+        inst = _crowded(rng, rng.randint(1, 10), rng.randint(3, 5), (1, 1 / rng.choice(alphas)))
         probed.clear()
         min_feasible_fractional(inst)
         assert len(probed) == len(set(probed))
@@ -245,14 +256,15 @@ def test_each_search_builds_one_network(monkeypatch):
     # searches that took 2 or more probes, where one network must serve them all
     unit_k = additive = 0
     for _ in range(400):
-        inst = random_instance(rng, rng.randint(4, 12), rng.randint(2, 4), rng.choice([2, 3]))
+        small = Fraction(1, rng.choice([2, 3]))
+        inst = _crowded(rng, rng.randint(4, 12), rng.randint(3, 5), (1, small))
         calls.clear()
         flow.min_feasible_T(scale_to_integer(normalize(inst)[0]))
         if calls.get("max_flow_integral", 0) >= 2:
             assert calls["build_network"] == 1
             unit_k += 1
         alpha = rng.choice([Fraction(5, 2), Fraction(7, 3), Fraction(3, 2)])
-        inst = random_instance(rng, rng.randint(4, 12), rng.randint(2, 4), alpha)
+        inst = _crowded(rng, rng.randint(4, 12), rng.randint(3, 5), (1, 1 / alpha))
         calls.clear()
         min_feasible_fractional(inst)
         if calls["fractional_assign_plain"] >= 2:
