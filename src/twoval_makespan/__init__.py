@@ -11,7 +11,6 @@ from .fileio import FileFormatError, parse_instance
 from .graph_balancing import gb_solve_two_valued
 from .model import (
     Instance,
-    Job,
     ScaledInstance,
     Schedule,
     is_graph_balancing,
@@ -30,7 +29,6 @@ __all__ = [
     "FileFormatError",
     "GuaranteeReport",
     "Instance",
-    "Job",
     "OracleResult",
     "ScaledInstance",
     "Schedule",

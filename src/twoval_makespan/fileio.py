@@ -16,17 +16,17 @@ An invalid instance (see `model`) raises `FileFormatError` with the text
 A job line of unsigned ASCII digits and single spaces is read with one
 regular-expression match. Every other job line (tabs, repeated spaces, signs,
 a bad token) and a line whose id is out of order take the per-token path,
-which accepts the same jobs and words every error. Each distinct size token is
-parsed to a `Fraction` once and shared by the jobs that carry it; the
-`Instance` built from them derives its integer units once, and every solver
-reads those units rather than the Fractions.
+which accepts the same jobs and words every error. Each job's size and
+machine set go straight into the instance's two columns (`model`). Each
+distinct size token is parsed to a `Fraction` once and shared by the jobs
+that carry it; the `Instance` built from them derives its integer units
+once, and every solver reads those units rather than the Fractions.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable
 
 from .model import Instance
 
@@ -86,30 +86,33 @@ def parse_instance(text: str) -> Instance:
     if len(body) != job_count:
         raise FileFormatError(f"expected {job_count} job lines, found {len(body)}")
 
-    sizes: dict[str, Fraction] = {}  # size token -> its value, parsed once per distinct token
-    jobs = []
+    values: dict[str, Fraction] = {}  # size token -> its value, parsed once per distinct token
+    sizes: list[Fraction] = []
+    allowed: list[frozenset[int]] = []
     for position, line in enumerate(body):
         match = _JOB_LINE.fullmatch(line)
         if match is None or int(match[1]) != position:
-            jobs.append(_job_tokens(line, position, sizes))
-            continue
-        _, token, machines = match.groups()
-        size = sizes.get(token)
-        if size is None:
-            size = sizes[token] = parse_fraction(token)
-        jobs.append((size, map(int, machines.split())))
+            size, machines = _job_tokens(line, position, values)
+        else:
+            _, token, indices = match.groups()
+            size = values.get(token)
+            if size is None:
+                size = values[token] = parse_fraction(token)
+            machines = frozenset(map(int, indices.split()))
+        sizes.append(size)
+        allowed.append(machines)
     try:
-        return Instance.build(machine_count, jobs)
+        return Instance(machine_count, tuple(sizes), tuple(allowed))
     except ValueError as exc:  # the instance's own check: same text, as a format error
         raise FileFormatError(str(exc)) from None
 
 
 def _job_tokens(
-    line: str, position: int, sizes: dict[str, Fraction]
-) -> tuple[Fraction, Iterable[int]]:
+    line: str, position: int, values: dict[str, Fraction]
+) -> tuple[Fraction, frozenset[int]]:
     """Job line `position` read token by token, any whitespace and signs allowed.
 
-    Raises on the first bad token; `sizes` caches each size token's value.
+    Raises on the first bad token; `values` caches each size token's value.
     """
     parts = line.split()
     if len(parts) < 4 or parts[0] != "job":
@@ -118,18 +121,18 @@ def _job_tokens(
         raise FileFormatError(f"bad job id in {line!r}")
     if int(parts[1]) != position:
         raise FileFormatError(f"expected job {position}, got {int(parts[1])} in {line!r}")
-    size = sizes.get(parts[2])
+    size = values.get(parts[2])
     if size is None:
-        size = sizes[parts[2]] = parse_fraction(parts[2])
+        size = values[parts[2]] = parse_fraction(parts[2])
     machines = parts[3:]
     if not all(map(_INTEGER.fullmatch, machines)):
         raise FileFormatError(f"bad machine index in {line!r}")
-    return size, map(int, machines)
+    return size, frozenset(map(int, machines))
 
 
 def format_instance(instance: Instance) -> str:
     lines = [f"machines {instance.machine_count}", f"jobs {instance.job_count}"]
-    for idx, job in enumerate(instance.jobs):
-        machines = " ".join(str(i) for i in sorted(job.allowed))
-        lines.append(f"job {idx} {format_fraction(job.size)} {machines}")
+    for idx, (size, allowed) in enumerate(zip(instance.sizes, instance.allowed)):
+        machines = " ".join(str(i) for i in sorted(allowed))
+        lines.append(f"job {idx} {format_fraction(size)} {machines}")
     return "\n".join(lines) + "\n"

@@ -366,14 +366,13 @@ def check_extraction_invariants(assignment: FractionalAssignment, scaled: Scaled
     """Verify the structural guarantees every extraction must satisfy, in flow units."""
     k = scaled.k
     big_units = [0] * scaled.machine_count
-    for j, shares in enumerate(assignment.shares):
-        size = scaled.sizes[j]
+    for j, (shares, size) in enumerate(zip(assignment.shares, scaled.sizes)):
         total = sum(shares.values())
         if assignment.sizes[j] != size or total != size:
             raise RuntimeError(
                 f"job {j}: shares sum to {total} of size {assignment.sizes[j]}, expected {size}"
             )
-        if scaled.is_big(j):
+        if k > 1 and size == k:
             for machine, share in shares.items():
                 if not 1 <= share <= k:
                     raise RuntimeError(f"big job {j}: share {share} outside 1..{k}")

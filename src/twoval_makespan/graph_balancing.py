@@ -129,10 +129,10 @@ def gb_perfect_matching_opt1(instance: Instance) -> Schedule | None:
     perfect matching of jobs into machines. With more jobs than machines
     there is none, and no matching runs.
     """
-    _require_gb(job.allowed for job in instance.jobs)
-    if len(instance.jobs) > instance.machine_count:
+    _require_gb(instance.allowed)
+    if instance.job_count > instance.machine_count:
         return None
-    adjacency = [sorted(job.allowed) for job in instance.jobs]
+    adjacency = [sorted(machines) for machines in instance.allowed]
     matched = maximum_bipartite_matching(adjacency)
     if any(machine is None for machine in matched):
         return None
@@ -145,13 +145,13 @@ def gb_forest_round(instance: Instance, assignment: FractionalAssignment) -> Sch
     Each tree's pending fractional job is absorbed by a machine below it, so
     every machine gains at most one job; rejects cyclic support.
     """
-    _require_gb(job.allowed for job in instance.jobs)
+    _require_gb(instance.allowed)
     return round_forest(assignment, instance)
 
 
 def gb_solve_two_valued(instance: Instance) -> SolveResult:
     """Race the branches appropriate for alpha and keep the best schedule."""
-    _require_gb(job.allowed for job in instance.jobs)
+    _require_gb(instance.allowed)
     alpha = size_ratio(instance)
     if not 1 < alpha < 2:
         branches = reduction_branches(instance, alpha, None, gb_solve_unit_k)

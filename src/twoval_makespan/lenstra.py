@@ -224,7 +224,7 @@ def _check_forest_rounding(
     loads = [0] * instance.machine_count
     received: dict[int, list[int]] = {}
     for j, machine in enumerate(schedule.assignment):
-        if machine not in instance.jobs[j].allowed:
+        if machine not in instance.allowed[j]:
             raise ValueError(f"job {j} assigned to machine {machine} outside its allowed set")
         for i, share in assignment.shares[j].items():
             frac_loads[i] += share
@@ -255,7 +255,7 @@ def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAss
     """
     denom, sizes = integer_sizes(instance)
     grid = load_grid(sizes)
-    network = flow_network(instance.machine_count, [job.allowed for job in instance.jobs], sizes)
+    network = flow_network(instance.machine_count, instance.allowed, sizes)
 
     def probe(k: int) -> FractionalAssignment | Floor:
         flow = max_flow_integral(network, _snap_to_grid(sizes, grid[k]))

@@ -1,20 +1,24 @@
 """Exact-rational model of two-size scheduling instances.
 
-An `Instance` holds its sizes as `fractions.Fraction`s and derives its
-integer units once, when it is built: the lcm D of the size denominators and
-every job's size times D (`integer_sizes`). Validation, `distinct_sizes`, the
-{1, k} view (`ScaledInstance`), `normalize` and machine loads all read those
-units, so no solver does per-job Fraction work; alpha, reported loads and
-bounds stay exact Fractions. Floating point only appears when reports are
-rendered for humans. All model values are frozen dataclasses, so they can be
-shared freely between concurrent solver runs.
+An `Instance` is two columns in job order, as in the paper: `sizes`, each
+job's size p_j as an exact rational, and `allowed`, each job's machine set
+M_j as a frozenset. Solvers read the columns directly; there is no per-job
+object. The instance derives its integer units once, when it is built: the
+lcm D of the size denominators and every job's size times D
+(`integer_sizes`). Validation, `distinct_sizes`, the {1, k} view
+(`ScaledInstance`), `normalize` and machine loads all read those units, so
+no solver does per-job Fraction work; alpha, reported loads and bounds stay
+exact Fractions. Floating point only appears when reports are rendered for
+humans. All model values are frozen dataclasses, so they can be shared
+freely between concurrent solver runs.
 
 An `Instance` is valid by construction: building an invalid one raises
 `ValueError("invalid instance: <violation>")` naming the first violation, so
 no solver checks its input again. A size that is not an int or a Fraction
-raises `as_rational`'s TypeError. `normalize` changes only the two size
-values of a valid instance, so it derives the new units from them and does
-not check the jobs again.
+raises `as_rational`'s TypeError. A machine index must be an int (bools
+included) in 0..m-1. `normalize` changes only the two size values of a
+valid instance, so it shares the `allowed` column, derives the new units
+from the two values and does not check the jobs again.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable
 
 
@@ -36,17 +41,15 @@ def as_rational(value: object) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Job:
-    size: Fraction
-    allowed: frozenset[int]
-
-
-@dataclass(frozen=True)
 class Instance:
-    """Jobs with at most two distinct sizes, each restricted to a machine subset."""
+    """Jobs with at most two distinct sizes, each restricted to a machine subset.
+
+    Job j has size sizes[j] (`build` makes it a Fraction) and machine set allowed[j].
+    """
 
     machine_count: int
-    jobs: tuple[Job, ...]
+    sizes: tuple[Fraction, ...]
+    allowed: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
         violation = self._violation()
@@ -54,44 +57,70 @@ class Instance:
             raise ValueError(f"invalid instance: {violation}")
 
     def _violation(self) -> str | None:
-        """None when all instance invariants hold, else the first violation."""
+        """None when all instance invariants hold, else the first violation.
+
+        A valid instance is answered from whole-column checks, with no
+        per-job loop and no cost that grows with the machine count; the
+        per-job loop runs only to name an invalid instance's first violation.
+        """
         _, units = self._integer_sizes  # raises TypeError on a size that is no rational
-        if self.machine_count < 1:
+        m, allowed = self.machine_count, self.allowed
+        if not isinstance(m, int):
+            raise TypeError(f"machine count {m!r} is not an int")
+        if m < 1:
             return "machine count must be positive"
-        machines = frozenset(range(self.machine_count))
-        for idx, (unit, job) in enumerate(zip(units, self.jobs)):
-            if unit <= 0:
-                return f"job {idx}: nonpositive size"
-            if not job.allowed:
-                return f"job {idx}: empty allowed set"
-            if not machines.issuperset(job.allowed):
-                return f"job {idx}: machine index out of range"
+        if len(allowed) != len(units):
+            return f"{len(units)} sizes but {len(allowed)} allowed sets"
+        used = set().union(*allowed)
+        # every index, not only the union's: 1.0 == 1 would hide behind an int 1
+        if not (
+            min(units, default=1) > 0
+            and all(allowed)
+            and all(map(isinstance, chain.from_iterable(allowed), repeat(int)))
+            and (not used or (min(used) >= 0 and max(used) < m))
+        ):
+            for idx, (unit, machines) in enumerate(zip(units, allowed)):
+                if unit <= 0:
+                    return f"job {idx}: nonpositive size"
+                if not machines:
+                    return f"job {idx}: empty allowed set"
+                if not all(isinstance(i, int) and 0 <= i < m for i in machines):
+                    return f"job {idx}: machine index out of range"
         if len(set(units)) > 2:
             return "more than two size values"
         return None
 
     @classmethod
     def _resized(
-        cls, machine_count: int, jobs: tuple[Job, ...], integer_sizes: tuple[int, tuple[int, ...]]
+        cls,
+        machine_count: int,
+        sizes: tuple[Fraction, ...],
+        allowed: tuple[frozenset[int], ...],
+        integer_sizes: tuple[int, tuple[int, ...]],
     ) -> "Instance":
         """A valid instance's machine sets with new positive sizes, two at most, not checked again.
 
-        `integer_sizes` must be what `_integer_sizes` would derive from `jobs`.
+        `integer_sizes` must be what `_integer_sizes` would derive from `sizes`.
         """
         instance = object.__new__(cls)
         object.__setattr__(instance, "machine_count", machine_count)
-        object.__setattr__(instance, "jobs", jobs)
+        object.__setattr__(instance, "sizes", sizes)
+        object.__setattr__(instance, "allowed", allowed)
         instance.__dict__["_integer_sizes"] = integer_sizes
         return instance
 
     @classmethod
     def build(cls, machine_count: int, jobs: Iterable[tuple[object, Iterable[int]]]) -> "Instance":
-        built = tuple(Job(as_rational(size), frozenset(machines)) for size, machines in jobs)
-        return cls(machine_count, built)
+        """The instance of (size, machines) pairs in job order; sizes go through `as_rational`."""
+        sizes, allowed = [], []
+        for size, machines in jobs:
+            sizes.append(as_rational(size))
+            allowed.append(frozenset(machines))
+        return cls(machine_count, tuple(sizes), tuple(allowed))
 
     @property
     def job_count(self) -> int:
-        return len(self.jobs)
+        return len(self.sizes)
 
     def distinct_sizes(self) -> tuple[Fraction, ...]:
         return self._distinct_sizes
@@ -106,9 +135,15 @@ class Instance:
 
     @cached_property
     def _integer_sizes(self) -> tuple[int, tuple[int, ...]]:
-        ratios = [as_rational(job.size).as_integer_ratio() for job in self.jobs]
-        denom = math.lcm(*{den for _, den in ratios})
-        return denom, tuple(num * (denom // den) for num, den in ratios)
+        sizes = self.sizes
+        if not all(map(isinstance, sizes, repeat((Fraction, int)))):
+            for size in sizes:
+                as_rational(size)  # raises TypeError on the first size that is no rational
+        ratios = [size.as_integer_ratio() for size in sizes]
+        distinct = set(ratios)  # each distinct size's units are worked out once
+        denom = math.lcm(*{den for _, den in distinct})
+        scaled = {ratio: ratio[0] * (denom // ratio[1]) for ratio in distinct}
+        return denom, tuple(map(scaled.__getitem__, ratios))
 
 
 @dataclass(frozen=True)
@@ -133,13 +168,16 @@ class ScaledInstance:
         _, units = integer_sizes(instance)
         big = max(units, default=None)
         sizes = tuple(k if unit == big else 1 for unit in units)
-        return cls(instance.machine_count, tuple(job.allowed for job in instance.jobs), sizes, k)
+        return cls(instance.machine_count, instance.allowed, sizes, k)
 
     def is_big(self, job: int) -> bool:
         return self.k > 1 and self.sizes[job] == self.k
 
     def big_jobs(self) -> tuple[int, ...]:
-        return tuple(j for j in range(len(self.sizes)) if self.is_big(j))
+        k = self.k
+        if k == 1:
+            return ()
+        return tuple(j for j, size in enumerate(self.sizes) if size == k)
 
 
 def unit_loads(instance: Instance, schedule: Schedule) -> list[int]:
@@ -149,9 +187,10 @@ def unit_loads(instance: Instance, schedule: Schedule) -> list[int]:
             f"schedule covers {len(schedule.assignment)} jobs, instance has {instance.job_count}"
         )
     _, sizes = integer_sizes(instance)
+    allowed = instance.allowed
     units = [0] * instance.machine_count
     for job_idx, machine in enumerate(schedule.assignment):
-        if machine not in instance.jobs[job_idx].allowed:
+        if machine not in allowed[job_idx]:
             raise ValueError(f"job {job_idx} assigned to machine {machine} outside its allowed set")
         units[machine] += sizes[job_idx]
     return units
@@ -186,14 +225,13 @@ def normalize(instance: Instance) -> tuple[Instance, Fraction]:
     small, big = sizes[0], sizes[-1]
     low, one = small / big, Fraction(1)  # one division, shared by every small job
     _, units = integer_sizes(instance)
-    big_unit = max(units)
-    jobs = tuple(
-        Job(one if unit == big_unit else low, job.allowed) for unit, job in zip(units, instance.jobs)
-    )
+    small_unit, big_unit = min(units), max(units)
     # with low = p/q in lowest terms, D = q and the jobs are q or p units
     p, q = low.numerator, low.denominator
-    scaled = tuple(q if unit == big_unit else p for unit in units)
-    return Instance._resized(instance.machine_count, jobs, (q, scaled)), big / small
+    sizes = tuple(map({small_unit: low, big_unit: one}.__getitem__, units))
+    scaled = tuple(map({small_unit: p, big_unit: q}.__getitem__, units))
+    resized = Instance._resized(instance.machine_count, sizes, instance.allowed, (q, scaled))
+    return resized, big / small
 
 
 def integer_sizes(instance: Instance) -> tuple[int, tuple[int, ...]]:
@@ -222,4 +260,4 @@ def scale_to_integer(instance: Instance) -> ScaledInstance:
 
 def is_graph_balancing(instance: Instance) -> bool:
     """True when every job is eligible on at most two machines."""
-    return all(len(job.allowed) <= 2 for job in instance.jobs)
+    return all(len(machines) <= 2 for machines in instance.allowed)

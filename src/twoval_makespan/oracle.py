@@ -79,7 +79,7 @@ def brute_force_opt(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) 
         return OracleResult(Fraction(0), Schedule(()))
     denom, sizes = integer_sizes(instance)
     floor = load_floor(sizes, instance.machine_count)
-    allowed = [sorted(job.allowed) for job in instance.jobs]
+    allowed = [sorted(machines) for machines in instance.allowed]
     loads = [0] * instance.machine_count
     current = [0] * n
     cursor = [0] * n  # cursor[idx]: next position in allowed[idx] to try
@@ -131,7 +131,7 @@ def enumerate_opt(instance: Instance) -> OracleResult:
     if n == 0:
         return OracleResult(Fraction(0), Schedule(()))
     denom, sizes = integer_sizes(instance)
-    allowed = [sorted(job.allowed) for job in instance.jobs]
+    allowed = [sorted(machines) for machines in instance.allowed]
     best_value: int | None = None
     best_assign: tuple[int, ...] | None = None
     for combo in itertools.product(*allowed):

@@ -32,8 +32,7 @@ def scale_with_k(machines, jobs, k) -> ScaledInstance:
 
 def transportation(instance: Instance) -> FlowNetwork:
     """The additive search's network: no throttles, capacities in units of 1/D."""
-    allowed = [job.allowed for job in instance.jobs]
-    return flow_network(instance.machine_count, allowed, integer_sizes(instance)[1])
+    return flow_network(instance.machine_count, instance.allowed, integer_sizes(instance)[1])
 
 
 def fraction(assignment: FractionalAssignment, job: int, machine: int) -> Fraction:
@@ -72,25 +71,42 @@ def verify_ratio(
     return RatioCheck(passed, ratio, result.opt_makespan, result.witness)
 
 
-def reference_violation(machine_count: int, jobs) -> str | None:
-    """The first instance violation found by comparing each job's Fraction size.
+def reference_violation(
+    machine_count, sizes: Sequence, allowed: Sequence
+) -> tuple[type[Exception], str] | None:
+    """The exception type and text `Instance(machine_count, sizes, allowed)` raises, or None.
 
-    `jobs` holds (Fraction size, machine set) pairs. The checks and their
-    order are the model's: machine count; per job the size, an empty set, the
-    index range; then the count of distinct sizes.
+    A plain per-job loop over the two columns, written from the model's rules
+    without its code. In order: a size that is no int or Fraction raises
+    TypeError, then a machine count that is no int; then, as ValueErrors, a
+    machine count below 1, columns of different lengths, per job a
+    nonpositive size, an empty set or an index that is no int in 0..m-1, and
+    last more than two size values.
     """
+    for size in sizes:
+        if not isinstance(size, (Fraction, int)):
+            return TypeError, f"cannot interpret {size!r} as an exact rational"
+    if not isinstance(machine_count, int):
+        return TypeError, f"machine count {machine_count!r} is not an int"
+    violation = None
     if machine_count < 1:
-        return "machine count must be positive"
-    for idx, (size, allowed) in enumerate(jobs):
-        if size <= 0:
-            return f"job {idx}: nonpositive size"
-        if not allowed:
-            return f"job {idx}: empty allowed set"
-        if min(allowed) < 0 or max(allowed) >= machine_count:
-            return f"job {idx}: machine index out of range"
-    if len({size for size, _ in jobs}) > 2:
-        return "more than two size values"
-    return None
+        violation = "machine count must be positive"
+    elif len(sizes) != len(allowed):
+        violation = f"{len(sizes)} sizes but {len(allowed)} allowed sets"
+    else:
+        for idx, (size, machines) in enumerate(zip(sizes, allowed)):
+            if size <= 0:
+                violation = f"job {idx}: nonpositive size"
+            elif not machines:
+                violation = f"job {idx}: empty allowed set"
+            elif any(not isinstance(i, int) or not 0 <= i < machine_count for i in machines):
+                violation = f"job {idx}: machine index out of range"
+            if violation is not None:
+                break
+        else:
+            if len(set(sizes)) > 2:
+                violation = "more than two size values"
+    return None if violation is None else (ValueError, f"invalid instance: {violation}")
 
 
 def machine_set_floor(

@@ -240,12 +240,12 @@ def test_structural_invariants(unitk_rows, gb_rows):
         before = [Fraction(0)] * machines
         for j in range(inst.job_count):
             for machine in assignment.support(j):
-                before[machine] += fraction(assignment, j, machine) * inst.jobs[j].size
+                before[machine] += fraction(assignment, j, machine) * inst.sizes[j]
         canceled = cancel_cycles(assignment)
         after = [Fraction(0)] * machines
         for j in range(inst.job_count):
             for machine in canceled.support(j):
-                after[machine] += fraction(canceled, j, machine) * inst.jobs[j].size
+                after[machine] += fraction(canceled, j, machine) * inst.sizes[j]
         checks += 1
         if not support_is_forest(canceled):
             violations.append(("cancel-acyclic",))

@@ -48,8 +48,8 @@ def test_parse_accepts_comments_and_blank_lines():
     text = "# a comment\n\nmachines 2\njobs 1\n# another\njob 0 1/2 0 1\n"
     inst = parse_instance(text)
     assert inst.machine_count == 2
-    assert inst.jobs[0].size == Fraction(1, 2)
-    assert inst.jobs[0].allowed == frozenset({0, 1})
+    assert inst.sizes[0] == Fraction(1, 2)
+    assert inst.allowed[0] == frozenset({0, 1})
 
 
 @pytest.mark.parametrize(
@@ -107,7 +107,7 @@ def test_parse_quotes_a_job_line_out_of_order():
 
 def test_parse_keeps_signs_for_validate():
     inst = parse_instance("machines 2\njobs 2\njob 0 +1 0\njob 1 +1/2 1\n")
-    assert [job.size for job in inst.jobs] == [1, Fraction(1, 2)]
+    assert list(inst.sizes) == [1, Fraction(1, 2)]
     # a negative size parses, and the instance check then rejects it by job
     with pytest.raises(FileFormatError, match="^invalid instance: job 0: nonpositive size$"):
         parse_instance("machines 2\njobs 2\njob 0 -1 0\njob 1 +1/2 1\n")

@@ -334,9 +334,9 @@ def test_the_floor_is_the_densest_single_machine_pair_or_whole_set():
     rng = random.Random("flow-floor-brute-force")
     lifted = 0
     for inst, networks in _floor_networks(rng, 400):
-        allowed = [job.allowed for job in inst.jobs]
         for network in networks:
-            assert network.floor == machine_set_floor(inst.machine_count, allowed, network.sizes)
+            floor = machine_set_floor(inst.machine_count, inst.allowed, network.sizes)
+            assert network.floor == floor
             lifted += network.floor > -(-network.demand // inst.machine_count)
     assert lifted >= 150  # a single machine or a pair beats the averaging bound
 
@@ -372,7 +372,7 @@ def test_each_search_first_probes_its_floor(monkeypatch):
     cases += [_crowded_instance(rng, least) for least in (1, 3) for _ in range(100)]
     short = 0
     for inst in cases:
-        m, allowed = inst.machine_count, [job.allowed for job in inst.jobs]
+        m, allowed = inst.machine_count, inst.allowed
         scaled = ScaledInstance.of(inst, rng.randint(1, 4))
         probes.clear()
         if min_feasible_T(scaled) is not None:

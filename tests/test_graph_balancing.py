@@ -157,8 +157,8 @@ def test_more_jobs_than_machines_skips_the_matching(monkeypatch):
     for _ in range(400):
         m = rng.randint(1, 5)
         inst = random_instance(rng, rng.randint(0, 8), m, Fraction(10, 7), gb=True)
-        n = len(inst.jobs)
-        matched = maximum_bipartite_matching([sorted(job.allowed) for job in inst.jobs])
+        n = inst.job_count
+        matched = maximum_bipartite_matching([sorted(allowed) for allowed in inst.allowed])
         matched_calls.clear()
         schedule = gb_perfect_matching_opt1(inst)
         assert schedule == (None if None in matched else schedule_of(matched))

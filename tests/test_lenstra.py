@@ -30,7 +30,7 @@ def _loads(assignment, instance):
     loads = [Fraction(0)] * instance.machine_count
     for j in range(instance.job_count):
         for machine in assignment.support(j):
-            loads[machine] += fraction(assignment, j, machine) * instance.jobs[j].size
+            loads[machine] += fraction(assignment, j, machine) * instance.sizes[j]
     return loads
 
 
@@ -173,7 +173,7 @@ def test_additive_search_probes_only_true_loads(monkeypatch):
             assert capacity in probed
             # the search starts at the smallest load at or above the machine-set floor
             _, units = integer_sizes(inst)
-            floor = machine_set_floor(m, [job.allowed for job in inst.jobs], units)
+            floor = machine_set_floor(m, inst.allowed, units)
             assert probed[0] == min(load for load in loads if load * denom >= floor)
             grid = load_grid(units)
             start = int(probed[0] * denom) // grid.step
@@ -336,7 +336,7 @@ def test_round_forest_additive_bound_on_random_fixtures():
         loads = machine_loads(inst, schedule)
         rounded_count = [0] * inst.machine_count
         for j, machine in enumerate(schedule.assignment):
-            assert machine in inst.jobs[j].allowed
+            assert machine in inst.allowed[j]
             if not canceled.is_integral(j):
                 rounded_count[machine] += 1
         assert max(rounded_count, default=0) <= 1

@@ -1,11 +1,12 @@
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from twoval_makespan.model import (
     Instance,
-    Job,
     ScaledInstance,
     integer_sizes,
     is_graph_balancing,
@@ -16,12 +17,12 @@ from twoval_makespan.model import (
     size_ratio,
 )
 
-from helpers import schedule_of
+from helpers import reference_violation, schedule_of
 
 
 def test_validate_minimal_instance():
     inst = Instance.build(1, [(1, [0])])
-    assert inst.machine_count == 1 and inst.jobs[0].allowed == frozenset({0})
+    assert inst.machine_count == 1 and inst.allowed[0] == frozenset({0})
 
 
 def test_validate_empty_allowed_set():
@@ -52,7 +53,7 @@ def test_validate_names_the_first_violation_in_job_order():
         Instance.build(6, jobs)
     # the plain constructor checks as well as `build`
     with pytest.raises(ValueError, match="^invalid instance: job 0: empty allowed set$"):
-        Instance(1, (Job(Fraction(1), frozenset()),))
+        Instance(1, (Fraction(1),), (frozenset(),))
 
 
 def test_makespan_sum_of_sizes():
@@ -149,9 +150,96 @@ def test_constructor_rejects_a_float_size():
     # a float is no exact rational: the plain constructor raises as `build` does,
     # instead of building an instance the solvers cannot scale
     with pytest.raises(TypeError, match="^cannot interpret 0.5 as an exact rational$"):
-        Instance(1, (Job(0.5, frozenset({0})),))
+        Instance(1, (0.5,), (frozenset({0}),))
     with pytest.raises(TypeError, match="^cannot interpret 0.5 as an exact rational$"):
-        Instance(2, (Job(Fraction(1), frozenset({0})), Job(0.5, frozenset({1}))))
+        Instance(2, (Fraction(1), 0.5), (frozenset({0}), frozenset({1})))
+
+
+def test_validate_rejects_a_machine_index_that_is_no_int():
+    # a float index used to pass the range check and crash every solver on
+    # list indexing; 1.0 == 1, so it must be caught also behind an int 1
+    out_of_range = "^invalid instance: job {}: machine index out of range$"
+    for allowed in ([1.0], [0, 1.0], [Fraction(1)], ["0"], [None]):
+        with pytest.raises(ValueError, match=out_of_range.format(0)):
+            Instance.build(2, [(1, allowed), (Fraction(1, 2), [0])])
+    with pytest.raises(ValueError, match=out_of_range.format(1)):
+        Instance.build(2, [(1, [1]), (Fraction(1, 2), [1.0])])
+    with pytest.raises(TypeError, match="^machine count 2.0 is not an int$"):
+        Instance.build(2.0, [(1, [0])])
+    # a bool is an int, as it is for sizes
+    assert Instance.build(2, [(1, [True]), (True, [False])]).allowed == (
+        frozenset({1}), frozenset({0}),
+    )
+
+
+def _column_case(rng):
+    """Columns with a few drawn flaws each: sizes, then one allowed set per job."""
+    machines = rng.choice([-1, 0, 1, 1, 2, 3, 4, 4])
+    pool = [Fraction(1), Fraction(3, 2)]
+    if rng.random() < 0.3:
+        pool.append(Fraction(1, 2))  # a third size
+    if rng.random() < 0.2:
+        pool.append(rng.choice([0, Fraction(0), Fraction(-1, 2), -1]))  # nonpositive
+    if rng.random() < 0.1:
+        pool.append(rng.choice([1.0, "1", None]))  # no rational; 1.0 == Fraction(1)
+    indices = list(range(max(machines, 0)))
+    if rng.random() < 0.3:
+        indices += rng.sample([-1, machines, machines + 1, 1.0, 0.0, "0", Fraction(1), True], 2)
+    sizes = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+    allowed = []
+    for _ in sizes:
+        picked = rng.sample(indices, min(len(indices), rng.randint(0, 3))) if indices else []
+        allowed.append(frozenset(picked if picked or rng.random() < 0.2 else indices[:1]))
+    if rng.random() < 0.02:
+        allowed.append(frozenset({0}))  # columns of different lengths
+    return machines, tuple(sizes), tuple(allowed)
+
+
+def test_column_validator_names_the_reference_loops_first_violation():
+    rng = random.Random("model-column-validator")
+    seen: dict[str, int] = {}
+    for _ in range(3000):
+        machines, sizes, allowed = _column_case(rng)
+        expected = reference_violation(machines, sizes, allowed)
+        if expected is None:
+            inst = Instance(machines, sizes, allowed)
+            assert inst.sizes == sizes and inst.allowed == allowed
+            kind = "valid"
+        else:
+            with pytest.raises(expected[0]) as info:
+                Instance(machines, sizes, allowed)
+            assert type(info.value) is expected[0] and str(info.value) == expected[1]
+            kind = expected[1].split(": ")[-1] if expected[0] is ValueError else "TypeError"
+            kind = "different lengths" if kind.endswith("allowed sets") else kind
+        seen[kind] = seen.get(kind, 0) + 1
+    assert seen["valid"] >= 500, seen
+    for kind in (
+        "machine count must be positive", "nonpositive size", "empty allowed set",
+        "machine index out of range", "more than two size values", "TypeError",
+        "different lengths",
+    ):
+        assert seen[kind] >= 20, seen
+
+
+def test_validation_does_not_depend_on_the_machine_count():
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        inst = Instance.build(10**9, [(1, [0, 1]), (2, [1])])
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.machine_count == 10**9 and inst.distinct_sizes() == (1, 2)
+    assert elapsed < 1 and peak < 2**20
+    with pytest.raises(ValueError, match="^invalid instance: job 1: machine index out of range$"):
+        Instance.build(10**9, [(1, [0]), (2, [10**9])])
+
+
+def test_derived_instances_share_the_allowed_column():
+    inst = Instance.build(3, [(Fraction(1, 3), [0, 2]), (1, [1]), (1, [0, 1, 2])])
+    assert normalize(inst)[0].allowed is inst.allowed
+    assert ScaledInstance.of(inst, 3).allowed is inst.allowed
 
 
 def test_integer_sizes_in_job_order():
@@ -189,7 +277,7 @@ def _random_instance(rng):
 
 
 def _random_schedule(rng, inst):
-    return schedule_of(rng.choice(sorted(job.allowed)) for job in inst.jobs)
+    return schedule_of(rng.choice(sorted(allowed)) for allowed in inst.allowed)
 
 
 def test_normalize_preserves_makespan_up_to_big_size():
@@ -214,7 +302,7 @@ def test_normalize_matches_a_checked_instance_of_the_same_jobs():
             for _ in range(rng.randint(0 if case < 10 else 1, 8))
         ]
         norm, alpha = normalize(Instance.build(machines, jobs))
-        checked = Instance(norm.machine_count, norm.jobs)
+        checked = Instance(norm.machine_count, norm.sizes, norm.allowed)
         assert norm == checked and hash(norm) == hash(checked)
         assert integer_sizes(norm) == integer_sizes(checked)
         assert norm.distinct_sizes() == checked.distinct_sizes()
@@ -232,9 +320,9 @@ def test_scale_round_trip():
         jobs.append((Fraction(1), [0]))  # keep the instance normalized (big size present)
         inst = Instance.build(machines, jobs)
         scaled = scale_to_integer(inst)
-        for j, job in enumerate(inst.jobs):
-            assert Fraction(scaled.sizes[j], scaled.k) == job.size
-            assert scaled.allowed[j] == job.allowed
+        for j, (size, allowed) in enumerate(zip(inst.sizes, inst.allowed)):
+            assert Fraction(scaled.sizes[j], scaled.k) == size
+            assert scaled.allowed[j] == allowed
 
 
 def test_normalized_route_matches_the_scaled_view_at_alpha():
@@ -268,7 +356,7 @@ def test_makespan_invariant_under_machine_permutation():
         rng.shuffle(perm)
         permuted = Instance.build(
             inst.machine_count,
-            [(job.size, [perm[i] for i in job.allowed]) for job in inst.jobs],
+            [(size, [perm[i] for i in allowed]) for size, allowed in zip(inst.sizes, inst.allowed)],
         )
         permuted_schedule = schedule_of(perm[m] for m in schedule.assignment)
         assert makespan(inst, schedule) == makespan(permuted, permuted_schedule)

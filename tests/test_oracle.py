@@ -82,7 +82,7 @@ def test_oracle_is_a_floor_for_any_valid_schedule():
     for _ in range(40):
         inst = random_instance(rng, rng.randint(1, 6), rng.randint(1, 3), 3)
         opt = brute_force_opt(inst).opt_makespan
-        schedule = schedule_of(rng.choice(sorted(job.allowed)) for job in inst.jobs)
+        schedule = schedule_of(rng.choice(sorted(allowed)) for allowed in inst.allowed)
         assert makespan(inst, schedule) >= opt
 
 
