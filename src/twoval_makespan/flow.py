@@ -366,7 +366,7 @@ def check_extraction_invariants(assignment: FractionalAssignment, scaled: Scaled
     """Verify the structural guarantees every extraction must satisfy, in flow units."""
     k = scaled.k
     big_units = [0] * scaled.machine_count
-    for j, (shares, size) in enumerate(zip(assignment.shares, scaled.sizes)):
+    for j, (shares, size) in enumerate(zip(assignment.shares, scaled.sizes, strict=True)):
         total = sum(shares.values())
         if assignment.sizes[j] != size or total != size:
             raise RuntimeError(

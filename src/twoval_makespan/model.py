@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
 from typing import Iterable
 
 
@@ -59,9 +58,7 @@ class Instance:
     def _violation(self) -> str | None:
         """None when all instance invariants hold, else the first violation.
 
-        A valid instance is answered from whole-column checks, with no
-        per-job loop and no cost that grows with the machine count; the
-        per-job loop runs only to name an invalid instance's first violation.
+        One pass over the jobs; its cost does not grow with the machine count.
         """
         _, units = self._integer_sizes  # raises TypeError on a size that is no rational
         m, allowed = self.machine_count, self.allowed
@@ -71,21 +68,13 @@ class Instance:
             return "machine count must be positive"
         if len(allowed) != len(units):
             return f"{len(units)} sizes but {len(allowed)} allowed sets"
-        used = set().union(*allowed)
-        # every index, not only the union's: 1.0 == 1 would hide behind an int 1
-        if not (
-            min(units, default=1) > 0
-            and all(allowed)
-            and all(map(isinstance, chain.from_iterable(allowed), repeat(int)))
-            and (not used or (min(used) >= 0 and max(used) < m))
-        ):
-            for idx, (unit, machines) in enumerate(zip(units, allowed)):
-                if unit <= 0:
-                    return f"job {idx}: nonpositive size"
-                if not machines:
-                    return f"job {idx}: empty allowed set"
-                if not all(isinstance(i, int) and 0 <= i < m for i in machines):
-                    return f"job {idx}: machine index out of range"
+        for idx, (unit, machines) in enumerate(zip(units, allowed)):
+            if unit <= 0:
+                return f"job {idx}: nonpositive size"
+            if not machines:
+                return f"job {idx}: empty allowed set"
+            if not all(isinstance(i, int) and 0 <= i < m for i in machines):
+                return f"job {idx}: machine index out of range"
         if len(set(units)) > 2:
             return "more than two size values"
         return None
@@ -135,15 +124,9 @@ class Instance:
 
     @cached_property
     def _integer_sizes(self) -> tuple[int, tuple[int, ...]]:
-        sizes = self.sizes
-        if not all(map(isinstance, sizes, repeat((Fraction, int)))):
-            for size in sizes:
-                as_rational(size)  # raises TypeError on the first size that is no rational
-        ratios = [size.as_integer_ratio() for size in sizes]
-        distinct = set(ratios)  # each distinct size's units are worked out once
-        denom = math.lcm(*{den for _, den in distinct})
-        scaled = {ratio: ratio[0] * (denom // ratio[1]) for ratio in distinct}
-        return denom, tuple(map(scaled.__getitem__, ratios))
+        ratios = [as_rational(size).as_integer_ratio() for size in self.sizes]
+        denom = math.lcm(*{den for _, den in ratios})
+        return denom, tuple(num * (denom // den) for num, den in ratios)
 
 
 @dataclass(frozen=True)
@@ -171,6 +154,11 @@ class ScaledInstance:
         return cls(instance.machine_count, instance.allowed, sizes, k)
 
     def is_big(self, job: int) -> bool:
+        """The rule for a big job: k > 1 and size k.
+
+        `big_jobs`, `flow.check_extraction_invariants` and `unitk`'s rounding
+        read the sizes column once and test this rule inline.
+        """
         return self.k > 1 and self.sizes[job] == self.k
 
     def big_jobs(self) -> tuple[int, ...]:

@@ -158,6 +158,15 @@ def test_extract_rejects_short_flow():
         extract_assignment(network, FlowSolution((0,) * len(network.arcs_at(1)), 0), scaled)
 
 
+def test_extraction_invariants_reject_a_share_count_other_than_the_job_count():
+    scaled = scale(1, [(1, [0])])
+    flow.check_extraction_invariants(flow.FractionalAssignment(({0: 1},), (1,)), scaled)
+    for shares in ((), ({0: 1}, {0: 1})):
+        assignment = flow.FractionalAssignment(shares, (1,) * len(shares))
+        with pytest.raises(ValueError):
+            flow.check_extraction_invariants(assignment, scaled)
+
+
 def test_dinic_rejects_a_negative_capacity():
     with pytest.raises(ValueError, match="^negative capacity$"):
         Dinic(2, [(0, 1, -1)])
