@@ -24,9 +24,9 @@ from .fileio import (
 from .generator import random_instance
 from .graph_balancing import gb_solve_two_valued
 from .lenstra import lenstra_solve
-from .model import Instance, ScaledInstance, is_graph_balancing, makespan, size_ratio
+from .model import Instance, ScaledInstance, is_graph_balancing, size_ratio
 from .oracle import DEFAULT_NODE_BUDGET, BudgetExceeded, brute_force_opt, ratio_verdict
-from .twovalued import ADDITIVE, SolveResult, solve_two_valued
+from .twovalued import ADDITIVE, SolveResult, pick_best, solve_two_valued
 from .unitk import solve_unit_k
 
 ORACLE_BUDGET_ENV = "TWOVAL_ORACLE_BUDGET"
@@ -48,27 +48,23 @@ def _resolve_mode(instance: Instance, mode: str) -> str:
 
 
 def _solve(instance: Instance, mode: str) -> SolveResult:
-    """The library result for gb and two-valued; a one-branch result otherwise."""
+    """The library result for gb and two-valued; a one-branch race otherwise."""
     if mode in ("gb", "two-valued"):
         if mode == "gb" and not is_graph_balancing(instance):
             raise ValueError("gb mode requires every job to allow at most 2 machines")
         solver = gb_solve_two_valued if mode == "gb" else solve_two_valued
         return solver(instance)
     alpha = size_ratio(instance)  # at alpha = k the unitk report's bound is 2 - 1/k
-    if mode == "lenstra":
-        schedule, chosen = lenstra_solve(instance).schedule, ADDITIVE
-    elif mode == "unitk":
+    if mode == "unitk":
         if alpha.denominator != 1:
             raise ValueError(f"non-integer ratio: small size {1 / alpha} is not a unit fraction")
         solution = solve_unit_k(ScaledInstance.of(instance, alpha.numerator))
         if solution is not None:
-            schedule, chosen = solution.schedule, "flow"
-        else:
-            schedule, chosen = lenstra_solve(instance).schedule, ADDITIVE
-    else:
+            return pick_best(instance, guarantee_report(alpha), {"flow": solution.schedule})
+    elif mode != "lenstra":
         raise ValueError(f"unknown mode {mode!r}")
-    value = makespan(instance, schedule)
-    return SolveResult(schedule, value, guarantee_report(alpha), {chosen: value}, chosen)
+    additive = lenstra_solve(instance).schedule
+    return pick_best(instance, guarantee_report(alpha), {ADDITIVE: additive})
 
 
 def _print_solve(result: SolveResult, mode: str, wall_time: float) -> None:

@@ -372,7 +372,7 @@ def check_extraction_invariants(assignment: FractionalAssignment, scaled: Scaled
             raise RuntimeError(
                 f"job {j}: shares sum to {total} of size {assignment.sizes[j]}, expected {size}"
             )
-        if k > 1 and size == k:
+        if size > 1:
             for machine, share in shares.items():
                 if not 1 <= share <= k:
                     raise RuntimeError(f"big job {j}: share {share} outside 1..{k}")

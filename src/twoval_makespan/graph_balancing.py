@@ -13,27 +13,29 @@ For arbitrary two-size weights, alpha >= 2 races the two reductions against
 the additive rounding; alpha in (1, 2) races a one-job-per-machine matching,
 the small-down reduction, a forest rounding and the additive rounding, where
 the forest branch rounds the additive branch's cycle-free fractional solution
-rather than searching for its own. Either way the best branch is within
-1.652 of the optimum.
+rather than searching for its own. Either way `twovalued.pick_best` keeps the
+best branch, within 1.652 of the optimum. Only the two `gb_solve_*` solvers,
+whose guarantees need it, reject a job allowing more than 2 machines.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from .bounds import guarantee_report
 from .flow import FractionalAssignment
 from .lenstra import lenstra_solve, round_forest
 from .matching import maximum_bipartite_matching
-from .model import Instance, ScaledInstance, Schedule, size_ratio
-from .twovalued import SMALL_DOWN, SolveResult, race, reduction_branches
+from .model import Instance, ScaledInstance, Schedule, is_graph_balancing, size_ratio
+from .twovalued import ADDITIVE, SMALL_DOWN, SolveResult, pick_best, reduction_branches
 from .unitk import UnitKSolution, round_flow
 
 MATCHING = "matching"
 FOREST = "forest"
 
 
-def _require_gb(allowed_sets: Iterable[frozenset[int]]) -> None:
-    if any(len(allowed) > 2 for allowed in allowed_sets):
+def _require_gb(instance: Instance | ScaledInstance) -> None:
+    if not is_graph_balancing(instance):
         raise ValueError("not a graph-balancing instance: some job allows more than 2 machines")
 
 
@@ -94,7 +96,7 @@ def _check_orientation(edges: Sequence[tuple[int, int, int]], heads: dict[int, i
 
 def gb_solve_unit_k(scaled: ScaledInstance) -> UnitKSolution | None:
     """{1, k} rounding specialized to 2-machine eligibility; None means fall back."""
-    _require_gb(scaled.allowed)
+    _require_gb(scaled)
     return round_flow(scaled, _majority_and_orient, scaled.k)
 
 
@@ -129,7 +131,6 @@ def gb_perfect_matching_opt1(instance: Instance) -> Schedule | None:
     perfect matching of jobs into machines. With more jobs than machines
     there is none, and no matching runs.
     """
-    _require_gb(instance.allowed)
     if instance.job_count > instance.machine_count:
         return None
     adjacency = [sorted(machines) for machines in instance.allowed]
@@ -145,26 +146,21 @@ def gb_forest_round(instance: Instance, assignment: FractionalAssignment) -> Sch
     Each tree's pending fractional job is absorbed by a machine below it, so
     every machine gains at most one job; rejects cyclic support.
     """
-    _require_gb(instance.allowed)
     return round_forest(assignment, instance)
 
 
 def gb_solve_two_valued(instance: Instance) -> SolveResult:
     """Race the branches appropriate for alpha and keep the best schedule."""
-    _require_gb(instance.allowed)
+    _require_gb(instance)
     alpha = size_ratio(instance)
+    additive = lenstra_solve(instance)
     if not 1 < alpha < 2:
         branches = reduction_branches(instance, alpha, None, gb_solve_unit_k)
-        return race(
-            instance, alpha, branches, lenstra_solve(instance).schedule, graph_balancing=True
-        )
-
-    branches: dict[str, Schedule] = {}
-    matched = gb_perfect_matching_opt1(instance)
-    if matched is not None:
-        branches[MATCHING] = matched
-    branches.update(reduction_branches(instance, alpha, [SMALL_DOWN], gb_solve_unit_k))  # k = 2
-    # the forest branch rounds the additive branch's own cycle-free assignment
-    additive = lenstra_solve(instance)
-    branches[FOREST] = gb_forest_round(instance, additive.forest)
-    return race(instance, alpha, branches, additive.schedule, graph_balancing=True)
+    else:
+        matched = gb_perfect_matching_opt1(instance)
+        branches = {} if matched is None else {MATCHING: matched}
+        branches.update(reduction_branches(instance, alpha, [SMALL_DOWN], gb_solve_unit_k))  # k = 2
+        # the forest branch rounds the additive branch's own cycle-free assignment
+        branches[FOREST] = gb_forest_round(instance, additive.forest)
+    branches[ADDITIVE] = additive.schedule
+    return pick_best(instance, guarantee_report(alpha, graph_balancing=True), branches)

@@ -14,11 +14,12 @@ freely between concurrent solver runs.
 
 An `Instance` is valid by construction: building an invalid one raises
 `ValueError("invalid instance: <violation>")` naming the first violation, so
-no solver checks its input again. A size that is not an int or a Fraction
-raises `as_rational`'s TypeError. A machine index must be an int (bools
-included) in 0..m-1. `normalize` changes only the two size values of a
-valid instance, so it shares the `allowed` column, derives the new units
-from the two values and does not check the jobs again.
+no solver checks its input again. A size that is not an int or a Fraction,
+a column that is not a tuple and a machine set that is not a frozenset raise
+TypeError, so an instance is hashable and immutable. A machine index must be
+an int (bools included) in 0..m-1. `normalize` changes only the two size
+values of a valid instance, so it shares the `allowed` column, derives the
+new units from the two values and does not check the jobs again.
 """
 
 from __future__ import annotations
@@ -64,11 +65,15 @@ class Instance:
         m, allowed = self.machine_count, self.allowed
         if not isinstance(m, int):
             raise TypeError(f"machine count {m!r} is not an int")
+        if not (isinstance(self.sizes, tuple) and isinstance(allowed, tuple)):
+            raise TypeError("the sizes and allowed columns must be tuples")
         if m < 1:
             return "machine count must be positive"
         if len(allowed) != len(units):
             return f"{len(units)} sizes but {len(allowed)} allowed sets"
         for idx, (unit, machines) in enumerate(zip(units, allowed)):
+            if not isinstance(machines, frozenset):
+                raise TypeError(f"job {idx}: machine set {machines!r} is not a frozenset")
             if unit <= 0:
                 return f"job {idx}: nonpositive size"
             if not machines:
@@ -138,7 +143,10 @@ class Schedule:
 
 @dataclass(frozen=True)
 class ScaledInstance:
-    """A {1, k} instance in integer units: every job keeps its machine set and has size 1 or k."""
+    """A {1, k} instance in integer units: every job keeps its machine set and has size 1 or k.
+
+    A job is big exactly when its size exceeds 1, so at k = 1 no job is big.
+    """
 
     machine_count: int
     allowed: tuple[frozenset[int], ...]
@@ -153,19 +161,8 @@ class ScaledInstance:
         sizes = tuple(k if unit == big else 1 for unit in units)
         return cls(instance.machine_count, instance.allowed, sizes, k)
 
-    def is_big(self, job: int) -> bool:
-        """The rule for a big job: k > 1 and size k.
-
-        `big_jobs`, `flow.check_extraction_invariants` and `unitk`'s rounding
-        read the sizes column once and test this rule inline.
-        """
-        return self.k > 1 and self.sizes[job] == self.k
-
     def big_jobs(self) -> tuple[int, ...]:
-        k = self.k
-        if k == 1:
-            return ()
-        return tuple(j for j, size in enumerate(self.sizes) if size == k)
+        return tuple(j for j, size in enumerate(self.sizes) if size > 1)
 
 
 def unit_loads(instance: Instance, schedule: Schedule) -> list[int]:
@@ -246,6 +243,6 @@ def scale_to_integer(instance: Instance) -> ScaledInstance:
     return ScaledInstance.of(instance, sizes[0].denominator if sizes else 1)
 
 
-def is_graph_balancing(instance: Instance) -> bool:
+def is_graph_balancing(instance: Instance | ScaledInstance) -> bool:
     """True when every job is eligible on at most two machines."""
     return all(len(machines) <= 2 for machines in instance.allowed)

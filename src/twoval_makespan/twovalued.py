@@ -13,8 +13,9 @@ the smallest makespan in original units:
 The reductions carry the bound min(1 + f1 - 1/alpha, 1/f2 + 1 - 1/floor(alpha))
 whenever the optimum is below twice the big size; outside that regime the
 additive branch is a 3/2 approximation. The branches share nothing mutable
-and may run concurrently; the merge is a pure argmin. Graph balancing races
-its own branches through the same `reduction_branches` and `race`.
+and may run concurrently; the merge is a pure argmin. `pick_best` is the one
+place a winner is picked and a `SolveResult` built: graph balancing and the
+CLI's one-branch modes pass it their branches too.
 """
 
 from __future__ import annotations
@@ -61,19 +62,22 @@ def build_reduced(instance: Instance, alpha: Fraction, which: str) -> ScaledInst
 
 
 def pick_best(
-    instance: Instance, branches: dict[str, Schedule]
-) -> tuple[str, Fraction, dict[str, Fraction]]:
-    """Argmin over branch schedules by original-unit makespan, first name wins ties."""
+    instance: Instance, report: GuaranteeReport, branches: dict[str, Schedule]
+) -> SolveResult:
+    """The result keeping the first-listed branch of least makespan on the original instance."""
     branch_makespans = {name: makespan(instance, sched) for name, sched in branches.items()}
     chosen = min(branch_makespans, key=lambda name: branch_makespans[name])
-    return chosen, branch_makespans[chosen], branch_makespans
+    return SolveResult(
+        branches[chosen], branch_makespans[chosen], report, branch_makespans, chosen
+    )
 
 
 def solve_two_valued(instance: Instance) -> SolveResult:
     """Race the reductions and the additive rounding; certify the branch bound."""
     alpha = size_ratio(instance)
     branches = reduction_branches(instance, alpha, None, solve_unit_k)
-    return race(instance, alpha, branches, lenstra_solve(instance).schedule)
+    branches[ADDITIVE] = lenstra_solve(instance).schedule
+    return pick_best(instance, guarantee_report(alpha), branches)
 
 
 def reduction_branches(
@@ -105,29 +109,6 @@ def reduction_branches(
             _check_lifted_loads(instance, result)
         branches[which] = result.schedule
     return branches
-
-
-def race(
-    instance: Instance,
-    alpha: Fraction,
-    branches: dict[str, Schedule],
-    additive: Schedule,
-    graph_balancing: bool = False,
-) -> SolveResult:
-    """Append the additive branch's schedule and keep the smallest makespan.
-
-    Reductions share the allowed sets of the original, so every branch
-    schedule is valid for it and `pick_best` measures it in original units.
-    """
-    branches = {**branches, ADDITIVE: additive}
-    chosen, best, branch_makespans = pick_best(instance, branches)
-    return SolveResult(
-        schedule=branches[chosen],
-        makespan=best,
-        report=guarantee_report(alpha, graph_balancing=graph_balancing),
-        branch_makespans=branch_makespans,
-        chosen=chosen,
-    )
 
 
 def _check_lifted_loads(instance: Instance, result: UnitKSolution) -> None:

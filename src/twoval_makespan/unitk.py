@@ -74,10 +74,9 @@ def round_flow(
         return None
     estimate, assignment = found
 
-    k = scaled.k
     # a small job's flow sits on one machine (check_extraction_invariants)
     placed: list[int | None] = [
-        None if k > 1 and size == k else next(iter(shares))
+        None if size > 1 else next(iter(shares))
         for size, shares in zip(scaled.sizes, assignment.shares)
     ]
     for job, machine in place_big(assignment, scaled).items():
@@ -95,13 +94,12 @@ def _check_rounding(
     estimate: int,
     slack2: int,
 ) -> None:
-    k = scaled.k
     loads = [0] * scaled.machine_count
     big_count = [0] * scaled.machine_count
     jobs = zip(schedule.assignment, scaled.sizes, assignment.shares)
     for j, (machine, size, shares) in enumerate(jobs):
         loads[machine] += size
-        if k > 1 and size == k:
+        if size > 1:
             big_count[machine] += 1
         elif len(shares) != 1 or machine not in shares:
             raise RuntimeError(f"small job {j} moved away from its flow assignment")

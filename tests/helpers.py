@@ -78,16 +78,19 @@ def reference_violation(
 
     A plain per-job loop over the two columns, written from the model's rules
     without its code. In order: a size that is no int or Fraction raises
-    TypeError, then a machine count that is no int; then, as ValueErrors, a
-    machine count below 1, columns of different lengths, per job a
-    nonpositive size, an empty set or an index that is no int in 0..m-1, and
-    last more than two size values.
+    TypeError, then a machine count that is no int, then a column that is no
+    tuple; then, as ValueErrors, a machine count below 1 and columns of
+    different lengths; then per job a machine set that is no frozenset
+    (TypeError), and as ValueErrors a nonpositive size, an empty set or an
+    index that is no int in 0..m-1; and last more than two size values.
     """
     for size in sizes:
         if not isinstance(size, (Fraction, int)):
             return TypeError, f"cannot interpret {size!r} as an exact rational"
     if not isinstance(machine_count, int):
         return TypeError, f"machine count {machine_count!r} is not an int"
+    if not isinstance(sizes, tuple) or not isinstance(allowed, tuple):
+        return TypeError, "the sizes and allowed columns must be tuples"
     violation = None
     if machine_count < 1:
         violation = "machine count must be positive"
@@ -95,6 +98,8 @@ def reference_violation(
         violation = f"{len(sizes)} sizes but {len(allowed)} allowed sets"
     else:
         for idx, (size, machines) in enumerate(zip(sizes, allowed)):
+            if not isinstance(machines, frozenset):
+                return TypeError, f"job {idx}: machine set {machines!r} is not a frozenset"
             if size <= 0:
                 violation = f"job {idx}: nonpositive size"
             elif not machines:

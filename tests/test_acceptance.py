@@ -182,7 +182,7 @@ def test_lower_bound_property(unitk_rows, gb_rows):
         witness = row["oracle"].witness
         bigs_per_machine = [0] * scaled.machine_count
         for j, machine in enumerate(witness.assignment):
-            if scaled.is_big(j):
+            if scaled.sizes[j] > 1:
                 bigs_per_machine[machine] += 1
         if max(bigs_per_machine, default=0) > 1:
             continue  # the found optimum stacks big jobs; the bound is not claimed

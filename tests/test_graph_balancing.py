@@ -17,10 +17,12 @@ from twoval_makespan.lenstra import cancel_cycles, min_feasible_fractional
 from twoval_makespan.matching import maximum_bipartite_matching
 from twoval_makespan.model import (
     Instance,
+    ScaledInstance,
     machine_loads,
     makespan,
     normalize,
     scale_to_integer,
+    size_ratio,
 )
 from twoval_makespan.oracle import enumerate_opt
 
@@ -117,7 +119,7 @@ def test_gb_rounding_bounds():
         loads = machine_loads(base, result.schedule)
         bigs = [0] * scaled.machine_count
         for j, machine in enumerate(result.schedule.assignment):
-            if scaled.is_big(j):
+            if scaled.sizes[j] > 1:
                 bigs[machine] += 1
         assert max(bigs, default=0) <= 1
         assert all(2 * load <= 2 * result.estimate + scaled.k for load in loads)
@@ -248,6 +250,37 @@ def test_gb_solve_within_guarantee():
             result = gb_solve_two_valued(inst)
             opt = enumerate_opt(inst).opt_makespan
             assert result.makespan <= Fraction(413, 250) * opt
+
+
+def test_only_the_gb_solvers_require_two_machine_eligibility(monkeypatch):
+    # job 0 allows 3 machines: the matching and forest branches still give
+    # valid schedules, but the gb solvers' guarantees need at most 2
+    inst = Instance.build(3, [(1, [0, 1, 2]), (Fraction(7, 10), [0, 1]), (Fraction(7, 10), [2])])
+    matched = gb_perfect_matching_opt1(inst)
+    assert matched is not None
+    assert max(machine_loads(inst, matched)) == 1
+    _, assignment = min_feasible_fractional(inst)
+    forest = gb_forest_round(inst, cancel_cycles(assignment))
+    assert len(machine_loads(inst, forest)) == 3
+    with pytest.raises(ValueError, match="graph-balancing"):
+        gb_solve_two_valued(inst)
+    with pytest.raises(ValueError, match="graph-balancing"):
+        gb_solve_unit_k(ScaledInstance.of(inst, 2))
+
+    # at alpha = 3/2 a solve checks eligibility once for itself and once in
+    # its small-down {1, 2} rounding
+    checked = []
+
+    def counting(instance):
+        checked.append(instance)
+        return require(instance)
+
+    require = graph_balancing._require_gb
+    monkeypatch.setattr(graph_balancing, "_require_gb", counting)
+    gb = Instance.build(3, [(3, [0, 1]), (2, [1, 2]), (2, [0, 2]), (2, [0])])
+    assert size_ratio(gb) == Fraction(3, 2)
+    gb_solve_two_valued(gb)
+    assert len(checked) == 2
 
 
 def test_gb_solve_rejects_non_gb_instance():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from twoval_makespan.fileio import format_instance, parse_instance
 from twoval_makespan.model import (
     Instance,
     ScaledInstance,
@@ -172,6 +173,22 @@ def test_validate_rejects_a_machine_index_that_is_no_int():
     )
 
 
+def test_constructor_rejects_columns_that_are_not_tuples_of_frozensets():
+    # list columns used to build an instance that `hash()` rejected and that
+    # could be changed through its lists
+    with pytest.raises(TypeError, match="^the sizes and allowed columns must be tuples$"):
+        Instance(2, [Fraction(1)], [[0]])
+    with pytest.raises(TypeError, match="^the sizes and allowed columns must be tuples$"):
+        Instance(2, (Fraction(1),), [frozenset({0})])
+    with pytest.raises(TypeError, match=r"^job 1: machine set \{1\} is not a frozenset$"):
+        Instance(2, (Fraction(1), Fraction(1)), (frozenset({0}), {1}))
+    built = Instance.build(2, [(1, [0]), (Fraction(1, 2), [0, 1])])
+    parsed = parse_instance(format_instance(built))
+    normalized, _ = normalize(built)
+    assert hash(parsed) == hash(built)
+    assert isinstance(hash(normalized), int)
+
+
 def _column_case(rng):
     """Columns with a few drawn flaws each: sizes, then one allowed set per job."""
     machines = rng.choice([-1, 0, 1, 1, 2, 3, 4, 4])
@@ -192,7 +209,12 @@ def _column_case(rng):
         allowed.append(frozenset(picked if picked or rng.random() < 0.2 else indices[:1]))
     if rng.random() < 0.02:
         allowed.append(frozenset({0}))  # columns of different lengths
-    return machines, tuple(sizes), tuple(allowed)
+    if allowed and rng.random() < 0.05:
+        allowed[-1] = set(allowed[-1])  # a machine set that is no frozenset
+    sizes, allowed = tuple(sizes), tuple(allowed)
+    if rng.random() < 0.05:  # a column that is no tuple
+        sizes, allowed = rng.choice([(list(sizes), allowed), (sizes, list(allowed))])
+    return machines, sizes, allowed
 
 
 def test_column_validator_names_the_reference_loops_first_violation():
@@ -259,7 +281,7 @@ def test_size_facts_are_computed_once():
 
 def test_big_small_classification():
     scaled = scale_to_integer(Instance.build(2, [(Fraction(1, 2), [0]), (1, [1])]))
-    assert scaled.big_jobs() == (1,) and not scaled.is_big(0)
+    assert scaled.big_jobs() == (1,) and scaled.sizes[0] == 1
     # single-size instances have no big jobs: k == 1
     uniform = scale_to_integer(Instance.build(2, [(1, [0]), (1, [1])]))
     assert uniform.k == 1 and uniform.big_jobs() == ()

@@ -217,14 +217,15 @@ def job_lists(draw):
 @example((2, [(Fraction(1), {0}), (Fraction(1, 2), {1}), (Fraction(3, 2), {0, 1})]))
 def test_instance_checks_on_integer_units_match_the_per_job_fraction_checks(case):
     machines, jobs = case
-    violation = reference_violation(machines, [size for size, _ in jobs], [a for _, a in jobs])
+    # `build` makes the columns tuples and each machine set a frozenset
+    sizes = tuple(size for size, _ in jobs)
+    violation = reference_violation(machines, sizes, tuple(frozenset(a) for _, a in jobs))
     if violation is not None:
         with pytest.raises(ValueError) as info:
             Instance.build(machines, jobs)
         assert (ValueError, str(info.value)) == violation
         return
     instance = Instance.build(machines, jobs)
-    sizes = [size for size, _ in jobs]
     distinct = instance.distinct_sizes()
     assert distinct == tuple(sorted(set(sizes)))
     assert all(type(size) is Fraction for size in distinct)

@@ -1,22 +1,28 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from twoval_makespan.bounds import lift_factors
+from twoval_makespan import cli
+from twoval_makespan.bounds import guarantee_report, lift_factors
+from twoval_makespan.fileio import parse_instance
 from twoval_makespan.flow import FractionalAssignment
 from twoval_makespan.generator import random_instance
+from twoval_makespan.lenstra import lenstra_solve
 from twoval_makespan.model import Instance, ScaledInstance, scale_to_integer, size_ratio
 from twoval_makespan.oracle import enumerate_opt
 from twoval_makespan.twovalued import (
     ADDITIVE,
     SMALL_DOWN,
     SMALL_UP,
+    SolveResult,
     _check_lifted_loads,
     build_reduced,
+    pick_best,
     solve_two_valued,
 )
-from twoval_makespan.unitk import UnitKSolution
+from twoval_makespan.unitk import UnitKSolution, solve_unit_k
 
 from helpers import schedule_of
 
@@ -91,6 +97,41 @@ def test_best_of_branches_is_argmin():
         assert result.makespan == min(result.branch_makespans.values())
         assert result.branch_makespans[result.chosen] == result.makespan
         assert ADDITIVE in result.branch_makespans  # the additive branch always runs
+
+
+def test_pick_best_keeps_the_first_listed_minimum_and_the_given_report():
+    inst = Instance.build(2, [(1, [0, 1]), (1, [0, 1])])
+    stacked, split, swapped = schedule_of([0, 0]), schedule_of([0, 1]), schedule_of([1, 0])
+    report = guarantee_report(Fraction(2))
+    result = pick_best(inst, report, {"c": stacked, "b": split, "a": swapped})
+    makespans = {"c": Fraction(2), "b": Fraction(1), "a": Fraction(1)}
+    assert result == SolveResult(split, Fraction(1), report, makespans, "b")
+    assert list(result.branch_makespans) == ["c", "b", "a"]  # in the order given
+
+
+def test_the_clis_one_branch_modes_are_pick_best_on_their_branch():
+    # lenstra races the additive branch alone; unitk the flow rounding, or the
+    # additive branch when the flow has no estimate
+    rng = random.Random("cli-one-branch")
+    pinned = sorted(Path(__file__).parent.joinpath("data", "solve_pinned").glob("*.txt"))
+    instances = [parse_instance(path.read_text()) for path in pinned]
+    instances += [
+        random_instance(rng, rng.randint(1, 8), rng.randint(1, 3), rng.choice([2, 3]))
+        for _ in range(60)
+    ]
+    unitk_branches = set()
+    for inst in instances:
+        alpha = size_ratio(inst)
+        report = guarantee_report(alpha)
+        additive = {ADDITIVE: lenstra_solve(inst).schedule}
+        assert cli._solve(inst, "lenstra") == pick_best(inst, report, additive)
+        if alpha.denominator != 1:
+            continue
+        solution = solve_unit_k(ScaledInstance.of(inst, alpha.numerator))
+        branch = additive if solution is None else {"flow": solution.schedule}
+        assert cli._solve(inst, "unitk") == pick_best(inst, report, branch)
+        unitk_branches.update(branch)
+    assert unitk_branches == {"flow", ADDITIVE}
 
 
 def test_report_matches_alpha():

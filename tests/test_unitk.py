@@ -93,7 +93,7 @@ def test_rounding_keeps_one_big_per_machine_and_additive_bound():
         loads = machine_loads(integer_instance(scaled), result.schedule)
         bigs = [0] * scaled.machine_count
         for j, machine in enumerate(result.schedule.assignment):
-            if scaled.is_big(j):
+            if scaled.sizes[j] > 1:
                 bigs[machine] += 1
         assert max(bigs, default=0) <= 1
         assert all(load <= result.estimate + scaled.k - 1 for load in loads)
@@ -104,7 +104,7 @@ def test_small_jobs_keep_flow_assignment():
     result = solve_unit_k(scaled)
     assert result is not None
     for j in (1, 2):  # the small jobs
-        assert not scaled.is_big(j)
+        assert scaled.sizes[j] == 1
         assert result.assignment.support(j) == (result.schedule.assignment[j],)
 
 
