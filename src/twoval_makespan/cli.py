@@ -42,16 +42,17 @@ REGIME_NOTE = "3/2 once the optimum reaches twice the big size"
 
 
 def _resolve_mode(instance: Instance, mode: str) -> str:
+    """The mode to solve in: auto picks gb exactly when gb mode accepts the instance."""
     if mode == "auto":
         return "gb" if is_graph_balancing(instance) else "two-valued"
+    if mode == "gb" and not is_graph_balancing(instance):
+        raise ValueError("gb mode requires every job to allow at most 2 machines")
     return mode
 
 
 def _solve(instance: Instance, mode: str) -> SolveResult:
     """The library result for gb and two-valued; a one-branch race otherwise."""
     if mode in ("gb", "two-valued"):
-        if mode == "gb" and not is_graph_balancing(instance):
-            raise ValueError("gb mode requires every job to allow at most 2 machines")
         solver = gb_solve_two_valued if mode == "gb" else solve_two_valued
         return solver(instance)
     alpha = size_ratio(instance)  # at alpha = k the unitk report's bound is 2 - 1/k

@@ -10,9 +10,9 @@ residual arrays (`maxflow`), the first n arcs source -> job j and the last
 m machine -> sink at capacity 0, and a `FlowNetwork` holds that solver,
 which never runs, with the job sizes. A probe only resets capacities:
 `max_flow_integral` copies them, sets the m sink arcs to the probed bound,
-pushes Dinic's first phase itself (below) and lets Dinic run the rest. The
-arc list is read back off the arrays only on demand (`FlowNetwork.arcs`),
-for tests and tracing.
+pushes Dinic's first phases itself (below) and lets Dinic run the rest.
+The arc list is read back off the arrays only on demand
+(`FlowNetwork.arcs`), for tests and tracing.
 `job_fractions` reads each job's per-machine shares, in the same units, off
 the flow, and `smallest_feasible` probes up from a lower bound, each time
 at the last short probe's floor (below), and keeps the first feasible
@@ -50,22 +50,58 @@ at t', so c' * (t' - t) < demand - v <= c * (t' - t). Each short probe thus
 drops the cut's machine count, from at most m, and c = 0 ends the search:
 at most m + 1 max-flows per search.
 
-On a fresh network Dinic's first phase is a first-fit pass. Call a job
-direct when its arcs go straight to machine nodes: every job of the
-transportation network, the size-1 jobs of the {1, k} one. At a bound
-t > 0, with a direct job that has an arc, the first breadth-first search
-labels the jobs 1, their machines and the big jobs' throttles 2 and the
-sink 3. A throttle's arc then leads to a machine at level 2, which is no
-level edge, or to one at level 3, which is left unexpanded, so big jobs get
-no flow in that phase. The walk (`maxflow`) takes the jobs in order and
-each job's machines in arc order, pushing the smaller of the job's
-remaining size and the machine's remaining sink capacity; a push that fills
-a machine's sink arc makes the machine a dead end, and the walk moves on to
-the job's next machine. `_first_phase` pushes that blocking flow directly
-and Dinic starts at its second phase on the same residual capacities, so
-every flow, label and floor is the one a cold Dinic finds. At t = 0, or with
-no direct job that has an arc, the pass pushes nothing and Dinic runs its
-own first phase.
+On a fresh network Dinic's phases with augmenting paths of at most 5 arcs
+are first-fit passes. Call a job direct when its arcs go straight to
+machine nodes: every job of the transportation network, the size-1 jobs of
+the {1, k} one.
+
+Paths of 3 arcs. At a bound t > 0, with a direct job that has an arc, the
+first breadth-first search labels the jobs 1, their machines and the big
+jobs' throttles 2 and the sink 3. A throttle's arc then leads to a machine
+at level 2, which is no level edge, or to one at level 3, which is left
+unexpanded, so big jobs get no flow in that phase. The walk (`maxflow`)
+takes the jobs in order and each job's machines in arc order, pushing the
+smaller of the job's remaining size and the machine's remaining sink
+capacity; a push that fills a machine's sink arc makes the machine a dead
+end, and the walk moves on to the job's next machine.
+
+Paths of 4 arcs. Let H be the machines that the direct jobs left short
+allow; each is full, or the job would have taken its room. The next search
+labels the big jobs and the short direct jobs 1, the throttles and H 2,
+and the machines outside H reached through a throttle, with the direct
+jobs placed on H, 3. H's sink arcs are full, so the sink is at level 4
+exactly when such a level-3 machine has room, and every path of 4 arcs is
+big job -> throttle i -> machine i outside H -> sink. The walk takes these
+paths in job order and each job's machines in arc order, pushing the
+smallest of the job's remaining size, the throttle's remaining k and the
+machine's room; its branches under the short direct jobs are dead ends
+that touch none of those paths' arcs. When the direct jobs push nothing,
+either t = 0 and no machine has room, or no direct job with an arc has any
+size; then H is empty and these paths are Dinic's first phase.
+
+Paths of 5 arcs. The big jobs' pass leaves each machine of a short big job
+full or its throttle full, and H is still full. The next search labels
+the short jobs 1, H and the short big jobs' throttles 2, and the direct
+jobs placed on H 3, beside throttles, big jobs and full machines. From
+these others it reaches only jobs and throttles at level 4, so the sink is
+at level 5 exactly when a direct job placed on H allows a machine with
+room, and every path of 5 arcs is short direct job s -> machine h in
+H -> direct job p placed on h -> machine j with room -> sink: p moves on to
+j, and s takes what p leaves on h. The walk takes the short direct jobs in
+job order, each one's machines in arc order, on each the jobs placed there
+in job order and each such job's machines in arc order; a machine or a job
+it finds a dead end stays one for the phase.
+
+`_first_phase` pushes these blocking flows directly, the last in
+`_move_placed_jobs`. The big jobs' pass needs no test for a machine in H,
+which is full. The moving pass needs none for a machine's level, since a
+machine with room is at level 4, nor for whether a placed job is short,
+since a short job has only full machines. Dinic starts at its next
+phase on the same residual capacities, so every flow, label and floor is
+the one a cold Dinic finds. A pass that pushes nothing leaves the residual
+capacities as they were: Dinic's next phase then has longer paths, and it
+runs that phase itself. The transportation network has no big jobs and no
+paths of 4 arcs, so there the moving pass is Dinic's second phase.
 
 The {1, k} network: source -> job -> per-machine throttle node (big jobs only)
 -> machine -> sink. Small jobs have unit arcs straight to machine nodes; the
@@ -231,9 +267,9 @@ def build_network(scaled: ScaledInstance) -> FlowNetwork:
 def max_flow_integral(network: FlowNetwork, capacity: int) -> FlowSolution:
     """Integral maximum flow over `network.arcs_at(capacity)`, deterministic per input.
 
-    The flow is the one `Dinic` finds on those arcs, its first phase pushed
-    by `_first_phase`. A flow short of the demand carries the floor its
-    minimum cut proves.
+    The flow is the one `Dinic` finds on those arcs, its phases with paths
+    of at most 5 arcs pushed by `_first_phase` (module docstring). A flow short of the demand
+    carries the floor its minimum cut proves.
     """
     if capacity < 0:
         raise ValueError("negative capacity")
@@ -251,18 +287,27 @@ def max_flow_integral(network: FlowNetwork, capacity: int) -> FlowSolution:
 
 
 def _first_phase(network: FlowNetwork, cap: list[int], capacity: int) -> int:
-    """Dinic's first phase on the fresh network, pushed first-fit into `cap`; the units pushed.
+    """Dinic's first phases on the fresh network, pushed first-fit into `cap`; the units pushed.
 
     Each job whose arcs go straight to machine nodes, in job order, fills its
-    machines in arc order, each up to its sink arc's room at `capacity`; big
-    {1, k} jobs, behind the throttles, push nothing (module docstring).
+    machines in arc order, each up to its sink arc's room at `capacity`. Then
+    each big {1, k} job, in job order, fills its machines in arc order, each
+    up to the smaller of its throttle's and its machine's room. Then the
+    direct jobs left short move placed jobs on (`_move_placed_jobs`). The
+    passes are Dinic's phases with paths of 3, 4 and 5 arcs, each pass that
+    pushes anything one phase (module docstring).
     """
     m = network.machines
     to, machine0 = network.residual._to, network.node_count - 1 - m
     room = [capacity] * m  # per machine, what its sink arc still takes
+    bigs = []  # the jobs entering the throttles; none on a transportation network
+    short = []  # the direct jobs left short
     for job, (entries, size) in enumerate(zip(network.job_arcs, network.sizes)):
-        if not entries or to[2 * entries[0][1]] < machine0:
-            continue  # no arcs, or a big job entering the throttles
+        if not entries:
+            continue
+        if to[2 * entries[0][1]] < machine0:
+            bigs.append(job)
+            continue
         left = size
         for machine, arc in entries:
             free = room[machine]
@@ -274,17 +319,92 @@ def _first_phase(network: FlowNetwork, cap: list[int], capacity: int) -> int:
                 left -= pushed
                 if not left:
                     break
+        if left:
+            short.append(job)
         cap[2 * job], cap[2 * job + 1] = left, size - left
+    throttle0 = len(cap) - 4 * m  # with throttles, edge throttle0 + 2i is throttle i -> machine i
+    for job in bigs:
+        left = size = network.sizes[job]
+        for machine, arc in network.job_arcs[job]:
+            edge = throttle0 + 2 * machine
+            pushed = min(left, cap[edge], room[machine])
+            if pushed:
+                room[machine] -= pushed
+                cap[edge] -= pushed
+                cap[edge + 1] += pushed
+                cap[2 * arc] -= pushed
+                cap[2 * arc + 1] = pushed
+                left -= pushed
+                if not left:
+                    break
+        cap[2 * job], cap[2 * job + 1] = left, size - left
+    if short:
+        _move_placed_jobs(network, cap, room, short)
     sink0 = len(cap) - 2 * m  # edge sink0 + 2i is machine i -> sink
     cap[sink0::2] = room
     cap[sink0 + 1 :: 2] = [capacity - free for free in room]
     return m * capacity - sum(room)
 
 
+def _move_placed_jobs(
+    network: FlowNetwork, cap: list[int], room: list[int], short: list[int]
+) -> None:
+    """Dinic's phase of 5-arc paths, pushed into `cap` and `room`.
+
+    Each direct job left short, in job order, tries its machines in arc
+    order and on each the direct jobs placed there in job order: it moves
+    such a job on to that job's machines with room, in arc order, and takes
+    what the job leaves. The walk's place is kept per machine and per
+    placed job, so a dead end stays one (module docstring).
+    """
+    to, adj = network.residual._to, network.residual._adj
+    job_arcs, n = network.job_arcs, len(network.sizes)
+    machine0 = network.node_count - 1 - network.machines
+    next_job: dict[int, int] = {}  # per machine, where its edge list still has a job to move
+    next_machine: dict[int, int] = {}  # per moved job, where its arcs still have a machine to try
+    for job in short:
+        left = cap[2 * job]
+        for machine, arc in job_arcs[job]:
+            edges = adj[machine0 + machine]
+            at = next_job.get(machine, 0)
+            while left and cap[2 * arc] and at < len(edges):
+                edge = edges[at]  # machine -> placed job, the reverse of that job's arc
+                placed = to[edge] - 1
+                if not (0 <= placed < n and cap[edge]):
+                    at += 1
+                    continue
+                entries = job_arcs[placed]
+                i = next_machine.get(placed, 0)
+                while i < len(entries):
+                    target, other = entries[i]
+                    free = room[target]
+                    if free and cap[2 * other]:
+                        pushed = min(left, cap[2 * arc], cap[edge], cap[2 * other], free)
+                        left -= pushed
+                        room[target] = free - pushed
+                        cap[2 * arc] -= pushed
+                        cap[2 * arc + 1] += pushed
+                        cap[edge] -= pushed
+                        cap[edge ^ 1] += pushed
+                        cap[2 * other] -= pushed
+                        cap[2 * other + 1] += pushed
+                        if not (left and cap[2 * arc] and cap[edge]):
+                            break
+                    i += 1
+                next_machine[placed] = i
+                if i == len(entries):
+                    at += 1
+            next_job[machine] = at
+            if not left:
+                break
+        cap[2 * job], cap[2 * job + 1] = left, network.sizes[job] - left
+
+
 def job_fractions(network: FlowNetwork, flow: FlowSolution) -> FractionalAssignment:
     """Each job's machine shares: the flow units on its outgoing arcs, out of its size."""
+    flows = flow.flows
     shares = tuple(
-        {machine: flow.flows[arc] for machine, arc in entries if flow.flows[arc]}
+        {machine: flows[arc] for machine, arc in entries if flows[arc]}
         for entries in network.job_arcs
     )
     return FractionalAssignment(shares, network.sizes)

@@ -257,11 +257,12 @@ def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAss
     grid = load_grid(sizes)
     network = flow_network(instance.machine_count, instance.allowed, sizes)
 
-    def probe(k: int) -> FractionalAssignment | Floor:
-        flow = max_flow_integral(network, _snap_to_grid(sizes, grid[k]))
+    def probe(k: int) -> tuple[int, FractionalAssignment] | Floor:
+        load = _snap_to_grid(sizes, grid[k])
+        flow = max_flow_integral(network, load)
         found = fractional_assign_plain(network, flow)
         if found is not None:
-            return found
+            return load, found
         if flow.floor is None or flow.floor > grid[-1]:
             return Floor(None)
         # the floor snapped up to a true load, as a grid index (module docstring)
@@ -271,8 +272,8 @@ def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAss
     found = smallest_feasible(start, len(grid) - 1, probe)
     if found is None:
         raise RuntimeError("transportation problem infeasible at the full-load bound")
-    index, assignment = found
-    return Fraction(_snap_to_grid(sizes, grid[index]), denom), assignment
+    _, (load, assignment) = found
+    return Fraction(load, denom), assignment
 
 
 def lenstra_solve(instance: Instance) -> LenstraSolution:

@@ -10,10 +10,10 @@ explored in arc order, so identical inputs always produce identical flows;
 all flows are integral on integer capacities. Paths are walked with an
 explicit stack, not recursion, so any level-graph depth works.
 `flow.max_flow_integral` is the package's only caller of `max_flow`. It
-may hand over residual capacities with the first phase already pushed: a
-phase reads nothing but the residual capacities, so `max_flow` then starts
-at what would have been its second phase and ends with the same flows and
-labels.
+may hand over residual capacities with the first phases already pushed as
+first-fit passes (`flow`): a phase reads nothing but the residual
+capacities, so `max_flow` then starts at what would have been its next
+phase and ends with the same flows and labels.
 
 Each phase finds the same augmenting paths, in the same order and with the
 same push amounts, as the textbook walk (Dinitz 1970) that restarts every

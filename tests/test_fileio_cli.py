@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import twoval_makespan
+from twoval_makespan import cli, graph_balancing
 from twoval_makespan.cli import main
 from twoval_makespan.fileio import (
     _JOB_LINE,
@@ -19,7 +20,7 @@ from twoval_makespan.fileio import (
     parse_instance,
 )
 from twoval_makespan.generator import random_instance
-from twoval_makespan.model import Instance
+from twoval_makespan.model import Instance, is_graph_balancing
 
 
 def test_fraction_round_trip():
@@ -275,6 +276,25 @@ def test_solve_missing_file_exit_code(tmp_path, capsys):
 def test_gb_mode_rejects_wide_sets(tmp_path, capsys):
     path = _write(tmp_path, "wide.txt", "machines 3\njobs 1\njob 0 1 0 1 2\n")
     assert main(["solve", path, "--mode", "gb"]) == 2
+
+
+def test_a_gb_solve_scans_eligibility_three_times(monkeypatch, capsys):
+    # the CLI scans once, to pick gb mode or to check an explicit one, and
+    # gb_solve_two_valued and its gb_solve_unit_k once each
+    scans = []
+
+    def counting(instance):
+        scans.append(instance)
+        return is_graph_balancing(instance)
+
+    monkeypatch.setattr(cli, "is_graph_balancing", counting)
+    monkeypatch.setattr(graph_balancing, "is_graph_balancing", counting)
+    path = str(Path(__file__).parent / "data" / "solve_pinned" / "alpha2-gb.txt")
+    for mode in ("auto", "gb"):
+        scans.clear()
+        assert main(["solve", path, "--mode", mode]) == 0
+        assert len(scans) == 3, mode
+    capsys.readouterr()
 
 
 def test_unitk_mode_rejects_non_integer_ratio(tmp_path, capsys):

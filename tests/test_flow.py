@@ -542,10 +542,17 @@ def test_each_short_probe_leaves_fewer_machines_on_its_cut(family, monkeypatch):
 
 
 def _first_phase_network(rng, kind):
-    """A random `flow_network` of the kind: one in eight has no jobs, one in four one machine."""
-    m = 1 if rng.random() < 0.25 else rng.randint(2, 4)
-    n = 0 if rng.random() < 0.125 else rng.randint(1, 8)
-    allowed = [rng.sample(range(m), rng.randint(1, m)) for _ in range(n)]
+    """A random `flow_network` of the kind: one in eight has no jobs, one in four one machine.
+
+    Half crowd the low machines (`crowded_machines`), so jobs placed there
+    often have to move on for later ones.
+    """
+    m = 1 if rng.random() < 0.25 else rng.randint(2, 5)
+    n = 0 if rng.random() < 0.125 else rng.randint(1, 12)
+    if rng.random() < 0.5:
+        allowed = [crowded_machines(rng, m) for _ in range(n)]
+    else:
+        allowed = [rng.sample(range(m), rng.randint(1, m)) for _ in range(n)]
     if kind == "transportation":
         return flow_network(m, allowed, [rng.randint(1, 6) for _ in range(n)])
     k = rng.randint(2, 4) if kind == "all-big" else rng.randint(1, 4)
@@ -553,46 +560,130 @@ def _first_phase_network(rng, kind):
     return flow_network(m, allowed, sizes, k)
 
 
-@pytest.mark.parametrize("kind", ["unit-k", "all-big", "transportation"])
-def test_the_first_fit_pass_is_dinics_first_phase(kind, monkeypatch):
-    # against a cold Dinic at every bound: the same flows, value, floor and
-    # final labels, and the residual capacities at each of the warm solver's
-    # searches are the cold one's from its second search on whenever the
-    # pass pushed, so the pass computed exactly the first phase
-    searches = {}  # solver -> residual capacities at each of its searches
+def _recording_searches(monkeypatch):
+    """Per solver, the residual capacities at each breadth-first search and the sink's level."""
+    searches = {}
     level_edges = Dinic._level_edges
 
     def recording(self, source, sink, out):
-        searches.setdefault(self, []).append(self._cap.copy())
-        return level_edges(self, source, sink, out)
+        caps = self._cap.copy()
+        found = level_edges(self, source, sink, out)
+        searches.setdefault(self, []).append((caps, self.level[sink]))
+        return found
 
     monkeypatch.setattr(Dinic, "_level_edges", recording)
+    return searches
+
+
+def _against_cold_dinic(network, bound, searches):
+    """Probe the bound warm and cold; the probe, the phases the passes skipped, the warm searches.
+
+    Asserts the same flows, value, floor and final labels, and that the warm
+    solver's searches are the cold one's from the first phase the passes did
+    not push. The passes push exactly the phases whose paths have at most 5
+    arcs: source -> direct job -> machine -> sink, then source -> big job ->
+    throttle -> machine -> sink, then source -> short direct job -> machine
+    -> placed job -> machine -> sink.
+    """
+    searches.clear()
+    solution = max_flow_integral(network, bound)
+    (warm, warm_searches), = searches.items()
+    sink, m = network.node_count - 1, network.machines
+    cold = Dinic(network.node_count, network.arcs_at(bound))
+    value = cold.max_flow(0, sink)
+    cold_searches = searches[cold]
+    cut = sum(label >= 0 for label in cold.level[sink - m : sink])
+    floor = None
+    if value < network.demand and cut:
+        floor = bound + -(-(network.demand - value) // cut)
+    assert solution == FlowSolution(cold.flows(), value, floor)
+    assert warm.level == cold.level
+    skipped = sum(0 <= level <= 5 for _, level in cold_searches)  # levels rise phase by phase
+    assert skipped <= 3
+    assert warm_searches == cold_searches[skipped:]
+    return solution, skipped, warm_searches
+
+
+def _passed(network, caps):
+    """Per job, the units the passes left on each of its machines, nonzero ones only."""
+    return [
+        {machine: caps[2 * arc + 1] for machine, arc in entries if caps[2 * arc + 1]}
+        for entries in network.job_arcs
+    ]
+
+
+@pytest.mark.parametrize("kind", ["unit-k", "all-big", "transportation"])
+def test_the_first_fit_passes_are_dinics_first_phases(kind, monkeypatch):
+    # against a cold Dinic at every bound: the direct jobs' pass is Dinic's
+    # first phase when it pushes, the big jobs' pass the next one when it
+    # pushes, and the moving pass the next one when it pushes. The big jobs
+    # never enter a machine that a direct job left short allows: every such
+    # machine is full, so they skip it on room.
+    searches = _recording_searches(monkeypatch)
     rng = random.Random(f"flow-first-phase-{kind}")
-    seen = {"pushed": 0, "idle": 0, "later phases": 0, "short": 0}
+    seen = dict.fromkeys(
+        ["idle", "direct pass", "big pass", "big no-op", "move pass", "later phases", "short"], 0
+    )
     for _ in range(300):
         network = _first_phase_network(rng, kind)
         sink, m = network.node_count - 1, network.machines
-        n = len(network.sizes)
-        direct = any(tail <= n and head >= sink - m for tail, head, _ in network.arcs[n:])
+        arcs = network.arcs
+        direct = [  # jobs whose first arc heads to a machine node
+            j for j, entries in enumerate(network.job_arcs) if arcs[entries[0][1]][1] >= sink - m
+        ]
+        bigs = [j for j in range(len(network.sizes)) if j not in direct]
+        sink0 = 2 * len(arcs)  # edge sink0 + 2i is machine i -> sink
         for bound in range(network.demand + 2):
-            searches.clear()
-            solution = max_flow_integral(network, bound)
-            (warm, warm_caps), = searches.items()
-            cold = Dinic(network.node_count, network.arcs_at(bound))
-            value = cold.max_flow(0, sink)
-            cold_caps = searches[cold]
-            cut = sum(label >= 0 for label in cold.level[sink - m : sink])
-            floor = None
-            if value < network.demand and cut:
-                floor = bound + -(-(network.demand - value) // cut)
-            assert solution == FlowSolution(cold.flows(), value, floor)
-            assert warm.level == cold.level
-            pushed = bound > 0 and direct
-            assert warm_caps == cold_caps[pushed:]
-            seen["pushed" if pushed else "idle"] += 1
-            seen["later phases"] += len(cold_caps) > 2  # phases with flow after the first
-            seen["short"] += value < network.demand
-    if kind == "all-big":  # every job enters the throttles: Dinic runs every phase
-        assert seen["pushed"] == 0
-        del seen["pushed"]
+            solution, skipped, warm_searches = _against_cold_dinic(network, bound, searches)
+            caps = warm_searches[0][0]  # the residual the passes left
+            passed = _passed(network, caps)
+            direct_pushed = bound > 0 and bool(direct)
+            big_pushed = any(passed[j] for j in bigs)
+            assert skipped - direct_pushed - big_pushed in (0, 1)
+            # the machines the direct jobs left short allow are full and get no big flow
+            held = {machine for j in direct if caps[2 * j] for machine, _ in network.job_arcs[j]}
+            assert not any(caps[sink0 + 2 * machine] for machine in held)
+            assert not any(held.intersection(passed[j]) for j in bigs)
+            seen["idle"] += skipped == 0
+            seen["direct pass"] += direct_pushed
+            seen["big pass"] += big_pushed
+            seen["move pass"] += skipped - direct_pushed - big_pushed
+            seen["big no-op"] += bool(bigs) and not big_pushed
+            seen["later phases"] += len(warm_searches) > 1  # phases with flow after the passes
+            seen["short"] += solution.value < network.demand
+    if kind == "all-big":  # every job enters the throttles: the big jobs' pass is the first phase
+        assert seen.pop("direct pass") == seen.pop("move pass") == 0
+    if kind == "transportation":  # no throttles: the moving pass is the second phase
+        assert seen.pop("big pass") == seen.pop("big no-op") == 0
     assert all(count >= 100 for count in seen.values()), seen
+
+
+def test_the_passes_skip_full_machines_and_full_throttles_and_move_placed_jobs(monkeypatch):
+    # hand-built later phases, each checked against a cold Dinic
+    searches = _recording_searches(monkeypatch)
+    # bound 1: small job 0 fills machine 0 and small job 1 machine 1, so small
+    # job 2 is left short and both machines are full; the big job skips them
+    # and takes machine 2, which has room
+    network = flow_network(3, [[0], [0, 1], [0, 1], [0, 1, 2]], [1, 1, 1, 2], 2)
+    solution, skipped, warm_searches = _against_cold_dinic(network, 1, searches)
+    assert skipped == 2
+    assert _passed(network, warm_searches[0][0]) == [{0: 1}, {1: 1}, {}, {2: 1}]
+    # bound 5: big job 1 fills throttle 0 with machine 0 still 3 short of
+    # full, so big job 2 passes machine 0 and goes to machine 1
+    network = flow_network(2, [[1], [0, 1], [0, 1]], [1, 2, 2], 2)
+    solution, skipped, warm_searches = _against_cold_dinic(network, 5, searches)
+    assert skipped == 2 and solution.value == network.demand == 5
+    assert _passed(network, warm_searches[0][0]) == [{1: 1}, {0: 2}, {1: 2}]
+    assert len(warm_searches) == 1  # the passes found the whole flow
+    # bound 1: small job 0 takes machine 0 and small job 1, allowing machine
+    # 0 alone, is left short; job 0 moves on to machine 1 and job 1 takes 0
+    network = flow_network(2, [[0, 1], [0]], [1, 1], 2)
+    solution, skipped, warm_searches = _against_cold_dinic(network, 1, searches)
+    assert skipped == 2 and solution.value == network.demand
+    assert _passed(network, warm_searches[0][0]) == [{1: 1}, {0: 1}]
+    # the same on a transportation network at bound 3, in part: job 0 fills
+    # machine 0 with its 3 units and job 1 moves 2 of them on to machine 1
+    network = flow_network(2, [[0, 1], [0]], [3, 2])
+    solution, skipped, warm_searches = _against_cold_dinic(network, 3, searches)
+    assert skipped == 2 and solution.value == network.demand
+    assert _passed(network, warm_searches[0][0]) == [{0: 1, 1: 2}, {0: 2}]

@@ -235,6 +235,36 @@ def test_additive_search_solves_each_load_once(monkeypatch):
     assert searches >= 50
 
 
+def test_additive_search_snaps_each_load_once(monkeypatch):
+    # the start, each probed load and each short probe's floor are snapped
+    # once each, and the winning probe hands back the load it probed: 2 snaps
+    # per probe, the winning one's floor replaced by the start
+    snaps, probes = [], []
+    snap, probe = lenstra._snap_to_grid, lenstra.max_flow_integral
+
+    def snapping(sizes, target):
+        snaps.append(target)
+        return snap(sizes, target)
+
+    def probing(network, capacity):
+        probes.append(capacity)
+        return probe(network, capacity)
+
+    monkeypatch.setattr(lenstra, "_snap_to_grid", snapping)
+    monkeypatch.setattr(lenstra, "max_flow_integral", probing)
+    rng = random.Random("lenstra-snaps")
+    several = 0
+    for _ in range(300):
+        inst = _crowded(rng, rng.randint(1, 10), rng.randint(3, 5), (1, Fraction(2, 5)))
+        snaps.clear()
+        probes.clear()
+        capacity, _ = min_feasible_fractional(inst)
+        assert len(snaps) == 2 * len(probes)
+        assert capacity == Fraction(probes[-1], _denom(inst))
+        several += len(probes) >= 2
+    assert several >= 30
+
+
 def test_each_search_builds_one_network(monkeypatch):
     calls = {}
 
