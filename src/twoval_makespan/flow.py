@@ -7,10 +7,10 @@ machine, every arc at the job's size, and the {1, k} network sends its big
 jobs through per-machine throttle nodes (below); `lenstra`'s transportation
 network has none. The builder writes each arc straight into Dinic's
 residual arrays (`maxflow`), the first n arcs source -> job j and the last
-m machine -> sink at capacity 0, and a `FlowNetwork` holds that solver,
-which never runs, with the job sizes. A probe only resets capacities:
-`max_flow_integral` copies them, sets the m sink arcs to the probed bound,
-pushes Dinic's first phases itself (below) and lets Dinic run the rest.
+m machine -> sink at capacity 0, and a `FlowNetwork` holds those arrays
+with the job sizes. A probe never writes them: `max_flow_integral` copies
+`cap`, sets the m sink arcs to the probed bound, pushes Dinic's first
+phases itself (below) and lets Dinic run the rest on the copy.
 The arc list is read back off the arrays only on demand
 (`FlowNetwork.arcs`), for tests and tracing.
 `job_fractions` reads each job's per-machine shares, in the same units, off
@@ -127,10 +127,10 @@ W = TypeVar("W")
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Every arc, sink arcs at 0, in a solver's arrays, and a floor under every feasible bound.
+    """Every arc, sink arcs at 0, in Dinic's arrays, and a floor under every feasible bound.
 
-    Node 0 is the source, the last the sink. The floor is the densest
-    machine set's ceil(W_S / |S|) (module docstring).
+    Node 0 is the source, the last the sink; each probe copies `cap`. The
+    floor is the densest machine set's ceil(W_S / |S|) (module docstring).
     """
 
     node_count: int
@@ -140,13 +140,15 @@ class FlowNetwork:
     # at the throttle layer for {1, k} big jobs and at machine nodes otherwise
     job_arcs: tuple[tuple[tuple[int, int], ...], ...]
     sizes: tuple[int, ...]  # per job, in flow units: its source -> job capacity
-    residual: Dinic  # never runs; each probe copies its capacities
+    to: list[int]  # per edge, its head
+    cap: list[int]  # per edge, its capacity; arc i's is cap[2i]
+    adj: list[list[int]]  # per node, its edge ids in arc order
     floor: int  # in flow units: no bound below it meets the demand
 
     @property
     def arcs(self) -> tuple[tuple[int, int, int], ...]:
         """(tail, head, capacity) of every arc but machine -> sink; arc j is source -> job j."""
-        to, cap = self.residual._to, self.residual._cap
+        to, cap = self.to, self.cap
         end = len(to) - 2 * self.machines  # arc i is (to[2i + 1], to[2i], cap[2i])
         return tuple(zip(to[1:end:2], to[0:end:2], cap[0:end:2]))
 
@@ -249,14 +251,13 @@ def flow_network(
         adj[head].append(len(to) + 1)
         to += (head, tail)
         cap += (capacity, 0)
-    residual = Dinic._over(sink + 1, to, cap, adj)
     demand = sum(sizes)
     # ceil(W_S / |S|) for each single machine, each pair above and all machines
     floor = max(alone, default=0)
     for (u, v), work in pairs.items():
         floor = max(floor, -(-(alone[u] + alone[v] + work) // 2))
     floor = max(floor, -(-demand // max(m, 1)))
-    return FlowNetwork(sink + 1, m, demand, tuple(job_arcs), tuple(sizes), residual, floor)
+    return FlowNetwork(sink + 1, m, demand, tuple(job_arcs), tuple(sizes), to, cap, adj, floor)
 
 
 def build_network(scaled: ScaledInstance) -> FlowNetwork:
@@ -273,10 +274,11 @@ def max_flow_integral(network: FlowNetwork, capacity: int) -> FlowSolution:
     """
     if capacity < 0:
         raise ValueError("negative capacity")
-    residual, sink = network.residual, network.node_count - 1
+    sink = network.node_count - 1
     # `_first_phase` writes every sink arc, so the copy needs no capacity set first
-    solver = Dinic._over(network.node_count, residual._to, residual._cap.copy(), residual._adj)
-    value = _first_phase(network, solver._cap, capacity) + solver.max_flow(0, sink)
+    cap = network.cap.copy()
+    solver = Dinic(network.to, cap, network.adj)
+    value = _first_phase(network, cap, capacity) + solver.max_flow(0, sink)
     floor = None
     if value < network.demand:
         # the cut's c machines each add one sink arc at `capacity`: value = F + c * capacity
@@ -298,7 +300,7 @@ def _first_phase(network: FlowNetwork, cap: list[int], capacity: int) -> int:
     pushes anything one phase (module docstring).
     """
     m = network.machines
-    to, machine0 = network.residual._to, network.node_count - 1 - m
+    to, machine0 = network.to, network.node_count - 1 - m
     room = [capacity] * m  # per machine, what its sink arc still takes
     bigs = []  # the jobs entering the throttles; none on a transportation network
     short = []  # the direct jobs left short
@@ -357,7 +359,7 @@ def _move_placed_jobs(
     what the job leaves. The walk's place is kept per machine and per
     placed job, so a dead end stays one (module docstring).
     """
-    to, adj = network.residual._to, network.residual._adj
+    to, adj = network.to, network.adj
     job_arcs, n = network.job_arcs, len(network.sizes)
     machine0 = network.node_count - 1 - network.machines
     next_job: dict[int, int] = {}  # per machine, where its edge list still has a job to move

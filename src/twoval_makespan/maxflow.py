@@ -1,11 +1,11 @@
 """Deterministic Dinic max-flow for small integer-capacity networks.
 
-The network is given as (tail, head, capacity) arcs; edge 2i is arc i and
-edge 2i + 1 its reverse, so the flow on arc i is the residual capacity of
-edge 2i + 1. The residual arrays hold, per edge, its head (`_to`) and
-residual capacity (`_cap`), and per node its edge ids in arc order (`_adj`).
-`flow.flow_network` writes these arrays directly, in the layout `__init__`
-builds from an arc list, and hands them over through `_over`. Edges are
+The network is given as residual arrays over (tail, head, capacity) arcs:
+edge 2i is arc i and edge 2i + 1 its reverse, so the flow on arc i is the
+residual capacity of edge 2i + 1. The arrays hold, per edge, its head (`to`)
+and residual capacity (`cap`), and per node its edge ids in arc order
+(`adj`); the node count is len(adj). `flow.flow_network` writes them, and
+the solver pushes flow into `cap` in place. Edges are
 explored in arc order, so identical inputs always produce identical flows;
 all flows are integral on integer capacities. Paths are walked with an
 explicit stack, not recursion, so any level-graph depth works.
@@ -47,32 +47,12 @@ empty, so the flow value equals the cut's capacity.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 
 class Dinic:
-    def __init__(self, node_count: int, arcs: Iterable[tuple[int, int, int]]):
-        """Residual arrays for the arcs: edge 2i is arc i, edge 2i + 1 its reverse."""
-        self.node_count = node_count
+    def __init__(self, to: list[int], cap: list[int], adj: list[list[int]]):
+        """A solver over residual arrays laid out as above, not copied: it pushes into `cap`."""
         self.level: list[int] = []  # the last search's labels; see the module docstring
-        self._to: list[int] = []
-        self._cap: list[int] = []
-        self._adj: list[list[int]] = [[] for _ in range(node_count)]
-        for tail, head, capacity in arcs:
-            if capacity < 0:
-                raise ValueError("negative capacity")
-            self._adj[tail].append(len(self._to))
-            self._adj[head].append(len(self._to) + 1)
-            self._to += (head, tail)
-            self._cap += (capacity, 0)
-
-    @classmethod
-    def _over(cls, node_count: int, to: list[int], cap: list[int], adj: list[list[int]]) -> Dinic:
-        """A solver over residual arrays laid out as `__init__` lays them out, not copied."""
-        solver = object.__new__(cls)
-        solver.node_count, solver.level = node_count, []
-        solver._to, solver._cap, solver._adj = to, cap, adj
-        return solver
+        self._to, self._cap, self._adj = to, cap, adj
 
     def flows(self) -> tuple[int, ...]:
         """Flow on each arc, in arc order."""
@@ -82,7 +62,7 @@ class Dinic:
         if source == sink:  # the search below would find the sink at level 0 in every phase
             raise ValueError("source and sink are the same node")
         total = 0
-        out: list[list[int]] = [[] for _ in range(self.node_count)]  # one table for every phase
+        out: list[list[int]] = [[] for _ in self._adj]  # one table for every phase
         while self._level_edges(source, sink, out):
             total += self._augment_all(source, sink, out)
         return total
@@ -95,7 +75,7 @@ class Dinic:
         to, cap, adj = self._to, self._cap, self._adj
         for edges in out:
             edges.clear()
-        level = self.level = [-1] * self.node_count
+        level = self.level = [-1] * len(adj)
         level[source] = 0
         frontier = [source]
         depth = 1  # the level of the nodes the frontier reaches

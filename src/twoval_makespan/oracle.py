@@ -1,8 +1,7 @@
 """Brute-force exact optimum, the ground truth for every ratio check.
 
 Only meant for desk-scale instances; the search is depth-first over
-job -> machine choices with load-based pruning, plus a pruning-free
-enumerator used to cross-validate the pruned one on tiny instances.
+job -> machine choices with load-based pruning.
 
 The pruned search stops at the first complete schedule that meets the load
 floor (`load_floor`): the smallest a*b + c*s, with a and c at most the
@@ -17,7 +16,6 @@ no solver code, so the oracle stays independent of what it checks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -121,27 +119,6 @@ def brute_force_opt(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) 
             idx -= 1
             if idx >= 0:
                 loads[current[idx]] -= sizes[idx]
-    assert best_value is not None and best_assign is not None
-    return OracleResult(Fraction(best_value, denom), Schedule(best_assign))
-
-
-def enumerate_opt(instance: Instance) -> OracleResult:
-    """Pruning-free exhaustive optimum; cross-check for the pruned search."""
-    n = instance.job_count
-    if n == 0:
-        return OracleResult(Fraction(0), Schedule(()))
-    denom, sizes = integer_sizes(instance)
-    allowed = [sorted(machines) for machines in instance.allowed]
-    best_value: int | None = None
-    best_assign: tuple[int, ...] | None = None
-    for combo in itertools.product(*allowed):
-        loads = [0] * instance.machine_count
-        for job_idx, machine in enumerate(combo):
-            loads[machine] += sizes[job_idx]
-        value = max(loads)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_assign = combo
     assert best_value is not None and best_assign is not None
     return OracleResult(Fraction(best_value, denom), Schedule(best_assign))
 

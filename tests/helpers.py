@@ -1,15 +1,21 @@
 """Helpers shared by the test modules."""
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Sequence
 
 from twoval_makespan.flow import FlowNetwork, FractionalAssignment, flow_network
 from twoval_makespan.lenstra import _find_support_cycle
+from twoval_makespan.maxflow import Dinic
 from twoval_makespan.model import (
     Instance, ScaledInstance, Schedule, integer_sizes, makespan, normalize, scale_to_integer,
 )
-from twoval_makespan.oracle import DEFAULT_NODE_BUDGET, brute_force_opt, ratio_verdict
+from twoval_makespan.oracle import (
+    DEFAULT_NODE_BUDGET, OracleResult, brute_force_opt, ratio_verdict,
+)
+
+from reference_dinic import ReferenceDinic
 
 
 def integer_instance(scaled: ScaledInstance) -> Instance:
@@ -28,6 +34,12 @@ def scale_with_k(machines, jobs, k) -> ScaledInstance:
     Keeps all-big fixtures at their intended k instead of renormalizing to 1.
     """
     return ScaledInstance.of(Instance.build(machines, jobs), k)
+
+
+def dinic(node_count: int, arcs: Iterable[tuple[int, int, int]]) -> Dinic:
+    """A `Dinic` over the residual arrays `ReferenceDinic` builds from the arc list."""
+    ref = ReferenceDinic(node_count, arcs)
+    return Dinic(ref._to, ref._cap, ref._adj)
 
 
 def transportation(instance: Instance) -> FlowNetwork:
@@ -69,6 +81,27 @@ def verify_ratio(
     result = brute_force_opt(instance, node_budget)
     ratio, passed = ratio_verdict(value, result.opt_makespan, bound)
     return RatioCheck(passed, ratio, result.opt_makespan, result.witness)
+
+
+def enumerate_opt(instance: Instance) -> OracleResult:
+    """Pruning-free exhaustive optimum; cross-check for the oracle's pruned search."""
+    n = instance.job_count
+    if n == 0:
+        return OracleResult(Fraction(0), Schedule(()))
+    denom, sizes = integer_sizes(instance)
+    allowed = [sorted(machines) for machines in instance.allowed]
+    best_value: int | None = None
+    best_assign: tuple[int, ...] | None = None
+    for combo in itertools.product(*allowed):
+        loads = [0] * instance.machine_count
+        for job_idx, machine in enumerate(combo):
+            loads[machine] += sizes[job_idx]
+        value = max(loads)
+        if best_value is None or value < best_value:
+            best_value = value
+            best_assign = combo
+    assert best_value is not None and best_assign is not None
+    return OracleResult(Fraction(best_value, denom), Schedule(best_assign))
 
 
 def reference_violation(

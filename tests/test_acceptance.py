@@ -27,13 +27,13 @@ from twoval_makespan.lenstra import (
     round_forest,
 )
 from twoval_makespan.model import machine_loads, makespan, normalize, scale_to_integer
-from twoval_makespan.oracle import brute_force_opt, enumerate_opt
+from twoval_makespan.oracle import brute_force_opt
 from twoval_makespan.twovalued import solve_two_valued
 from twoval_makespan.unitk import match_big_jobs, solve_unit_k
 
 from helpers import (
-    fraction, gb_interval_start_bound, integer_instance, scan_assignment_grid, scan_gb_grid,
-    support_is_forest,
+    enumerate_opt, fraction, gb_interval_start_bound, integer_instance, scan_assignment_grid,
+    scan_gb_grid, support_is_forest,
 )
 
 SWEEP = 500

@@ -21,13 +21,14 @@ from twoval_makespan.maxflow import Dinic
 from twoval_makespan.model import (
     Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer, size_ratio,
 )
-from twoval_makespan.oracle import enumerate_opt
 from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
 
 import test_network_pinned as network_pinned
 from helpers import (
-    crowded_machines, integer_instance, machine_set_floor, scale, scale_with_k, transportation,
+    crowded_machines, dinic, enumerate_opt, integer_instance, machine_set_floor, scale,
+    scale_with_k, transportation,
 )
+from reference_dinic import ReferenceDinic
 
 
 def test_network_node_count_four_jobs_two_machines():
@@ -167,26 +168,21 @@ def test_extraction_invariants_reject_a_share_count_other_than_the_job_count():
             flow.check_extraction_invariants(assignment, scaled)
 
 
-def test_dinic_rejects_a_negative_capacity():
-    with pytest.raises(ValueError, match="^negative capacity$"):
-        Dinic(2, [(0, 1, -1)])
-
-
 def test_the_builder_fills_the_arrays_dinic_builds_from_the_arc_list():
-    """The fused build against `Dinic(node_count, arcs)` on the pinned layouts' instances."""
+    """The fused build against `ReferenceDinic`'s arrays on the pinned layouts' instances."""
     for seed in range(network_pinned.CASES):
         instance = network_pinned.draw(seed)
         networks = [build_network(ScaledInstance.of(instance, k)) for k in range(1, 5)]
         networks.append(network_pinned.transportation(instance))
         for network in networks:
-            built, reference = network.residual, Dinic(network.node_count, network.arcs_at(0))
-            assert built._to == reference._to
-            assert built._cap == reference._cap
-            assert built._adj == reference._adj
+            reference = ReferenceDinic(network.node_count, network.arcs_at(0))
+            assert network.to == reference._to
+            assert network.cap == reference._cap
+            assert network.adj == reference._adj
 
 
 def test_max_flow_integral_rejects_a_negative_capacity():
-    # the bound is the machine -> sink capacity, so Dinic's own check rejects it
+    # the bound is the machine -> sink capacity, which cannot be negative
     network = build_network(scale(1, [(1, [0])]))
     with pytest.raises(ValueError, match="^negative capacity$"):
         max_flow_integral(network, -1)
@@ -444,7 +440,7 @@ def test_a_short_probe_floors_every_feasible_bound(family):
                 assert bound < probe.floor <= (demand + 1 if smallest is None else smallest)
                 jumps += probe.floor > bound + 1
             # the kept labels mark a min cut: F fixed capacity plus c sink arcs at the bound
-            solver = Dinic(network.node_count, network.arcs_at(bound))
+            solver = dinic(network.node_count, network.arcs_at(bound))
             assert solver.max_flow(0, sink) == probe.value
             side = {node for node, label in enumerate(solver.level) if label >= 0}
             fixed = sum(c for tail, head, c in network.arcs if tail in side and head not in side)
@@ -507,7 +503,7 @@ def test_each_short_probe_leaves_fewer_machines_on_its_cut(family, monkeypatch):
         cut = None
         if solution.value < network.demand:
             sink, m = network.node_count - 1, network.machines
-            cold = Dinic(network.node_count, network.arcs_at(capacity))
+            cold = dinic(network.node_count, network.arcs_at(capacity))
             cold.max_flow(0, sink)
             cut = sum(label >= 0 for label in cold.level[sink - m : sink])
         probes.append((capacity, cut))
@@ -589,7 +585,7 @@ def _against_cold_dinic(network, bound, searches):
     solution = max_flow_integral(network, bound)
     (warm, warm_searches), = searches.items()
     sink, m = network.node_count - 1, network.machines
-    cold = Dinic(network.node_count, network.arcs_at(bound))
+    cold = dinic(network.node_count, network.arcs_at(bound))
     value = cold.max_flow(0, sink)
     cold_searches = searches[cold]
     cut = sum(label >= 0 for label in cold.level[sink - m : sink])

@@ -24,9 +24,10 @@ from twoval_makespan.model import (
     scale_to_integer,
     size_ratio,
 )
-from twoval_makespan.oracle import enumerate_opt
 
-from helpers import fraction, integer_instance, scale, scale_with_k, schedule_of
+from helpers import (
+    enumerate_opt, fraction, integer_instance, scale, scale_with_k, schedule_of,
+)
 
 
 def test_orient_single_edge():

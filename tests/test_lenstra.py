@@ -19,10 +19,10 @@ from twoval_makespan.model import (
     Instance, integer_sizes, machine_loads, makespan, normalize, scale_to_integer,
 )
 from twoval_makespan.twovalued import solve_two_valued
-from twoval_makespan.oracle import enumerate_opt
 
 from helpers import (
-    crowded_machines, fraction, machine_set_floor, support_is_forest, transportation,
+    crowded_machines, enumerate_opt, fraction, machine_set_floor, support_is_forest,
+    transportation,
 )
 
 

@@ -5,10 +5,9 @@ import pytest
 
 from twoval_makespan.flow import build_network, max_flow_integral
 from twoval_makespan.generator import random_instance
-from twoval_makespan.maxflow import Dinic
 from twoval_makespan.model import Instance, normalize, scale_to_integer
 
-from helpers import transportation
+from helpers import dinic, transportation
 from reference_dinic import ReferenceDinic
 
 
@@ -91,7 +90,7 @@ def test_kernel_finds_the_reference_flows_on_random_networks():
         build = _random_network if case % 2 else _layered_network
         node_count, arcs, source, sink = build(rng)
         expected = _solve(ReferenceDinic, node_count, arcs, source, sink)
-        assert _solve(Dinic, node_count, arcs, source, sink) == expected, (node_count, arcs, sink)
+        assert _solve(dinic, node_count, arcs, source, sink) == expected, (node_count, arcs, sink)
         pairs = Counter((tail, head) for tail, head, _ in arcs)
         seen["zero capacity"] += any(capacity == 0 for _, _, capacity in arcs)
         seen["parallel"] += any(count > 1 for count in pairs.values())
@@ -137,13 +136,15 @@ def test_probes_on_one_network_do_not_leak_into_each_other(family):
             with pytest.raises(ValueError, match="^negative capacity$"):
                 max_flow_integral(network, bound)
             continue
-        fresh = _solve(Dinic, network.node_count, network.arcs_at(bound), 0, sink)
+        fresh = _solve(dinic, network.node_count, network.arcs_at(bound), 0, sink)
         solution = max_flow_integral(network, bound)
         assert (solution.value, solution.flows) == fresh
         feasible.add(solution.value == network.demand)
     assert feasible == {False, True}
+    # a probe works on a copy: the network's own capacities are still the fresh build's
+    assert network.cap == _network(family, Instance.build(3, jobs)).cap
 
 
 def test_max_flow_rejects_a_sink_that_is_the_source():
     with pytest.raises(ValueError, match="^source and sink are the same node$"):
-        Dinic(2, [(0, 1, 1), (1, 0, 1)]).max_flow(1, 1)
+        dinic(2, [(0, 1, 1), (1, 0, 1)]).max_flow(1, 1)

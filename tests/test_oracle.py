@@ -5,9 +5,9 @@ import pytest
 
 from twoval_makespan.generator import random_instance
 from twoval_makespan.model import Instance, makespan
-from twoval_makespan.oracle import BudgetExceeded, brute_force_opt, enumerate_opt
+from twoval_makespan.oracle import BudgetExceeded, brute_force_opt
 
-from helpers import schedule_of, verify_ratio
+from helpers import enumerate_opt, schedule_of, verify_ratio
 
 
 def test_single_job_optimum_is_its_size():

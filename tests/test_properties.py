@@ -25,10 +25,10 @@ from twoval_makespan.lenstra import _snap_to_grid, cancel_cycles, round_forest
 from twoval_makespan.model import (
     Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer, size_ratio,
 )
-from twoval_makespan.oracle import brute_force_opt, enumerate_opt, load_floor
+from twoval_makespan.oracle import brute_force_opt, load_floor
 from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
 
-from helpers import reference_violation, support_is_forest
+from helpers import enumerate_opt, reference_violation, support_is_forest
 
 PROPERTY = settings(database=None, deadline=None)
 

@@ -11,7 +11,6 @@ from twoval_makespan.flow import FractionalAssignment
 from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import lenstra_solve
 from twoval_makespan.model import Instance, ScaledInstance, scale_to_integer, size_ratio
-from twoval_makespan.oracle import enumerate_opt
 from twoval_makespan.twovalued import (
     ADDITIVE,
     SMALL_DOWN,
@@ -24,7 +23,7 @@ from twoval_makespan.twovalued import (
 )
 from twoval_makespan.unitk import UnitKSolution, solve_unit_k
 
-from helpers import schedule_of
+from helpers import enumerate_opt, schedule_of
 
 
 def test_build_reduced_five_halves():

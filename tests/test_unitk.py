@@ -9,10 +9,9 @@ from twoval_makespan.lenstra import lenstra_solve
 from twoval_makespan.model import (
     Instance, ScaledInstance, Schedule, machine_loads, makespan, normalize, scale_to_integer,
 )
-from twoval_makespan.oracle import enumerate_opt
 from twoval_makespan.unitk import _check_rounding, match_big_jobs, solve_unit_k
 
-from helpers import integer_instance, scale, scale_with_k
+from helpers import enumerate_opt, integer_instance, scale, scale_with_k
 
 
 def test_match_single_integral_big_job():
