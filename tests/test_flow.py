@@ -168,6 +168,12 @@ def test_extraction_invariants_reject_a_share_count_other_than_the_job_count():
             flow.check_extraction_invariants(assignment, scaled)
 
 
+def test_dinic_rejects_a_negative_capacity():
+    # the arc-list build that the cold-solver comparisons go through checks each capacity
+    with pytest.raises(ValueError, match="^negative capacity$"):
+        dinic(2, [(0, 1, -1)])
+
+
 def test_the_builder_fills_the_arrays_dinic_builds_from_the_arc_list():
     """The fused build against `ReferenceDinic`'s arrays on the pinned layouts' instances."""
     for seed in range(network_pinned.CASES):
