@@ -104,6 +104,86 @@ def enumerate_opt(instance: Instance) -> OracleResult:
     return OracleResult(Fraction(best_value, denom), Schedule(best_assign))
 
 
+def load_floor(sizes: Sequence[int], machine_count: int) -> int:
+    """Smallest a*b + c*s >= max(b, ceil(total / m)) over the jobs' own counts.
+
+    b and s are the largest and smallest integer size, a is at most the
+    number of size-b jobs and c at most the number of size-s jobs; a
+    single-size instance uses c*s only. No makespan is below it.
+    """
+    if not sizes:
+        return 0
+    small, big = min(sizes), max(sizes)
+    target = max(big, -(-sum(sizes) // machine_count))
+    smalls = sizes.count(small)
+    bigs = len(sizes) - smalls  # 0 for a single size
+    # a big jobs need c = max(0, ceil((target - a*b) / s)) small ones; a = bigs
+    # needs at most all of them, since the target is at most the total
+    return min(
+        a * big + c * small
+        for a in range(bigs + 1)
+        if (c := max(0, -((a * big - target) // small))) <= smalls
+    )
+
+
+def reference_brute_force_opt(instance: Instance) -> tuple[OracleResult, int]:
+    """The oracle's earlier search, and the nodes it took; cross-check for `brute_force_opt`.
+
+    Job idx tries its allowed machines in index order, each try counting one
+    node; a try whose makespan so far reaches the incumbent is pruned. It
+    returns at the first complete schedule that meets `load_floor`, or when
+    the search ends; the witness is the first optimum in input order either
+    way.
+    """
+    n = instance.job_count
+    if n == 0:
+        return OracleResult(Fraction(0), Schedule(())), 0
+    denom, sizes = integer_sizes(instance)
+    floor = load_floor(sizes, instance.machine_count)
+    allowed = [sorted(machines) for machines in instance.allowed]
+    loads = [0] * instance.machine_count
+    current = [0] * n
+    cursor = [0] * n  # cursor[idx]: next position in allowed[idx] to try
+    maxes = [0] * n   # maxes[idx]: makespan of jobs 0..idx-1 as placed
+    best_value: int | None = None
+    best_assign: tuple[int, ...] | None = None
+    nodes = 0
+    last = n - 1
+    idx = 0
+    while idx >= 0:
+        choices = allowed[idx]
+        size = sizes[idx]
+        current_max = maxes[idx]
+        position = cursor[idx]
+        while position < len(choices):
+            machine = choices[position]
+            position += 1
+            nodes += 1
+            new_load = loads[machine] + size
+            new_max = new_load if new_load > current_max else current_max
+            if best_value is not None and new_max >= best_value:
+                continue
+            current[idx] = machine
+            if idx == last:  # a complete schedule below the incumbent
+                best_value = new_max
+                best_assign = tuple(current)
+                if best_value == floor:  # nothing is below the floor: optimal
+                    return OracleResult(Fraction(best_value, denom), Schedule(best_assign)), nodes
+                continue
+            loads[machine] = new_load
+            cursor[idx] = position
+            idx += 1
+            cursor[idx] = 0
+            maxes[idx] = new_max
+            break
+        else:  # job idx is exhausted: take back job idx-1 and try its next machine
+            idx -= 1
+            if idx >= 0:
+                loads[current[idx]] -= sizes[idx]
+    assert best_value is not None and best_assign is not None
+    return OracleResult(Fraction(best_value, denom), Schedule(best_assign)), nodes
+
+
 def reference_violation(
     machine_count, sizes: Sequence, allowed: Sequence
 ) -> tuple[type[Exception], str] | None:

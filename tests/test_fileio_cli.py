@@ -354,10 +354,16 @@ def test_verify_budget_exceeded(tmp_path, capsys):
 
 
 def test_verify_budget_exceeded_on_1500_jobs(tmp_path, capsys):
-    # the oracle's first descent is 1500 jobs deep, past the recursion limit
+    # the oracle's descents are 1500 jobs deep, past the recursion limit. At the
+    # confined-work floor (500) the search finds a schedule in 2233 nodes; a
+    # budget below 1500 ends inside the first descent
     assert main(["gen", "--seed", "1", "--jobs", "1500", "--machines", "3", "--alpha", "1"]) == 0
     path = _write(tmp_path, "deep.txt", capsys.readouterr().out)
-    assert main(["verify", path, "--budget", "5000"]) == 3
+    assert main(["verify", path, "--budget", "5000"]) == 0
+    assert capsys.readouterr().out == (
+        "opt 500 500.0000\nmakespan 500 500.0000\nratio 1 1.0000\nbound 3/2 1.5000\nverdict pass\n"
+    )
+    assert main(["verify", path, "--budget", "1000"]) == 3
     assert capsys.readouterr().out == "verdict budget-exceeded\n"
 
 

@@ -2,7 +2,7 @@
 probe's floor next (the point after it, or further), the integer size
 scaling, the instance checks on integer units, the two routes to a {1, k}
 instance, the lifted-load cap, the snap to true loads, cycle canceling on
-integer shares and the oracle's load floor.
+integer shares and the oracle's floors.
 
 They need hypothesis and skip without it. No example database is kept;
 hypothesis may still cache source constants under `.hypothesis/`, which git
@@ -25,10 +25,10 @@ from twoval_makespan.lenstra import _snap_to_grid, cancel_cycles, round_forest
 from twoval_makespan.model import (
     Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer, size_ratio,
 )
-from twoval_makespan.oracle import brute_force_opt, load_floor
+from twoval_makespan.oracle import _machine_sets, _true_load_at_least, brute_force_opt
 from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
 
-from helpers import enumerate_opt, reference_violation, support_is_forest
+from helpers import enumerate_opt, load_floor, reference_violation, support_is_forest
 
 PROPERTY = settings(database=None, deadline=None)
 
@@ -327,12 +327,14 @@ def test_the_search_stopped_at_the_floor_is_the_exhaustive_optimum(instance):
     plain = enumerate_opt(instance)
     assert (pruned.opt_makespan, pruned.witness) == (plain.opt_makespan, plain.witness)
     denom, sizes = integer_sizes(instance)
-    floor = load_floor(sizes, instance.machine_count)
-    assert floor <= plain.opt_makespan * denom
-    target = max(max(sizes, default=0), -(-sum(sizes) // instance.machine_count))
+    if not sizes:
+        return
+    floor = _machine_sets(instance, sizes)[0]
+    assert load_floor(sizes, instance.machine_count) <= floor <= plain.opt_makespan * denom
+    target = max(max(sizes), -(-sum(sizes) // instance.machine_count))
     units = sorted(set(sizes))
     loads = {
         sum(count * unit for count, unit in zip(counts, units))
         for counts in itertools.product(*(range(sizes.count(unit) + 1) for unit in units))
     }
-    assert floor == min(load for load in loads if load >= target)
+    assert _true_load_at_least(target, sizes) == min(load for load in loads if load >= target)
