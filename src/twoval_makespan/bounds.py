@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from .model import as_rational
@@ -98,8 +99,12 @@ def gb_worst_case_alpha(n: int) -> Fraction:
 
 
 def guarantee_report(alpha: object, graph_balancing: bool = False) -> GuaranteeReport:
-    """Build the bound report attached to a solve result."""
-    a = as_rational(alpha)
+    """The bound report attached to a solve result, built once per exact alpha and flag."""
+    return _guarantee_report(as_rational(alpha), graph_balancing)
+
+
+@lru_cache(maxsize=64)
+def _guarantee_report(a: Fraction, graph_balancing: bool) -> GuaranteeReport:
     f1, f2 = lift_factors(a)
     if graph_balancing:
         expr1, expr2 = gb_ratio_expressions(a)

@@ -13,25 +13,25 @@ Job ids must be 0..n-1 in order. Printing then parsing is the identity.
 An invalid instance (see `model`) raises `FileFormatError` with the text
 `Instance` raises: "invalid instance: <violation>".
 
-A job line of unsigned ASCII digits and single spaces is read with one
-regular-expression match. Every other job line (tabs, repeated spaces, signs,
-a bad token) and a line whose id is out of order take the per-token path,
-which accepts the same jobs and words every error. Each job's size and
-machine set go straight into the instance's two columns (`model`). Each
-distinct size token is parsed to a `Fraction` once and shared by the jobs
-that carry it; the `Instance` built from them derives its integer units
-once, and every solver reads those units rather than the Fractions.
+A file in exactly `format_instance`'s layout (no comments or blank lines,
+single spaces, unsigned digits, ids 0..n-1 in order) is read in one pass: one
+match for the header, one `findall` for the job lines. Any other text is read
+line by line and token by token (`_job_tokens`); both readers read the same
+jobs and raise the same errors. Each distinct size token is parsed once.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 
 from .model import Instance
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_JOB_LINE = re.compile(r"job ([0-9]+) ([0-9]+(?:/[0-9]+)?) ([0-9]+(?: [0-9]+)*)")
+_HEADER = re.compile(r"machines ([0-9]+)\njobs ([0-9]+)\n")
+_JOB_LINES = re.compile(r"^job ([0-9]+) ([0-9]+(?:/[0-9]+)?) ([0-9]+(?: [0-9]+)*)$", re.M)
+_Columns = tuple[int, tuple[Fraction, ...], tuple[frozenset[int], ...]]  # machine count, sizes, sets
 
 
 class FileFormatError(ValueError):
@@ -67,6 +67,30 @@ def format_fraction(value: Fraction) -> str:
 
 
 def parse_instance(text: str) -> Instance:
+    columns = _one_pass(text) or _per_token(text)
+    try:
+        return Instance(*columns)
+    except ValueError as exc:  # the instance's own check: same text, as a format error
+        raise FileFormatError(str(exc)) from None
+
+
+def _one_pass(text: str) -> _Columns | None:
+    """The columns of a nonempty file in `format_instance`'s layout, else None."""
+    header = _HEADER.match(text)
+    rows = _JOB_LINES.findall(text, header.end()) if header and text.endswith("\n") else ()
+    # every line after the header is one whole job line, and the ids count up from 0
+    if not rows or not len(rows) == int(header[2]) == text.count("\n", header.end()):
+        return None
+    ids, tokens, indices = zip(*rows)
+    if ids != tuple(map(str, range(len(rows)))):
+        return None
+    values = {token: parse_fraction(token) for token in dict.fromkeys(tokens)}
+    allowed = map(frozenset, map(map, repeat(int), map(str.split, indices)))
+    return int(header[1]), tuple(map(values.__getitem__, tokens)), tuple(allowed)
+
+
+def _per_token(text: str) -> _Columns:
+    """The machine count and columns of any text, line by line; raises on the first error."""
     stripped = (line.strip() for line in text.splitlines())
     lines = [line for line in stripped if line and not line.startswith("#")]
     if len(lines) < 2:
@@ -85,26 +109,9 @@ def parse_instance(text: str) -> Instance:
     body = lines[2:]
     if len(body) != job_count:
         raise FileFormatError(f"expected {job_count} job lines, found {len(body)}")
-
     values: dict[str, Fraction] = {}  # size token -> its value, parsed once per distinct token
-    sizes: list[Fraction] = []
-    allowed: list[frozenset[int]] = []
-    for position, line in enumerate(body):
-        match = _JOB_LINE.fullmatch(line)
-        if match is None or int(match[1]) != position:
-            size, machines = _job_tokens(line, position, values)
-        else:
-            _, token, indices = match.groups()
-            size = values.get(token)
-            if size is None:
-                size = values[token] = parse_fraction(token)
-            machines = frozenset(map(int, indices.split()))
-        sizes.append(size)
-        allowed.append(machines)
-    try:
-        return Instance(machine_count, tuple(sizes), tuple(allowed))
-    except ValueError as exc:  # the instance's own check: same text, as a format error
-        raise FileFormatError(str(exc)) from None
+    jobs = [_job_tokens(line, position, values) for position, line in enumerate(body)]
+    return machine_count, tuple(size for size, _ in jobs), tuple(machines for _, machines in jobs)
 
 
 def _job_tokens(

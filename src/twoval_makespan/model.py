@@ -14,12 +14,12 @@ freely between concurrent solver runs.
 
 An `Instance` is valid by construction: building an invalid one raises
 `ValueError("invalid instance: <violation>")` naming the first violation, so
-no solver checks its input again. A size that is not an int or a Fraction,
-a column that is not a tuple and a machine set that is not a frozenset raise
-TypeError, so an instance is hashable and immutable. A machine index must be
-an int (bools included) in 0..m-1. `normalize` changes only the two size
-values of a valid instance, so it shares the `allowed` column, derives the
-new units from the two values and does not check the jobs again.
+no solver checks its input again. A size that is no int or Fraction, a column
+that is no tuple and a machine set that is no frozenset raise TypeError, so
+an instance is hashable and immutable. Machine indices are ints (bools too)
+in 0..m-1. Whole-column passes accept; only when one fails does a per-job
+loop run, to name the first violation. `normalize` changes only the two size
+values of a valid instance, so it shares `allowed` and checks no job again.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 
@@ -57,10 +58,7 @@ class Instance:
             raise ValueError(f"invalid instance: {violation}")
 
     def _violation(self) -> str | None:
-        """None when all instance invariants hold, else the first violation.
-
-        One pass over the jobs; its cost does not grow with the machine count.
-        """
+        """The first violation of the instance invariants, or None; the cost does not grow with m."""
         _, units = self._integer_sizes  # raises TypeError on a size that is no rational
         m, allowed = self.machine_count, self.allowed
         if not isinstance(m, int):
@@ -71,15 +69,20 @@ class Instance:
             return "machine count must be positive"
         if len(allowed) != len(units):
             return f"{len(units)} sizes but {len(allowed)} allowed sets"
-        for idx, (unit, machines) in enumerate(zip(units, allowed)):
-            if not isinstance(machines, frozenset):
-                raise TypeError(f"job {idx}: machine set {machines!r} is not a frozenset")
-            if unit <= 0:
-                return f"job {idx}: nonpositive size"
-            if not machines:
-                return f"job {idx}: empty allowed set"
-            if not all(isinstance(i, int) and 0 <= i < m for i in machines):
-                return f"job {idx}: machine index out of range"
+        if not (  # whole-column passes accept; the per-job loop names the first violation
+            set(map(type, allowed)) <= {frozenset} and min(units, default=1) > 0 and all(allowed)
+            and set(map(type, chain.from_iterable(allowed))) <= {int, bool}  # each index: 1.0 == 1
+            and 0 <= min(union := set().union(*allowed), default=0) <= max(union, default=0) < m
+        ):
+            for idx, (unit, machines) in enumerate(zip(units, allowed)):
+                if not isinstance(machines, frozenset):
+                    raise TypeError(f"job {idx}: machine set {machines!r} is not a frozenset")
+                if unit <= 0:
+                    return f"job {idx}: nonpositive size"
+                if not machines:
+                    return f"job {idx}: empty allowed set"
+                if not all(isinstance(i, int) and 0 <= i < m for i in machines):
+                    return f"job {idx}: machine index out of range"
         if len(set(units)) > 2:
             return "more than two size values"
         return None

@@ -7,6 +7,7 @@ import pytest
 from twoval_makespan.bounds import (
     ASSIGNMENT_GUARANTEE,
     GB_GUARANTEE,
+    _guarantee_report,
     gb_ratio_expressions,
     gb_worst_case_alpha,
     guarantee_report,
@@ -14,6 +15,8 @@ from twoval_makespan.bounds import (
     ratio_expressions,
     worst_case_alpha,
 )
+from twoval_makespan.model import Instance
+from twoval_makespan.twovalued import solve_two_valued
 
 from helpers import gb_interval_start_bound, scan_assignment_grid, scan_gb_grid
 
@@ -130,3 +133,23 @@ def test_invalid_arguments():
         worst_case_alpha(0)
     with pytest.raises(ValueError):
         gb_worst_case_alpha(1)
+
+
+def test_two_solves_at_one_alpha_build_one_report():
+    instance = Instance.build(2, [(Fraction(5, 2), [0, 1]), (1, [0]), (1, [1]), (1, [0, 1])])
+    _guarantee_report.cache_clear()
+    first, second = solve_two_valued(instance), solve_two_valued(instance)
+    assert first.report == second.report == _guarantee_report.__wrapped__(Fraction(5, 2), False)
+    info = _guarantee_report.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert guarantee_report(2) is guarantee_report(Fraction(2))  # keyed on the exact rational
+
+
+def test_guarantee_reports_stay_right_past_the_cache_size():
+    alphas = [Fraction(n, 7) for n in range(7, 157)]  # 150 distinct values
+    for graph_balancing in (False, True):
+        for alpha in alphas + alphas[:10] + alphas[-10:]:
+            report = guarantee_report(alpha, graph_balancing=graph_balancing)
+            assert report == _guarantee_report.__wrapped__(alpha, graph_balancing)
+            assert report.alpha == alpha and report.graph_balancing == graph_balancing
+    assert _guarantee_report.cache_info().currsize == 64

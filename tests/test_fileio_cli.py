@@ -4,16 +4,15 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import twoval_makespan
-from twoval_makespan import cli, graph_balancing
+from twoval_makespan import cli, fileio, graph_balancing
 from twoval_makespan.cli import main
 from twoval_makespan.fileio import (
-    _JOB_LINE,
     FileFormatError,
-    _job_tokens,
     format_fraction,
     format_instance,
     parse_fraction,
@@ -114,13 +113,22 @@ def test_parse_keeps_signs_for_validate():
         parse_instance("machines 2\njobs 2\njob 0 -1 0\njob 1 +1/2 1\n")
 
 
+def _read(text):
+    """The instance `parse_instance` reads from `text`, or the type and text of what it raises."""
+    try:
+        return parse_instance(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def _per_token(text):
-    """The instance the per-token job-line path reads from a well-formed text."""
-    stripped = (line.strip() for line in text.splitlines())
-    lines = [line for line in stripped if line and not line.startswith("#")]
-    sizes = {}
-    jobs = [_job_tokens(line, position, sizes) for position, line in enumerate(lines[2:])]
-    return Instance.build(int(lines[0].split()[1]), jobs)
+    """What `parse_instance` makes of `text` with the one-pass reader switched off."""
+    with mock.patch.object(fileio, "_one_pass", return_value=None):
+        return _read(text)
+
+
+def _never(*args):
+    raise AssertionError("a job line was read token by token")
 
 
 def _variant(rng, value, signed=True):
@@ -130,41 +138,48 @@ def _variant(rng, value, signed=True):
 
 
 def _messy_text(rng):
-    """A well-formed instance file in a mix of the spellings the format allows."""
+    """A well-formed instance file in a mix of the spellings the format allows.
+
+    About half the files are in the one-pass layout: single spaces, no signs,
+    padding or comment lines, and plain ids (sizes and indices may still carry
+    leading zeros).
+    """
     machines = rng.randint(1, 5)
     small, big = rng.randint(1, 4), rng.randint(1, 9)
     den = rng.choice((1, 1, 2, 3))
     seps = (" ", " ", " ", " ", "  ", "\t", " \t")
     n = rng.randint(0, 8)
+    layout = rng.random() < 0.5
     lines = [f"machines {machines}", f"jobs {n}"]
     for job in range(n):
-        plain = rng.random() < 0.5  # single spaces and no signs: the fast match's shape
+        plain = layout or rng.random() < 0.5  # single spaces and no signs
         size = _variant(rng, rng.choice((small, big)), not plain)
         if den > 1 or rng.random() < 0.2:
             size += "/" + _variant(rng, den, signed=False)
         allowed = rng.sample(range(machines), rng.randint(1, machines))
         machine_tokens = (_variant(rng, i, not plain) for i in allowed)
-        tokens = ["job", _variant(rng, job, not plain), size, *machine_tokens]
+        job_id = str(job) if layout else _variant(rng, job, not plain)
+        tokens = ["job", job_id, size, *machine_tokens]
         line = tokens[0]
         for token in tokens[1:]:
             line += (" " if plain else rng.choice(seps)) + token
-        lines.append(rng.choice(("", "", "", " ", "\t")) + line + rng.choice(("", "", " ")))
-    for _ in range(rng.randint(0, 3)):
+        if not layout:
+            line = rng.choice(("", "", "", " ", "\t")) + line + rng.choice(("", "", " "))
+        lines.append(line)
+    for _ in range(0 if layout else rng.randint(0, 3)):
         lines.insert(rng.randint(0, len(lines)), rng.choice(("", "# note", "  # job 0 1 0")))
     return "\n".join(lines) + "\n"
 
 
 def test_parse_matches_the_per_token_path():
     rng = random.Random("fileio-fast-path")
-    fast = slow = 0
-    for _ in range(600):
+    one_pass = per_token = 0
+    for _ in range(800):
         text = _messy_text(rng)
         assert parse_instance(text) == _per_token(text), text
-        for line in text.splitlines():
-            if line.strip().startswith("job"):
-                matched = _JOB_LINE.fullmatch(line.strip()) is not None
-                fast, slow = fast + matched, slow + (not matched)
-    assert fast >= 500 and slow >= 500  # both paths read many lines
+        read = fileio._one_pass(text) is not None
+        one_pass, per_token = one_pass + read, per_token + (not read)
+    assert one_pass >= 300 and per_token >= 300  # both readers read many files
 
 
 @pytest.mark.parametrize(
@@ -172,18 +187,130 @@ def test_parse_matches_the_per_token_path():
     [
         ("machines 2\njobs 2\njob 0 1 0\njob 0 1 1\n", "expected job 1, got 0 in 'job 0 1 1'"),
         ("machines 2\njobs 1\njob 0 1/0 0\n", "bad rational '1/0': zero denominator"),
+        (
+            "machines 2\njobs 3\njob 0 1 0\njob 1 2/0 1\njob 2 1/0 0\n",
+            "bad rational '2/0': zero denominator",
+        ),
         ("machines 1\njobs 1\njob 0 1 5\n", "invalid instance: job 0: machine index out of range"),
+        (
+            "machines 2\njobs 2\njob 0 1 0\njob 1 1 2\n",
+            "invalid instance: job 1: machine index out of range",
+        ),
+        ("machines 2\njobs 2\njob 0 1 0\njob 1 0 1\n", "invalid instance: job 1: nonpositive size"),
         (
             "machines 1\njobs 3\njob 0 1 0\njob 1 2 0\njob 2 3 0\n",
             "invalid instance: more than two size values",
         ),
     ],
 )
-def test_parse_errors_after_the_fast_match(text, message):
-    assert all(_JOB_LINE.fullmatch(line) for line in text.splitlines()[2:])
+def test_parse_errors_in_the_one_pass_layout(monkeypatch, text, message):
+    # the one-pass reader reads each file: its header and then n whole job lines
+    header = fileio._HEADER.match(text)
+    job_count = int(header[2])
+    assert len(fileio._JOB_LINES.findall(text)) == job_count == text.count("\n", header.end())
+    ids = [line.split()[1] for line in text.splitlines()[2:]]
+    if ids == [str(job) for job in range(job_count)]:
+        # the one-pass reader raises, or the instance it builds does
+        monkeypatch.setattr(fileio, "_job_tokens", _never)
     with pytest.raises(FileFormatError) as info:
         parse_instance(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        # a line the job pattern skips, after the last job line or before a last line with no "\n"
+        ("machines 2\njobs 1\njob 0 1 0\njob 1 1 0 # one\n", "expected 1 job lines, found 2"),
+        ("machines 2\njobs 2\njob 0 1 0 # a\njob 0 1 0\njob 1 1 1", "expected 2 job lines, found 3"),
+    ],
+)
+def test_the_one_pass_reader_skips_no_line(text, message):
+    with pytest.raises(FileFormatError) as info:
+        parse_instance(text)
+    assert str(info.value) == message
+
+
+def test_a_canonical_file_reads_no_job_line_token_by_token(monkeypatch):
+    instance = random_instance(random.Random("fileio-one-pass"), 300, 7, Fraction(7, 3))
+    text = format_instance(instance)
+    monkeypatch.setattr(fileio, "_job_tokens", _never)
+    assert parse_instance(text) == instance
+
+
+def _mutate(rng, lines, machines):
+    """One drawn mutation of a file's lines, in place; returns its name, or None for no change."""
+    kind = rng.choice(_MUTATIONS)
+    jobs = [j for j, line in enumerate(lines) if line.startswith("job ") and line.count(" ") >= 3]
+    if kind == "comment":
+        lines.insert(rng.randint(0, len(lines)), rng.choice(("# note", "  # job 0 1 0", "#")))
+    elif kind == "blank line":
+        lines.insert(rng.randint(0, len(lines)), rng.choice(("", " ", "\t")))
+    elif kind == "extra line":
+        extra = rng.choice((*lines[2:], "job 0 1 0 # again", "jobs 1"))  # a copy, or junk
+        lines.insert(rng.randint(2, len(lines)), extra)
+    elif kind == "tab" and jobs:
+        j = rng.choice(jobs)
+        spaces = [i for i, char in enumerate(lines[j]) if char == " "]
+        i = rng.choice(spaces)
+        lines[j] = lines[j][:i] + rng.choice(("\t", " \t", "  ")) + lines[j][i + 1 :]
+    elif kind == "bad id" and jobs:
+        j = rng.choice(jobs)
+        tokens = lines[j].split(" ")
+        tokens[1] = rng.choice((str(j - 1), str(j - 3), "0" + tokens[1], "+" + tokens[1], "x"))
+        lines[j] = " ".join(tokens)
+    elif kind in ("size 0", "size 1/0", "third size") and jobs:
+        j = rng.choice(jobs)
+        tokens = lines[j].split(" ")
+        tokens[2] = {"size 0": "0", "size 1/0": "1/0", "third size": "999/7"}[kind]
+        lines[j] = " ".join(tokens)
+    elif kind == "index out of range" and jobs:
+        j = rng.choice(jobs)
+        lines[j] += f" {rng.choice((machines, machines + 5))}"
+    elif kind == "wrong count":
+        keyword = rng.choice(("machines ", "jobs "))
+        i = next(i for i, line in enumerate(lines) if line.startswith(keyword))
+        count = lines[i].split(" ")[1]
+        lines[i] = f"{keyword}{max(int(count) + rng.choice((-1, 1)), 0)}"
+    elif kind not in ("CRLF", "no final newline"):  # those two act when the lines are joined
+        return None
+    return kind
+
+
+_MUTATIONS = (
+    "comment", "blank line", "extra line", "tab", "bad id", "size 0", "size 1/0",
+    "third size", "index out of range", "wrong count", "CRLF", "no final newline",
+)
+
+
+def test_both_readers_agree_on_mutated_canonical_files():
+    rng = random.Random("fileio-reader-sweep")
+    seen: dict[str, int] = {}
+    read = {"one pass": 0, "per token": 0, "error": 0}
+    for _ in range(2000):
+        machines = rng.randint(1, 6)
+        small = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+        sizes = (small, small * Fraction(rng.randint(2, 12), rng.randint(1, 4)))
+        subsets = [[i for i in range(machines) if mask >> i & 1] for mask in range(1, 2**machines)]
+        n = rng.choice((rng.randint(0, 12), rng.randint(0, 300)))
+        jobs = [(rng.choice(sizes), rng.choice(subsets)) for _ in range(n)]
+        instance = Instance.build(machines, jobs)
+        lines = format_instance(instance).splitlines()
+        kinds = [_mutate(rng, lines, machines) for _ in range(rng.randint(0, 2))]
+        newline = "\r\n" if "CRLF" in kinds else "\n"
+        text = newline.join(lines) + ("" if "no final newline" in kinds else newline)
+        for kind in kinds:
+            seen[kind] = seen.get(kind, 0) + 1
+        expected = _per_token(text)
+        assert _read(text) == expected, (kinds, text)
+        if not kinds:
+            assert expected == instance
+        if not isinstance(expected, Instance):
+            read["error"] += 1
+        else:
+            read["one pass" if fileio._one_pass(text) else "per token"] += 1
+    assert all(seen.get(kind, 0) >= 60 for kind in _MUTATIONS), seen
+    assert min(read.values()) >= 300, read
 
 
 def _write(tmp_path, name, content):

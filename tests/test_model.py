@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,30 @@ def test_constructor_rejects_columns_that_are_not_tuples_of_frozensets():
     normalized, _ = normalize(built)
     assert hash(parsed) == hash(built)
     assert isinstance(hash(normalized), int)
+
+
+class _Machine(IntEnum):
+    FIRST = 0
+    SECOND = 1
+
+
+class _MachineSet(frozenset):
+    pass
+
+
+def test_the_job_loop_accepts_what_the_column_passes_leave_to_it():
+    # the whole-column passes compare exact types, so an IntEnum index and a
+    # frozenset subclass fall through to the per-job loop, which accepts both
+    one, two = Fraction(1), Fraction(2)
+    allowed = (frozenset({_Machine.SECOND}), _MachineSet({0, 1}), frozenset({0}))
+    inst = Instance(2, (one, two, one), allowed)
+    assert inst.allowed == (frozenset({1}), frozenset({0, 1}), frozenset({0}))
+    assert type(inst.allowed[1]) is _MachineSet
+    with pytest.raises(ValueError, match="^invalid instance: job 1: machine index out of range$"):
+        Instance(1, (one, two), (_MachineSet({0}), frozenset({_Machine.SECOND})))
+    # a set raises at its own job, before a later job's violation
+    with pytest.raises(TypeError, match=r"^job 1: machine set \{0\} is not a frozenset$"):
+        Instance(2, (one, two, -one), (_MachineSet({1}), {0}, frozenset({5})))
 
 
 def _column_case(rng):
