@@ -32,8 +32,14 @@ Canceling support cycles and rounding the remaining forest then places every
 job while raising each machine load by at most one job size, at most b: a 3/2
 approximation once the optimum is at least 2b. Both work on those integer
 shares and walk the support graph of the fractional jobs (on two or more
-machines), node j for job j and n + i for machine i, through one machine ->
-fractional-jobs index, `_jobs_by_machine`.
+machines), node j for job j and n + i for machine i. Each makes one pass
+over all jobs to pick out the fractional ones, which are few: at most
+m - 1 once the support is a forest. Everything else runs over those
+alone: the copied shares, the machine -> fractional-jobs index each cycle
+search builds and the search itself, then the rounding's sorted supports,
+tree walk and load-growth check. The rounding places the integral jobs in
+its pass over all jobs, and its check's pass over all jobs tests every
+job's allowed set and each integral job's one share machine.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .flow import (
     Floor, FlowNetwork, FlowSolution, FractionalAssignment, flow_network, job_fractions,
@@ -100,13 +106,14 @@ def fractional_assign_plain(
     return job_fractions(network, flow)
 
 
-def _jobs_by_machine(supports: Sequence[Collection[int]]) -> dict[int, list[int]]:
-    """Machine -> the fractional jobs on it, in job order; supports[j] is job j's machines."""
+def _jobs_by_machine(
+    supports: Sequence[Collection[int]] | dict[int, list[int]], jobs: Iterable[int]
+) -> dict[int, list[int]]:
+    """Machine -> the given jobs on it, in the order given; supports[j] is job j's machines."""
     index: dict[int, list[int]] = {}
-    for j, support in enumerate(supports):
-        if len(support) >= 2:
-            for i in support:
-                index.setdefault(i, []).append(j)
+    for j in jobs:
+        for i in supports[j]:
+            index.setdefault(i, []).append(j)
     return index
 
 
@@ -123,18 +130,25 @@ def _cycle_edges(a: int, b: int, parent: dict[int, int | None], n: int) -> list[
     return [(min(x, y), max(x, y) - n) for x, y in zip(nodes, nodes[1:] + nodes[:1])]
 
 
-def _find_support_cycle(supports: Sequence[Collection[int]]) -> list[tuple[int, int]] | None:
+def _find_support_cycle(
+    supports: Sequence[Collection[int]], fractional: Sequence[int] | None = None
+) -> list[tuple[int, int]] | None:
     """A cycle in the bipartite support graph of fractional jobs, as (job, machine) edges.
 
-    Depth-first from each unvisited fractional job, lowest first; a job expands
-    to its sorted machines, a machine to its jobs in index order. Earlier
-    components are fully explored, so one parent map is the visited set too.
+    supports[j] is job j's machines and `fractional` the jobs with two or more
+    of them, in increasing order (found by a scan of all jobs when not given);
+    only those are indexed and searched. Depth-first from each unvisited
+    fractional job, lowest first; a job expands to its sorted machines, a
+    machine to its fractional jobs in index order. Earlier components are
+    fully explored, so one parent map is the visited set too.
     """
     n = len(supports)
-    jobs_by_machine = _jobs_by_machine(supports)
+    if fractional is None:
+        fractional = [j for j, support in enumerate(supports) if len(support) >= 2]
+    jobs_by_machine = _jobs_by_machine(supports, fractional)
     parent: dict[int, int | None] = {}
-    for start in range(n):
-        if len(supports[start]) < 2 or start in parent:
+    for start in fractional:
+        if start in parent:
             continue
         parent[start] = None
         stack = [start]
@@ -160,31 +174,45 @@ def cancel_cycles(assignment: FractionalAssignment) -> FractionalAssignment:
     In flow units every node of a support cycle touches exactly two cycle
     edges with opposite adjustment signs, so job totals and machine loads are
     preserved exactly; each round zeroes at least one support edge, leaving
-    the fractional support acyclic.
+    the fractional support acyclic. One pass over all jobs picks the
+    fractional ones; only their shares are copied and searched, and a job
+    drops out of the search once it is left on one machine. Integral jobs
+    keep their share dicts, which no cycle touches.
     """
-    shares = [dict(job_shares) for job_shares in assignment.shares]
-    while (cycle := _find_support_cycle(shares)) is not None:
+    shares = list(assignment.shares)
+    fractional = [j for j, job_shares in enumerate(shares) if len(job_shares) >= 2]
+    for j in fractional:
+        shares[j] = dict(shares[j])
+    while (cycle := _find_support_cycle(shares, fractional)) is not None:
         delta = min(shares[j][i] for j, i in cycle[1::2])
         for t, (j, i) in enumerate(cycle):
             shares[j][i] += delta if t % 2 == 0 else -delta
             if shares[j][i] == 0:
                 del shares[j][i]
+        fractional = [j for j in fractional if len(shares[j]) >= 2]
     return FractionalAssignment(tuple(shares), assignment.sizes)
 
 
 def round_forest(assignment: FractionalAssignment, instance: Instance) -> Schedule:
     """Round a forest-supported assignment, each machine gaining at most one job.
 
-    Every tree is rooted at its lowest-index machine node; each fractional job
-    goes to one of its child machines, so a machine can only receive the job
-    directly above it. Jobs with a single support machine go there directly.
+    One pass over all jobs places each integral job on its one machine and
+    sorts the support of each fractional job; the rest runs over the
+    fractional jobs only. Every tree is rooted at its lowest-index machine
+    node; each fractional job goes to one of its child machines, so a
+    machine can only receive the job directly above it.
     """
     n = instance.job_count
-    supports = [assignment.support(j) for j in range(n)]
-    if () in supports:
-        raise ValueError(f"job {supports.index(())} has empty support")
-    placed = [support[0] if len(support) == 1 else None for support in supports]
-    jobs_by_machine = _jobs_by_machine(supports)
+    placed: list[int | None] = [None] * n
+    supports: dict[int, list[int]] = {}  # fractional job -> its sorted machines, in job order
+    for j, job_shares in enumerate(assignment.shares):
+        if len(job_shares) == 1:
+            placed[j], = job_shares  # its one machine
+        elif job_shares:
+            supports[j] = sorted(job_shares)
+        else:
+            raise ValueError(f"job {j} has empty support")
+    jobs_by_machine = _jobs_by_machine(supports, supports.keys())
     seen: set[int] = set()  # support-graph node ids: j for job j, n + i for machine i
     for root in sorted(jobs_by_machine):
         if n + root in seen:
@@ -217,24 +245,36 @@ def _check_forest_rounding(
 ) -> None:
     """Each machine receives at most one fractional job and grows by at most its size.
 
-    Loads are compared in the assignment's flow units; like `machine_loads`,
-    a placement outside the job's allowed set is rejected.
+    One pass over all jobs rejects, like `machine_loads`, a placement outside
+    the job's allowed set, and an integral job anywhere but on the machine
+    holding its whole size. Loads are then compared in the assignment's flow
+    units over the fractional jobs only: an integral job adds its size both
+    to its machine's load and to that machine's fractional load, so it
+    cannot change any machine's growth.
     """
-    frac_loads = [0] * instance.machine_count
-    loads = [0] * instance.machine_count
-    received: dict[int, list[int]] = {}
-    for j, machine in enumerate(schedule.assignment):
-        if machine not in instance.allowed[j]:
+    sizes = assignment.sizes
+    rounded: list[int] = []
+    for j, (machine, allowed, job_shares) in enumerate(
+        zip(schedule.assignment, instance.allowed, assignment.shares, strict=True)
+    ):
+        if machine not in allowed:
             raise ValueError(f"job {j} assigned to machine {machine} outside its allowed set")
+        if len(job_shares) != 1:
+            rounded.append(j)
+        elif job_shares.get(machine) != sizes[j]:
+            raise RuntimeError(f"integral job {j} moved off the machine holding its size")
+    growth: dict[int, int] = {}  # machine -> rounded load minus fractional load
+    received: dict[int, list[int]] = {}
+    for j in rounded:
         for i, share in assignment.shares[j].items():
-            frac_loads[i] += share
-        loads[machine] += assignment.sizes[j]
-        if not assignment.is_integral(j):
-            received.setdefault(machine, []).append(j)
+            growth[i] = growth.get(i, 0) - share
+        machine = schedule.assignment[j]
+        growth[machine] = growth.get(machine, 0) + sizes[j]
+        received.setdefault(machine, []).append(j)
     for machine, jobs in received.items():
         if len(jobs) > 1:
             raise RuntimeError(f"machine {machine} received {len(jobs)} rounded jobs")
-        if loads[machine] > frac_loads[machine] + assignment.sizes[jobs[0]]:
+        if growth[machine] > sizes[jobs[0]]:
             raise RuntimeError(
                 f"machine {machine} load grew by more than one job size during rounding"
             )

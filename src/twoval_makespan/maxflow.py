@@ -71,12 +71,16 @@ class Dinic:
         """Refill `out` with each node's level edges, in reverse `adj` order, and label `level`.
 
         False when the sink is cut off. Nodes left unexpanded get no edges.
+        A saturated source, as at the end of every max-flow that meets its
+        demand, labels itself alone and returns before `out` is touched.
         """
         to, cap, adj = self._to, self._cap, self._adj
-        for edges in out:
-            edges.clear()
         level = self.level = [-1] * len(adj)
         level[source] = 0
+        if not any(map(cap.__getitem__, adj[source])):
+            return False
+        for edges in out:
+            edges.clear()
         frontier = [source]
         depth = 1  # the level of the nodes the frontier reaches
         while frontier:

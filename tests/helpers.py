@@ -1,12 +1,13 @@
 """Helpers shared by the test modules."""
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Sequence
 
 from twoval_makespan.flow import FlowNetwork, FractionalAssignment, flow_network
-from twoval_makespan.lenstra import _find_support_cycle
+from twoval_makespan.lenstra import _cycle_edges, _find_support_cycle
 from twoval_makespan.maxflow import Dinic
 from twoval_makespan.model import (
     Instance, ScaledInstance, Schedule, integer_sizes, makespan, normalize, scale_to_integer,
@@ -60,6 +61,123 @@ def schedule_of(assignment: Iterable[int]) -> Schedule:
 def support_is_forest(assignment: FractionalAssignment) -> bool:
     """True when the bipartite support graph of fractional jobs is acyclic."""
     return _find_support_cycle(assignment.shares) is None
+
+
+def _reference_jobs_by_machine(supports: Sequence[Collection[int]]) -> dict[int, list[int]]:
+    """Machine -> the fractional jobs on it, in job order; supports[j] is job j's machines."""
+    index: dict[int, list[int]] = {}
+    for j, support in enumerate(supports):
+        if len(support) >= 2:
+            for i in support:
+                index.setdefault(i, []).append(j)
+    return index
+
+
+def reference_find_support_cycle(
+    supports: Sequence[Collection[int]],
+) -> list[tuple[int, int]] | None:
+    """The earlier `_find_support_cycle`, which indexes every job on each call.
+
+    Depth-first from each unvisited fractional job, lowest first; a job expands
+    to its sorted machines, a machine to its jobs in index order.
+    """
+    n = len(supports)
+    jobs_by_machine = _reference_jobs_by_machine(supports)
+    parent: dict[int, int | None] = {}
+    for start in range(n):
+        if len(supports[start]) < 2 or start in parent:
+            continue
+        parent[start] = None
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            if node < n:
+                neighbors = [n + i for i in sorted(supports[node])]
+            else:
+                neighbors = jobs_by_machine[node - n]
+            for other in neighbors:
+                if other == parent[node]:
+                    continue
+                if other in parent:
+                    return _cycle_edges(node, other, parent, n)
+                parent[other] = node
+                stack.append(other)
+    return None
+
+
+def reference_cancel_cycles(assignment: FractionalAssignment) -> FractionalAssignment:
+    """The earlier `cancel_cycles`: copies every job's shares and searches them all per cycle."""
+    shares = [dict(job_shares) for job_shares in assignment.shares]
+    while (cycle := reference_find_support_cycle(shares)) is not None:
+        delta = min(shares[j][i] for j, i in cycle[1::2])
+        for t, (j, i) in enumerate(cycle):
+            shares[j][i] += delta if t % 2 == 0 else -delta
+            if shares[j][i] == 0:
+                del shares[j][i]
+    return FractionalAssignment(tuple(shares), assignment.sizes)
+
+
+def reference_round_forest(assignment: FractionalAssignment, instance: Instance) -> Schedule:
+    """The earlier `round_forest`, which sorts every job's support.
+
+    Every tree is rooted at its lowest-index machine node and each fractional
+    job goes to its first child machine; the result passes
+    `reference_check_forest_rounding`.
+    """
+    n = instance.job_count
+    supports = [assignment.support(j) for j in range(n)]
+    if () in supports:
+        raise ValueError(f"job {supports.index(())} has empty support")
+    placed = [support[0] if len(support) == 1 else None for support in supports]
+    jobs_by_machine = _reference_jobs_by_machine(supports)
+    seen: set[int] = set()  # support-graph node ids: j for job j, n + i for machine i
+    for root in sorted(jobs_by_machine):
+        if n + root in seen:
+            continue
+        seen.add(n + root)
+        queue = deque([root])
+        while queue:
+            machine = queue.popleft()
+            for j in jobs_by_machine[machine]:
+                if j in seen:
+                    continue
+                seen.add(j)
+                children = [i for i in supports[j] if i != machine]
+                placed[j] = children[0]
+                for child in children:
+                    if n + child in seen:
+                        raise RuntimeError("support graph is not a forest")
+                    seen.add(n + child)
+                    queue.append(child)
+    if None in placed:
+        raise RuntimeError("forest rounding left a job unplaced")
+    schedule = Schedule(tuple(placed))  # type: ignore[arg-type]
+    reference_check_forest_rounding(assignment, instance, schedule)
+    return schedule
+
+
+def reference_check_forest_rounding(
+    assignment: FractionalAssignment, instance: Instance, schedule: Schedule
+) -> None:
+    """The earlier `_check_forest_rounding`, which sums every job's load and shares."""
+    frac_loads = [0] * instance.machine_count
+    loads = [0] * instance.machine_count
+    received: dict[int, list[int]] = {}
+    for j, machine in enumerate(schedule.assignment):
+        if machine not in instance.allowed[j]:
+            raise ValueError(f"job {j} assigned to machine {machine} outside its allowed set")
+        for i, share in assignment.shares[j].items():
+            frac_loads[i] += share
+        loads[machine] += assignment.sizes[j]
+        if not assignment.is_integral(j):
+            received.setdefault(machine, []).append(j)
+    for machine, jobs in received.items():
+        if len(jobs) > 1:
+            raise RuntimeError(f"machine {machine} received {len(jobs)} rounded jobs")
+        if loads[machine] > frac_loads[machine] + assignment.sizes[jobs[0]]:
+            raise RuntimeError(
+                f"machine {machine} load grew by more than one job size during rounding"
+            )
 
 
 @dataclass(frozen=True)

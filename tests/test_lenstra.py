@@ -8,6 +8,7 @@ from twoval_makespan import flow, lenstra
 from twoval_makespan.flow import FractionalAssignment, max_flow_integral
 from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import (
+    _check_forest_rounding,
     cancel_cycles,
     fractional_assign_plain,
     lenstra_solve,
@@ -20,8 +21,10 @@ from twoval_makespan.model import (
 )
 from twoval_makespan.twovalued import solve_two_valued
 
+import helpers
 from helpers import (
-    crowded_machines, enumerate_opt, fraction, machine_set_floor, support_is_forest,
+    crowded_machines, enumerate_opt, fraction, machine_set_floor, reference_cancel_cycles,
+    reference_check_forest_rounding, reference_round_forest, schedule_of, support_is_forest,
     transportation,
 )
 
@@ -443,3 +446,109 @@ def test_cancel_cycles_on_a_ring_deeper_than_the_recursion_limit():
     assert _loads(canceled, inst) == _loads(assignment, inst)
     assert all(_whole(canceled, j) for j in range(n))
     assert makespan(inst, round_forest(canceled, inst)) <= 2
+
+
+def _recording_cycles(monkeypatch, module, name):
+    """The cycles each call of module.name returns, None for a search that found none."""
+    cycles = []
+    search = getattr(module, name)
+
+    def recording(*args):
+        cycle = search(*args)
+        cycles.append(cycle)
+        return cycle
+
+    monkeypatch.setattr(module, name, recording)
+    return cycles
+
+
+def test_fractional_only_rounding_matches_the_full_scan_reference(monkeypatch):
+    # the fractional-jobs-only cycle search and rounding find the same cycles
+    # in the same order, so shares (values and key order) and schedules match
+    cycles = _recording_cycles(monkeypatch, lenstra, "_find_support_cycle")
+    reference_cycles = _recording_cycles(monkeypatch, helpers, "reference_find_support_cycle")
+    rng = random.Random("lenstra-fractional-only")
+    canceled_counts = []
+    for k in range(400):
+        alpha = rng.choice([Fraction(3, 2), Fraction(5, 2), Fraction(7, 3)])
+        inst = random_instance(rng, rng.randint(2, 200), rng.randint(2, 12), alpha, gb=k % 2 == 1)
+        _, assignment = min_feasible_fractional(inst)
+        cycles.clear()
+        reference_cycles.clear()
+        canceled = cancel_cycles(assignment)
+        reference = reference_cancel_cycles(assignment)
+        assert cycles == reference_cycles
+        assert [list(shares.items()) for shares in canceled.shares] == [
+            list(shares.items()) for shares in reference.shares
+        ]
+        assert canceled.sizes == reference.sizes
+        assert round_forest(canceled, inst) == reference_round_forest(reference, inst)
+        canceled_counts.append(len(cycles) - 1)
+    assert sum(count >= 2 for count in canceled_counts) >= 30
+    assert sum(count >= 4 for count in canceled_counts) >= 2
+
+
+def _two_jobs_on_two_machines():
+    return Instance.build(2, [(1, [0, 1]), (1, [0, 1])])
+
+
+@pytest.mark.parametrize(
+    "instance, assignment, placement, error, message",
+    [
+        pytest.param(
+            Instance.build(2, [(1, [0]), (1, [0, 1])]),
+            FractionalAssignment(({0: 1}, {0: 1, 1: 1}), (1, 2)),
+            (1, 0),
+            ValueError,
+            "job 0 assigned to machine 1 outside its allowed set",
+            id="off-allowed-set",
+        ),
+        pytest.param(
+            _two_jobs_on_two_machines(),
+            FractionalAssignment(({0: 1, 1: 1}, {0: 1, 1: 1}), (2, 2)),
+            (0, 0),
+            RuntimeError,
+            "machine 0 received 2 rounded jobs",
+            id="two-rounded-jobs",
+        ),
+        pytest.param(
+            # only a negative share, which no flow holds, lets one rounded job
+            # raise a machine by more than its size
+            _two_jobs_on_two_machines(),
+            FractionalAssignment(({0: 3, 1: -1}, {0: 2}), (2, 2)),
+            (1, 0),
+            RuntimeError,
+            "machine 1 load grew by more than one job size during rounding",
+            id="growth-above-job-size",
+        ),
+        pytest.param(
+            _two_jobs_on_two_machines(),
+            FractionalAssignment(({0: 2}, {1: 2}), (2, 2)),
+            (1, 1),
+            RuntimeError,
+            "integral job 0 moved off the machine holding its size",
+            id="integral-job-moved",
+        ),
+        pytest.param(
+            _two_jobs_on_two_machines(),
+            FractionalAssignment(({0: 1}, {0: 1, 1: 1}), (2, 2)),
+            (0, 1),
+            RuntimeError,
+            "integral job 0 moved off the machine holding its size",
+            id="integral-share-short-of-size",
+        ),
+    ],
+)
+def test_check_forest_rounding_rejects(instance, assignment, placement, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        _check_forest_rounding(assignment, instance, schedule_of(placement))
+
+
+def test_check_forest_rounding_catches_a_moved_integral_job_the_reference_missed():
+    # job 0 is whole on machine 0; moved to machine 1, where no rounded job
+    # lands, it escaped the reference check's growth test
+    inst = _two_jobs_on_two_machines()
+    assignment = FractionalAssignment(({0: 2}, {0: 2}), (2, 2))
+    reference_check_forest_rounding(assignment, inst, schedule_of((1, 0)))
+    with pytest.raises(RuntimeError, match="^integral job 0 moved off the machine holding"):
+        _check_forest_rounding(assignment, inst, schedule_of((1, 0)))
