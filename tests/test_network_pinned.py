@@ -20,7 +20,7 @@ import hashlib
 import random
 from fractions import Fraction
 
-from twoval_makespan import lenstra
+from twoval_makespan import flow, lenstra
 from twoval_makespan.flow import build_network
 from twoval_makespan.model import Instance, ScaledInstance
 
@@ -45,17 +45,17 @@ def draw(seed: int) -> Instance:
 def transportation(instance: Instance):
     """The network the additive search probes, caught at its first max-flow."""
     caught = []
-    probe = lenstra.max_flow_integral
+    probe = flow.max_flow_integral
 
     def catching(network, capacity):
         caught.append(network)
         return probe(network, capacity)
 
-    lenstra.max_flow_integral = catching
+    flow.max_flow_integral = catching
     try:
         lenstra.min_feasible_fractional(instance)
     finally:
-        lenstra.max_flow_integral = probe
+        flow.max_flow_integral = probe
     return caught[0]
 
 

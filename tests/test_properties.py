@@ -1,14 +1,15 @@
-"""Property tests for the feasibility search, which probes each infeasible
-probe's floor next (the point after it, or further), the integer size
-scaling, the instance checks on integer units, the two routes to a {1, k}
-instance, the lifted-load cap, the snap to true loads, cycle canceling on
-integer shares and the oracle's floors.
+"""Property tests for the feasibility search on both flow networks, which
+probes each short probe's min-cut floor next, the integer size scaling,
+the instance checks on integer units, the two routes to a {1, k} instance,
+the lifted-load cap, the snap to true loads, cycle canceling on integer
+shares and the oracle's floors.
 
 They need hypothesis and skip without it. No example database is kept;
 hypothesis may still cache source constants under `.hypothesis/`, which git
 ignores.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -20,7 +21,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from twoval_makespan.bounds import lift_factors
-from twoval_makespan.flow import Floor, FractionalAssignment, smallest_feasible
+from twoval_makespan.flow import (
+    FractionalAssignment, build_network, max_flow_integral, min_feasible_flow,
+)
 from twoval_makespan.lenstra import _snap_to_grid, cancel_cycles, round_forest
 from twoval_makespan.model import (
     Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer, size_ratio,
@@ -28,128 +31,55 @@ from twoval_makespan.model import (
 from twoval_makespan.oracle import _machine_sets, _true_load_at_least, brute_force_opt
 from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
 
-from helpers import enumerate_opt, load_floor, reference_violation, support_is_forest
+from helpers import (
+    enumerate_opt, load_floor, reference_violation, support_is_forest, transportation,
+)
 
 PROPERTY = settings(database=None, deadline=None)
 
 
 @st.composite
-def search_ranges(draw):
-    """A range [lo, hi] and a feasibility threshold in it, at an end of it, or above it."""
-    lo = draw(st.integers(-50, 50))
-    hi = lo + draw(st.one_of(st.just(0), st.integers(0, 300)))
-    threshold = draw(st.one_of(st.just(lo), st.just(hi), st.just(hi + 1), st.integers(lo, hi)))
-    return lo, hi, threshold
+def crowded_instances(draw):
+    """Up to 10 jobs of two sizes on up to 5 machines, and a k for the {1, k} network.
 
-
-def _check_floor_iteration(lo, hi, answers, found):
-    """The probes were lo, then max(last + 1, its floor) each, up to the first witness.
-
-    `answers` holds each probe's (point, answer) in order; `found` is the result.
+    Each job draws a nonempty set from a drawn prefix of the machines, so the
+    sets crowd the low machines and many starts fall short.
     """
-    points = [point for point, _ in answers]
-    assert points[0] == lo and points[-1] <= hi
-    for (point, answer), following in zip(answers, points[1:]):
-        assert isinstance(answer, Floor) and following == max(point + 1, answer.at)
-    point, answer = answers[-1]
-    if isinstance(answer, Floor):  # ruled out every point, or none left up to hi
-        assert found is None
-        assert answer.at is None or max(point + 1, answer.at) > hi
-    else:
-        assert found == (point, answer)
+    m = draw(st.integers(1, 5))
+    pair = draw(st.sampled_from([(1, 1), (3, 1), (Fraction(5, 2), 1), (Fraction(7, 3), 1)]))
+    machine_sets = st.integers(1, m).flatmap(
+        lambda reach: st.sets(st.integers(0, reach - 1), min_size=1)
+    )
+    jobs = draw(st.lists(st.tuples(st.sampled_from(pair), machine_sets), max_size=10))
+    return Instance.build(m, jobs), draw(st.integers(1, 4))
 
 
-@PROPERTY
-@given(search_ranges())
-def test_smallest_feasible_matches_a_linear_scan(case):
-    lo, hi, threshold = case
-    answers = []
-
-    def probe(point):
-        answer = ("witness", point) if point >= threshold else Floor(point + 1)
-        answers.append((point, answer))
-        return answer
-
-    found = smallest_feasible(lo, hi, probe)
-    _check_floor_iteration(lo, hi, answers, found)
-    expected = next((point for point in range(lo, hi + 1) if point >= threshold), None)
-    if expected is None:
-        assert found is None
-    else:
-        assert found == (expected, ("witness", expected))
+def _first_feasible(network, bounds):
+    """The first bound of `bounds` whose max-flow meets the demand, with that flow, or None."""
+    for bound in bounds:
+        solution = max_flow_integral(network, bound)
+        if solution.value == network.demand:
+            return bound, solution
+    return None
 
 
-@PROPERTY
-@given(search_ranges(), st.data())
-def test_smallest_feasible_with_floors_matches_a_linear_scan(case, data):
-    # an infeasible probe at t may report any valid floor: one in (t, threshold],
-    # or "never" when nothing in the range is feasible, or just t + 1
-    lo, hi, threshold = case
-    answers = []
-
-    def probe(point):
-        if point >= threshold:
-            answer = ("witness", point)
-        else:
-            within = st.builds(Floor, st.integers(point + 1, threshold))
-            floors = [st.just(Floor(point + 1)), within]
-            if threshold > hi:
-                floors.append(st.just(Floor(None)))
-            answer = data.draw(st.one_of(floors))
-        answers.append((point, answer))
-        return answer
-
-    found = smallest_feasible(lo, hi, probe)
-    _check_floor_iteration(lo, hi, answers, found)
-    expected = next((point for point in range(lo, hi + 1) if point >= threshold), None)
-    if expected is None:
-        assert found is None
-    else:
-        assert found == (expected, ("witness", expected))
-
-
-@st.composite
-def stepped_searches(draw):
-    """A start lo, a nondecreasing value per point from lo on, and a threshold on the values.
-
-    A point is feasible when its value reaches the threshold, and its witness
-    is its value, as an additive grid index is feasible when its snapped load is.
-    """
-    lo = draw(st.integers(-50, 50))
-    values = sorted(draw(st.lists(st.integers(0, 8), min_size=1, max_size=120)))
-    return lo, values, draw(st.integers(0, 9))
-
-
-@settings(PROPERTY, max_examples=500)
-@given(stepped_searches(), st.data())
-def test_smallest_feasible_with_floors_past_equal_witnesses(case, data):
-    # a floor may pass feasible points, up to the last one holding the best witness
-    lo, values, threshold = case
-    hi = lo + len(values) - 1
-    best = next((value for value in values if value >= threshold), None)
-    holding = [lo + k for k, value in enumerate(values) if value == best]
-    answers = []
-
-    def probe(point):
-        if values[point - lo] >= threshold:
-            answer = values[point - lo]
-        else:
-            if best is None:
-                above = st.builds(Floor, st.integers(point + 1, hi + 5))
-                floors = [st.just(Floor(point + 1)), st.just(Floor(None)), above]
-            else:  # the highest floor allowed is drawn often: it passes the most points
-                within = st.builds(Floor, st.integers(point + 1, holding[-1]))
-                floors = [st.just(Floor(point + 1)), st.just(Floor(holding[-1])), within]
-            answer = data.draw(st.one_of(floors))
-        answers.append((point, answer))
-        return answer
-
-    found = smallest_feasible(lo, hi, probe)
-    _check_floor_iteration(lo, hi, answers, found)
-    if best is None:
-        assert found is None
-    else:
-        assert found is not None and found[1] == best and found[0] in holding
+@settings(PROPERTY, max_examples=300)
+@given(crowded_instances())
+def test_min_feasible_flow_matches_a_linear_scan(case):
+    # from the machine-set floor the search returns the first feasible bound
+    # of a scan from 0 and the scan's flow there; with the snap to true loads
+    # it returns the first feasible true load of a scan over them
+    inst, k = case
+    for network in (build_network(ScaledInstance.of(inst, k)), transportation(inst)):
+        scan = range(network.demand + 1)
+        assert min_feasible_flow(network, network.floor) == _first_feasible(network, scan)
+    network = transportation(inst)
+    units, counts = network.sizes, range(len(network.sizes) + 1)
+    big, small = max(units, default=0), min(units, default=0)
+    loads = sorted({a * big + c * small for a in counts for c in counts})
+    snap = functools.partial(_snap_to_grid, units)
+    found = min_feasible_flow(network, snap(network.floor), snap)
+    assert found is not None and found == _first_feasible(network, loads)
 
 
 @st.composite
@@ -170,7 +100,12 @@ def test_snap_is_the_smallest_true_load_at_or_above_the_target(case):
         sum(count * unit for count, unit in zip(counts, units))
         for counts in itertools.product(range(n + 1), repeat=len(units))
     }
-    assert _snap_to_grid(sizes, target) == min(load for load in loads if load >= target)
+    snapped = _snap_to_grid(sizes, target)
+    assert snapped == min(load for load in loads if load >= target)
+    # a snapped load snaps to itself and, as every schedule's load, is a
+    # multiple of the sizes' gcd and at most their total: snapping once is enough
+    assert _snap_to_grid(sizes, snapped) == snapped
+    assert snapped % (math.gcd(*sizes) or 1) == 0 and snapped <= sum(sizes)
 
 
 SIZES = st.fractions(min_value=Fraction(1, 10), max_value=50, max_denominator=10)
