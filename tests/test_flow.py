@@ -558,6 +558,65 @@ def test_both_searches_probe_as_the_grid_index_reference(monkeypatch):
     assert len(cases) >= 400 and several >= 50
 
 
+def test_min_feasible_flow_probes_the_start_then_each_snapped_floor(monkeypatch):
+    # with a snap to multiples of 3, the search probes the start, then each
+    # short probe's floor snapped, snaps nothing else, and returns the first
+    # feasible multiple of 3 of a scan from the start, with the scan's flow
+    probes, snapped = [], []  # (bound, floor) per max-flow; each snap's argument
+
+    def recording(network, capacity):
+        solution = max_flow_integral(network, capacity)
+        probes.append((capacity, solution.floor))
+        return solution
+
+    def snap(bound):
+        snapped.append(bound)
+        return -(-bound // 3) * 3
+
+    rng = random.Random("flow-snapped-floors")
+    several = none = 0
+    for _ in range(400):
+        inst = _crowded_instance(rng, 3)
+        for network in (build_network(ScaledInstance.of(inst, rng.randint(1, 4))),
+                        transportation(inst)):
+            start = -(-network.floor // 3) * 3
+            expected = None
+            for bound in range(start, network.demand + 3, 3):
+                solution = max_flow_integral(network, bound)
+                if solution.value == network.demand:
+                    expected = bound, solution
+                    break
+            probes.clear()
+            snapped.clear()
+            monkeypatch.setattr(flow, "max_flow_integral", recording)
+            found = flow.min_feasible_flow(network, start, snap)
+            monkeypatch.undo()
+            assert found == expected
+            assert probes[0][0] == start
+            assert snapped == [floor for _, floor in probes[:-1]]
+            assert [bound for bound, _ in probes[1:]] == [-(-floor // 3) * 3 for floor in snapped]
+            if found is not None:
+                assert found[0] == probes[-1][0]
+            several += len(probes) >= 2
+            none += found is None
+    assert several >= 30 and none >= 20
+
+
+def test_min_feasible_flow_gives_up_on_a_cut_no_bound_widens():
+    # two big jobs on machine 0 alone pass one throttle of k: from a bound of
+    # 2 on the min cut holds no sink arc, so the floor is None and the search
+    # returns None; from 0 it first probes the floor 3 that the cut proves
+    inst = Instance.build(2, [(3, {0}), (3, {0}), (1, {1})])
+    network = build_network(ScaledInstance.of(inst, 2))
+    for bound in range(2, network.demand + 1):
+        solution = max_flow_integral(network, bound)
+        assert solution.value < network.demand and solution.floor is None
+    for start, floors in [(0, [3]), (network.floor, []), (network.demand, [])]:
+        snapped = []
+        assert flow.min_feasible_flow(network, start, lambda b: snapped.append(b) or b) is None
+        assert snapped == floors
+
+
 def _first_phase_network(rng, kind):
     """A random `flow_network` of the kind: one in eight has no jobs, one in four one machine.
 
