@@ -6,7 +6,10 @@ lift factors f1 = ceil(alpha)/alpha >= 1 and f2 = floor(alpha)/alpha <= 1
 measure how far the small size moved. The certified ratio of each branch is
 an exact rational expression in alpha; on the interval (n, n+1) one
 expression increases and the other decreases, and they balance at the
-positive root of a quadratic, which pins the interval's worst case.
+positive root of a quadratic, which pins the interval's worst case. Both
+roots are (p + sqrt(d))/q for integers p, q and a non-square d; each is
+reported as the midpoint of the 2^-60-wide dyadic interval holding it, found
+by an integer square root, capped to a denominator of at most 10^6.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from .model import as_rational
 
@@ -66,36 +68,31 @@ def gb_ratio_expressions(alpha: object) -> tuple[Fraction, Fraction]:
     return 1 + f1 / 2, 1 / f2 + Fraction(1, 2)
 
 
-def _bisect_root(g: Callable[[Fraction], Fraction], lo: Fraction, hi: Fraction) -> Fraction:
-    """Positive root of g on (lo, hi) by exact bisection, then denominator capping."""
-    if not (g(lo) < 0 < g(hi)):
-        raise ValueError("root is not bracketed")
-    for _ in range(60):  # interval width < 1e-18 after 60 halvings
-        mid = (lo + hi) / 2
-        value = g(mid)
-        if value == 0:
-            return mid
-        if value < 0:
-            lo = mid
-        else:
-            hi = mid
-    return ((lo + hi) / 2).limit_denominator(10**6)
+def _midpoint(n: int, p: int, q: int, d: int) -> Fraction:
+    """Midpoint of the 2^-60-wide dyadic interval in (n, n+1) holding (p + sqrt(d)) / q.
+
+    d is never a perfect square, so the root is irrational and lies strictly
+    inside the interval [n + k/2^60, n + (k+1)/2^60] that 60 exact halvings
+    of (n, n+1) end on, with k = floor(((p - q*n)*2^60 + sqrt(d*2^120)) / q).
+    The square root may be taken as isqrt, since the floor of (A + r)/q for an
+    integer A and q > 0 depends only on floor(r).
+    """
+    k = (((p - q * n) << 60) + math.isqrt(d << 120)) // q
+    return n + Fraction(2 * k + 1, 1 << 61)
 
 
 def worst_case_alpha(n: int) -> Fraction:
     """Root of x^2 - x - n^2 in (n, n+1): where both assignment expressions meet."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _bisect_root(lambda x: x * x - x - n * n, Fraction(n), Fraction(n + 1))
+    return _midpoint(n, 1, 2, 1 + 4 * n * n).limit_denominator(10**6)
 
 
 def gb_worst_case_alpha(n: int) -> Fraction:
     """Root of 2x^2 - n*x - n(n+1) in (n, n+1): where both 2-machine expressions meet."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return _bisect_root(
-        lambda x: 2 * x * x - n * x - n * (n + 1), Fraction(n), Fraction(n + 1)
-    )
+    return _midpoint(n, n, 4, 9 * n * n + 8 * n).limit_denominator(10**6)
 
 
 def guarantee_report(alpha: object, graph_balancing: bool = False) -> GuaranteeReport:

@@ -112,14 +112,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.jobs < 1 or args.machines < 1:
         raise ValueError("jobs and machines must be >= 1")
-    alpha = parse_fraction(args.alpha)
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
     instance = random_instance(
         random.Random(args.seed),
         args.jobs,
         args.machines,
-        alpha,
+        parse_fraction(args.alpha),
         gb=args.gb,
         ensure_big=not args.allow_all_small,
     )

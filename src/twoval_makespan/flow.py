@@ -12,7 +12,7 @@ with the job sizes. A probe never writes them: `max_flow_integral` copies
 `cap`, sets the m sink arcs to the probed bound, pushes Dinic's first
 phases itself (below) and lets Dinic run the rest on the copy.
 The arc list is read back off the arrays only on demand
-(`FlowNetwork.arcs`), for tests and tracing.
+(`FlowNetwork.arcs`, without the sink arcs), for tests and tracing.
 `job_fractions` reads each job's per-machine shares, in the same units, off
 the flow, and `min_feasible_flow`, the one search, probes up from a lower
 bound, each time at the last short probe's floor (below), and returns the
@@ -153,12 +153,6 @@ class FlowNetwork:
         end = len(to) - 2 * self.machines  # arc i is (to[2i + 1], to[2i], cap[2i])
         return tuple(zip(to[1:end:2], to[0:end:2], cap[0:end:2]))
 
-    def arcs_at(self, capacity: int) -> tuple[tuple[int, int, int], ...]:
-        """The full arc list: `arcs`, then each machine -> sink at capacity, in order."""
-        sink = self.node_count - 1
-        nodes = range(sink - self.machines, sink)
-        return self.arcs + tuple((node, sink, capacity) for node in nodes)
-
 
 @dataclass(frozen=True)
 class FlowSolution:
@@ -183,9 +177,6 @@ class FractionalAssignment:
     def support(self, job: int) -> tuple[int, ...]:
         return tuple(sorted(self.shares[job]))
 
-    def is_integral(self, job: int) -> bool:
-        return len(self.shares[job]) == 1
-
 
 def flow_network(
     machine_count: int,
@@ -197,8 +188,9 @@ def flow_network(
 
     With k given, node 1 + n + i is machine i's throttle: big jobs (size k > 1)
     enter it instead of machine i, and it passes at most k on. The arcs go
-    straight into Dinic's residual arrays in `arcs_at` order: edge 2i is arc
-    i and edge 2i + 1 its reverse, and each node lists its edges in arc order.
+    straight into Dinic's residual arrays in arc order, `arcs` then the sink
+    arcs: edge 2i is arc i and edge 2i + 1 its reverse, and each node lists
+    its edges in arc order.
     """
     n, m = len(sizes), machine_count
     machine0 = 1 + n if k is None else 1 + n + m
@@ -255,11 +247,12 @@ def build_network(scaled: ScaledInstance) -> FlowNetwork:
 
 
 def max_flow_integral(network: FlowNetwork, capacity: int) -> FlowSolution:
-    """Integral maximum flow over `network.arcs_at(capacity)`, deterministic per input.
+    """Integral maximum flow with every sink arc at capacity, deterministic per input.
 
-    The flow is the one `Dinic` finds on those arcs, its phases with paths
-    of at most 5 arcs pushed by `_first_phase` (module docstring). A flow short of the demand
-    carries the floor its minimum cut proves.
+    The flow is the one `Dinic` finds on `network.arcs` and those sink arcs,
+    its phases with paths of at most 5 arcs pushed by `_first_phase` (module
+    docstring). A flow short of the demand carries the floor its minimum cut
+    proves.
     """
     if capacity < 0:
         raise ValueError("negative capacity")

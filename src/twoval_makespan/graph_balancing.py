@@ -57,28 +57,13 @@ def orient_components(edges: Sequence[tuple[int, int, int]]) -> dict[int, int]:
         if len(incident) > 2:
             raise ValueError(f"machine {vertex} has {len(incident)} half-assigned big jobs")
 
-    heads: dict[int, int] = {}  # edge id -> head vertex
-    used_edges: set[int] = set()
-
-    def walk(start: int) -> None:
+    heads: dict[int, int] = {}  # edge id -> head vertex, for the edges walked so far
+    # paths from their endpoints (degree 1) in index order first; what is left are cycles
+    for start in sorted(adjacency, key=lambda vertex: (len(adjacency[vertex]) != 1, vertex)):
         current = start
-        while True:
-            options = [(e, other) for e, other in adjacency[current] if e not in used_edges]
-            if not options:
-                return
-            edge_id, other = min(options)
-            used_edges.add(edge_id)
-            heads[edge_id] = other
-            current = other
-
-    # paths first: start from endpoints (degree 1) in index order
-    for vertex in sorted(adjacency):
-        if len(adjacency[vertex]) == 1:
-            walk(vertex)
-    # remaining components are cycles
-    for vertex in sorted(adjacency):
-        if any(e not in used_edges for e, _ in adjacency[vertex]):
-            walk(vertex)
+        while options := [(e, other) for e, other in adjacency[current] if e not in heads]:
+            edge_id, current = min(options)
+            heads[edge_id] = current
 
     _check_orientation(edges, heads)
     return {edges[edge_id][0]: head for edge_id, head in heads.items()}

@@ -31,8 +31,9 @@ Canceling support cycles and rounding the remaining forest then places every
 job while raising each machine load by at most one job size, at most b: a 3/2
 approximation once the optimum is at least 2b. Both work on those integer
 shares and walk the support graph of the fractional jobs (on two or more
-machines), node j for job j and n + i for machine i. Each makes one pass
-over all jobs to pick out the fractional ones, which are few: at most
+machines); the cycle search numbers its nodes j for job j and n + i for
+machine i, and the rounding tracks the machines it reached. Each makes one
+pass over all jobs to pick out the fractional ones, which are few: at most
 m - 1 once the support is a forest. Everything else runs over those
 alone: the copied shares, the machine -> fractional-jobs index each cycle
 search builds and the search itself, then the rounding's sorted supports,
@@ -131,20 +132,18 @@ def _cycle_edges(a: int, b: int, parent: dict[int, int | None], n: int) -> list[
 
 
 def _find_support_cycle(
-    supports: Sequence[Collection[int]], fractional: Sequence[int] | None = None
+    supports: Sequence[Collection[int]], fractional: Sequence[int]
 ) -> list[tuple[int, int]] | None:
     """A cycle in the bipartite support graph of fractional jobs, as (job, machine) edges.
 
     supports[j] is job j's machines and `fractional` the jobs with two or more
-    of them, in increasing order (found by a scan of all jobs when not given);
-    only those are indexed and searched. Depth-first from each unvisited
+    of them, in increasing order; only those are indexed and searched, node j
+    for job j and n + i for machine i. Depth-first from each unvisited
     fractional job, lowest first; a job expands to its sorted machines, a
     machine to its fractional jobs in index order. Earlier components are
     fully explored, so one parent map is the visited set too.
     """
     n = len(supports)
-    if fractional is None:
-        fractional = [j for j, support in enumerate(supports) if len(support) >= 2]
     jobs_by_machine = _jobs_by_machine(supports, fractional)
     parent: dict[int, int | None] = {}
     for start in fractional:
@@ -202,8 +201,7 @@ def round_forest(assignment: FractionalAssignment, instance: Instance) -> Schedu
     node; each fractional job goes to one of its child machines, so a
     machine can only receive the job directly above it.
     """
-    n = instance.job_count
-    placed: list[int | None] = [None] * n
+    placed: list[int | None] = [None] * instance.job_count
     supports: dict[int, list[int]] = {}  # fractional job -> its sorted machines, in job order
     for j, job_shares in enumerate(assignment.shares):
         if len(job_shares) == 1:
@@ -213,25 +211,24 @@ def round_forest(assignment: FractionalAssignment, instance: Instance) -> Schedu
         else:
             raise ValueError(f"job {j} has empty support")
     jobs_by_machine = _jobs_by_machine(supports, supports.keys())
-    seen: set[int] = set()  # support-graph node ids: j for job j, n + i for machine i
+    seen: set[int] = set()  # the machines reached; a fractional job is reached once placed
     for root in sorted(jobs_by_machine):
-        if n + root in seen:
+        if root in seen:
             continue
-        seen.add(n + root)
+        seen.add(root)
         queue = deque([root])
         while queue:
             machine = queue.popleft()
             for j in jobs_by_machine[machine]:
-                if j in seen:
+                if placed[j] is not None:
                     continue  # the job this machine was discovered through
-                seen.add(j)
                 children = [i for i in supports[j] if i != machine]
                 placed[j] = children[0]  # supports are sorted
                 for child in children:
                     # a cycle must close through an already-visited machine
-                    if n + child in seen:
+                    if child in seen:
                         raise RuntimeError("support graph is not a forest")
-                    seen.add(n + child)
+                    seen.add(child)
                     queue.append(child)
     if None in placed:
         raise RuntimeError("forest rounding left a job unplaced")

@@ -136,6 +136,13 @@ def dinic(node_count: int, arcs: Iterable[tuple[int, int, int]]) -> Dinic:
     return Dinic(ref._to, ref._cap, ref._adj)
 
 
+def arcs_at(network: FlowNetwork, capacity: int) -> tuple[tuple[int, int, int], ...]:
+    """The network's full arc list: `network.arcs`, then each machine -> sink at capacity."""
+    sink = network.node_count - 1
+    nodes = range(sink - network.machines, sink)
+    return network.arcs + tuple((node, sink, capacity) for node in nodes)
+
+
 def transportation(instance: Instance) -> FlowNetwork:
     """The additive search's network: no throttles, capacities in units of 1/D."""
     return flow_network(instance.machine_count, instance.allowed, integer_sizes(instance)[1])
@@ -153,7 +160,9 @@ def schedule_of(assignment: Iterable[int]) -> Schedule:
 
 def support_is_forest(assignment: FractionalAssignment) -> bool:
     """True when the bipartite support graph of fractional jobs is acyclic."""
-    return _find_support_cycle(assignment.shares) is None
+    shares = assignment.shares
+    fractional = [j for j, job_shares in enumerate(shares) if len(job_shares) >= 2]
+    return _find_support_cycle(shares, fractional) is None
 
 
 def _reference_jobs_by_machine(supports: Sequence[Collection[int]]) -> dict[int, list[int]]:
@@ -262,7 +271,7 @@ def reference_check_forest_rounding(
         for i, share in assignment.shares[j].items():
             frac_loads[i] += share
         loads[machine] += assignment.sizes[j]
-        if not assignment.is_integral(j):
+        if len(assignment.shares[j]) != 1:
             received.setdefault(machine, []).append(j)
     for machine, jobs in received.items():
         if len(jobs) > 1:
@@ -520,3 +529,73 @@ def scan_gb_grid(max_denominator: int = 1000) -> tuple[Fraction, Fraction]:
 def gb_interval_start_bound(n: int) -> Fraction:
     """Supremum of 1 + f1/2 over alpha in (n, n+1); decreasing in n."""
     return 1 + Fraction(n + 1, 2 * n)
+
+
+def reference_bisect_midpoint(
+    g: Callable[[Fraction], Fraction], lo: Fraction, hi: Fraction
+) -> Fraction:
+    """The earlier `bounds._bisect_root` without its final denominator capping.
+
+    Returns the midpoint of the interval that 60 exact halvings of (lo, hi)
+    end on, or a midpoint where g is exactly 0.
+    """
+    if not (g(lo) < 0 < g(hi)):
+        raise ValueError("root is not bracketed")
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        value = g(mid)
+        if value == 0:
+            return mid
+        if value < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def reference_worst_case_midpoint(n: int, graph_balancing: bool) -> Fraction:
+    """The earlier bisection's midpoint for the root of x^2 - x - n^2 in (n, n+1).
+
+    With graph_balancing, for the root of 2x^2 - n*x - n(n+1) instead. The
+    earlier `worst_case_alpha` and `gb_worst_case_alpha` returned it capped
+    by `limit_denominator(10**6)`.
+    """
+    if graph_balancing:
+        return reference_bisect_midpoint(
+            lambda x: 2 * x * x - n * x - n * (n + 1), Fraction(n), Fraction(n + 1)
+        )
+    return reference_bisect_midpoint(lambda x: x * x - x - n * n, Fraction(n), Fraction(n + 1))
+
+
+def reference_orient_components(edges: Sequence[tuple[int, int, int]]) -> dict[int, int]:
+    """The earlier `graph_balancing.orient_components`, with a walk per start and two loops.
+
+    Walks each path from its degree-1 endpoints in index order, then each
+    remaining cycle from its lowest vertex; a walk takes the lowest unused
+    edge id at each vertex. Skips the degree and orientation checks.
+    """
+    adjacency: dict[int, list[tuple[int, int]]] = {}
+    for edge_id, (_, u, v) in enumerate(edges):
+        adjacency.setdefault(u, []).append((edge_id, v))
+        adjacency.setdefault(v, []).append((edge_id, u))
+    heads: dict[int, int] = {}  # edge id -> head vertex
+    used_edges: set[int] = set()
+
+    def walk(start: int) -> None:
+        current = start
+        while True:
+            options = [(e, other) for e, other in adjacency[current] if e not in used_edges]
+            if not options:
+                return
+            edge_id, other = min(options)
+            used_edges.add(edge_id)
+            heads[edge_id] = other
+            current = other
+
+    for vertex in sorted(adjacency):
+        if len(adjacency[vertex]) == 1:
+            walk(vertex)
+    for vertex in sorted(adjacency):
+        if any(e not in used_edges for e, _ in adjacency[vertex]):
+            walk(vertex)
+    return {edges[edge_id][0]: head for edge_id, head in heads.items()}

@@ -8,6 +8,7 @@ from twoval_makespan.bounds import (
     ASSIGNMENT_GUARANTEE,
     GB_GUARANTEE,
     _guarantee_report,
+    _midpoint,
     gb_ratio_expressions,
     gb_worst_case_alpha,
     guarantee_report,
@@ -18,7 +19,9 @@ from twoval_makespan.bounds import (
 from twoval_makespan.model import Instance
 from twoval_makespan.twovalued import solve_two_valued
 
-from helpers import gb_interval_start_bound, scan_assignment_grid, scan_gb_grid
+from helpers import (
+    gb_interval_start_bound, reference_worst_case_midpoint, scan_assignment_grid, scan_gb_grid,
+)
 
 
 def test_lift_factors_examples():
@@ -48,6 +51,22 @@ def test_worst_case_roots_match_float_reference():
     for n in (1, 2, 3, 4):
         reference = (1 + math.sqrt(1 + 4 * n * n)) / 2
         assert abs(float(worst_case_alpha(n)) - reference) < 1e-9
+
+
+def test_worst_case_roots_equal_the_bisection():
+    # the integer square root lands on the bisection's last interval, so its
+    # midpoint, and the capped root, are the bisection's; a k one dyadic step
+    # off moves the midpoint by 2^-60
+    rng = random.Random(32)
+    ns = list(range(1, 2001)) + [rng.randint(10**6, 10**15) for _ in range(300)]
+    for n in ns:
+        midpoint = reference_worst_case_midpoint(n, graph_balancing=False)
+        assert _midpoint(n, 1, 2, 1 + 4 * n * n) == midpoint
+        assert worst_case_alpha(n) == midpoint.limit_denominator(10**6)
+        if n >= 2:
+            midpoint = reference_worst_case_midpoint(n, graph_balancing=True)
+            assert _midpoint(n, n, 4, 9 * n * n + 8 * n) == midpoint
+            assert gb_worst_case_alpha(n) == midpoint.limit_denominator(10**6)
 
 
 def test_worst_case_value_below_guarantee():

@@ -547,6 +547,22 @@ def test_zero_denominator_is_reported_by_name(tmp_path, capsys, size, argv, text
     assert captured.err == f"error: bad rational '{text}': zero denominator\n"
 
 
+@pytest.mark.parametrize(
+    "jobs, alpha, message",
+    [
+        ("2", "1/2", "alpha must be >= 1"),
+        ("2", "-3", "alpha must be >= 1"),
+        ("0", "1/2", "jobs and machines must be >= 1"),  # the counts are checked first
+    ],
+)
+def test_gen_rejects_a_bad_alpha_after_the_counts(capsys, jobs, alpha, message):
+    argv = ["gen", "--seed", "1", "--jobs", jobs, "--machines", "2", "--alpha", alpha]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_parses_the_bound_before_the_oracle(tmp_path, capsys):
     # the oracle would exceed its budget here; a bad bound must be reported first
     path = _write(

@@ -26,7 +26,8 @@ from twoval_makespan.model import (
 )
 
 from helpers import (
-    enumerate_opt, fraction, integer_instance, scale, scale_with_k, schedule_of,
+    enumerate_opt, fraction, integer_instance, reference_orient_components, scale, scale_with_k,
+    schedule_of,
 )
 
 
@@ -53,6 +54,38 @@ def test_orient_parallel_edges_form_two_cycle():
     graph = ((0, 3, 4), (1, 3, 4))
     heads = orient_components(graph)
     assert sorted(heads.values()) == [3, 4]
+
+
+def _max_degree_two_multigraph(rng: random.Random) -> list[tuple[int, int, int]]:
+    """Seeded paths, cycles and parallel-edge 2-cycles on distinct machines, shuffled.
+
+    Each edge is (job, u, v) with distinct random job ids and its endpoints
+    in random order.
+    """
+    labels = rng.sample(range(60), 60)
+    pairs: list[tuple[int, int]] = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(("path", "cycle", "two-cycle"))
+        if kind == "two-cycle":
+            u, v = labels.pop(), labels.pop()
+            pairs += [(u, v), (u, v)]
+            continue
+        length = rng.randint(1, 6) if kind == "path" else rng.randint(3, 7)
+        vertices = [labels.pop() for _ in range(length + (kind == "path"))]
+        ring = vertices if kind == "path" else vertices + vertices[:1]
+        pairs += list(zip(ring, ring[1:]))
+    rng.shuffle(pairs)
+    jobs = rng.sample(range(1000), len(pairs))
+    return [(job, *(pair if rng.random() < 0.5 else pair[::-1])) for job, pair in zip(jobs, pairs)]
+
+
+def test_orientation_matches_the_two_loop_reference():
+    rng = random.Random(32)
+    for _ in range(6000):
+        edges = _max_degree_two_multigraph(rng)
+        heads = orient_components(edges)
+        # the same heads, inserted in the same order
+        assert list(heads.items()) == list(reference_orient_components(edges).items())
 
 
 def test_orient_rejects_degree_three():

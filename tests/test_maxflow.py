@@ -7,7 +7,7 @@ from twoval_makespan.flow import build_network, max_flow_integral
 from twoval_makespan.generator import random_instance
 from twoval_makespan.model import Instance, normalize, scale_to_integer
 
-from helpers import dinic, transportation
+from helpers import arcs_at, dinic, transportation
 from reference_dinic import ReferenceDinic
 
 
@@ -114,7 +114,7 @@ def test_package_networks_match_the_reference_at_every_bound(family):
         sink = network.node_count - 1
         for bound in range(network.demand + 1):
             solution = max_flow_integral(network, bound)
-            expected = _solve(ReferenceDinic, network.node_count, network.arcs_at(bound), 0, sink)
+            expected = _solve(ReferenceDinic, network.node_count, arcs_at(network, bound), 0, sink)
             assert (solution.value, solution.flows) == expected
             probes += 1
     assert probes >= 200
@@ -136,7 +136,7 @@ def test_probes_on_one_network_do_not_leak_into_each_other(family):
             with pytest.raises(ValueError, match="^negative capacity$"):
                 max_flow_integral(network, bound)
             continue
-        fresh = _solve(dinic, network.node_count, network.arcs_at(bound), 0, sink)
+        fresh = _solve(dinic, network.node_count, arcs_at(network, bound), 0, sink)
         solution = max_flow_integral(network, bound)
         assert (solution.value, solution.flows) == fresh
         feasible.add(solution.value == network.demand)

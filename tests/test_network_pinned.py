@@ -4,8 +4,8 @@ The {1, k} network comes from `flow.build_network(ScaledInstance.of(i, k))`
 at k = 1 to 4. The additive search's transportation network is the one
 `lenstra.min_feasible_fractional` hands to its first max-flow. For each
 network the digest covers `node_count`, `demand`, `job_arcs` and
-`arcs_at(t)` at four bounds t, so any change to the node numbering, the arc
-order or a capacity moves it. The instances are drawn with `random.random()`
+`helpers.arcs_at(network, t)` at four bounds t, so any change to the node
+numbering, the arc order or a capacity moves it. The instances are drawn with `random.random()`
 alone, whose sequence CPython keeps across versions, and include instances
 with no jobs and with one machine.
 
@@ -23,6 +23,8 @@ from fractions import Fraction
 from twoval_makespan import flow, lenstra
 from twoval_makespan.flow import build_network
 from twoval_makespan.model import Instance, ScaledInstance
+
+from helpers import arcs_at
 
 CASES = 300
 ALPHAS = tuple(map(Fraction, ("1", "2", "3", "3/2", "5/2", "7/3")))
@@ -62,7 +64,7 @@ def transportation(instance: Instance):
 def layout(network) -> bytes:
     demand, m = network.demand, network.machines
     bounds = (0, 1, -(-demand // m), demand)
-    arcs = tuple(network.arcs_at(t) for t in bounds)
+    arcs = tuple(arcs_at(network, t) for t in bounds)
     return repr((network.node_count, demand, network.job_arcs, arcs)).encode()
 
 
