@@ -24,9 +24,9 @@ from .fileio import (
 from .generator import random_instance
 from .graph_balancing import gb_solve_two_valued
 from .lenstra import lenstra_solve
-from .model import Instance, ScaledInstance, is_graph_balancing, size_ratio
+from .model import Instance, is_graph_balancing, size_ratio
 from .oracle import DEFAULT_NODE_BUDGET, BudgetExceeded, brute_force_opt, ratio_verdict
-from .twovalued import ADDITIVE, SolveResult, pick_best, solve_two_valued
+from .twovalued import ADDITIVE, SolveResult, pick_best, reduction_branches, solve_two_valued
 from .unitk import solve_unit_k
 
 ORACLE_BUDGET_ENV = "TWOVAL_ORACLE_BUDGET"
@@ -59,9 +59,9 @@ def _solve(instance: Instance, mode: str) -> SolveResult:
     if mode == "unitk":
         if alpha.denominator != 1:
             raise ValueError(f"non-integer ratio: small size {1 / alpha} is not a unit fraction")
-        solution = solve_unit_k(ScaledInstance.of(instance, alpha.numerator))
-        if solution is not None:
-            return pick_best(instance, guarantee_report(alpha), {"flow": solution.schedule})
+        branches = reduction_branches(instance, {"flow": alpha.numerator}, solve_unit_k)
+        if branches:
+            return pick_best(instance, guarantee_report(alpha), branches)
     elif mode != "lenstra":
         raise ValueError(f"unknown mode {mode!r}")
     additive = lenstra_solve(instance).schedule
@@ -195,11 +195,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     print(_value("expr1", report.expr1))
     print(_value("expr2", report.expr2))
     print(_value("min", min(report.expr1, report.expr2)))
-    interval = math.floor(alpha)
-    if args.gb:
-        root = gb_worst_case_alpha(max(interval, 2))
-    else:
-        root = worst_case_alpha(max(interval, 1))
+    root = (gb_worst_case_alpha if args.gb else worst_case_alpha)(math.floor(alpha))
     at_root = guarantee_report(root, graph_balancing=args.gb)
     print(_value("worst-alpha", root))
     print(_value("worst-value", min(at_root.expr1, at_root.expr2)))

@@ -9,11 +9,12 @@ are paths and cycles and therefore admit an orientation giving every machine
 at most one of them. The rounding increases any machine load by at most k/2,
 a 3/2 approximation for {1, k} sizes.
 
-For arbitrary two-size weights, alpha >= 2 races the two reductions against
-the additive rounding; alpha in (1, 2) races a one-job-per-machine matching,
-the small-down reduction, a forest rounding and the additive rounding, where
-the forest branch rounds the additive branch's cycle-free fractional solution
-rather than searching for its own. Either way `twovalued.pick_best` keeps the
+For arbitrary two-size weights, alpha >= 2 races the reductions of
+`twovalued.reductions(alpha)` against the additive rounding; alpha in (1, 2)
+races a one-job-per-machine matching, the small-down reduction to k = 2, a
+forest rounding and the additive rounding, where the forest branch rounds the
+additive branch's cycle-free fractional solution rather than searching for its
+own. Either way `twovalued.pick_best` keeps the
 best branch, within 1.652 of the optimum. Only the two `gb_solve_*` solvers,
 whose guarantees need it, reject a job allowing more than 2 machines.
 """
@@ -27,7 +28,7 @@ from .flow import FractionalAssignment
 from .lenstra import lenstra_solve, round_forest
 from .matching import maximum_bipartite_matching
 from .model import Instance, ScaledInstance, Schedule, is_graph_balancing, size_ratio
-from .twovalued import ADDITIVE, SMALL_DOWN, SolveResult, pick_best, reduction_branches
+from .twovalued import ADDITIVE, SMALL_DOWN, SolveResult, pick_best, reduction_branches, reductions
 from .unitk import UnitKSolution, round_flow
 
 MATCHING = "matching"
@@ -140,11 +141,11 @@ def gb_solve_two_valued(instance: Instance) -> SolveResult:
     alpha = size_ratio(instance)
     additive = lenstra_solve(instance)
     if not 1 < alpha < 2:
-        branches = reduction_branches(instance, alpha, None, gb_solve_unit_k)
+        branches = reduction_branches(instance, reductions(alpha), gb_solve_unit_k)
     else:
         matched = gb_perfect_matching_opt1(instance)
         branches = {} if matched is None else {MATCHING: matched}
-        branches.update(reduction_branches(instance, alpha, [SMALL_DOWN], gb_solve_unit_k))  # k = 2
+        branches.update(reduction_branches(instance, {SMALL_DOWN: 2}, gb_solve_unit_k))
         # the forest branch rounds the additive branch's own cycle-free assignment
         branches[FOREST] = gb_forest_round(instance, additive.forest)
     branches[ADDITIVE] = additive.schedule

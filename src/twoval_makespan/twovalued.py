@@ -1,21 +1,29 @@
 """Best-of-branches solver for two-size instances with arbitrary rational sizes.
 
-With alpha the big size over the small one, race three branches and keep
-the smallest makespan in original units:
+With alpha the big size over the small one, race the {1, k} reductions in
+the table `reductions(alpha)` against the additive rounding, and keep the
+smallest makespan in original units. The table maps each reduction to its k,
+in race order:
 
-  small-down  size big jobs k = ceil(alpha) and small jobs 1, that is the
-              small size lowered to 1/ceil(alpha) of the big one, solve the
-              {1, k} flow rounding and lift back (factor f1)
-  small-up    the same with k = floor(alpha), the small size raised (f2)
+  uniform     k = 1, alone at alpha = 1: every job has one size and the
+              flow rounding is exact
+  small-down  k = ceil(alpha) at a non-integer alpha: the small size lowered
+              to 1/ceil(alpha) of the big one (lift factor f1)
+  small-up    k = floor(alpha), alone at an integer alpha > 1: the small size
+              raised to 1/floor(alpha) (lift factor f2)
+
   additive    transportation rounding on the original sizes, additive error
-              at most the big size
+              at most the big size, raced after the table's branches
 
-The reductions carry the bound min(1 + f1 - 1/alpha, 1/f2 + 1 - 1/floor(alpha))
-whenever the optimum is below twice the big size; outside that regime the
-additive branch is a 3/2 approximation. The branches share nothing mutable
-and may run concurrently; the merge is a pure argmin. `pick_best` is the one
-place a winner is picked and a `SolveResult` built: graph balancing and the
-CLI's one-branch modes pass it their branches too.
+`reduction_branches` is the one loop that builds a {1, k} instance for each
+entry of such a table and runs a {1, k} solver on it; graph balancing and the
+CLI's unitk mode pass it their own tables. The reductions carry the bound
+min(1 + f1 - 1/alpha, 1/f2 + 1 - 1/floor(alpha)) whenever the optimum is
+below twice the big size; outside that regime the additive branch is a 3/2
+approximation. The branches share nothing mutable and may run concurrently;
+the merge is a pure argmin. `pick_best` is the one place a winner is picked
+and a `SolveResult` built: graph balancing and the CLI's one-branch modes pass
+it their branches too.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping
 
 from .bounds import GuaranteeReport, guarantee_report
 from .lenstra import lenstra_solve
@@ -47,18 +55,17 @@ class SolveResult:
     chosen: str
 
 
-def build_reduced(instance: Instance, alpha: Fraction, which: str) -> ScaledInstance:
-    """The {1, k} instance with the small size rounded to 1/k of the big one.
+def reductions(alpha: Fraction) -> dict[str, int]:
+    """Each {1, k} reduction that applies at alpha, mapped to its k, in race order.
 
-    k is ceil(alpha) (small-down) or floor(alpha) (small-up). The original
-    small size is the reduced one times f1 or f2, the lift factors of
-    `bounds.lift_factors(alpha)`.
+    The original small size is the reduced one times f1 (small-down) or f2
+    (small-up), the lift factors of `bounds.lift_factors(alpha)`.
     """
-    if which == SMALL_DOWN:
-        return ScaledInstance.of(instance, math.ceil(alpha))
-    if which == SMALL_UP:
-        return ScaledInstance.of(instance, math.floor(alpha))
-    raise ValueError(f"unknown reduction {which!r}")
+    if alpha == 1:
+        return {UNIFORM: 1}
+    if alpha.denominator == 1:
+        return {SMALL_UP: alpha.numerator}
+    return {SMALL_DOWN: math.ceil(alpha), SMALL_UP: math.floor(alpha)}
 
 
 def pick_best(
@@ -75,39 +82,32 @@ def pick_best(
 def solve_two_valued(instance: Instance) -> SolveResult:
     """Race the reductions and the additive rounding; certify the branch bound."""
     alpha = size_ratio(instance)
-    branches = reduction_branches(instance, alpha, None, solve_unit_k)
+    branches = reduction_branches(instance, reductions(alpha), solve_unit_k)
     branches[ADDITIVE] = lenstra_solve(instance).schedule
     return pick_best(instance, guarantee_report(alpha), branches)
 
 
 def reduction_branches(
     instance: Instance,
-    alpha: Fraction,
-    which_list: Sequence[str] | None,
+    plan: Mapping[str, int],
     solve: Callable[[ScaledInstance], UnitKSolution | None],
 ) -> dict[str, Schedule]:
-    """Schedules of the {1, k} solver `solve` on each reduction in which_list.
+    """Schedules of the {1, k} solver `solve` on each (name, k) of plan, in order.
 
-    None picks the reductions that apply at alpha: small-up alone when alpha
-    is an integer, else small-down then small-up. A reduction whose flow is
-    infeasible is left out. At alpha == 1 every job has size 1 and the
-    schedule is the uniform branch.
+    A branch whose flow is infeasible is left out; a uniform one raises
+    instead, since a single-size flow always meets the demand at the top
+    estimate. Small-down schedules get their lifted loads checked.
     """
-    if alpha == 1:
-        result = solve(ScaledInstance.of(instance, 1))
-        if result is None:  # single-size flow always meets demand at the top estimate
-            raise RuntimeError("uniform-size flow unexpectedly infeasible")
-        return {UNIFORM: result.schedule}
-    if which_list is None:
-        which_list = [SMALL_UP] if alpha.denominator == 1 else [SMALL_DOWN, SMALL_UP]
     branches: dict[str, Schedule] = {}
-    for which in which_list:
-        result = solve(build_reduced(instance, alpha, which))
+    for name, k in plan.items():
+        result = solve(ScaledInstance.of(instance, k))
         if result is None:
+            if name == UNIFORM:
+                raise RuntimeError("uniform-size flow unexpectedly infeasible")
             continue
-        if which == SMALL_DOWN:
+        if name == SMALL_DOWN:
             _check_lifted_loads(instance, result)
-        branches[which] = result.schedule
+        branches[name] = result.schedule
     return branches
 
 

@@ -647,6 +647,21 @@ def test_solve_output_schedule_is_valid(tmp_path, capsys):
     machine_loads(inst, schedule_of(assignment))  # raises if any placement is disallowed
 
 
+def test_solve_prints_the_nonconstructive_note_above_alpha_five(tmp_path, capsys):
+    assert main(["gen", "--seed", "4", "--jobs", "12", "--machines", "3", "--alpha", "6"]) == 0
+    path = _write(tmp_path, "alpha6.txt", capsys.readouterr().out)
+    assert main(["solve", path]) == 0
+    assert "# nonconstructive 11/6 1.8333\n" in capsys.readouterr().out
+
+
+def test_solve_rejects_a_size_with_two_slashes(tmp_path, capsys):
+    path = _write(tmp_path, "slashes.txt", "machines 1\njobs 1\njob 0 1/2/3 0\n")
+    assert main(["solve", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad rational '1/2/3'\n"
+
+
 def test_bound_table(capsys):
     assert main(["bound", "--alpha", "5/2"]) == 0
     out = capsys.readouterr().out

@@ -19,7 +19,6 @@ from twoval_makespan.maxflow import Dinic
 from twoval_makespan.model import (
     Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer, size_ratio,
 )
-from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
 
 import test_network_pinned as network_pinned
 from helpers import (
@@ -229,8 +228,8 @@ def test_no_estimate_exactly_when_the_full_load_flow_falls_short(monkeypatch):
         alpha = Fraction(rng.randint(3, 13), rng.randint(1, 4))
         inst = random_instance(rng, rng.randint(0, 10), m, max(alpha, 2))
         alpha = size_ratio(inst)
-        for which in (SMALL_DOWN, SMALL_UP):
-            scaled = build_reduced(inst, alpha, which)
+        for k in (math.ceil(alpha), math.floor(alpha)):  # small-down, then small-up
+            scaled = ScaledInstance.of(inst, k)
             total = sum(scaled.sizes)
             short = max_flow_integral(build_network(scaled), total).value < total
             probes.clear()

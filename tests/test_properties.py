@@ -29,7 +29,7 @@ from twoval_makespan.model import (
     Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer, size_ratio,
 )
 from twoval_makespan.oracle import _machine_sets, _true_load_at_least, brute_force_opt
-from twoval_makespan.twovalued import SMALL_DOWN, SMALL_UP, build_reduced
+from twoval_makespan.twovalued import reductions
 
 from helpers import (
     enumerate_opt, load_floor, reference_violation, support_is_forest, transportation,
@@ -184,8 +184,8 @@ def test_both_routes_to_a_unit_k_instance_agree(instance):
     # the normalized route (the benchmark's unitk operation) and the solvers' reduction
     alpha = size_ratio(instance)
     via_normalize = scale_to_integer(normalize(instance)[0])
-    assert via_normalize == build_reduced(instance, alpha, SMALL_UP)
-    assert via_normalize == build_reduced(instance, alpha, SMALL_DOWN)
+    (k,) = reductions(alpha).values()  # one branch at an integer alpha: ceil = floor = alpha
+    assert via_normalize == ScaledInstance.of(instance, k)
     assert via_normalize.k == alpha
     if alpha == 1:
         assert via_normalize == ScaledInstance.of(instance, 1)

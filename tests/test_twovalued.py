@@ -6,19 +6,22 @@ import pytest
 
 from twoval_makespan import cli
 from twoval_makespan.bounds import guarantee_report, lift_factors
-from twoval_makespan.fileio import parse_instance
+from twoval_makespan.fileio import format_instance, parse_instance
 from twoval_makespan.flow import FractionalAssignment
 from twoval_makespan.generator import random_instance
+from twoval_makespan.graph_balancing import gb_solve_two_valued
 from twoval_makespan.lenstra import lenstra_solve
 from twoval_makespan.model import Instance, ScaledInstance, scale_to_integer, size_ratio
+from twoval_makespan.oracle import brute_force_opt
 from twoval_makespan.twovalued import (
     ADDITIVE,
     SMALL_DOWN,
     SMALL_UP,
     SolveResult,
+    UNIFORM,
     _check_lifted_loads,
-    build_reduced,
     pick_best,
+    reductions,
     solve_two_valued,
 )
 from twoval_makespan.unitk import UnitKSolution, solve_unit_k
@@ -26,35 +29,100 @@ from twoval_makespan.unitk import UnitKSolution, solve_unit_k
 from helpers import enumerate_opt, schedule_of
 
 
-def test_build_reduced_five_halves():
+def _reduced(inst):
+    """The {1, k} instance each branch of the table at the instance's alpha builds."""
+    return {name: ScaledInstance.of(inst, k) for name, k in reductions(size_ratio(inst)).items()}
+
+
+def test_reductions_at_alpha_one_is_the_uniform_branch_alone():
+    inst = Instance.build(2, [(Fraction(3, 2), [0]), (Fraction(3, 2), [0, 1])])
+    assert list(reductions(size_ratio(inst)).items()) == [(UNIFORM, 1)]
+    uniform = _reduced(inst)[UNIFORM]
+    assert uniform.sizes == (1, 1) and uniform.k == 1
+
+
+def test_reductions_five_halves():
     # small size 2/5 of the big one: lowered to 1/3 (k = 3), raised to 1/2 (k = 2)
     inst = Instance.build(2, [(2, [0]), (5, [1])])
     alpha = size_ratio(inst)
-    down = build_reduced(inst, alpha, SMALL_DOWN)
-    up = build_reduced(inst, alpha, SMALL_UP)
+    assert list(reductions(alpha).items()) == [(SMALL_DOWN, 3), (SMALL_UP, 2)]  # race order
+    reduced = _reduced(inst)
+    down, up = reduced[SMALL_DOWN], reduced[SMALL_UP]
     f1, f2 = lift_factors(alpha)
     assert down.sizes == (1, 3) and down.k == 3 and f1 == Fraction(6, 5)
     assert up.sizes == (1, 2) and up.k == 2 and f2 == Fraction(4, 5)
     assert down.allowed == up.allowed == (frozenset({0}), frozenset({1}))
 
 
-def test_build_reduced_integer_alpha_is_identity():
+def test_reductions_at_an_integer_alpha_is_small_up_alone_and_the_identity():
     inst = Instance.build(2, [(Fraction(1, 3), [0]), (1, [1])])
     alpha = size_ratio(inst)
-    up = build_reduced(inst, alpha, SMALL_UP)
+    assert list(reductions(alpha).items()) == [(SMALL_UP, 3)]
+    up = _reduced(inst)[SMALL_UP]
     assert up == scale_to_integer(inst) and lift_factors(alpha)[1] == 1
 
 
-def test_build_reduced_eight_fifths():
+def test_reductions_eight_fifths():
     inst = Instance.build(2, [(Fraction(5, 8), [0]), (1, [1])])
     alpha = size_ratio(inst)
     assert alpha == Fraction(8, 5)
-    down = build_reduced(inst, alpha, SMALL_DOWN)
-    up = build_reduced(inst, alpha, SMALL_UP)
+    assert list(reductions(alpha).items()) == [(SMALL_DOWN, 2), (SMALL_UP, 1)]
+    reduced = _reduced(inst)
+    down, up = reduced[SMALL_DOWN], reduced[SMALL_UP]
     f1, f2 = lift_factors(alpha)
     assert down.sizes == (1, 2) and down.k == 2 and f1 == Fraction(5, 4)
     # raised to the big size itself: one size, k = 1
     assert up == ScaledInstance.of(inst, 1) and up.sizes == (1, 1) and f2 == Fraction(5, 8)
+
+
+def test_each_entry_point_builds_the_k_of_its_table(monkeypatch, tmp_path):
+    built = []
+    of = ScaledInstance.of
+
+    def recording(cls, instance, k):
+        built.append(k)
+        return of(instance, k)
+
+    monkeypatch.setattr(ScaledInstance, "of", classmethod(recording))
+    rng = random.Random("twoval-table")
+    for alpha in (1, 3, Fraction(5, 2), Fraction(8, 5), Fraction(23, 4)):
+        for _ in range(5):
+            inst = random_instance(rng, rng.randint(1, 8), rng.randint(1, 3), alpha)
+            built.clear()
+            solve_two_valued(inst)
+            assert built == list(reductions(size_ratio(inst)).values())
+    for alpha in (Fraction(3, 2), Fraction(8, 5), Fraction(7, 4)):
+        for _ in range(5):
+            inst = random_instance(rng, rng.randint(2, 8), rng.randint(2, 4), alpha, gb=True)
+            assert 1 < size_ratio(inst) < 2
+            built.clear()
+            gb_solve_two_valued(inst)
+            assert built == [2]  # small-down to k = 2, whatever ceil(alpha) the table would give
+    for alpha in (2, 3, 5):
+        inst = random_instance(rng, 6, 3, alpha)
+        assert size_ratio(inst) == alpha
+        path = tmp_path / "unitk.txt"
+        path.write_text(format_instance(inst))
+        built.clear()
+        assert cli.main(["solve", "--mode", "unitk", str(path)]) == 0
+        assert built == [alpha]
+
+
+def test_the_tight_family_meets_the_certified_bound():
+    # 3 machines, two size-k jobs and k small ones in this order: the
+    # makespan is 2k - 1 against an optimum of k, exactly the bound 2 - 1/k
+    for k in (8, 12):
+        everywhere = [0, 1, 2]
+        jobs = [(1, everywhere), (k, everywhere), (k, everywhere), (1, [0, 2])]
+        jobs += [(1, everywhere)] * (k - 4) + [(1, [2]), (1, [0, 2])]
+        inst = Instance.build(3, jobs)
+        result = solve_two_valued(inst)
+        opt = brute_force_opt(inst).opt_makespan
+        assert result.branch_makespans == {SMALL_UP: 2 * k - 1, ADDITIVE: 2 * k - 1}
+        assert result.chosen == SMALL_UP and result.makespan == 2 * k - 1
+        assert opt == k
+        assert result.report.constructive_bound == 2 - Fraction(1, k)
+        assert result.makespan == result.report.constructive_bound * opt
 
 
 def test_solve_alpha_two_within_three_halves():
