@@ -8,17 +8,22 @@ jobs through per-machine throttle nodes (below); `lenstra`'s transportation
 network has none. The builder writes each arc straight into Dinic's
 residual arrays (`maxflow`), the first n arcs source -> job j and the last
 m machine -> sink at capacity 0, and a `FlowNetwork` holds those arrays
-with the job sizes. A probe never writes them: `max_flow_integral` copies
-`cap`, sets the m sink arcs to the probed bound, pushes Dinic's first
-phases itself (below) and lets Dinic run the rest on the copy.
-The arc list is read back off the arrays only on demand
-(`FlowNetwork.arcs`, without the sink arcs), for tests and tracing.
-`job_fractions` reads each job's per-machine shares, in the same units, off
-the flow, and `min_feasible_flow`, the one search, probes up from a lower
-bound, each time at the last short probe's floor (below), and returns the
-first feasible probe's bound and flow. Both searches start at the
-network's machine-set floor, where the smallest feasible bound usually
-sits, so a search usually takes one max-flow.
+with the job sizes; they are the network's only layout. Job j's node 1 + j
+lists edge 2j + 1 (back to the source) and then its own arcs' edges, in
+arc order, so `adj[1 + j][1:]` walks job j's arcs. A head names its
+machine as (head - machine0) % m, with machine0 the first machine node: a
+machine node is machine0 + i and a throttle node machine0 - m + i, and a
+throttle's own arc, to its machine, is the last edge it lists. A probe
+never writes the arrays: `max_flow_integral` copies `cap`, sets the m sink
+arcs to the probed bound, pushes Dinic's first phases itself (below) and
+lets Dinic run the rest on the copy. The arc list is read back off the
+arrays only on demand (`FlowNetwork.arcs`, without the sink arcs), for
+tests and tracing. `job_fractions` reads each job's per-machine shares, in
+the same units, off the flow, and `min_feasible_flow`, the one search,
+probes up from a lower bound, each time at the last short probe's floor
+(below), and returns the first feasible probe's bound and flow. Both
+searches start at the network's machine-set floor, where the smallest
+feasible bound usually sits, so a search usually takes one max-flow.
 
 Any machine set S floors every bound: the jobs whose allowed sets lie
 inside S hold W_S flow units, all of which cross S's |S| sink arcs, so no
@@ -119,6 +124,7 @@ alone, without a max-flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Collection, Sequence
 
 from .matching import maximum_bipartite_matching
@@ -130,20 +136,18 @@ from .model import ScaledInstance
 class FlowNetwork:
     """Every arc, sink arcs at 0, in Dinic's arrays, and a floor under every feasible bound.
 
-    Node 0 is the source, the last the sink; each probe copies `cap`. The
-    floor is the densest machine set's ceil(W_S / |S|) (module docstring).
+    Node 0 is the source, the last, len(adj) - 1, the sink; each probe
+    copies `cap`. The floor is the densest machine set's ceil(W_S / |S|)
+    (module docstring).
     """
 
-    node_count: int
     machines: int  # machine i is node sink - machines + i; the last m arcs are machine i -> sink
     demand: int
-    # per job: ((machine, arc index), ...) for the job's outgoing arcs, pointing
-    # at the throttle layer for {1, k} big jobs and at machine nodes otherwise
-    job_arcs: tuple[tuple[tuple[int, int], ...], ...]
     sizes: tuple[int, ...]  # per job, in flow units: its source -> job capacity
-    to: list[int]  # per edge, its head
+    to: list[int]  # per edge, its head: a throttle node for {1, k} big jobs' arcs
     cap: list[int]  # per edge, its capacity; arc i's is cap[2i]
-    adj: list[list[int]]  # per node, its edge ids in arc order
+    # per node, its edge ids in arc order; job j's are [2j + 1, its arcs' edges]
+    adj: list[list[int]]
     floor: int  # in flow units: no bound below it meets the demand
 
     @property
@@ -204,7 +208,6 @@ def flow_network(
     adj = [list(range(0, 2 * n, 2))]
     adj += [[edge] for edge in range(1, 2 * n, 2)]
     adj += [[] for _ in range(sink - n)]
-    job_arcs = []
     alone = [0] * m  # per machine, the work of the jobs allowing it alone
     pairs: dict[tuple[int, ...], int] = {}  # per 2-machine allowed set, the work allowing exactly it
     for job_node, (eligible, size) in enumerate(zip(allowed, sizes), 1):
@@ -216,15 +219,12 @@ def flow_network(
             pairs[pair] = pairs.get(pair, 0) + size
         head0 = big0 if size == k else machine0
         out = adj[job_node]
-        entries = []
         for i in machines:
             edge = len(to)
-            entries.append((i, edge >> 1))  # (machine, arc index)
             out.append(edge)
             adj[head0 + i].append(edge + 1)
             to += (head0 + i, job_node)
             cap += (size, 0)
-        job_arcs.append(tuple(entries))
     last = [(1 + n + i, machine0 + i, k) for i in range(m)] if k is not None else []
     last += [(machine0 + i, sink, 0) for i in range(m)]
     for tail, head, capacity in last:  # throttle i -> machine i, then machine i -> sink
@@ -238,7 +238,7 @@ def flow_network(
     for (u, v), work in pairs.items():
         floor = max(floor, -(-(alone[u] + alone[v] + work) // 2))
     floor = max(floor, -(-demand // max(m, 1)))
-    return FlowNetwork(sink + 1, m, demand, tuple(job_arcs), tuple(sizes), to, cap, adj, floor)
+    return FlowNetwork(m, demand, tuple(sizes), to, cap, adj, floor)
 
 
 def build_network(scaled: ScaledInstance) -> FlowNetwork:
@@ -256,7 +256,7 @@ def max_flow_integral(network: FlowNetwork, capacity: int) -> FlowSolution:
     """
     if capacity < 0:
         raise ValueError("negative capacity")
-    sink = network.node_count - 1
+    sink = len(network.adj) - 1
     # `_first_phase` writes every sink arc, so the copy needs no capacity set first
     cap = network.cap.copy()
     solver = Dinic(network.to, cap, network.adj)
@@ -281,49 +281,52 @@ def _first_phase(network: FlowNetwork, cap: list[int], capacity: int) -> int:
     passes are Dinic's phases with paths of 3, 4 and 5 arcs, each pass that
     pushes anything one phase (module docstring).
     """
-    m = network.machines
-    to, machine0 = network.to, network.node_count - 1 - m
-    room = [capacity] * m  # per machine, what its sink arc still takes
+    m, to, adj = network.machines, network.to, network.adj
+    machine0 = len(adj) - 1 - m
+    room = [capacity] * len(adj)  # per machine node, what its sink arc still takes
     bigs = []  # the jobs entering the throttles; none on a transportation network
     short = []  # the direct jobs left short
-    for job, (entries, size) in enumerate(zip(network.job_arcs, network.sizes)):
-        if not entries:
+    for job, size in enumerate(network.sizes):
+        edges = adj[job + 1][1:]  # the job's arcs' edges
+        if not edges:
             continue
-        if to[2 * entries[0][1]] < machine0:
+        if to[edges[0]] < machine0:
             bigs.append(job)
             continue
         left = size
-        for machine, arc in entries:
-            free = room[machine]
+        for edge in edges:
+            node = to[edge]
+            free = room[node]
             if free:
                 pushed = min(left, free)
-                room[machine] = free - pushed
-                cap[2 * arc] -= pushed
-                cap[2 * arc + 1] = pushed
+                room[node] = free - pushed
+                cap[edge] -= pushed
+                cap[edge + 1] = pushed
                 left -= pushed
                 if not left:
                     break
         if left:
             short.append(job)
         cap[2 * job], cap[2 * job + 1] = left, size - left
-    throttle0 = len(cap) - 4 * m  # with throttles, edge throttle0 + 2i is throttle i -> machine i
     for job in bigs:
         left = size = network.sizes[job]
-        for machine, arc in network.job_arcs[job]:
-            edge = throttle0 + 2 * machine
-            pushed = min(left, cap[edge], room[machine])
+        for edge in adj[job + 1][1:]:
+            throttle = adj[to[edge]][-1]  # the throttle's own arc, to its machine
+            node = to[throttle]
+            pushed = min(left, cap[throttle], room[node])
             if pushed:
-                room[machine] -= pushed
+                room[node] -= pushed
+                cap[throttle] -= pushed
+                cap[throttle + 1] += pushed
                 cap[edge] -= pushed
-                cap[edge + 1] += pushed
-                cap[2 * arc] -= pushed
-                cap[2 * arc + 1] = pushed
+                cap[edge + 1] = pushed
                 left -= pushed
                 if not left:
                     break
         cap[2 * job], cap[2 * job + 1] = left, size - left
     if short:
         _move_placed_jobs(network, cap, room, short)
+    room = room[machine0:-1]  # per machine
     sink0 = len(cap) - 2 * m  # edge sink0 + 2i is machine i -> sink
     cap[sink0::2] = room
     cap[sink0 + 1 :: 2] = [capacity - free for free in room]
@@ -341,56 +344,63 @@ def _move_placed_jobs(
     what the job leaves. The walk's place is kept per machine and per
     placed job, so a dead end stays one (module docstring).
     """
-    to, adj = network.to, network.adj
-    job_arcs, n = network.job_arcs, len(network.sizes)
-    machine0 = network.node_count - 1 - network.machines
-    next_job: dict[int, int] = {}  # per machine, where its edge list still has a job to move
-    next_machine: dict[int, int] = {}  # per moved job, where its arcs still have a machine to try
+    to, adj, n = network.to, network.adj, len(network.sizes)
+    next_job: dict[int, int] = {}  # per machine node, where its edge list still has a job to move
+    next_machine: dict[int, int] = {}  # per moved job, where its edges still have a machine to try
     for job in short:
         left = cap[2 * job]
-        for machine, arc in job_arcs[job]:
-            edges = adj[machine0 + machine]
-            at = next_job.get(machine, 0)
-            while left and cap[2 * arc] and at < len(edges):
+        for into in adj[job + 1][1:]:  # the short job's edge into a machine
+            node = to[into]
+            edges = adj[node]
+            at = next_job.get(node, 0)
+            while left and cap[into] and at < len(edges):
                 edge = edges[at]  # machine -> placed job, the reverse of that job's arc
                 placed = to[edge] - 1
                 if not (0 <= placed < n and cap[edge]):
                     at += 1
                     continue
-                entries = job_arcs[placed]
-                i = next_machine.get(placed, 0)
-                while i < len(entries):
-                    target, other = entries[i]
+                others = adj[placed + 1]  # its source edge, then its arcs' edges
+                i = next_machine.get(placed, 1)
+                while i < len(others):
+                    other = others[i]
+                    target = to[other]
                     free = room[target]
-                    if free and cap[2 * other]:
-                        pushed = min(left, cap[2 * arc], cap[edge], cap[2 * other], free)
+                    if free and cap[other]:
+                        pushed = min(left, cap[into], cap[edge], cap[other], free)
                         left -= pushed
                         room[target] = free - pushed
-                        cap[2 * arc] -= pushed
-                        cap[2 * arc + 1] += pushed
+                        cap[into] -= pushed
+                        cap[into + 1] += pushed
                         cap[edge] -= pushed
                         cap[edge ^ 1] += pushed
-                        cap[2 * other] -= pushed
-                        cap[2 * other + 1] += pushed
-                        if not (left and cap[2 * arc] and cap[edge]):
+                        cap[other] -= pushed
+                        cap[other + 1] += pushed
+                        if not (left and cap[into] and cap[edge]):
                             break
                     i += 1
                 next_machine[placed] = i
-                if i == len(entries):
+                if i == len(others):
                     at += 1
-            next_job[machine] = at
+            next_job[node] = at
             if not left:
                 break
         cap[2 * job], cap[2 * job + 1] = left, network.sizes[job] - left
 
 
 def job_fractions(network: FlowNetwork, flow: FlowSolution) -> FractionalAssignment:
-    """Each job's machine shares: the flow units on its outgoing arcs, out of its size."""
-    flows = flow.flows
-    shares = tuple(
-        {machine: flows[arc] for machine, arc in entries if flows[arc]}
-        for entries in network.job_arcs
-    )
+    """Each job's machine shares: the flow units on its outgoing arcs, out of its size.
+
+    The job arcs follow the n source arcs, job by job in arc order, so the
+    arcs carrying flow are read in one pass: an arc's tail is its job's node
+    and its head names its machine as (head - machine0) % m, for a machine
+    node and a throttle node alike (module docstring).
+    """
+    to, m, flows, n = network.to, network.machines, flow.flows, len(network.sizes)
+    machine0 = len(network.adj) - 1 - m
+    end = sum(map(len, network.adj[1 : n + 1]))  # n plus the job arcs: past the last one
+    shares: tuple[dict[int, int], ...] = tuple({} for _ in range(n))
+    for arc in compress(range(n, end), flows[n:end]):
+        shares[to[2 * arc + 1] - 1][(to[2 * arc] - machine0) % m] = flows[arc]
     return FractionalAssignment(shares, network.sizes)
 
 

@@ -138,9 +138,24 @@ def dinic(node_count: int, arcs: Iterable[tuple[int, int, int]]) -> Dinic:
 
 def arcs_at(network: FlowNetwork, capacity: int) -> tuple[tuple[int, int, int], ...]:
     """The network's full arc list: `network.arcs`, then each machine -> sink at capacity."""
-    sink = network.node_count - 1
+    sink = len(network.adj) - 1
     nodes = range(sink - network.machines, sink)
     return network.arcs + tuple((node, sink, capacity) for node in nodes)
+
+
+def job_arcs(network: FlowNetwork) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per job, ((machine, arc index), ...) for its outgoing arcs, in arc order, read off `adj`.
+
+    Job j's node lists edge 2j + 1 first, then edge 2a for each arc a it
+    leaves by. A head names its machine as (head - machine0) % m, for a
+    machine node and a {1, k} big job's throttle node alike.
+    """
+    to, adj, m = network.to, network.adj, network.machines
+    machine0 = len(adj) - 1 - m
+    return tuple(
+        tuple(((to[edge] - machine0) % m, edge >> 1) for edge in edges[1:])
+        for edges in adj[1 : 1 + len(network.sizes)]
+    )
 
 
 def transportation(instance: Instance) -> FlowNetwork:

@@ -7,6 +7,7 @@ import pytest
 from twoval_makespan import flow
 from twoval_makespan.flow import (
     FlowSolution,
+    FractionalAssignment,
     build_network,
     extract_assignment,
     flow_network,
@@ -22,9 +23,9 @@ from twoval_makespan.model import (
 
 import test_network_pinned as network_pinned
 from helpers import (
-    arcs_at, crowded_machines, dinic, enumerate_opt, integer_instance, machine_set_floor,
-    reference_min_feasible_fractional, reference_min_feasible_T, scale, scale_with_k,
-    transportation,
+    arcs_at, crowded_machines, dinic, enumerate_opt, integer_instance, job_arcs,
+    machine_set_floor, reference_min_feasible_fractional, reference_min_feasible_T, scale,
+    scale_with_k, transportation,
 )
 from reference_dinic import ReferenceDinic
 
@@ -33,8 +34,11 @@ def test_network_node_count_four_jobs_two_machines():
     # 4 jobs, 2 machines: 1 source + 4 job nodes + 2 throttles + 2 machines + 1 sink
     scaled = scale(2, [(2, [0]), (1, [0, 1]), (1, [1]), (2, [0, 1])])
     network = build_network(scaled)
-    assert network.node_count == 10
-    assert network.node_count == 1 + 4 + 2 * 2 + 1
+    assert len(network.adj) == 10
+    assert len(network.adj) == 1 + 4 + 2 * 2 + 1
+    # job j's node lists edge 2j + 1, back to the source, then its arcs' edges
+    # in arc order: arcs 4 to 9 leave the jobs, two for each job allowing both
+    assert network.adj[1:5] == [[1, 8], [3, 10, 12], [5, 14], [7, 16, 18]]
     # at the brute-forced optimum the full demand is routable
     opt = enumerate_opt(integer_instance(scaled)).opt_makespan
     at_opt = build_network(scaled)
@@ -62,7 +66,7 @@ def test_big_job_routes_through_throttles():
     assert caps[(job_node, throttle1)] == 2
     assert caps[(throttle0, machine0)] == 2
     assert caps[(throttle1, machine1)] == 2
-    assert caps[(machine0, network.node_count - 1)] == 2
+    assert caps[(machine0, len(network.adj) - 1)] == 2
     # no arc from the big job straight to a machine node
     assert (job_node, machine0) not in caps and (job_node, machine1) not in caps
 
@@ -118,7 +122,7 @@ def test_extract_half_split_big_job():
     # hand-built flow: big job k=2 sends 1 unit to each throttle
     scaled = scale_with_k(2, [(2, [0, 1])], k=2)
     network = build_network(scaled)
-    sink = network.node_count - 1
+    sink = len(network.adj) - 1
     flows = [0] * len(arcs_at(network, 1))
     flows[0] = 2  # source -> job
     arcs = {(tail, head): idx for idx, (tail, head, _) in enumerate(arcs_at(network, 1))}
@@ -136,7 +140,7 @@ def test_extract_two_thirds_split():
     # big job k=3 sending 2 units to throttle 0 and 1 to throttle 1
     scaled = scale_with_k(2, [(3, [0, 1])], k=3)
     network = build_network(scaled)
-    sink = network.node_count - 1
+    sink = len(network.adj) - 1
     arcs = {(tail, head): idx for idx, (tail, head, _) in enumerate(arcs_at(network, 2))}
     flows = [0] * len(arcs_at(network, 2))
     flows[arcs[(0, 1)]] = 3
@@ -179,7 +183,7 @@ def test_the_builder_fills_the_arrays_dinic_builds_from_the_arc_list():
         networks = [build_network(ScaledInstance.of(instance, k)) for k in range(1, 5)]
         networks.append(network_pinned.transportation(instance))
         for network in networks:
-            reference = ReferenceDinic(network.node_count, arcs_at(network, 0))
+            reference = ReferenceDinic(len(network.adj), arcs_at(network, 0))
             assert network.to == reference._to
             assert network.cap == reference._cap
             assert network.adj == reference._adj
@@ -267,24 +271,24 @@ def test_empty_instance_estimate_zero():
 
 def _networkx_value(nx, network, bound):
     graph = nx.DiGraph()
-    graph.add_nodes_from(range(network.node_count))
+    graph.add_nodes_from(range(len(network.adj)))
     for tail, head, capacity in arcs_at(network, bound):
         assert not graph.has_edge(tail, head)  # DiGraph would merge parallel arcs
         graph.add_edge(tail, head, capacity=capacity)
-    return nx.maximum_flow_value(graph, 0, network.node_count - 1)
+    return nx.maximum_flow_value(graph, 0, len(network.adj) - 1)
 
 
 def _check_flow(network, bound, solution):
-    source, sink = 0, network.node_count - 1
+    source, sink = 0, len(network.adj) - 1
     arcs = arcs_at(network, bound)
     assert len(solution.flows) == len(arcs)
-    excess = [0] * network.node_count
+    excess = [0] * len(network.adj)
     for (tail, head, capacity), units in zip(arcs, solution.flows):
         assert 0 <= units <= capacity
         excess[tail] -= units
         excess[head] += units
     assert excess[sink] == solution.value == -excess[source]
-    inner = set(range(network.node_count)) - {source, sink}
+    inner = set(range(len(network.adj))) - {source, sink}
     assert not any(excess[v] for v in inner)
 
 
@@ -411,7 +415,7 @@ def test_a_short_probe_floors_every_feasible_bound(family):
             network = build_network(ScaledInstance.of(inst, rng.randint(2, 4)))
         else:
             network = transportation(inst)
-        sink, demand, m = network.node_count - 1, network.demand, network.machines
+        sink, demand, m = len(network.adj) - 1, network.demand, network.machines
         bounds = range(-(-demand // m), demand + 1)
         probes = [max_flow_integral(network, bound) for bound in bounds]
         smallest = next((t for t, probe in zip(bounds, probes) if probe.value == demand), None)
@@ -427,7 +431,7 @@ def test_a_short_probe_floors_every_feasible_bound(family):
                 assert bound < probe.floor <= (demand + 1 if smallest is None else smallest)
                 jumps += probe.floor > bound + 1
             # the kept labels mark a min cut: F fixed capacity plus c sink arcs at the bound
-            solver = dinic(network.node_count, arcs_at(network, bound))
+            solver = dinic(len(network.adj), arcs_at(network, bound))
             assert solver.max_flow(0, sink) == probe.value
             side = {node for node, label in enumerate(solver.level) if label >= 0}
             fixed = sum(c for tail, head, c in network.arcs if tail in side and head not in side)
@@ -489,8 +493,8 @@ def test_each_short_probe_leaves_fewer_machines_on_its_cut(family, monkeypatch):
         solution = max_flow_integral(network, capacity)
         cut = None
         if solution.value < network.demand:
-            sink, m = network.node_count - 1, network.machines
-            cold = dinic(network.node_count, arcs_at(network, capacity))
+            sink, m = len(network.adj) - 1, network.machines
+            cold = dinic(len(network.adj), arcs_at(network, capacity))
             cold.max_flow(0, sink)
             cut = sum(label >= 0 for label in cold.level[sink - m : sink])
         probes.append((capacity, cut))
@@ -635,6 +639,43 @@ def _first_phase_network(rng, kind):
     return flow_network(m, allowed, sizes, k)
 
 
+def test_job_nodes_list_their_arcs_and_job_fractions_reads_each_head_as_its_machine():
+    # the one layout every reader in `flow` walks: job j's node lists edge
+    # 2j + 1, then edge 2a for each arc a leaving job j, in arc order. At the
+    # demand bound `job_fractions` reads the shares the arc list and the flow
+    # give, a head at machine node machine0 + i or at throttle node 1 + n + i
+    # naming machine i. A third of the draws are all big, a third have no
+    # throttles; about one in four has one machine, one in eight no jobs
+    rng = random.Random("flow-layout")
+    kinds = ("unit-k", "all-big", "transportation")
+    seen = dict.fromkeys(["one machine", "no jobs", "all big", "throttle shares"], 0)
+    for draw in range(600):
+        network = _first_phase_network(rng, kinds[draw % 3])
+        n, m, demand = len(network.sizes), network.machines, network.demand
+        machine0 = len(network.adj) - 1 - m
+        arcs = arcs_at(network, demand)
+        for j in range(n):
+            own = [2 * arc for arc, (tail, _, _) in enumerate(arcs) if tail == 1 + j]
+            assert network.adj[1 + j] == [2 * j + 1] + own
+        solution = max_flow_integral(network, demand)
+        shares = [{} for _ in range(n)]
+        for (tail, head, _), units in zip(arcs, solution.flows):
+            if 1 <= tail <= n and units:
+                shares[tail - 1][head - machine0 if head >= machine0 else head - 1 - n] = units
+        assert flow.job_fractions(network, solution) == FractionalAssignment(
+            tuple(shares), network.sizes
+        )
+        seen["one machine"] += m == 1
+        seen["no jobs"] += n == 0
+        seen["all big"] += n > 0 and all(head < machine0 for tail, head, _ in arcs if tail <= n)
+        seen["throttle shares"] += any(
+            units and 1 <= tail <= n and head < machine0
+            for (tail, head, _), units in zip(arcs, solution.flows)
+        )
+    assert seen["one machine"] >= 120 and seen["no jobs"] >= 50, seen
+    assert seen["all big"] >= 150 and seen["throttle shares"] >= 200, seen
+
+
 def _recording_searches(monkeypatch):
     """Per solver, the residual capacities at each breadth-first search and the sink's level."""
     searches = {}
@@ -663,8 +704,8 @@ def _against_cold_dinic(network, bound, searches):
     searches.clear()
     solution = max_flow_integral(network, bound)
     (warm, warm_searches), = searches.items()
-    sink, m = network.node_count - 1, network.machines
-    cold = dinic(network.node_count, arcs_at(network, bound))
+    sink, m = len(network.adj) - 1, network.machines
+    cold = dinic(len(network.adj), arcs_at(network, bound))
     value = cold.max_flow(0, sink)
     cold_searches = searches[cold]
     cut = sum(label >= 0 for label in cold.level[sink - m : sink])
@@ -683,7 +724,7 @@ def _passed(network, caps):
     """Per job, the units the passes left on each of its machines, nonzero ones only."""
     return [
         {machine: caps[2 * arc + 1] for machine, arc in entries if caps[2 * arc + 1]}
-        for entries in network.job_arcs
+        for entries in job_arcs(network)
     ]
 
 
@@ -701,10 +742,10 @@ def test_the_first_fit_passes_are_dinics_first_phases(kind, monkeypatch):
     )
     for _ in range(300):
         network = _first_phase_network(rng, kind)
-        sink, m = network.node_count - 1, network.machines
-        arcs = network.arcs
+        sink, m = len(network.adj) - 1, network.machines
+        arcs, entries_of = network.arcs, job_arcs(network)
         direct = [  # jobs whose first arc heads to a machine node
-            j for j, entries in enumerate(network.job_arcs) if arcs[entries[0][1]][1] >= sink - m
+            j for j, entries in enumerate(entries_of) if arcs[entries[0][1]][1] >= sink - m
         ]
         bigs = [j for j in range(len(network.sizes)) if j not in direct]
         sink0 = 2 * len(arcs)  # edge sink0 + 2i is machine i -> sink
@@ -716,7 +757,7 @@ def test_the_first_fit_passes_are_dinics_first_phases(kind, monkeypatch):
             big_pushed = any(passed[j] for j in bigs)
             assert skipped - direct_pushed - big_pushed in (0, 1)
             # the machines the direct jobs left short allow are full and get no big flow
-            held = {machine for j in direct if caps[2 * j] for machine, _ in network.job_arcs[j]}
+            held = {machine for j in direct if caps[2 * j] for machine, _ in entries_of[j]}
             assert not any(caps[sink0 + 2 * machine] for machine in held)
             assert not any(held.intersection(passed[j]) for j in bigs)
             seen["idle"] += skipped == 0

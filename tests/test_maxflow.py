@@ -111,10 +111,10 @@ def test_package_networks_match_the_reference_at_every_bound(family):
     for _ in range(40):
         inst = random_instance(rng, rng.randint(0, 7), rng.randint(1, 4), rng.randint(2, 4))
         network = _network(family, inst)
-        sink = network.node_count - 1
+        sink = len(network.adj) - 1
         for bound in range(network.demand + 1):
             solution = max_flow_integral(network, bound)
-            expected = _solve(ReferenceDinic, network.node_count, arcs_at(network, bound), 0, sink)
+            expected = _solve(ReferenceDinic, len(network.adj), arcs_at(network, bound), 0, sink)
             assert (solution.value, solution.flows) == expected
             probes += 1
     assert probes >= 200
@@ -125,7 +125,7 @@ def test_probes_on_one_network_do_not_leak_into_each_other(family):
     rng = random.Random(f"maxflow-probes-{family}")
     jobs = [(2, [0, 1]), (1, [0, 1, 2]), (1, [1]), (2, [1, 2]), (1, [0]), (1, [2])]
     network = _network(family, Instance.build(3, jobs))
-    sink = network.node_count - 1
+    sink = len(network.adj) - 1
     # infeasible and feasible bounds, each probed twice, in a shuffled order
     bounds = 2 * list(range(network.demand + 2))
     rng.shuffle(bounds)
@@ -136,7 +136,7 @@ def test_probes_on_one_network_do_not_leak_into_each_other(family):
             with pytest.raises(ValueError, match="^negative capacity$"):
                 max_flow_integral(network, bound)
             continue
-        fresh = _solve(dinic, network.node_count, arcs_at(network, bound), 0, sink)
+        fresh = _solve(dinic, len(network.adj), arcs_at(network, bound), 0, sink)
         solution = max_flow_integral(network, bound)
         assert (solution.value, solution.flows) == fresh
         feasible.add(solution.value == network.demand)

@@ -3,9 +3,10 @@
 The {1, k} network comes from `flow.build_network(ScaledInstance.of(i, k))`
 at k = 1 to 4. The additive search's transportation network is the one
 `lenstra.min_feasible_fractional` hands to its first max-flow. For each
-network the digest covers `node_count`, `demand`, `job_arcs` and
-`helpers.arcs_at(network, t)` at four bounds t, so any change to the node
-numbering, the arc order or a capacity moves it. The instances are drawn with `random.random()`
+network the digest covers its node count `len(adj)`, `demand`, each job's
+arcs as `helpers.job_arcs` reads them off `adj` and `helpers.arcs_at(network,
+t)` at four bounds t, so any change to the node numbering, the arc order, a
+job node's edge list or a capacity moves it. The instances are drawn with `random.random()`
 alone, whose sequence CPython keeps across versions, and include instances
 with no jobs and with one machine.
 
@@ -24,7 +25,7 @@ from twoval_makespan import flow, lenstra
 from twoval_makespan.flow import build_network
 from twoval_makespan.model import Instance, ScaledInstance
 
-from helpers import arcs_at
+from helpers import arcs_at, job_arcs
 
 CASES = 300
 ALPHAS = tuple(map(Fraction, ("1", "2", "3", "3/2", "5/2", "7/3")))
@@ -65,7 +66,7 @@ def layout(network) -> bytes:
     demand, m = network.demand, network.machines
     bounds = (0, 1, -(-demand // m), demand)
     arcs = tuple(arcs_at(network, t) for t in bounds)
-    return repr((network.node_count, demand, network.job_arcs, arcs)).encode()
+    return repr((len(network.adj), demand, job_arcs(network), arcs)).encode()
 
 
 def digest() -> str:
