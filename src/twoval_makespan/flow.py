@@ -3,9 +3,12 @@
 Both rounding families need the smallest load bound at which an integral
 max-flow meets the demand (the total job size in flow units). One builder,
 `flow_network`, lays out both networks: source -> job j -> each allowed
-machine, every arc at the job's size, and the {1, k} network sends its big
-jobs through per-machine throttle nodes (below); `lenstra`'s transportation
-network has none. The builder writes each arc straight into Dinic's
+machine, every arc at the job's size, and at k > 1 the {1, k} network sends
+its big jobs through per-machine throttle nodes (below); at k = 1 it has
+none, nor does `lenstra`'s transportation network. Each job's arcs follow
+its machines in the order the caller lists them, which is increasing index
+(`Instance.sorted_allowed`) for every solver; the builder imposes no order
+of its own. The builder writes each arc straight into Dinic's
 residual arrays (`maxflow`), the first n arcs source -> job j and the last
 m machine -> sink at capacity 0, and a `FlowNetwork` holds those arrays
 with the job sizes; they are the network's only layout. Job j's node 1 + j
@@ -111,21 +114,21 @@ capacities as they were: Dinic's next phase then has longer paths, and it
 runs that phase itself. The transportation network has no big jobs and no
 paths of 4 arcs, so there the moving pass is Dinic's second phase.
 
-The {1, k} network: source -> job -> per-machine throttle node (big jobs only)
--> machine -> sink. Small jobs have unit arcs straight to machine nodes; the
-throttle v_{i,b} caps the big-job flow entering machine i at k. A flow meeting
-the demand thus leaves each small job's one unit on one machine, each big
-job's k units in whole units on its machines and at most k big units per
-machine. The probed bound is the makespan estimate, in which feasibility is
-monotone; whether any estimate works is decided by a matching of the big jobs
-alone, without a max-flow.
+The {1, k} network: source -> job -> per-machine throttle node (big jobs
+only, and only for k > 1) -> machine -> sink. Small jobs have unit arcs
+straight to machine nodes; the throttle v_{i,b} caps the big-job flow
+entering machine i at k. A flow meeting the demand thus leaves each small
+job's one unit on one machine, each big job's k units in whole units on its
+machines and at most k big units per machine. The probed bound is the
+makespan estimate, in which feasibility is monotone; whether any estimate
+works is decided by a matching of the big jobs alone, without a max-flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Collection, Sequence
+from typing import Callable, Sequence
 
 from .matching import maximum_bipartite_matching
 from .maxflow import Dinic
@@ -137,14 +140,15 @@ class FlowNetwork:
     """Every arc, sink arcs at 0, in Dinic's arrays, and a floor under every feasible bound.
 
     Node 0 is the source, the last, len(adj) - 1, the sink; each probe
-    copies `cap`. The floor is the densest machine set's ceil(W_S / |S|)
-    (module docstring).
+    copies `cap`. Each job's arcs follow the machines it was given, in that
+    order, and throttle nodes exist only for k > 1. The floor is the
+    densest machine set's ceil(W_S / |S|) (module docstring).
     """
 
     machines: int  # machine i is node sink - machines + i; the last m arcs are machine i -> sink
     demand: int
     sizes: tuple[int, ...]  # per job, in flow units: its source -> job capacity
-    to: list[int]  # per edge, its head: a throttle node for {1, k} big jobs' arcs
+    to: list[int]  # per edge, its head: a throttle node for big jobs' arcs at k > 1
     cap: list[int]  # per edge, its capacity; arc i's is cap[2i]
     # per node, its edge ids in arc order; job j's are [2j + 1, its arcs' edges]
     adj: list[list[int]]
@@ -184,21 +188,26 @@ class FractionalAssignment:
 
 def flow_network(
     machine_count: int,
-    allowed: Sequence[Collection[int]],
+    allowed: Sequence[Sequence[int]],
     sizes: Sequence[int],
-    k: int | None = None,
+    k: int = 1,
 ) -> FlowNetwork:
-    """Source -> job j -> each allowed machine at sizes[j], then each machine -> sink at 0.
+    """Source -> job j -> each machine of allowed[j] at sizes[j], then each machine -> sink at 0.
 
-    With k given, node 1 + n + i is machine i's throttle: big jobs (size k > 1)
-    enter it instead of machine i, and it passes at most k on. The arcs go
-    straight into Dinic's residual arrays in arc order, `arcs` then the sink
-    arcs: edge 2i is arc i and edge 2i + 1 its reverse, and each node lists
-    its edges in arc order.
+    allowed[j] lists job j's machines in the order its arcs take; the
+    builder imposes no order of its own, and the floor tallies each
+    2-machine row as listed, so rows in increasing index count every pair
+    once. For k > 1, node 1 + n + i is
+    machine i's throttle: the jobs of size k enter it instead of machine i,
+    and it passes at most k on; at k = 1 there are no throttle nodes or
+    arcs. The arcs go straight into Dinic's residual arrays in arc order,
+    `arcs` then the sink arcs: edge 2i is arc i and edge 2i + 1 its reverse,
+    and each node lists its edges in arc order.
     """
     n, m = len(sizes), machine_count
-    machine0 = 1 + n if k is None else 1 + n + m
-    big0 = machine0 - m if k is not None and k > 1 else machine0  # where size-k jobs enter
+    throttled = k > 1
+    machine0 = 1 + n + m if throttled else 1 + n
+    big0 = machine0 - m if throttled else machine0  # where size-k jobs enter
     sink = machine0 + m
     # arc j is source -> job j: edge 2j heads to node 1 + j, edge 2j + 1 back to the source
     to = [0] * (2 * n)
@@ -210,8 +219,7 @@ def flow_network(
     adj += [[] for _ in range(sink - n)]
     alone = [0] * m  # per machine, the work of the jobs allowing it alone
     pairs: dict[tuple[int, ...], int] = {}  # per 2-machine allowed set, the work allowing exactly it
-    for job_node, (eligible, size) in enumerate(zip(allowed, sizes), 1):
-        machines = sorted(eligible)
+    for job_node, (machines, size) in enumerate(zip(allowed, sizes), 1):
         if len(machines) == 1:
             alone[machines[0]] += size
         elif len(machines) == 2:
@@ -225,7 +233,7 @@ def flow_network(
             adj[head0 + i].append(edge + 1)
             to += (head0 + i, job_node)
             cap += (size, 0)
-    last = [(1 + n + i, machine0 + i, k) for i in range(m)] if k is not None else []
+    last = [(1 + n + i, machine0 + i, k) for i in range(m)] if throttled else []
     last += [(machine0 + i, sink, 0) for i in range(m)]
     for tail, head, capacity in last:  # throttle i -> machine i, then machine i -> sink
         adj[tail].append(len(to))
@@ -444,7 +452,7 @@ def min_feasible_T(scaled: ScaledInstance) -> tuple[int, FractionalAssignment] |
     bigs = scaled.big_jobs()
     if len(bigs) > scaled.machine_count:
         return None
-    adjacency = [sorted(scaled.allowed[j]) for j in bigs]
+    adjacency = [scaled.allowed[j] for j in bigs]
     if None in maximum_bipartite_matching(adjacency):
         return None
     network = build_network(scaled)

@@ -35,8 +35,7 @@ def random_instance(
             set_size = 1 if machines == 1 else rng.randint(1, 2)
         else:
             set_size = rng.randint(1, machines)
-        allowed = sorted(rng.sample(range(machines), set_size))
-        specs.append((size, allowed))
+        specs.append((size, rng.sample(range(machines), set_size)))
     if ensure_big and a > 1 and specs and all(size != 1 for size, _ in specs):
         specs[0] = (Fraction(1), specs[0][1])
     return Instance.build(machines, specs)

@@ -8,7 +8,11 @@ lcm D of the size denominators and every job's size times D
 (`integer_sizes`). Validation, `distinct_sizes`, the {1, k} view
 (`ScaledInstance`), `normalize` and machine loads all read those units, so
 no solver does per-job Fraction work; alpha, reported loads and bounds stay
-exact Fractions. Floating point only appears when reports are rendered for
+exact Fractions. The instance fixes the machine order the same way, once:
+`sorted_allowed` holds each job's machines in increasing index, and every
+solver walks them in that order (flow arcs, matchings, the oracle's
+choices) without sorting a set again; the {1, k} view carries that column
+as its `allowed`. Floating point only appears when reports are rendered for
 humans. All model values are frozen dataclasses, so they can be shared
 freely between concurrent solver runs.
 
@@ -45,7 +49,8 @@ def as_rational(value: object) -> Fraction:
 class Instance:
     """Jobs with at most two distinct sizes, each restricted to a machine subset.
 
-    Job j has size sizes[j] (`build` makes it a Fraction) and machine set allowed[j].
+    Job j has size sizes[j] (`build` makes it a Fraction) and machine set allowed[j],
+    which sorted_allowed[j] lists in increasing index.
     """
 
     machine_count: int
@@ -131,6 +136,11 @@ class Instance:
         return tuple(Fraction(unit, denom) for unit in sorted(set(units)))
 
     @cached_property
+    def sorted_allowed(self) -> tuple[tuple[int, ...], ...]:
+        """Each job's machines in increasing index, the one order every solver walks them in."""
+        return tuple(map(tuple, map(sorted, self.allowed)))
+
+    @cached_property
     def _integer_sizes(self) -> tuple[int, tuple[int, ...]]:
         ratios = [as_rational(size).as_integer_ratio() for size in self.sizes]
         denom = math.lcm(*{den for _, den in ratios})
@@ -146,23 +156,23 @@ class Schedule:
 
 @dataclass(frozen=True)
 class ScaledInstance:
-    """A {1, k} instance in integer units: every job keeps its machine set and has size 1 or k.
+    """A {1, k} instance in integer units: every job keeps its machines and has size 1 or k.
 
     A job is big exactly when its size exceeds 1, so at k = 1 no job is big.
     """
 
     machine_count: int
-    allowed: tuple[frozenset[int], ...]
+    allowed: tuple[tuple[int, ...], ...]  # each job's machines in increasing index
     sizes: tuple[int, ...]
     k: int
 
     @classmethod
     def of(cls, instance: Instance, k: int) -> "ScaledInstance":
-        """The largest-size jobs get size k and all other jobs size 1."""
+        """The largest-size jobs get size k, all others size 1; `allowed` is `sorted_allowed`."""
         _, units = integer_sizes(instance)
         big = max(units, default=None)
         sizes = tuple(k if unit == big else 1 for unit in units)
-        return cls(instance.machine_count, instance.allowed, sizes, k)
+        return cls(instance.machine_count, instance.sorted_allowed, sizes, k)
 
     def big_jobs(self) -> tuple[int, ...]:
         return tuple(j for j, size in enumerate(self.sizes) if size > 1)

@@ -97,22 +97,22 @@ def _machine_sets(
     big = max(sizes)  # a single size's jobs all count as big for the pigeonhole floor
     # one pass over the jobs: the work and the big jobs of each allowed set of
     # at most two machines
-    own_work: dict[frozenset[int], int] = {}
-    own_bigs: dict[frozenset[int], int] = {}
-    for machines, size in zip(instance.allowed, sizes):
+    own_work: dict[tuple[int, ...], int] = {}
+    own_bigs: dict[tuple[int, ...], int] = {}
+    for machines, size in zip(instance.sorted_allowed, sizes):
         if len(machines) <= 2:
             own_work[machines] = own_work.get(machines, 0) + size
             own_bigs[machines] = own_bigs.get(machines, 0) + (size == big)
-    distinct = set(instance.allowed)
+    distinct = set(instance.sorted_allowed)
     sets_of: dict[int, list[int]] = {}  # the sets holding each machine, its own first
     work: list[int] = []
     big_jobs: list[int] = []
     for machine in set().union(*distinct):
         sets_of[machine] = [len(work)]
-        work.append(own_work.get(frozenset((machine,)), 0))
-        big_jobs.append(own_bigs.get(frozenset((machine,)), 0))
+        work.append(own_work.get((machine,), 0))
+        big_jobs.append(own_bigs.get((machine,), 0))
     width = [1] * len(work)
-    pair_of: dict[frozenset[int], int] = {}
+    pair_of: dict[tuple[int, ...], int] = {}
     for pair in distinct:
         if len(pair) == 2:  # confines its own jobs and those of its two machines
             first, second = (sets_of[machine][0] for machine in pair)
@@ -130,14 +130,14 @@ def _machine_sets(
 
     # a job allowed on one machine raises no set; one allowed on a pair raises
     # all that hold the machine but the pair; a wider one all that hold it
-    options_of: dict[frozenset[int], Options] = {}
+    options_of: dict[tuple[int, ...], Options] = {}
     for machines in distinct:
         own = pair_of.get(machines)
         options_of[machines] = tuple(
             (machine, () if len(machines) == 1 else tuple(s for s in sets_of[machine] if s != own))
-            for machine in sorted(machines)
+            for machine in machines
         )
-    return floor, width, work, [options_of[machines] for machines in instance.allowed]
+    return floor, width, work, [options_of[machines] for machines in instance.sorted_allowed]
 
 
 def brute_force_opt(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:

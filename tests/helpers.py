@@ -92,7 +92,7 @@ def reference_min_feasible_fractional(instance: Instance) -> tuple[Fraction, Fra
     """
     denom, sizes = integer_sizes(instance)
     grid = load_grid(sizes)
-    network = flow_network(instance.machine_count, instance.allowed, sizes)
+    network = flow_network(instance.machine_count, instance.sorted_allowed, sizes)
 
     def probe(k: int) -> tuple[int, FractionalAssignment] | ReferenceFloor:
         load = _snap_to_grid(sizes, grid[k])
@@ -160,7 +160,7 @@ def job_arcs(network: FlowNetwork) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def transportation(instance: Instance) -> FlowNetwork:
     """The additive search's network: no throttles, capacities in units of 1/D."""
-    return flow_network(instance.machine_count, instance.allowed, integer_sizes(instance)[1])
+    return flow_network(instance.machine_count, instance.sorted_allowed, integer_sizes(instance)[1])
 
 
 def fraction(assignment: FractionalAssignment, job: int, machine: int) -> Fraction:

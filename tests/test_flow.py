@@ -18,7 +18,8 @@ from twoval_makespan.generator import random_instance
 from twoval_makespan.lenstra import min_feasible_fractional
 from twoval_makespan.maxflow import Dinic
 from twoval_makespan.model import (
-    Instance, ScaledInstance, integer_sizes, normalize, scale_to_integer, size_ratio,
+    Instance, ScaledInstance, integer_sizes, is_graph_balancing, normalize, scale_to_integer,
+    size_ratio,
 )
 
 import test_network_pinned as network_pinned
@@ -48,7 +49,7 @@ def test_network_node_count_four_jobs_two_machines():
 def test_smallest_network_is_a_unit_path():
     scaled = scale(1, [(1, [0])])
     network = build_network(scaled)
-    # source->job, job->machine (small, direct), throttle->machine, machine->sink
+    # source->job, job->machine, machine->sink: at k = 1 there are no throttles
     caps = list(arcs_at(network, 1))
     assert (0, 1, 1) in caps  # source -> job
     assert all(capacity == 1 for _, _, capacity in arcs_at(network, 1))
@@ -187,6 +188,48 @@ def test_the_builder_fills_the_arrays_dinic_builds_from_the_arc_list():
             assert network.to == reference._to
             assert network.cap == reference._cap
             assert network.adj == reference._adj
+
+
+def test_throttles_are_laid_out_only_where_size_k_jobs_enter_them():
+    # at k = 1 the {1, k} network is the unit-size network with no throttle
+    # nodes or arcs; at k >= 2 it has one throttle node per machine
+    for seed in range(network_pinned.CASES):
+        instance = network_pinned.draw(seed)
+        n, m = instance.job_count, instance.machine_count
+        unit = build_network(ScaledInstance.of(instance, 1))
+        plain = flow_network(m, instance.sorted_allowed, (1,) * n)
+        assert len(unit.adj) == n + m + 2
+        assert (unit.to, unit.cap, unit.adj) == (plain.to, plain.cap, plain.adj)
+        for k in range(2, 5):
+            assert len(build_network(ScaledInstance.of(instance, k)).adj) == n + 2 * m + 2
+
+
+def test_the_instance_orders_each_jobs_machines_once_and_the_builder_keeps_the_order():
+    # `Instance.sorted_allowed` is each job's machines in increasing index,
+    # computed once and carried as is by every k's {1, k} view; the builder
+    # lays each job's arcs in the order of the rows it is given
+    rng = random.Random("flow-machine-order")
+    instances = [Instance.build(3, []), Instance.build(1, [(1, [0]), (2, [0])])]
+    for _ in range(200):
+        m = rng.randint(1, 6)
+        alpha = rng.choice([1, 2, Fraction(5, 2), Fraction(7, 3)])
+        instances.append(random_instance(rng, rng.randint(0, 9), m, alpha, gb=rng.random() < 0.5))
+    seen = dict.fromkeys(["no jobs", "one machine", "graph balancing", "reordered"], 0)
+    for instance in instances:
+        rows = instance.sorted_allowed
+        assert rows == tuple(tuple(sorted(machines)) for machines in instance.allowed)
+        assert instance.sorted_allowed is rows
+        assert all(ScaledInstance.of(instance, k).allowed is rows for k in range(1, 5))
+        shuffled = [rng.sample(row, len(row)) for row in rows]
+        for k in range(1, 5):
+            sizes = ScaledInstance.of(instance, k).sizes
+            network = flow_network(instance.machine_count, shuffled, sizes, k)
+            assert [[i for i, _ in arcs] for arcs in job_arcs(network)] == shuffled
+        seen["no jobs"] += instance.job_count == 0
+        seen["one machine"] += instance.machine_count == 1
+        seen["graph balancing"] += instance.job_count > 0 and is_graph_balancing(instance)
+        seen["reordered"] += shuffled != list(map(list, rows))
+    assert all(count >= 10 for count in seen.values()), seen
 
 
 def test_max_flow_integral_rejects_a_negative_capacity():
@@ -475,7 +518,7 @@ def _staircase_instance(rng, family, m, first):
         jobs, densities = _staircase(rng, m, rng.randint(2, 8), first)
         return Instance.build(m, jobs), densities
     jobs, densities = _staircase(rng, m, 1, first)
-    allowed = tuple(frozenset(machines) for _, machines in jobs)
+    allowed = tuple(tuple(machines) for _, machines in jobs)
     return ScaledInstance(m, allowed, (1,) * len(jobs), rng.randint(2, 4)), densities
 
 
@@ -629,9 +672,9 @@ def _first_phase_network(rng, kind):
     m = 1 if rng.random() < 0.25 else rng.randint(2, 5)
     n = 0 if rng.random() < 0.125 else rng.randint(1, 12)
     if rng.random() < 0.5:
-        allowed = [crowded_machines(rng, m) for _ in range(n)]
+        allowed = [sorted(crowded_machines(rng, m)) for _ in range(n)]
     else:
-        allowed = [rng.sample(range(m), rng.randint(1, m)) for _ in range(n)]
+        allowed = [sorted(rng.sample(range(m), rng.randint(1, m))) for _ in range(n)]
     if kind == "transportation":
         return flow_network(m, allowed, [rng.randint(1, 6) for _ in range(n)])
     k = rng.randint(2, 4) if kind == "all-big" else rng.randint(1, 4)
@@ -644,8 +687,9 @@ def test_job_nodes_list_their_arcs_and_job_fractions_reads_each_head_as_its_mach
     # 2j + 1, then edge 2a for each arc a leaving job j, in arc order. At the
     # demand bound `job_fractions` reads the shares the arc list and the flow
     # give, a head at machine node machine0 + i or at throttle node 1 + n + i
-    # naming machine i. A third of the draws are all big, a third have no
-    # throttles; about one in four has one machine, one in eight no jobs
+    # naming machine i. A third of the draws are all big, a third are
+    # transportation networks, which have no throttles, nor do the unit-k
+    # draws at k = 1; about one in four has one machine, one in eight no jobs
     rng = random.Random("flow-layout")
     kinds = ("unit-k", "all-big", "transportation")
     seen = dict.fromkeys(["one machine", "no jobs", "all big", "throttle shares"], 0)

@@ -1,7 +1,8 @@
 """Both flow networks pinned by one sha256 over seeded instances.
 
 The {1, k} network comes from `flow.build_network(ScaledInstance.of(i, k))`
-at k = 1 to 4. The additive search's transportation network is the one
+at k = 1 to 4; at k = 1 no job enters a throttle, so it has none, and it
+is laid out as a transportation network of unit sizes. The additive search's transportation network is the one
 `lenstra.min_feasible_fractional` hands to its first max-flow. For each
 network the digest covers its node count `len(adj)`, `demand`, each job's
 arcs as `helpers.job_arcs` reads them off `adj` and `helpers.arcs_at(network,
@@ -29,7 +30,7 @@ from helpers import arcs_at, job_arcs
 
 CASES = 300
 ALPHAS = tuple(map(Fraction, ("1", "2", "3", "3/2", "5/2", "7/3")))
-DIGEST = "4bbef89aad28a7eb1a5a16a794572b619459ff9ab1a59f732692977224127ec3"
+DIGEST = "feefbce3a98ee8e51c8c06739cf8543904563a23d98d602b075cf9f37360421c"
 
 
 def draw(seed: int) -> Instance:
