@@ -51,7 +51,10 @@ def _resolve_mode(instance: Instance, mode: str) -> str:
 
 
 def _solve(instance: Instance, mode: str) -> SolveResult:
-    """The library result for gb and two-valued; a one-branch race otherwise."""
+    """The library result for gb and two-valued; a one-branch race for unitk and lenstra.
+
+    `mode` is one `_resolve_mode` returned, so one of those four.
+    """
     if mode in ("gb", "two-valued"):
         solver = gb_solve_two_valued if mode == "gb" else solve_two_valued
         return solver(instance)
@@ -62,8 +65,6 @@ def _solve(instance: Instance, mode: str) -> SolveResult:
         branches = reduction_branches(instance, {"flow": alpha.numerator}, solve_unit_k)
         if branches:
             return pick_best(instance, guarantee_report(alpha), branches)
-    elif mode != "lenstra":
-        raise ValueError(f"unknown mode {mode!r}")
     additive = lenstra_solve(instance).schedule
     return pick_best(instance, guarantee_report(alpha), {ADDITIVE: additive})
 

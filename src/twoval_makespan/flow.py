@@ -22,7 +22,9 @@ arcs to the probed bound, pushes Dinic's first phases itself (below) and
 lets Dinic run the rest on the copy. The arc list is read back off the
 arrays only on demand (`FlowNetwork.arcs`, without the sink arcs), for
 tests and tracing. `job_fractions` reads each job's per-machine shares, in
-the same units, off the flow, and `min_feasible_flow`, the one search,
+the same units, off the flow in arc order, so each job's shares list its
+machines in the order its arcs take, increasing index for every solver
+(`FractionalAssignment`), and `min_feasible_flow`, the one search,
 probes up from a lower bound, each time at the last short probe's floor
 (below), and returns the first feasible probe's bound and flow. Both
 searches start at the network's machine-set floor, where the smallest
@@ -176,14 +178,18 @@ class FractionalAssignment:
     """Per-job machine shares in integer flow units, nonzero shares only.
 
     Job j's shares sum to sizes[j], its source -> job arc capacity, so job j
-    runs the fraction shares[j][i] / sizes[j] of itself on machine i.
+    runs the fraction shares[j][i] / sizes[j] of itself on machine i. Each
+    shares[j] lists its machines in increasing index, a subsequence of
+    `Instance.sorted_allowed[j]`: `job_fractions` fills it in arc order and
+    `lenstra.cancel_cycles` only changes or deletes keys already there. So
+    every rounding reads it as it is, and this order decides Kuhn's
+    preference order in `unitk.match_big_jobs`, a half/half job's edge
+    (u, v), u < v, in `graph_balancing`, and a fractional job's first child
+    machine in `lenstra.round_forest`.
     """
 
     shares: tuple[dict[int, int], ...]
     sizes: tuple[int, ...]
-
-    def support(self, job: int) -> tuple[int, ...]:
-        return tuple(sorted(self.shares[job]))
 
 
 def flow_network(
@@ -194,8 +200,8 @@ def flow_network(
 ) -> FlowNetwork:
     """Source -> job j -> each machine of allowed[j] at sizes[j], then each machine -> sink at 0.
 
-    allowed[j] lists job j's machines in the order its arcs take; the
-    builder imposes no order of its own, and the floor tallies each
+    allowed[j] lists job j's machines, at least one, in the order its arcs
+    take; the builder imposes no order of its own, and the floor tallies each
     2-machine row as listed, so rows in increasing index count every pair
     once. For k > 1, node 1 + n + i is
     machine i's throttle: the jobs of size k enter it instead of machine i,
@@ -296,8 +302,6 @@ def _first_phase(network: FlowNetwork, cap: list[int], capacity: int) -> int:
     short = []  # the direct jobs left short
     for job, size in enumerate(network.sizes):
         edges = adj[job + 1][1:]  # the job's arcs' edges
-        if not edges:
-            continue
         if to[edges[0]] < machine0:
             bigs.append(job)
             continue
@@ -399,7 +403,8 @@ def job_fractions(network: FlowNetwork, flow: FlowSolution) -> FractionalAssignm
     """Each job's machine shares: the flow units on its outgoing arcs, out of its size.
 
     The job arcs follow the n source arcs, job by job in arc order, so the
-    arcs carrying flow are read in one pass: an arc's tail is its job's node
+    arcs carrying flow are read in one pass, and each job's dict lists its
+    machines in arc order: an arc's tail is its job's node
     and its head names its machine as (head - machine0) % m, for a machine
     node and a throttle node alike (module docstring).
     """

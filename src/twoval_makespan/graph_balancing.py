@@ -87,18 +87,22 @@ def gb_solve_unit_k(scaled: ScaledInstance) -> UnitKSolution | None:
 
 
 def _majority_and_orient(assignment: FractionalAssignment, scaled: ScaledInstance) -> dict[int, int]:
-    """Big jobs go to their majority machine; half/half jobs are oriented."""
+    """Big jobs go to their majority machine; half/half jobs are oriented.
+
+    A job's shares list its machines in increasing index
+    (`FractionalAssignment`), so a half/half edge (u, v) has u < v.
+    """
     placed: dict[int, int] = {}
     half_edges: list[tuple[int, int, int]] = []
     for j in scaled.big_jobs():
-        support = assignment.support(j)
-        if len(support) > 2:
-            raise RuntimeError(f"big job {j} supported on {len(support)} machines")
-        if len(support) == 1:
-            placed[j] = support[0]
+        shares = assignment.shares[j]
+        if len(shares) > 2:
+            raise RuntimeError(f"big job {j} supported on {len(shares)} machines")
+        if len(shares) == 1:
+            placed[j], = shares
             continue
-        u, v = support
-        twice_u, size = 2 * assignment.shares[j][u], assignment.sizes[j]  # u's fraction vs 1/2
+        u, v = shares
+        twice_u, size = 2 * shares[u], assignment.sizes[j]  # u's fraction vs 1/2
         if twice_u > size:
             placed[j] = u
         elif twice_u < size:

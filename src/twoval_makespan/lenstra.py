@@ -36,8 +36,10 @@ machine i, and the rounding tracks the machines it reached. Each makes one
 pass over all jobs to pick out the fractional ones, which are few: at most
 m - 1 once the support is a forest. Everything else runs over those
 alone: the copied shares, the machine -> fractional-jobs index each cycle
-search builds and the search itself, then the rounding's sorted supports,
-tree walk and load-growth check. The rounding places the integral jobs in
+search builds and the search itself, then the rounding's index, tree walk
+and load-growth check. Both read each job's shares in the order they are
+listed, increasing machine index (`flow.FractionalAssignment`). The
+rounding places the integral jobs in
 its pass over all jobs, and its check's pass over all jobs tests every
 job's allowed set and each integral job's one share machine.
 """
@@ -107,9 +109,7 @@ def fractional_assign_plain(
     return job_fractions(network, flow)
 
 
-def _jobs_by_machine(
-    supports: Sequence[Collection[int]] | dict[int, list[int]], jobs: Iterable[int]
-) -> dict[int, list[int]]:
+def _jobs_by_machine(supports: Sequence[Collection[int]], jobs: Iterable[int]) -> dict[int, list[int]]:
     """Machine -> the given jobs on it, in the order given; supports[j] is job j's machines."""
     index: dict[int, list[int]] = {}
     for j in jobs:
@@ -139,8 +139,9 @@ def _find_support_cycle(
     supports[j] is job j's machines and `fractional` the jobs with two or more
     of them, in increasing order; only those are indexed and searched, node j
     for job j and n + i for machine i. Depth-first from each unvisited
-    fractional job, lowest first; a job expands to its sorted machines, a
-    machine to its fractional jobs in index order. Earlier components are
+    fractional job, lowest first; a job expands to its machines as listed,
+    increasing for shares (`FractionalAssignment`), a machine to its
+    fractional jobs in index order. Earlier components are
     fully explored, so one parent map is the visited set too.
     """
     n = len(supports)
@@ -154,7 +155,7 @@ def _find_support_cycle(
         while stack:
             node = stack.pop()
             if node < n:
-                neighbors = [n + i for i in sorted(supports[node])]
+                neighbors = [n + i for i in supports[node]]
             else:
                 neighbors = jobs_by_machine[node - n]
             for other in neighbors:
@@ -196,21 +197,23 @@ def round_forest(assignment: FractionalAssignment, instance: Instance) -> Schedu
     """Round a forest-supported assignment, each machine gaining at most one job.
 
     One pass over all jobs places each integral job on its one machine and
-    sorts the support of each fractional job; the rest runs over the
-    fractional jobs only. Every tree is rooted at its lowest-index machine
-    node; each fractional job goes to one of its child machines, so a
+    collects the fractional jobs; the rest runs over those only, reading
+    their shares as listed, in increasing machine index
+    (`FractionalAssignment`). Every tree is rooted at its lowest-index
+    machine node; each fractional job goes to its first child machine, so a
     machine can only receive the job directly above it.
     """
+    shares = assignment.shares
     placed: list[int | None] = [None] * instance.job_count
-    supports: dict[int, list[int]] = {}  # fractional job -> its sorted machines, in job order
-    for j, job_shares in enumerate(assignment.shares):
+    fractional: list[int] = []
+    for j, job_shares in enumerate(shares):
         if len(job_shares) == 1:
             placed[j], = job_shares  # its one machine
         elif job_shares:
-            supports[j] = sorted(job_shares)
+            fractional.append(j)
         else:
             raise ValueError(f"job {j} has empty support")
-    jobs_by_machine = _jobs_by_machine(supports, supports.keys())
+    jobs_by_machine = _jobs_by_machine(shares, fractional)
     seen: set[int] = set()  # the machines reached; a fractional job is reached once placed
     for root in sorted(jobs_by_machine):
         if root in seen:
@@ -222,8 +225,8 @@ def round_forest(assignment: FractionalAssignment, instance: Instance) -> Schedu
             for j in jobs_by_machine[machine]:
                 if placed[j] is not None:
                     continue  # the job this machine was discovered through
-                children = [i for i in supports[j] if i != machine]
-                placed[j] = children[0]  # supports are sorted
+                children = [i for i in shares[j] if i != machine]
+                placed[j] = children[0]  # the lowest: shares list machines in increasing index
                 for child in children:
                     # a cycle must close through an already-visited machine
                     if child in seen:

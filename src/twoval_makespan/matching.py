@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 
-def maximum_bipartite_matching(adjacency: Sequence[Sequence[int]]) -> list[int | None]:
+def maximum_bipartite_matching(adjacency: Sequence[Collection[int]]) -> list[int | None]:
     """Maximum matching of left nodes into right nodes.
 
     adjacency[u] lists u's right neighbors in preference order; left nodes are

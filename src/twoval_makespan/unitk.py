@@ -32,11 +32,13 @@ class UnitKSolution:
 def match_big_jobs(assignment: FractionalAssignment, scaled: ScaledInstance) -> dict[int, int]:
     """Match every big job to a machine holding a nonzero fraction of it.
 
-    Failure is a bug upstream, never a normal outcome: the flow invariants
-    imply Hall's condition for this bipartite graph.
+    Each job tries its share machines as listed, in increasing index
+    (`FractionalAssignment`). Failure is a bug upstream, never a normal
+    outcome: the flow invariants imply Hall's condition for this bipartite
+    graph.
     """
     bigs = scaled.big_jobs()
-    adjacency = [assignment.support(j) for j in bigs]
+    adjacency = [assignment.shares[j] for j in bigs]
     matched = maximum_bipartite_matching(adjacency)
     result: dict[int, int] = {}
     for job, machine in zip(bigs, matched):

@@ -242,7 +242,7 @@ def reference_round_forest(assignment: FractionalAssignment, instance: Instance)
     `reference_check_forest_rounding`.
     """
     n = instance.job_count
-    supports = [assignment.support(j) for j in range(n)]
+    supports = [tuple(sorted(assignment.shares[j])) for j in range(n)]
     if () in supports:
         raise ValueError(f"job {supports.index(())} has empty support")
     placed = [support[0] if len(support) == 1 else None for support in supports]

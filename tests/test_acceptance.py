@@ -217,7 +217,7 @@ def test_structural_invariants(unitk_rows, gb_rows):
         degree = {}
         heads = {}
         for j in scaled.big_jobs():
-            support = assignment.support(j)
+            support = tuple(assignment.shares[j])
             if len(support) == 2 and fraction(assignment, j, support[0]) == half:
                 for machine in support:
                     degree[machine] = degree.get(machine, 0) + 1
@@ -239,12 +239,12 @@ def test_structural_invariants(unitk_rows, gb_rows):
         _, assignment = min_feasible_fractional(inst)
         before = [Fraction(0)] * machines
         for j in range(inst.job_count):
-            for machine in assignment.support(j):
+            for machine in assignment.shares[j]:
                 before[machine] += fraction(assignment, j, machine) * inst.sizes[j]
         canceled = cancel_cycles(assignment)
         after = [Fraction(0)] * machines
         for j in range(inst.job_count):
-            for machine in canceled.support(j):
+            for machine in canceled.shares[j]:
                 after[machine] += fraction(canceled, j, machine) * inst.sizes[j]
         checks += 1
         if not support_is_forest(canceled):

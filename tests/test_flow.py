@@ -15,12 +15,13 @@ from twoval_makespan.flow import (
     min_feasible_T,
 )
 from twoval_makespan.generator import random_instance
-from twoval_makespan.lenstra import min_feasible_fractional
+from twoval_makespan.lenstra import cancel_cycles, min_feasible_fractional
 from twoval_makespan.maxflow import Dinic
 from twoval_makespan.model import (
     Instance, ScaledInstance, integer_sizes, is_graph_balancing, normalize, scale_to_integer,
     size_ratio,
 )
+from twoval_makespan.twovalued import reductions
 
 import test_network_pinned as network_pinned
 from helpers import (
@@ -718,6 +719,32 @@ def test_job_nodes_list_their_arcs_and_job_fractions_reads_each_head_as_its_mach
         )
     assert seen["one machine"] >= 120 and seen["no jobs"] >= 50, seen
     assert seen["all big"] >= 150 and seen["throttle shares"] >= 200, seen
+
+
+@pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(5, 2), Fraction(7, 3), Fraction(3)])
+def test_every_share_dict_lists_its_machines_in_the_instances_order(alpha):
+    # `FractionalAssignment`'s contract, which the roundings read without a
+    # sort: each job's shares list its machines as a subsequence of
+    # `sorted_allowed`, from the {1, k} search at each k of the reductions,
+    # from the transportation search and after cycle canceling. Dict
+    # equality ignores order, so the comparisons elsewhere cannot see it.
+    # Half the draws are graph balancing
+    rng = random.Random(f"share-order-{alpha}")
+    seen = dict.fromkeys(["unit-k split", "transportation split", "canceled"], 0)
+    for draw in range(100):
+        inst = random_instance(rng, rng.randint(2, 24), rng.randint(2, 6), alpha, gb=draw % 2 == 1)
+        searched = [min_feasible_T(ScaledInstance.of(inst, k)) for k in reductions(alpha).values()]
+        unit_k = [found[1] for found in searched if found is not None]
+        fractional = min_feasible_fractional(inst)[1]
+        canceled = cancel_cycles(fractional)
+        for assignment in unit_k + [fractional, canceled]:
+            for shares, machines in zip(assignment.shares, inst.sorted_allowed, strict=True):
+                rest = iter(machines)
+                assert all(machine in rest for machine in shares), (draw, list(shares), machines)
+        seen["unit-k split"] += sum(len(shares) > 1 for found in unit_k for shares in found.shares)
+        seen["transportation split"] += sum(len(shares) > 1 for shares in fractional.shares)
+        seen["canceled"] += canceled != fractional
+    assert min(seen.values()) >= 5, seen
 
 
 def _recording_searches(monkeypatch):

@@ -114,7 +114,7 @@ def test_gb_forced_half_split_path():
     assert result is not None
     assert result.estimate == 2
     assert [fraction(result.assignment, 0, i) for i in (0, 1)] == [Fraction(1, 2)] * 2
-    assert result.assignment.support(0) == (0, 1)
+    assert tuple(result.assignment.shares[0]) == (0, 1)
     # the single path edge is directed away from machine 0
     assert result.schedule.assignment[0] == 1
     base = integer_instance(scaled)
@@ -133,7 +133,7 @@ def test_gb_support_structure_invariant():
             continue
         half = Fraction(1, 2)
         for j in scaled.big_jobs():
-            support = result.assignment.support(j)
+            support = tuple(result.assignment.shares[j])
             assert len(support) <= 2
             values = sorted(fraction(result.assignment, j, i) for i in support)
             if len(values) == 2:

@@ -32,7 +32,7 @@ from helpers import (
 def _loads(assignment, instance):
     loads = [Fraction(0)] * instance.machine_count
     for j in range(instance.job_count):
-        for machine in assignment.support(j):
+        for machine in assignment.shares[j]:
             loads[machine] += fraction(assignment, j, machine) * instance.sizes[j]
     return loads
 

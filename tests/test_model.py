@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from twoval_makespan.fileio import format_instance, parse_instance
+from twoval_makespan.generator import random_instance
 from twoval_makespan.model import (
     Instance,
     ScaledInstance,
@@ -79,6 +80,12 @@ def test_makespan_rejects_disallowed_assignment():
         makespan(inst, schedule_of([1]))
 
 
+def test_makespan_rejects_a_schedule_of_the_wrong_length():
+    inst = Instance.build(2, [(1, [0]), (1, [1]), (1, [0, 1])])
+    with pytest.raises(ValueError, match="^schedule covers 2 jobs, instance has 3$"):
+        makespan(inst, schedule_of([0, 1]))
+
+
 def test_normalize_integer_ratio():
     inst = Instance.build(2, [(3, [0]), (6, [1])])
     norm, alpha = normalize(inst)
@@ -140,6 +147,18 @@ def test_scale_to_integer_rejects_non_integer_ratio():
     inst = Instance.build(2, [(Fraction(2, 5), [0]), (1, [1])])
     with pytest.raises(ValueError, match="non-integer ratio"):
         scale_to_integer(inst)
+
+
+def test_scale_to_integer_rejects_an_instance_that_is_not_normalized():
+    inst = Instance.build(2, [(1, [0]), (3, [1])])
+    with pytest.raises(ValueError, match="^instance is not normalized: big size must be 1$"):
+        scale_to_integer(inst)
+
+
+@pytest.mark.parametrize("jobs, machines", [(-1, 2), (3, 0)])
+def test_random_instance_rejects_negative_jobs_or_no_machines(jobs, machines):
+    with pytest.raises(ValueError, match="^need jobs >= 0 and machines >= 1$"):
+        random_instance(random.Random(0), jobs, machines, 2)
 
 
 def test_build_rejects_a_string_size():

@@ -104,7 +104,7 @@ def test_small_jobs_keep_flow_assignment():
     assert result is not None
     for j in (1, 2):  # the small jobs
         assert scaled.sizes[j] == 1
-        assert result.assignment.support(j) == (result.schedule.assignment[j],)
+        assert tuple(result.assignment.shares[j]) == (result.schedule.assignment[j],)
 
 
 def test_the_rounding_check_rejects_a_moved_small_job_and_stacked_big_jobs():
