@@ -139,7 +139,7 @@ def _job_tokens(
 
 def format_instance(instance: Instance) -> str:
     lines = [f"machines {instance.machine_count}", f"jobs {instance.job_count}"]
-    for idx, (size, allowed) in enumerate(zip(instance.sizes, instance.sorted_allowed)):
+    for idx, (size, allowed) in enumerate(zip(instance.sizes, instance.allowed)):
         machines = " ".join(map(str, allowed))
         lines.append(f"job {idx} {format_fraction(size)} {machines}")
     return "\n".join(lines) + "\n"

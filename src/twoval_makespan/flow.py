@@ -7,8 +7,8 @@ machine, every arc at the job's size, and at k > 1 the {1, k} network sends
 its big jobs through per-machine throttle nodes (below); at k = 1 it has
 none, nor does `lenstra`'s transportation network. Each job's arcs follow
 its machines in the order the caller lists them, which is increasing index
-(`Instance.sorted_allowed`) for every solver; the builder imposes no order
-of its own. The builder writes each arc straight into Dinic's
+(`Instance.allowed`) for every solver; the builder imposes no order of its
+own. The builder writes each arc straight into Dinic's
 residual arrays (`maxflow`), the first n arcs source -> job j and the last
 m machine -> sink at capacity 0, and a `FlowNetwork` holds those arrays
 with the job sizes; they are the network's only layout. Job j's node 1 + j
@@ -180,7 +180,7 @@ class FractionalAssignment:
     Job j's shares sum to sizes[j], its source -> job arc capacity, so job j
     runs the fraction shares[j][i] / sizes[j] of itself on machine i. Each
     shares[j] lists its machines in increasing index, a subsequence of
-    `Instance.sorted_allowed[j]`: `job_fractions` fills it in arc order and
+    `Instance.allowed[j]`: `job_fractions` fills it in arc order and
     `lenstra.cancel_cycles` only changes or deletes keys already there. So
     every rounding reads it as it is, and this order decides Kuhn's
     preference order in `unitk.match_big_jobs`, a half/half job's edge

@@ -123,7 +123,7 @@ def gb_perfect_matching_opt1(instance: Instance) -> Schedule | None:
     """
     if instance.job_count > instance.machine_count:
         return None
-    matched = maximum_bipartite_matching(instance.sorted_allowed)
+    matched = maximum_bipartite_matching(instance.allowed)
     if any(machine is None for machine in matched):
         return None
     return Schedule(tuple(matched))  # type: ignore[arg-type]

@@ -292,7 +292,7 @@ def min_feasible_fractional(instance: Instance) -> tuple[Fraction, FractionalAss
     """
     denom, sizes = integer_sizes(instance)
     load_grid(sizes)  # result unused: perfbench/spans.py EXPECTED requires its span
-    network = flow_network(instance.machine_count, instance.sorted_allowed, sizes)
+    network = flow_network(instance.machine_count, instance.allowed, sizes)
     snap = partial(_snap_to_grid, sizes)
     found = min_feasible_flow(network, snap(network.floor), snap)
     if found is None:

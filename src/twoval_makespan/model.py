@@ -2,28 +2,32 @@
 
 An `Instance` is two columns in job order, as in the paper: `sizes`, each
 job's size p_j as an exact rational, and `allowed`, each job's machine set
-M_j as a frozenset. Solvers read the columns directly; there is no per-job
-object. The instance derives its integer units once, when it is built: the
-lcm D of the size denominators and every job's size times D
-(`integer_sizes`). Validation, `distinct_sizes`, the {1, k} view
-(`ScaledInstance`), `normalize` and machine loads all read those units, so
-no solver does per-job Fraction work; alpha, reported loads and bounds stay
-exact Fractions. The instance fixes the machine order the same way, once:
-`sorted_allowed` holds each job's machines in increasing index, and every
-solver walks them in that order (flow arcs, matchings, the oracle's
-choices) without sorting a set again; the {1, k} view carries that column
-as its `allowed`. Floating point only appears when reports are rendered for
-humans. All model values are frozen dataclasses, so they can be shared
-freely between concurrent solver runs.
+M_j as a tuple of distinct ints in increasing index. Solvers read the
+columns directly; there is no per-job object. The instance derives its
+integer units once, when it is built: the lcm D of the size denominators
+and every job's size times D (`integer_sizes`). Validation,
+`distinct_sizes`, the {1, k} view (`ScaledInstance`), `normalize` and
+machine loads all read those units, so no solver does per-job Fraction
+work; alpha, reported loads and bounds stay exact Fractions. The
+constructor fixes the machine order the same way, once: it is the one place
+a job's machines are ordered, and every solver walks them in that order
+(flow arcs, matchings, the oracle's choices) without sorting a set again;
+the {1, k} view shares the column. Floating point only appears when reports
+are rendered for humans. All model values are frozen dataclasses, so they
+can be shared freely between concurrent solver runs.
 
 An `Instance` is valid by construction: building an invalid one raises
 `ValueError("invalid instance: <violation>")` naming the first violation, so
-no solver checks its input again. A size that is no int or Fraction, a column
-that is no tuple and a machine set that is no frozenset raise TypeError, so
-an instance is hashable and immutable. Machine indices are ints (bools too)
-in 0..m-1. Whole-column passes accept; only when one fails does a per-job
-loop run, to name the first violation. `normalize` changes only the two size
-values of a valid instance, so it shares `allowed` and checks no job again.
+no solver checks its input again. A size that is no int or Fraction and a
+column that is no tuple raise TypeError, so an instance is hashable and
+immutable. Each job's row may be any iterable of machine indices (a list, a
+set, a generator, unsorted or with repeats): the constructor checks it as a
+set and stores it as that set's increasing tuple. Machine indices are ints
+in 0..m-1; a bool or an int subclass is stored as its plain int, as sizes
+are stored as Fractions. Whole-column passes accept; only when one fails
+does a per-job loop run, to name the first violation. `normalize` changes
+only the two size values of a valid instance, so it shares `allowed` and
+checks no job again.
 """
 
 from __future__ import annotations
@@ -50,54 +54,35 @@ class Instance:
     """Jobs with at most two distinct sizes, each restricted to a machine subset.
 
     Job j has size sizes[j] (`build` makes it a Fraction) and machine set allowed[j],
-    which sorted_allowed[j] lists in increasing index.
+    which the constructor stores as its distinct ints in increasing index.
     """
 
     machine_count: int
     sizes: tuple[Fraction, ...]
-    allowed: tuple[frozenset[int], ...]
+    allowed: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        violation = self._violation()
-        if violation is not None:
-            raise ValueError(f"invalid instance: {violation}")
-
-    def _violation(self) -> str | None:
-        """The first violation of the instance invariants, or None; the cost does not grow with m."""
         _, units = self._integer_sizes  # raises TypeError on a size that is no rational
         m, allowed = self.machine_count, self.allowed
         if not isinstance(m, int):
             raise TypeError(f"machine count {m!r} is not an int")
         if not (isinstance(self.sizes, tuple) and isinstance(allowed, tuple)):
             raise TypeError("the sizes and allowed columns must be tuples")
-        if m < 1:
-            return "machine count must be positive"
-        if len(allowed) != len(units):
-            return f"{len(units)} sizes but {len(allowed)} allowed sets"
-        if not (  # whole-column passes accept; the per-job loop names the first violation
-            set(map(type, allowed)) <= {frozenset} and min(units, default=1) > 0 and all(allowed)
-            and set(map(type, chain.from_iterable(allowed))) <= {int, bool}  # each index: 1.0 == 1
-            and 0 <= min(union := set().union(*allowed), default=0) <= max(union, default=0) < m
-        ):
-            for idx, (unit, machines) in enumerate(zip(units, allowed)):
-                if not isinstance(machines, frozenset):
-                    raise TypeError(f"job {idx}: machine set {machines!r} is not a frozenset")
-                if unit <= 0:
-                    return f"job {idx}: nonpositive size"
-                if not machines:
-                    return f"job {idx}: empty allowed set"
-                if not all(isinstance(i, int) and 0 <= i < m for i in machines):
-                    return f"job {idx}: machine index out of range"
-        if len(set(units)) > 2:
-            return "more than two size values"
-        return None
+        sets = tuple(map(frozenset, allowed))  # a frozenset row is kept, not copied
+        types = set(map(type, chain.from_iterable(sets)))
+        if (violation := _violation(m, units, sets, types)) is not None:
+            raise ValueError(f"invalid instance: {violation}")
+        # a bool or an int subclass is stored as its plain int, and this is the
+        # one place a job's machines are ordered
+        rows = sets if types <= {int} else (map(int, machines) for machines in sets)
+        object.__setattr__(self, "allowed", tuple(map(tuple, map(sorted, rows))))
 
     @classmethod
     def _resized(
         cls,
         machine_count: int,
         sizes: tuple[Fraction, ...],
-        allowed: tuple[frozenset[int], ...],
+        allowed: tuple[tuple[int, ...], ...],
         integer_sizes: tuple[int, tuple[int, ...]],
     ) -> "Instance":
         """A valid instance's machine sets with new positive sizes, two at most, not checked again.
@@ -114,11 +99,9 @@ class Instance:
     @classmethod
     def build(cls, machine_count: int, jobs: Iterable[tuple[object, Iterable[int]]]) -> "Instance":
         """The instance of (size, machines) pairs in job order; sizes go through `as_rational`."""
-        sizes, allowed = [], []
-        for size, machines in jobs:
-            sizes.append(as_rational(size))
-            allowed.append(frozenset(machines))
-        return cls(machine_count, tuple(sizes), tuple(allowed))
+        pairs = tuple(jobs)
+        sizes = tuple(as_rational(size) for size, _ in pairs)
+        return cls(machine_count, sizes, tuple(machines for _, machines in pairs))
 
     @property
     def job_count(self) -> int:
@@ -136,15 +119,35 @@ class Instance:
         return tuple(Fraction(unit, denom) for unit in sorted(set(units)))
 
     @cached_property
-    def sorted_allowed(self) -> tuple[tuple[int, ...], ...]:
-        """Each job's machines in increasing index, the one order every solver walks them in."""
-        return tuple(map(tuple, map(sorted, self.allowed)))
-
-    @cached_property
     def _integer_sizes(self) -> tuple[int, tuple[int, ...]]:
         ratios = [as_rational(size).as_integer_ratio() for size in self.sizes]
         denom = math.lcm(*{den for _, den in ratios})
         return denom, tuple(num * (denom // den) for num, den in ratios)
+
+
+def _violation(m: int, units: tuple[int, ...], sets: tuple, types: set[type]) -> str | None:
+    """The first violation of the instance invariants, or None; the cost does not grow with m.
+
+    `types` are the types of all indices in `sets`, the rows as sets.
+    """
+    if m < 1:
+        return "machine count must be positive"
+    if len(sets) != len(units):
+        return f"{len(units)} sizes but {len(sets)} allowed sets"
+    if not (  # whole-column passes accept; the per-job loop names the first violation
+        min(units, default=1) > 0 and all(sets) and types <= {int, bool}  # each index: 1.0 == 1
+        and 0 <= min(union := set().union(*sets), default=0) <= max(union, default=0) < m
+    ):
+        for idx, (unit, machines) in enumerate(zip(units, sets)):
+            if unit <= 0:
+                return f"job {idx}: nonpositive size"
+            if not machines:
+                return f"job {idx}: empty allowed set"
+            if not all(isinstance(i, int) and 0 <= i < m for i in machines):
+                return f"job {idx}: machine index out of range"
+    if len(set(units)) > 2:
+        return "more than two size values"
+    return None
 
 
 @dataclass(frozen=True)
@@ -168,11 +171,11 @@ class ScaledInstance:
 
     @classmethod
     def of(cls, instance: Instance, k: int) -> "ScaledInstance":
-        """The largest-size jobs get size k, all others size 1; `allowed` is `sorted_allowed`."""
+        """The largest-size jobs get size k, all others size 1; `allowed` is the instance's."""
         _, units = integer_sizes(instance)
         big = max(units, default=None)
         sizes = tuple(k if unit == big else 1 for unit in units)
-        return cls(instance.machine_count, instance.sorted_allowed, sizes, k)
+        return cls(instance.machine_count, instance.allowed, sizes, k)
 
     def big_jobs(self) -> tuple[int, ...]:
         return tuple(j for j, size in enumerate(self.sizes) if size > 1)

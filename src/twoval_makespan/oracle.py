@@ -99,11 +99,11 @@ def _machine_sets(
     # at most two machines
     own_work: dict[tuple[int, ...], int] = {}
     own_bigs: dict[tuple[int, ...], int] = {}
-    for machines, size in zip(instance.sorted_allowed, sizes):
+    for machines, size in zip(instance.allowed, sizes):
         if len(machines) <= 2:
             own_work[machines] = own_work.get(machines, 0) + size
             own_bigs[machines] = own_bigs.get(machines, 0) + (size == big)
-    distinct = set(instance.sorted_allowed)
+    distinct = set(instance.allowed)
     sets_of: dict[int, list[int]] = {}  # the sets holding each machine, its own first
     work: list[int] = []
     big_jobs: list[int] = []
@@ -137,7 +137,7 @@ def _machine_sets(
             (machine, () if len(machines) == 1 else tuple(s for s in sets_of[machine] if s != own))
             for machine in machines
         )
-    return floor, width, work, [options_of[machines] for machines in instance.sorted_allowed]
+    return floor, width, work, [options_of[machines] for machines in instance.allowed]
 
 
 def brute_force_opt(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:

@@ -92,7 +92,7 @@ def reference_min_feasible_fractional(instance: Instance) -> tuple[Fraction, Fra
     """
     denom, sizes = integer_sizes(instance)
     grid = load_grid(sizes)
-    network = flow_network(instance.machine_count, instance.sorted_allowed, sizes)
+    network = flow_network(instance.machine_count, instance.allowed, sizes)
 
     def probe(k: int) -> tuple[int, FractionalAssignment] | ReferenceFloor:
         load = _snap_to_grid(sizes, grid[k])
@@ -160,7 +160,7 @@ def job_arcs(network: FlowNetwork) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def transportation(instance: Instance) -> FlowNetwork:
     """The additive search's network: no throttles, capacities in units of 1/D."""
-    return flow_network(instance.machine_count, instance.sorted_allowed, integer_sizes(instance)[1])
+    return flow_network(instance.machine_count, instance.allowed, integer_sizes(instance)[1])
 
 
 def fraction(assignment: FractionalAssignment, job: int, machine: int) -> Fraction:
@@ -428,9 +428,9 @@ def reference_violation(
     without its code. In order: a size that is no int or Fraction raises
     TypeError, then a machine count that is no int, then a column that is no
     tuple; then, as ValueErrors, a machine count below 1 and columns of
-    different lengths; then per job a machine set that is no frozenset
-    (TypeError), and as ValueErrors a nonpositive size, an empty set or an
-    index that is no int in 0..m-1; and last more than two size values.
+    different lengths; then per job, each machine set read as a set, a
+    nonpositive size, an empty set or an index that is no int in 0..m-1;
+    and last more than two size values.
     """
     for size in sizes:
         if not isinstance(size, (Fraction, int)):
@@ -446,8 +446,7 @@ def reference_violation(
         violation = f"{len(sizes)} sizes but {len(allowed)} allowed sets"
     else:
         for idx, (size, machines) in enumerate(zip(sizes, allowed)):
-            if not isinstance(machines, frozenset):
-                return TypeError, f"job {idx}: machine set {machines!r} is not a frozenset"
+            machines = set(machines)
             if size <= 0:
                 violation = f"job {idx}: nonpositive size"
             elif not machines:

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -20,6 +21,7 @@ from twoval_makespan.fileio import (
 )
 from twoval_makespan.generator import random_instance
 from twoval_makespan.model import Instance, is_graph_balancing
+from twoval_makespan.oracle import brute_force_opt
 
 
 def test_fraction_round_trip():
@@ -44,12 +46,27 @@ def test_instance_round_trip():
         assert parse_instance(format_instance(inst)) == inst
 
 
+def test_bool_and_int_enum_indices_are_stored_as_plain_ints():
+    # a bool or IntEnum index used to be kept as it was given: the file then
+    # read `job 0 1 True`, which the parser rejects, and the oracle's witness
+    # named machine True
+    class Machine(IntEnum):
+        SECOND = 1
+
+    for index in (True, Machine.SECOND):
+        inst = Instance.build(2, [(1, [index]), (1, [0, index])])
+        assert format_instance(inst) == "machines 2\njobs 2\njob 0 1 1\njob 1 1 0 1\n"
+        assert parse_instance(format_instance(inst)) == inst
+        witness = brute_force_opt(inst).witness.assignment
+        assert witness == (1, 0) and all(type(machine) is int for machine in witness)
+
+
 def test_parse_accepts_comments_and_blank_lines():
     text = "# a comment\n\nmachines 2\njobs 1\n# another\njob 0 1/2 0 1\n"
     inst = parse_instance(text)
     assert inst.machine_count == 2
     assert inst.sizes[0] == Fraction(1, 2)
-    assert inst.allowed[0] == frozenset({0, 1})
+    assert inst.allowed[0] == (0, 1)
 
 
 @pytest.mark.parametrize(

@@ -198,7 +198,7 @@ def test_throttles_are_laid_out_only_where_size_k_jobs_enter_them():
         instance = network_pinned.draw(seed)
         n, m = instance.job_count, instance.machine_count
         unit = build_network(ScaledInstance.of(instance, 1))
-        plain = flow_network(m, instance.sorted_allowed, (1,) * n)
+        plain = flow_network(m, instance.allowed, (1,) * n)
         assert len(unit.adj) == n + m + 2
         assert (unit.to, unit.cap, unit.adj) == (plain.to, plain.cap, plain.adj)
         for k in range(2, 5):
@@ -206,9 +206,10 @@ def test_throttles_are_laid_out_only_where_size_k_jobs_enter_them():
 
 
 def test_the_instance_orders_each_jobs_machines_once_and_the_builder_keeps_the_order():
-    # `Instance.sorted_allowed` is each job's machines in increasing index,
-    # computed once and carried as is by every k's {1, k} view; the builder
-    # lays each job's arcs in the order of the rows it is given
+    # `Instance.allowed` holds each job's machines as distinct ints in
+    # increasing index, ordered once by the constructor and carried as is by
+    # every k's {1, k} view; the builder lays each job's arcs in the order of
+    # the rows it is given
     rng = random.Random("flow-machine-order")
     instances = [Instance.build(3, []), Instance.build(1, [(1, [0]), (2, [0])])]
     for _ in range(200):
@@ -217,9 +218,8 @@ def test_the_instance_orders_each_jobs_machines_once_and_the_builder_keeps_the_o
         instances.append(random_instance(rng, rng.randint(0, 9), m, alpha, gb=rng.random() < 0.5))
     seen = dict.fromkeys(["no jobs", "one machine", "graph balancing", "reordered"], 0)
     for instance in instances:
-        rows = instance.sorted_allowed
-        assert rows == tuple(tuple(sorted(machines)) for machines in instance.allowed)
-        assert instance.sorted_allowed is rows
+        rows = instance.allowed
+        assert all(type(row) is tuple and row == tuple(sorted(set(row))) for row in rows)
         assert all(ScaledInstance.of(instance, k).allowed is rows for k in range(1, 5))
         shuffled = [rng.sample(row, len(row)) for row in rows]
         for k in range(1, 5):
@@ -725,7 +725,7 @@ def test_job_nodes_list_their_arcs_and_job_fractions_reads_each_head_as_its_mach
 def test_every_share_dict_lists_its_machines_in_the_instances_order(alpha):
     # `FractionalAssignment`'s contract, which the roundings read without a
     # sort: each job's shares list its machines as a subsequence of
-    # `sorted_allowed`, from the {1, k} search at each k of the reductions,
+    # `Instance.allowed`, from the {1, k} search at each k of the reductions,
     # from the transportation search and after cycle canceling. Dict
     # equality ignores order, so the comparisons elsewhere cannot see it.
     # Half the draws are graph balancing
@@ -738,7 +738,7 @@ def test_every_share_dict_lists_its_machines_in_the_instances_order(alpha):
         fractional = min_feasible_fractional(inst)[1]
         canceled = cancel_cycles(fractional)
         for assignment in unit_k + [fractional, canceled]:
-            for shares, machines in zip(assignment.shares, inst.sorted_allowed, strict=True):
+            for shares, machines in zip(assignment.shares, inst.allowed, strict=True):
                 rest = iter(machines)
                 assert all(machine in rest for machine in shares), (draw, list(shares), machines)
         seen["unit-k split"] += sum(len(shares) > 1 for found in unit_k for shares in found.shares)

@@ -25,7 +25,7 @@ from helpers import reference_violation, schedule_of
 
 def test_validate_minimal_instance():
     inst = Instance.build(1, [(1, [0])])
-    assert inst.machine_count == 1 and inst.allowed[0] == frozenset({0})
+    assert inst.machine_count == 1 and inst.allowed == ((0,),)
 
 
 def test_validate_empty_allowed_set():
@@ -187,21 +187,19 @@ def test_validate_rejects_a_machine_index_that_is_no_int():
         Instance.build(2, [(1, [1]), (Fraction(1, 2), [1.0])])
     with pytest.raises(TypeError, match="^machine count 2.0 is not an int$"):
         Instance.build(2.0, [(1, [0])])
-    # a bool is an int, as it is for sizes
-    assert Instance.build(2, [(1, [True]), (True, [False])]).allowed == (
-        frozenset({1}), frozenset({0}),
-    )
+    # a bool is an int, as it is for sizes, and is stored as the plain int
+    allowed = Instance.build(2, [(1, [True]), (True, [False])]).allowed
+    assert allowed == ((1,), (0,))
+    assert all(type(i) is int for machines in allowed for i in machines)
 
 
-def test_constructor_rejects_columns_that_are_not_tuples_of_frozensets():
+def test_constructor_rejects_columns_that_are_not_tuples():
     # list columns used to build an instance that `hash()` rejected and that
     # could be changed through its lists
     with pytest.raises(TypeError, match="^the sizes and allowed columns must be tuples$"):
         Instance(2, [Fraction(1)], [[0]])
     with pytest.raises(TypeError, match="^the sizes and allowed columns must be tuples$"):
         Instance(2, (Fraction(1),), [frozenset({0})])
-    with pytest.raises(TypeError, match=r"^job 1: machine set \{1\} is not a frozenset$"):
-        Instance(2, (Fraction(1), Fraction(1)), (frozenset({0}), {1}))
     built = Instance.build(2, [(1, [0]), (Fraction(1, 2), [0, 1])])
     parsed = parse_instance(format_instance(built))
     normalized, _ = normalize(built)
@@ -219,17 +217,19 @@ class _MachineSet(frozenset):
 
 
 def test_the_job_loop_accepts_what_the_column_passes_leave_to_it():
-    # the whole-column passes compare exact types, so an IntEnum index and a
-    # frozenset subclass fall through to the per-job loop, which accepts both
+    # the whole-column type pass compares exact types, so an IntEnum index
+    # falls through to the per-job loop, which accepts it; every row, a
+    # frozenset subclass too, is stored as a tuple of plain ints
     one, two = Fraction(1), Fraction(2)
     allowed = (frozenset({_Machine.SECOND}), _MachineSet({0, 1}), frozenset({0}))
     inst = Instance(2, (one, two, one), allowed)
-    assert inst.allowed == (frozenset({1}), frozenset({0, 1}), frozenset({0}))
-    assert type(inst.allowed[1]) is _MachineSet
+    assert inst.allowed == ((1,), (0, 1), (0,))
+    assert all(type(machines) is tuple for machines in inst.allowed)
+    assert all(type(i) is int for machines in inst.allowed for i in machines)
     with pytest.raises(ValueError, match="^invalid instance: job 1: machine index out of range$"):
         Instance(1, (one, two), (_MachineSet({0}), frozenset({_Machine.SECOND})))
-    # a set raises at its own job, before a later job's violation
-    with pytest.raises(TypeError, match=r"^job 1: machine set \{0\} is not a frozenset$"):
+    # a set row is a machine set like any other: the first violation is a later job's
+    with pytest.raises(ValueError, match="^invalid instance: job 2: nonpositive size$"):
         Instance(2, (one, two, -one), (_MachineSet({1}), {0}, frozenset({5})))
 
 
@@ -253,8 +253,9 @@ def _column_case(rng):
         allowed.append(frozenset(picked if picked or rng.random() < 0.2 else indices[:1]))
     if rng.random() < 0.02:
         allowed.append(frozenset({0}))  # columns of different lengths
-    if allowed and rng.random() < 0.05:
-        allowed[-1] = set(allowed[-1])  # a machine set that is no frozenset
+    if allowed and rng.random() < 0.05:  # a machine set as a set, or a list with repeats
+        row = list(allowed[-1])
+        allowed[-1] = rng.choice([set(row), row[::-1] + row])
     sizes, allowed = tuple(sizes), tuple(allowed)
     if rng.random() < 0.05:  # a column that is no tuple
         sizes, allowed = rng.choice([(list(sizes), allowed), (sizes, list(allowed))])
@@ -269,7 +270,9 @@ def test_column_validator_names_the_reference_loops_first_violation():
         expected = reference_violation(machines, sizes, allowed)
         if expected is None:
             inst = Instance(machines, sizes, allowed)
-            assert inst.sizes == sizes and inst.allowed == allowed
+            rows = tuple(tuple(sorted(map(int, set(machines)))) for machines in allowed)
+            assert inst.sizes == sizes and inst.allowed == rows
+            assert all(type(i) is int for machines in inst.allowed for i in machines)
             kind = "valid"
         else:
             with pytest.raises(expected[0]) as info:
@@ -302,11 +305,28 @@ def test_validation_does_not_depend_on_the_machine_count():
         Instance.build(10**9, [(1, [0]), (2, [10**9])])
 
 
-def test_derived_instances_share_the_allowed_column():
-    inst = Instance.build(3, [(Fraction(1, 3), [0, 2]), (1, [1]), (1, [0, 1, 2])])
-    assert normalize(inst)[0].allowed is inst.allowed
-    for k in range(1, 5):
-        assert ScaledInstance.of(inst, k).allowed is inst.sorted_allowed
+def test_each_row_is_stored_as_its_increasing_tuple_and_derived_instances_share_it():
+    # the constructor is the one place a job's machines are ordered (a
+    # frozenset of small ints iterates in increasing order, but {9, 1} does
+    # not); derived instances share its column
+    forms = (
+        lambda row: row, lambda row: row[::-1] + row, set, frozenset,
+        lambda row: (i for i in reversed(row)),
+    )
+    sizes, rows = (Fraction(1, 3), 1, 1), ([9, 1], [1], [0, 1, 2, 9])
+    for form in forms:
+        inst = Instance.build(10, zip(sizes, map(form, rows)))
+        assert inst.allowed == ((1, 9), (1,), (0, 1, 2, 9))
+        assert all(type(machines) is tuple for machines in inst.allowed)
+        assert Instance(10, inst.sizes, tuple(map(form, rows))) == inst
+        assert normalize(inst)[0].allowed is inst.allowed
+        assert all(ScaledInstance.of(inst, k).allowed is inst.allowed for k in range(1, 5))
+    # a row is checked as a set before it is sorted: a string beside an int is
+    # out of range, not a failed comparison
+    out_of_range = "^invalid instance: job 0: machine index out of range$"
+    for row in (["0", 1], [1, "0"], {"0", 1}):
+        with pytest.raises(ValueError, match=out_of_range):
+            Instance.build(2, [(1, row)])
 
 
 def test_integer_sizes_in_job_order():
